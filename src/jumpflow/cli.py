@@ -10,6 +10,7 @@ artifacts.  Exit codes: 0 success, 2 config or data schema violation,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -217,6 +218,7 @@ def parse_run_config(cfg):
         "space": space, "kernel": kernel, "mask": mask, "triple": triple, "u0": u0,
         "T": T, "integrator": config, "seed": seed, "export_flux": export_flux,
         "tol_rel": tol_rel, "cutoff_eps": (cfg["kernel"] or {}).get("cutoff"),
+        "mask_split": (cfg["kernel"].get("mask") or {}).get("split", 0.0),
     }
 
 
@@ -263,7 +265,7 @@ def _ledger_for(parsed, traj):
         tol_rel = ledger.default_tolerance(parsed["cutoff_eps"])
     mask_vec = None
     if parsed["mask"] is not None:
-        mask_vec = parsed["space"].points < 0.0
+        mask_vec = parsed["space"].points < parsed["mask_split"]
     return ledger.full_report(traj, parsed["triple"], parsed["space"], coup.theta,
                               parsed["space"].pi, tol_rel=tol_rel, seed=parsed["seed"],
                               mask=mask_vec)
@@ -271,17 +273,10 @@ def _ledger_for(parsed, traj):
 
 def cmd_run(args):
     parsed = parse_run_config(load_config(args.config))
-    if args.checkpoints is not None:
-        parsed["integrator"] = IntegratorConfig(
-            method=args.method or parsed["integrator"].method,
-            checkpoints=args.checkpoints, dt=parsed["integrator"].dt,
-            cfl_safety=parsed["integrator"].cfl_safety,
-            graded_start=parsed["integrator"].graded_start)
-    elif args.method is not None:
-        parsed["integrator"] = IntegratorConfig(
-            method=args.method, checkpoints=parsed["integrator"].checkpoints,
-            dt=parsed["integrator"].dt, cfl_safety=parsed["integrator"].cfl_safety,
-            graded_start=parsed["integrator"].graded_start)
+    overrides = {"method": args.method, "checkpoints": args.checkpoints}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if overrides:
+        parsed["integrator"] = dataclasses.replace(parsed["integrator"], **overrides)
     if args.seed is not None:
         parsed["seed"] = args.seed
     coup = spaces.coupling(parsed["space"], parsed["kernel"])
@@ -345,7 +340,8 @@ def cmd_sweep(args):
     for eps, gap, res in zip(result.eps_list, gaps, result.edb_residuals):
         gap_s = "" if not np.isfinite(gap) else format(gap, ".17g")
         lines.append(f"{format(eps, '.17g')},{gap_s},{format(res, '.17g')}")
-    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines) + "\n")
+    lines.append("")
+    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
     _write_json(os.path.join(args.out, stem + ".json"), result.to_dict())
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
@@ -367,7 +363,8 @@ def cmd_probe(args):
     lines = ["delta,seminorm"]
     for d, v in zip(result.deltas, result.seminorms):
         lines.append(f"{format(d, '.17g')},{format(v, '.17g')}")
-    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines) + "\n")
+    lines.append("")
+    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
     _write_json(os.path.join(args.out, stem + ".json"), result.to_dict())
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return EXIT_OK
@@ -407,7 +404,8 @@ def cmd_lift(args):
                     c, tuple(target),
                     format(lifted.space.dist[k, j] ** 2, ".17g"),
                     format(base.dist[z, y] ** 2 / args.N, ".17g")))
-    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines) + "\n")
+    lines.append("")
+    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
     _write_json(os.path.join(args.out, stem + ".json"), payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK if verdict["ok"] else EXIT_NUMERICAL

@@ -2,9 +2,9 @@
 
 Only compatible triples are integrated: for those the flux map reduces to
 v - u and the evolution is the linear forward equation du_i/dt =
-sum_j (u_j - u_i) theta_ij / pi_i.  The matrix exponential is the reference
-integrator (it preserves positivity and the maximum principle exactly for
-generator matrices); explicit Euler is the cheap cross-check.
+sum_j (u_j - u_i) theta_ij / pi_i.  The exact exponential is the reference
+integrator, applied through one symmetric eigendecomposition per connected
+component of the coupling graph; explicit Euler is the cheap cross-check.
 """
 
 from __future__ import annotations
@@ -13,28 +13,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from .densities import DissipationTriple, compat_check
 from .quadrature import checkpoint_grid
 
 __all__ = [
-    "IncompatibleTripleError",
-    "NumericalError",
-    "IntegratorConfig",
-    "Trajectory",
-    "generator",
-    "evolve",
-    "flux_from_density",
-    "continuity_residual",
-    "concatenate",
-    "rescale_time",
-    "trajectory_csv_text",
-    "trajectory_to_csv",
-    "trajectory_from_csv",
-    "flux_csv_text",
-    "flux_to_csv",
-    "flux_from_csv",
+    "IncompatibleTripleError", "NumericalError", "IntegratorConfig", "Trajectory",
+    "generator", "evolve", "flux_from_density", "continuity_residual",
+    "concatenate", "rescale_time",
+    "trajectory_csv_text", "trajectory_to_csv", "trajectory_from_csv",
+    "flux_csv_text", "flux_to_csv", "flux_from_csv",
 ]
 
 DEFAULT_CHECKPOINT_DENSITY = 512  # checkpoint intervals per unit time
@@ -109,9 +97,6 @@ class Trajectory:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def has_flux(self) -> bool:
-        return self.flux_rule is not None or self.flux_store is not None
-
     def flux_at(self, k: int) -> np.ndarray:
         if self.flux_store is not None:
             return self.flux_store[k]
@@ -145,28 +130,56 @@ def flux_from_density(u, triple: DissipationTriple) -> np.ndarray:
     """Flux snapshot w_ij = -F(u_i, u_j); for compatible triples u_i - u_j."""
     u = np.asarray(u, dtype=float)
     if triple.compatible:
-        w = u[:, None] - u[None, :]
-    else:
-        from .densities import f_map
-        w = -np.asarray(f_map(triple, u[:, None], u[None, :]), dtype=float)
+        return _compatible_flux(u)
+    from .densities import f_map
+    w = -np.asarray(f_map(triple, u[:, None], u[None, :]), dtype=float)
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def _compatible_flux(u) -> np.ndarray:
+    w = u[:, None] - u[None, :]
     np.fill_diagonal(w, 0.0)
     return w
 
 
 def _flux_rule(triple: DissipationTriple):
-    def rule(u):
-        return flux_from_density(u, triple)
+    # one rule object for all compatible triples: their legs concatenate without a store
+    if triple.compatible:
+        return _compatible_flux
+    return lambda u: flux_from_density(u, triple)
 
-    return rule
+
+def _propagate_spectral(theta, pi, q_diag, u0, times, U) -> None:
+    """U[k] = exp(t_k Q) u0 for k >= 1, via eigh of the symmetric S = Pi^(1/2) Q Pi^(-1/2)
+    on each coupling component; its top eigenvalue is simple and exactly 0 (Q 1 = 0), so
+    it is pinned to 0.  A whole-matrix eigh would mix the components' null eigenvalues."""
+    from scipy.sparse.csgraph import connected_components
+
+    if not np.array_equal(theta, theta.T):
+        raise NumericalError("coupling theta is not symmetric (no detailed balance)")
+    root, block = np.sqrt(pi), 256  # checkpoint rows per GEMM: temporaries stay O(block n)
+    _, labels = connected_components(theta > 0, directed=False)
+    for c in range(labels.max() + 1):
+        idx = np.flatnonzero(labels == c)
+        r = root[idx]
+        S = theta[np.ix_(idx, idx)] / np.outer(r, r)
+        S[np.diag_indices_from(S)] = q_diag[idx]
+        lam, V = np.linalg.eigh(S)
+        lam[-1] = 0.0
+        coef, back = V.T @ (r * u0[idx]), V.T / r
+        for k in range(1, times.size, block):
+            U[k:k + block, idx] = (np.exp(times[k:k + block, None] * lam) * coef) @ back
 
 
 def evolve(coup, triple: DissipationTriple, u0, T: float,
            config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate the linear evolution from u0 over [0, T].
 
-    'expm' propagates with cached scaling-and-squaring exponentials per
-    distinct checkpoint step; 'euler' subdivides every checkpoint interval to
+    'expm' fills every checkpoint from one symmetric eigendecomposition per
+    coupling component; 'euler' subdivides every checkpoint interval to
     respect the stability bound dt <= cfl_safety / max_i sum_j theta_ij/pi_i.
+    Roundoff negatives are clipped in place; meta['clip_min'] keeps the least.
     """
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 < 0) or not np.all(np.isfinite(u0)):
@@ -176,18 +189,7 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
     U = np.empty((times.size, u0.size))
     U[0] = u0
     if config.method == "expm":
-        steps = np.diff(times)
-        uniq, counts = np.unique(steps, return_counts=True)
-        repeated = {float(d) for d, c in zip(uniq, counts) if c > 1}
-        cache = {}  # retain only reused step matrices; prefix steps are unique
-        for k, dt in enumerate(steps):
-            key = float(dt)
-            E = cache.get(key)
-            if E is None:
-                E = expm(Q * dt)
-                if key in repeated:
-                    cache[key] = E
-            U[k + 1] = E @ U[k]
+        _propagate_spectral(coup.theta, coup.pi, np.diag(Q), u0, times, U)
     else:
         rate = float(np.max(-np.diag(Q)))
         dt_max = config.cfl_safety / rate if rate > 0 else np.inf
@@ -202,9 +204,11 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
             U[k + 1] = u
     if not np.all(np.isfinite(U)):
         raise NumericalError("non-finite state encountered during integration")
-    U = np.maximum(U, 0.0)  # clip roundoff-level negatives
+    clip_min = min(float(U.min()), 0.0)
+    np.maximum(U, 0.0, out=U)  # clip roundoff-level negatives
     meta = {"method": config.method, "checkpoints": config.n_checkpoints(T),
-            "graded_start": config.graded_start, "triple": triple.name}
+            "graded_start": config.graded_start, "triple": triple.name,
+            "clip_min": clip_min}
     return Trajectory(times=times, densities=U, flux_rule=_flux_rule(triple), meta=meta)
 
 
@@ -239,13 +243,10 @@ def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:
                          "must equal the initial density of the second")
     times = np.concatenate([t1.times, t1.T + t2.times[1:]])
     densities = np.vstack([t1.densities, t2.densities[1:]])
-    store = None
-    rule = None
+    rule, store = t1.flux_rule, None
     if t1.flux_store is not None or t2.flux_store is not None or t1.flux_rule is not t2.flux_rule:
-        store = np.stack([t1.flux_at(k) for k in range(t1.times.size)]
-                         + [t2.flux_at(k) for k in range(1, t2.times.size)])
-    else:
-        rule = t1.flux_rule
+        rule, store = None, np.stack([t1.flux_at(k) for k in range(t1.times.size)]
+                                     + [t2.flux_at(k) for k in range(1, t2.times.size)])
     return Trajectory(times=times, densities=densities, flux_rule=rule, flux_store=store,
                       meta={"concatenated": True})
 
@@ -279,12 +280,11 @@ def _fmt(x: float) -> str:
 
 
 def trajectory_csv_text(traj: Trajectory) -> str:
-    n = traj.n
-    header = "t," + ",".join(f"u_{i}" for i in range(n))
-    lines = [header]
+    lines = ["t," + ",".join(f"u_{i}" for i in range(traj.n))]
     for k, t in enumerate(traj.times):
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in traj.densities[k]]))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # trailing newline, joined once
+    return "\n".join(lines)
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
@@ -308,19 +308,17 @@ def trajectory_from_csv(path, triple: Optional[DissipationTriple] = None) -> Tra
             raise ValueError("trajectory CSV row width does not match header")
         rows.append([float(p) for p in parts])
     data = np.array(rows)
-    rule = _flux_rule(triple) if triple is not None else None
-    return Trajectory(times=data[:, 0], densities=data[:, 1:], flux_rule=rule)
+    return Trajectory(times=data[:, 0], densities=data[:, 1:],
+                      flux_rule=_flux_rule(triple) if triple is not None else None)
 
 
 def flux_csv_text(traj: Trajectory) -> str:
     lines = ["t,i,j,w"]
     for k, t in enumerate(traj.times):
-        w = traj.flux_at(k)
-        for i in range(traj.n):
-            for j in range(traj.n):
-                if i != j and w[i, j] != 0.0:
-                    lines.append(f"{_fmt(t)},{i},{j},{_fmt(w[i, j])}")
-    return "\n".join(lines) + "\n"
+        w, t_s = traj.flux_at(k), _fmt(t)
+        lines += [f"{t_s},{i},{j},{_fmt(w[i, j])}" for i, j in zip(*np.nonzero(w)) if i != j]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def flux_to_csv(traj: Trajectory, path) -> None:

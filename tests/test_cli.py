@@ -124,6 +124,31 @@ def test_run_torus_config(tmp_path):
     assert verdict == "Balanced/Reflecting"
 
 
+def test_run_certifies_components_of_nonzero_mask_split(tmp_path):
+    cfg = write_config(tmp_path, {
+        "schema": 1,
+        "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 40},
+        "kernel": {"type": "fractional", "s": 0.75,
+                   "mask": {"type": "punctured", "split": 0.5}},
+        "triple": "cosh",
+        "initial": {"type": "step", "left": 2.0, "right": 0.5, "split": 0.0},
+        "T": 0.5,
+        "integrator": {"checkpoints": 128},
+    })
+    out = tmp_path / "split"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    invariants = json.loads((out / "ledger.json").read_text())["invariants"]
+    assert invariants["component_mass_ok"], invariants
+
+
+def test_cli_csv_outputs_end_in_one_newline(tmp_path):
+    out = tmp_path / "probe"
+    assert main(["probe", "--s", "0.75", "--deltas", "0.2,0.1", "--n", "64",
+                 "--out", str(out)]) == 0
+    text = (out / "probe_s0.75_n64.csv").read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+
+
 def test_sweep_command(tmp_path):
     cfg_dict = {
         "schema": 1,

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from jumpflow.densities import (boltzmann_entropy, canonical_triple, cosh_pair,
                                 log_mean_flux, make_triple)
+from jumpflow import evolution
 from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, NumericalError,
-                                concatenate, continuity_residual, evolve,
+                                concatenate, continuity_residual, evolve, flux_csv_text,
                                 flux_from_csv, flux_from_density, flux_to_csv, generator,
-                                rescale_time, trajectory_from_csv, trajectory_to_csv)
+                                rescale_time, trajectory_csv_text, trajectory_from_csv,
+                                trajectory_to_csv)
+from jumpflow.experiments import build_lift
 from jumpflow.functionals import entropy
-from jumpflow.spaces import (build_graph, build_grid, coupling, cutoff, fractional_kernel,
-                             matrix_kernel, punctured_mask)
+from jumpflow.spaces import (Coupling, build_graph, build_grid, coupling, cutoff,
+                             fractional_kernel, matrix_kernel, punctured_mask)
 
 COSH = canonical_triple("cosh")
 QUAD = canonical_triple("quadratic")
@@ -108,6 +112,103 @@ def test_evolve_rejects_bad_initial():
         evolve(coup, COSH, np.array([1.0, np.inf]), 1.0)
 
 
+def assert_matches_dense_expm(coup, u0, T, checkpoints=64):
+    """The spectral propagator against scipy's dense expm(Q t) u0 at a few checkpoints."""
+    traj = evolve(coup, COSH, u0, T, IntegratorConfig(checkpoints=checkpoints))
+    Q = generator(coup, COSH)
+    last = traj.times.size - 1
+    for k in (1, last // 3, last):
+        exact = expm(Q * traj.times[k]) @ u0
+        assert np.max(np.abs(traj.densities[k] - exact)) <= 1e-12 * np.max(np.abs(u0))
+    return traj
+
+
+def test_propagator_matches_expm_cutoff_grid():
+    sp = build_grid(-1.0, 1.0, 200)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-3))
+    assert_matches_dense_expm(coup, np.where(sp.points < 0.0, 1.5, 0.25), 0.5)
+
+
+def test_propagator_matches_expm_punctured_two_components():
+    sp = build_grid(-1.0, 1.0, 200)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6, mask=punctured_mask(sp, 0.0)),
+                               sp, 1e-3))
+    assert_matches_dense_expm(coup, 1.0 + 0.5 * np.sin(np.pi * sp.points), 0.5)
+
+
+def test_propagator_matches_expm_stiff_cutoff():
+    sp = build_grid(-1.0, 1.0, 200)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.75), sp, 1e-4))
+    assert np.max(-np.diag(generator(coup, COSH))) > 1.5e3
+    assert_matches_dense_expm(coup, np.where(sp.points < 0.0, 1.5, 0.25), 0.5)
+
+
+def test_propagator_isolated_state():
+    sp = build_grid(0.0, 1.0, 4)
+    rates = np.array([[0.0, 1.0, 2.0, 0.0],
+                      [1.0, 0.0, 0.5, 0.0],
+                      [2.0, 0.5, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0]])
+    u0 = np.array([1.0, 0.0, 2.0, 3.0])
+    traj = assert_matches_dense_expm(coupling(sp, matrix_kernel(rates)), u0, 2.0)
+    assert np.all(traj.densities[:, 3] == 3.0)
+
+
+def test_propagator_matches_expm_lift_multinomial_weights():
+    base = build_grid(0.0, 1.0, 3)
+    lifted = build_lift(base, fractional_kernel(base, 0.6), 2)
+    assert np.ptp(lifted.space.pi) > 0  # multinomial, not uniform
+    u0 = np.random.default_rng(0).uniform(0.2, 2.0, lifted.n_configs)
+    assert_matches_dense_expm(coupling(lifted.space, lifted.kernel), u0, 0.5)
+
+
+def test_propagator_component_masses_long_horizon():
+    sp = build_grid(-1.0, 1.0, 40)
+    coup = coupling(sp, fractional_kernel(sp, 0.75, mask=punctured_mask(sp, 0.0)))
+    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.5), 6.0)
+    left = sp.points < 0.0
+    for part in (left, ~left):
+        mass = traj.densities[:, part] @ sp.pi[part]
+        assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
+
+
+def test_propagator_refuses_nonsymmetric_theta():
+    sp, coup = two_point()
+    skewed = Coupling(theta=np.array([[0.0, 0.5], [0.25, 0.0]]),
+                      detailed_balance_residual=0.25, pi=coup.pi)
+    with pytest.raises(NumericalError, match="symmetric"):
+        evolve(skewed, COSH, np.array([2.0, 0.0]), 1.0)
+
+
+def test_evolve_records_clip_in_meta(monkeypatch):
+    sp, coup = two_point()
+    u0 = np.array([2.0, 0.0])
+    assert evolve(coup, COSH, u0, 1.0).meta["clip_min"] == 0.0
+    spectral = evolution._propagate_spectral
+
+    def undershoot(theta, pi, q_diag, u0, times, U):
+        spectral(theta, pi, q_diag, u0, times, U)
+        U[3, 1] = -3e-16
+
+    monkeypatch.setattr(evolution, "_propagate_spectral", undershoot)
+    traj = evolve(coup, COSH, u0, 1.0)
+    assert traj.meta["clip_min"] == -3e-16
+    assert traj.densities[3, 1] == 0.0
+    assert np.all(traj.densities >= 0.0)
+
+
+def test_evolve_clip_on_chain_is_roundoff():
+    # a delta on a chain leaves the far states at ~t^n, below roundoff
+    sp = build_grid(0.0, 1.0, 12)
+    chain = np.eye(12, k=1) + np.eye(12, k=-1)
+    u0 = np.zeros(12)
+    u0[0] = 1.0
+    traj = evolve(coupling(sp, matrix_kernel(chain)), COSH, u0, 1.0,
+                  IntegratorConfig(checkpoints=32))
+    assert -1e-14 <= traj.meta["clip_min"] <= 0.0
+    assert np.all(traj.densities >= 0.0)
+
+
 def test_flux_values():
     u = np.array([2.0, 0.5, 1.0])
     w = flux_from_density(u, COSH)
@@ -184,6 +285,17 @@ def test_concatenate_requires_matching_endpoint():
     assert back.densities[-1] == pytest.approx(a.densities[0])
 
 
+def test_concatenate_evolved_legs_keeps_flux_rule():
+    _, coup = two_point()
+    a = evolve(coup, COSH, np.array([2.0, 0.0]), 0.5, IntegratorConfig(checkpoints=16))
+    c = evolve(coup, COSH, a.densities[-1], 0.5, IntegratorConfig(checkpoints=16))
+    joined = concatenate(a, c)
+    assert joined.flux_store is None
+    assert joined.flux_rule is a.flux_rule
+    np.testing.assert_array_equal(joined.flux_at(20), flux_from_density(joined.densities[20],
+                                                                         COSH))
+
+
 def test_rescale_time():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, IntegratorConfig(checkpoints=64))
@@ -219,6 +331,14 @@ def test_csv_round_trip_bit_exact(tmp_path):
     flux_to_csv(traj, fpath)
     withflux = flux_from_csv(fpath, back)
     np.testing.assert_array_equal(withflux.flux_at(3), traj.flux_at(3))
+
+
+def test_csv_text_ends_in_one_newline():
+    _, coup = two_point()
+    traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.3, IntegratorConfig(checkpoints=8))
+    for text in (trajectory_csv_text(traj), flux_csv_text(traj)):
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        assert text.count("\n") == len(text.splitlines())
 
 
 def test_trajectory_from_csv_rejects_malformed(tmp_path):
