@@ -21,6 +21,7 @@ import numpy as np
 from . import evolution, experiments, ledger, spaces
 from .densities import canonical_triple
 from .evolution import IntegratorConfig, NumericalError
+from .functionals import json_text, jsonify
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -251,7 +252,7 @@ def atomic_write(path, text):
 
 
 def _write_json(path, obj):
-    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    atomic_write(path, json_text(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,7 @@ def cmd_run(args):
 def cmd_verify(args):
     parsed = parse_run_config(load_config(args.config))
     try:
-        traj = evolution.trajectory_from_csv(args.trajectory, triple=parsed["triple"])
+        traj = evolution.trajectory_from_csv(args.trajectory)
     except (OSError, ValueError) as exc:
         raise SchemaError("trajectory", str(exc))
     if traj.n != parsed["space"].n:
@@ -343,7 +344,7 @@ def cmd_sweep(args):
     lines.append("")
     atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
     _write_json(os.path.join(args.out, stem + ".json"), result.to_dict())
-    print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    print(json_text(result.to_dict()))
     return EXIT_OK
 
 
@@ -366,7 +367,7 @@ def cmd_probe(args):
     lines.append("")
     atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
     _write_json(os.path.join(args.out, stem + ".json"), result.to_dict())
-    print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
+    print(json_text(result.to_dict()))
     return EXIT_OK
 
 
@@ -383,31 +384,20 @@ def cmd_lift(args):
         "N": args.N,
         "configs": lifted.n_configs,
         "pi_total": float(lifted.space.pi.sum()),
-        "verdict": {k: ledger._jsonify(v) for k, v in verdict.items()},
+        "verdict": {k: jsonify(v) for k, v in verdict.items()},
     }
     os.makedirs(args.out, exist_ok=True)
     stem = f"lift_m{args.m}_N{args.N}"
     lines = ["from_config,to_config,w2_squared,jump_bound"]
-    for c in lifted.configs:
-        k = lifted.index[c]
-        for z in range(base.n):
-            if c[z] == 0:
-                continue
-            for y in range(base.n):
-                if y == z:
-                    continue
-                target = list(c)
-                target[z] -= 1
-                target[y] += 1
-                j = lifted.index[tuple(target)]
-                lines.append('"%s","%s",%s,%s' % (
-                    c, tuple(target),
-                    format(lifted.space.dist[k, j] ** 2, ".17g"),
-                    format(base.dist[z, y] ** 2 / args.N, ".17g")))
+    for k, z, y, j in experiments.one_particle_jumps(lifted.configs, lifted.index):
+        lines.append('"%s","%s",%s,%s' % (
+            lifted.configs[k], lifted.configs[j],
+            format(lifted.space.dist[k, j] ** 2, ".17g"),
+            format(base.dist[z, y] ** 2 / args.N, ".17g")))
     lines.append("")
     atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
     _write_json(os.path.join(args.out, stem + ".json"), payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload))
     return EXIT_OK if verdict["ok"] else EXIT_NUMERICAL
 
 

@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 
 from .densities import DissipationTriple, canonical_triple
 from .evolution import IntegratorConfig, evolve
-from .functionals import entropy
+from .functionals import entropy, entropy_series, jsonify
 from .ledger import edb_report, default_tolerance
 from .spaces import (Coupling, Kernel, StateSpace, build_grid, coupling, cutoff,
                      fractional_kernel, punctured_mask, taming_bound)
@@ -28,6 +28,7 @@ __all__ = [
     "density_gap_probe",
     "default_probe_deltas",
     "build_lift",
+    "one_particle_jumps",
     "w2_exact",
     "key_estimate_check",
     "uniqueness_probe",
@@ -52,13 +53,12 @@ class SweepResult:
         return g[:-1] / np.maximum(g[1:], 1e-300)
 
     def to_dict(self) -> dict:
-        from .ledger import _jsonify
         return {
             "schema": 1,
             "eps": [float(e) for e in self.eps_list],
-            "gaps": [_jsonify(g) for g in self.gaps],
-            "gap_ratios": [_jsonify(r) for r in self.gap_ratios()],
-            "edb_residuals": [_jsonify(r) for r in self.edb_residuals],
+            "gaps": [jsonify(g) for g in self.gaps],
+            "gap_ratios": [jsonify(r) for r in self.gap_ratios()],
+            "edb_residuals": [jsonify(r) for r in self.edb_residuals],
             "strictly_decreasing": bool(np.all(np.diff(self.gaps) < 0)),
         }
 
@@ -82,8 +82,7 @@ def robustness_sweep(space: StateSpace, base_kernel: Kernel, triple: Dissipation
         traj = evolve(coup, triple, u0, T, config)
         times = traj.times
         terminal.append(traj.densities[-1])
-        ent = np.array([entropy(u, space.pi, triple.entropy) for u in traj.densities])
-        curves.append(ent)
+        curves.append(entropy_series(traj.densities, space.pi, triple.entropy))
         rep = edb_report(traj, triple, coup.theta, space.pi, tol_rel=default_tolerance(eps))
         residuals.append(rep.max_edb_residual() / rep.energy_scale)
     terminal = np.asarray(terminal)
@@ -113,7 +112,6 @@ def reflecting_scenario(n: int, s: float, split: float, u0, T: float,
     m_right = traj.densities[:, ~left] @ space.pi[~left]
     eq = np.where(left, m_left[0] / space.pi[left].sum(), m_right[0] / space.pi[~left].sum())
     gap = float(np.max(np.abs(traj.densities[-1] - eq)))
-    ent = np.array([entropy(u, space.pi, triple.entropy) for u in traj.densities])
     return {
         "space": space,
         "coupling": coup,
@@ -123,7 +121,7 @@ def reflecting_scenario(n: int, s: float, split: float, u0, T: float,
         "mass_right_drift": float(np.max(np.abs(m_right - m_right[0]))),
         "equilibrium_profile": eq,
         "terminal_gap": gap,
-        "entropy_curve": ent,
+        "entropy_curve": entropy_series(traj.densities, space.pi, triple.entropy),
         "entropy_at_equilibrium": entropy(eq, space.pi, triple.entropy),
     }
 
@@ -142,16 +140,15 @@ class ProbeResult:
     tail_relative_change: Optional[float] = None
 
     def to_dict(self) -> dict:
-        from .ledger import _jsonify
         return {
             "schema": 1,
             "s": self.s,
             "deltas": [float(d) for d in self.deltas],
-            "seminorms": [_jsonify(v) for v in self.seminorms],
-            "slope": None if self.slope is None else _jsonify(self.slope),
-            "target_slope": None if self.target_slope is None else _jsonify(self.target_slope),
+            "seminorms": [jsonify(v) for v in self.seminorms],
+            "slope": None if self.slope is None else jsonify(self.slope),
+            "target_slope": None if self.target_slope is None else jsonify(self.target_slope),
             "tail_relative_change": None if self.tail_relative_change is None
-            else _jsonify(self.tail_relative_change),
+            else jsonify(self.tail_relative_change),
         }
 
 
@@ -286,17 +283,8 @@ def build_lift(base_space: StateSpace, base_kernel: Kernel, N: int,
     pi_hat = np.array([_multinomial_weight(c, base_space.pi) for c in configs])
     M = len(configs)
     rates = np.zeros((M, M))
-    for k, c in enumerate(configs):
-        for z in range(m):
-            if c[z] == 0:
-                continue
-            for y in range(m):
-                if y == z:
-                    continue
-                target = list(c)
-                target[z] -= 1
-                target[y] += 1
-                rates[k, index[tuple(target)]] += c[z] * base_kernel.rates[z, y] / N
+    for k, z, y, j in one_particle_jumps(configs, index):
+        rates[k, j] += configs[k][z] * base_kernel.rates[z, y] / N
     cost2 = base_space.dist**2
     dist = np.zeros((M, M))
     for a in range(M):
@@ -309,6 +297,23 @@ def build_lift(base_space: StateSpace, base_kernel: Kernel, N: int,
     kernel = Kernel(rates=rates, descriptor={"type": "lift", "N": N})
     return LiftedSpace(base_space=base_space, base_kernel=base_kernel, N=N,
                        configs=configs, space=space, kernel=kernel, index=index)
+
+
+def one_particle_jumps(configs, index):
+    """Every move of one particle z -> y (y != z) out of an occupied atom z, as
+    (source config index, z, y, target config index), configs in order."""
+    m = len(configs[0])
+    for k, c in enumerate(configs):
+        for z in range(m):
+            if c[z] == 0:
+                continue
+            for y in range(m):
+                if y == z:
+                    continue
+                target = list(c)
+                target[z] -= 1
+                target[y] += 1
+                yield k, z, y, index[tuple(target)]
 
 
 def _common_denominator(weights, max_q: int = 64) -> Optional[int]:
@@ -369,21 +374,10 @@ def key_estimate_check(lifted: LiftedSpace, tol: float = 1e-12) -> dict:
     N = lifted.N
     worst = -math.inf
     checked = 0
-    for c in lifted.configs:
-        k = lifted.index[c]
-        for z in range(base.n):
-            if c[z] == 0:
-                continue
-            for y in range(base.n):
-                if y == z:
-                    continue
-                target = list(c)
-                target[z] -= 1
-                target[y] += 1
-                j = lifted.index[tuple(target)]
-                excess = lifted.space.dist[k, j] ** 2 - base.dist[z, y] ** 2 / N
-                worst = max(worst, excess)
-                checked += 1
+    for k, z, y, j in one_particle_jumps(lifted.configs, lifted.index):
+        excess = lifted.space.dist[k, j] ** 2 - base.dist[z, y] ** 2 / N
+        worst = max(worst, excess)
+        checked += 1
     c_base = taming_bound(base, lifted.base_kernel)
     c_lift = taming_bound(lifted.space, lifted.kernel)
     return {

@@ -8,31 +8,56 @@ exception.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .densities import DissipationTriple, d_phi, legendre
+from .evolution import coupling_edges
 from .measures import PosMeasure, SignedMeasurePair
 from .quadrature import cumulative_simpson_nonuniform
 
 __all__ = [
     "FunctionalReport",
-    "TestFunction",
+    "jsonify",
+    "json_text",
     "Upsilon",
     "entropy",
+    "entropy_series",
     "action_R",
     "dual_R_star",
     "fisher_D",
     "edb_integrand",
     "trajectory_L",
-    "trajectory_report",
     "f_upsilon",
     "gagliardo_seminorm",
     "luxemburg_norm",
     "seminorm_equivalence_check",
 ]
+
+
+def jsonify(v):
+    """JSON-safe scalar: non-finite floats become the strings 'nan', 'inf', '-inf'."""
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        if math.isnan(f):
+            return "nan"
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    return v
+
+
+def json_text(obj, indent: int = 2) -> str:
+    """The JSON encoding of every report: sorted keys, no bare NaN or inf."""
+    return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -44,11 +69,10 @@ class FunctionalReport:
     flags: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        from .ledger import _jsonify  # shared non-finite float encoding
         return {
-            "value": _jsonify(self.value),
-            "breakdown": None if self.breakdown is None else [_jsonify(v) for v in self.breakdown],
-            "flags": {k: _jsonify(v) for k, v in self.flags.items()},
+            "value": jsonify(self.value),
+            "breakdown": None if self.breakdown is None else [jsonify(v) for v in self.breakdown],
+            "flags": {k: jsonify(v) for k, v in self.flags.items()},
         }
 
 
@@ -56,41 +80,19 @@ def _offdiag(n):
     return ~np.eye(n, dtype=bool)
 
 
-class TestFunction:
-    """Bounded test function on the state space with a cached seminorm.
-
-    On a finite universe boundedness is just finiteness of the values; the
-    quadratic-seminorm membership flag still distinguishes functions once the
-    coupling carries singular weights.
-    """
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("test functions must be bounded")
-        self._cache_key = None
-        self._cache_val = None
-
-    @property
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def seminorm(self, theta) -> float:
-        key = id(theta)
-        if key != self._cache_key:
-            self._cache_val = gagliardo_seminorm(self.values, theta)
-            self._cache_key = key
-        return self._cache_val
-
-    def in_x2(self, theta) -> bool:
-        return bool(np.isfinite(self.seminorm(theta)))
-
-
 def entropy(u, pi, entropy_density) -> float:
     """Relative entropy sum phi(u_i) pi_i."""
     u = np.asarray(u, dtype=float)
     pi = np.asarray(pi, dtype=float)
     return float(np.sum(entropy_density.phi(u) * pi))
+
+
+def entropy_series(U, pi, entropy_density) -> np.ndarray:
+    """Relative entropy of every row of U: the row sums of phi(U) pi, taken 256
+    rows at a time so the temporaries of phi stay O(256 n)."""
+    pi = np.asarray(pi, dtype=float)
+    return np.concatenate([(entropy_density.phi(U[k:k + 256]) * pi).sum(axis=1)
+                           for k in range(0, len(U), 256)])
 
 
 def action_R(u, w, triple: DissipationTriple, theta, report: bool = False):
@@ -151,16 +153,51 @@ def edb_integrand(u, w, triple: DissipationTriple, theta) -> float:
     return action_R(u, w, triple, theta) + fisher_D(u, triple, theta)
 
 
-def trajectory_report(traj, triple: DissipationTriple, theta, pi) -> FunctionalReport:
-    """Ledger series packaged for export: final value, the per-interval
-    quadrature table as the breakdown, and the singular-start flag."""
-    series, detail = trajectory_L(traj, triple, theta, pi, report=True)
-    return FunctionalReport(
-        value=float(series[-1]),
-        breakdown=np.diff(detail["dissipation_integral"]),
-        flags={"initial_singular": detail["initial_singular"],
-               "max_abs_ledger": float(np.max(np.abs(series)))},
-    )
+@dataclass(frozen=True)
+class _CheckpointPass:
+    """Per-checkpoint quantities that every certificate reads."""
+
+    times: np.ndarray
+    entropy: np.ndarray     # E(u_k)
+    integrand: np.ndarray   # R(u_k, w_k) + D(u_k)
+    pairing: np.ndarray     # 1/2 sum_ij -(phi'(u_j) - phi'(u_i)) w_ij theta_ij, NaN if undefined
+    net_flux: np.ndarray    # (K+1, n): sum_j w_ij theta_ij
+
+    def ledger(self):
+        """(ledger series, cumulative integral of R + D, singular-endpoint flag)."""
+        integral, singular = cumulative_simpson_nonuniform(self.times, self.integrand)
+        return self.entropy - self.entropy[0] + integral, integral, singular
+
+
+def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointPass:
+    """One pass over the checkpoints that reads each flux snapshot once, on the
+    edges i < j with theta_ij > 0: for an antisymmetric flux every ordered-pair
+    summand of ``action_R``, ``fisher_D`` and the chain-rule pairing is symmetric."""
+    rows, cols, th = coupling_edges(theta)
+    U, n = traj.densities, traj.n
+    b, g = np.empty(U.shape[0]), np.empty(U.shape[0])
+    net = np.empty(U.shape)
+    for k, u in enumerate(U):
+        w, ui, uj = traj.edge_flux(k, rows, cols), u[rows], u[cols]
+        a = triple.flux.alpha(ui, uj)
+        if np.any((a == 0) & (w != 0)):
+            R = np.inf  # the flux charges an edge where alpha vanishes
+        else:
+            ratio = np.divide(w, a, out=np.zeros_like(w), where=a > 0)
+            R = float(np.sum(legendre(triple.pair, ratio) * a * th))
+        dv = d_phi(triple, ui, uj)
+        D = np.inf if np.any(np.isinf(dv)) else float(np.sum(dv * th))
+        b[k] = R + D
+        lam = triple.entropy.dphi_ext(u)
+        with np.errstate(invalid="ignore"):
+            grad = lam[rows] - lam[cols]  # minus the gradient of phi'(u)
+            vals = grad * w * th
+        if not np.all(np.isfinite(lam)):  # an infinite slope against zero flux pairs to 0
+            vals[(w == 0.0) & ~np.isfinite(grad)] = 0.0
+        g[k] = np.nan if np.any(np.isnan(vals)) else float(np.sum(vals))
+        wt = w * th  # net outflow as in evolution.net_flux
+        net[k] = np.bincount(rows, wt, n) - np.bincount(cols, wt, n)
+    return _CheckpointPass(traj.times, entropy_series(U, pi, triple.entropy), b, g, net)
 
 
 def trajectory_L(traj, triple: DissipationTriple, theta, pi, report: bool = False):
@@ -172,19 +209,14 @@ def trajectory_L(traj, triple: DissipationTriple, theta, pi, report: bool = Fals
     start under a superlinear dissipation) is integrated by the one-sided
     rectangle rule and flagged.
     """
-    theta = np.asarray(theta, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    ent = np.array([entropy(u, pi, triple.entropy) for u in traj.densities])
-    b = np.array([edb_integrand(traj.densities[k], traj.flux_at(k), triple, theta)
-                  for k in range(len(traj.times))])
-    integral, singular = cumulative_simpson_nonuniform(traj.times, b)
-    series = ent - ent[0] + integral
+    cp = _checkpoint_pass(traj, triple, theta, pi)
+    series, integral, singular = cp.ledger()
     if not report:
         return series
     return series, {
-        "entropy": ent,
+        "entropy": cp.entropy,
         "dissipation_integral": integral,
-        "integrand": b,
+        "integrand": cp.integrand,
         "initial_singular": singular,
     }
 

@@ -11,16 +11,14 @@ component masses).
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .densities import DissipationTriple
-from .evolution import Trajectory, continuity_residual
-from .functionals import entropy, trajectory_L
+from .evolution import Trajectory, continuity_spreads, net_flux
+from .functionals import _checkpoint_pass, json_text, jsonify
 from .quadrature import cumulative_simpson_nonuniform
 
 __all__ = [
@@ -48,22 +46,6 @@ def default_tolerance(cutoff_eps: Optional[float]) -> float:
     if cutoff_eps is not None and cutoff_eps <= STIFF_EPS:
         return DEFAULT_TOL_STIFF
     return DEFAULT_TOL_SMOOTH
-
-
-def _jsonify(v):
-    """JSON-safe scalar: non-finite floats become strings."""
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    return v
 
 
 @dataclass
@@ -95,42 +77,39 @@ class LedgerReport:
         return float(self.ledger_series[k_t] - self.ledger_series[k_s])
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "schema": 1,
             "verdict": self.verdict,
-            "tol_abs": _jsonify(self.tol_abs),
-            "energy_scale": _jsonify(self.energy_scale),
+            "tol_abs": jsonify(self.tol_abs),
+            "energy_scale": jsonify(self.energy_scale),
             "edb_ok": self.edb_ok,
             "edi_ok": self.edi_ok,
-            "max_edb_residual": _jsonify(self.max_edb_residual()),
-            "final_ledger": _jsonify(float(self.ledger_series[-1])),
+            "max_edb_residual": jsonify(self.max_edb_residual()),
+            "final_ledger": jsonify(float(self.ledger_series[-1])),
             "chain_ok": self.chain_ok,
             "chain_inconclusive": self.chain_inconclusive,
             "max_chain_residual": None if self.chain_series is None
-            else _jsonify(float(np.max(self.chain_series))),
-            "ce_residual": None if self.ce_residual is None else _jsonify(self.ce_residual),
+            else jsonify(float(np.max(self.chain_series))),
+            "ce_residual": None if self.ce_residual is None else jsonify(self.ce_residual),
             "ce_ok": self.ce_ok,
-            "rce_residual": None if self.rce_residual is None else _jsonify(self.rce_residual),
+            "rce_residual": None if self.rce_residual is None else jsonify(self.rce_residual),
             "rce_ok": self.rce_ok,
-            "invariants": {k: _jsonify(v) for k, v in self.invariants.items()},
-            "flags": {k: _jsonify(v) for k, v in self.flags.items()},
+            "invariants": {k: jsonify(v) for k, v in self.invariants.items()},
+            "flags": {k: jsonify(v) for k, v in self.flags.items()},
             "n_checkpoints": int(self.times.size),
         }
-        return d
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
+        return json_text(self.to_dict(), indent)
 
 
-def _invariant_checks(traj: Trajectory, triple, pi, mask=None):
-    pi = np.asarray(pi, dtype=float)
+def _invariant_checks(traj: Trajectory, ent, pi, mask=None) -> dict:
     U = traj.densities
     mass = U @ pi
     mass_scale = max(abs(mass[0]), 1e-300)
     mass_drift = float(np.max(np.abs(mass - mass[0])) / mass_scale)
     lo, hi = float(U[0].min()), float(U[0].max())
     max_principle_excess = float(max(np.max(U) - hi, lo - np.min(U), 0.0))
-    ent = np.array([entropy(u, pi, triple.entropy) for u in U])
     entropy_increase = float(max(np.max(np.diff(ent)), 0.0)) if ent.size > 1 else 0.0
     inv = {
         "mass_drift_rel": mass_drift,
@@ -147,7 +126,7 @@ def _invariant_checks(traj: Trajectory, triple, pi, mask=None):
         drift = max(float(np.max(np.abs(m1 - m1[0]))), float(np.max(np.abs(m2 - m2[0]))))
         inv["component_mass_drift"] = drift / mass_scale
         inv["component_mass_ok"] = drift / mass_scale <= 1e-12
-    return inv, ent
+    return inv
 
 
 def edb_report(traj: Trajectory, triple: DissipationTriple, theta, pi,
@@ -159,27 +138,29 @@ def edb_report(traj: Trajectory, triple: DissipationTriple, theta, pi,
     entropy minimum a roundoff-level floor tied to the total mass keeps the
     relative test meaningful.
     """
+    return _edb_report(traj, _checkpoint_pass(traj, triple, theta, pi), pi, tol_rel, mask)
+
+
+def _edb_report(traj, cp, pi, tol_rel, mask) -> LedgerReport:
     pi = np.asarray(pi, dtype=float)
-    series, detail = trajectory_L(traj, triple, theta, pi, report=True)
+    series, _, singular = cp.ledger()
     mass = float(traj.densities[0] @ pi)
-    scale = max(entropy(traj.densities[0], pi, triple.entropy), 1e-12 * (1.0 + mass))
+    scale = max(float(cp.entropy[0]), 1e-12 * (1.0 + mass))
     tol = (tol_rel if tol_rel is not None else DEFAULT_TOL_SMOOTH) * scale
-    interval = np.diff(series)
     finite = np.all(np.isfinite(series))
     edb_ok = bool(finite and np.max(np.abs(series)) <= tol
                   and float(np.max(series) - np.min(series)) <= tol)
     edi_ok = bool(finite and np.max(series) <= tol)
-    invariants, _ = _invariant_checks(traj, triple, pi, mask=mask)
     return LedgerReport(
         times=traj.times,
         ledger_series=series,
-        interval_residuals=interval,
+        interval_residuals=np.diff(series),
         edi_ok=edi_ok,
         edb_ok=edb_ok,
         tol_abs=tol,
         energy_scale=scale,
-        invariants=invariants,
-        flags={"initial_singular": detail["initial_singular"]},
+        invariants=_invariant_checks(traj, cp.entropy, pi, mask=mask),
+        flags={"initial_singular": singular},
     )
 
 
@@ -193,39 +174,20 @@ def chain_rule_residual(traj: Trajectory, triple: DissipationTriple, theta, pi,
     With ``detail`` the residual spread over all checkpoint pairs is appended,
     which is the quantity compared against the ledger tolerance.
     """
-    theta = np.asarray(theta, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    ent = np.array([entropy(u, pi, triple.entropy) for u in traj.densities])
+    result = _chain_rule(_checkpoint_pass(traj, triple, theta, pi))
+    return result if detail else result[:2]
 
-    def pairing(k):
-        u = traj.densities[k]
-        w = traj.flux_at(k)
-        lam = triple.entropy.dphi_ext(u)
-        with np.errstate(invalid="ignore"):
-            grad = lam[None, :] - lam[:, None]   # nabla phi'(u)
-            vals = -grad * w * theta
-        vals = np.where(theta == 0.0, 0.0, vals)
-        vals = np.where((w == 0.0) & ~np.isfinite(grad), 0.0, vals)
-        np.fill_diagonal(vals, 0.0)
-        if np.any(np.isnan(vals)):
-            return np.nan
-        return 0.5 * float(np.sum(vals))
 
-    g = np.array([pairing(k) for k in range(traj.times.size)])
-    interior_bad = np.any(~np.isfinite(g[1:-1]))
-    if interior_bad:
-        if detail:
-            return np.full(traj.times.size - 1, np.nan), True, float("nan")
-        return np.full(traj.times.size - 1, np.nan), True
+def _chain_rule(cp):
+    """(per-interval residual, inconclusive, spread over all checkpoint pairs)."""
+    g, ent = cp.pairing, cp.entropy
+    if np.any(~np.isfinite(g[1:-1])):
+        return np.full(g.size - 1, np.nan), True, float("nan")
     g = np.where(np.isnan(g), np.inf, g)
-    integral, _ = cumulative_simpson_nonuniform(traj.times, g)
+    integral, _ = cumulative_simpson_nonuniform(cp.times, g)
     # the pairing equals -dE/dt along the curve, so the defect is dE + integral
-    residual = np.abs(np.diff(ent) + np.diff(integral))
-    if detail:
-        defect = (ent - ent[0]) + integral
-        spread = float(np.max(defect) - np.min(defect))
-        return residual, False, spread
-    return residual, False
+    defect = (ent - ent[0]) + integral
+    return np.abs(np.diff(ent) + np.diff(integral)), False, float(np.max(defect) - np.min(defect))
 
 
 def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi,
@@ -236,12 +198,11 @@ def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi,
     Stencils narrower than ``min_width_rel`` of the span are skipped (NaN):
     there the difference quotient only amplifies entropy roundoff.
     """
-    from .functionals import edb_integrand
+    return _pointwise_edb(_checkpoint_pass(traj, triple, theta, pi), min_width_rel)
 
-    theta = np.asarray(theta, dtype=float)
-    pi = np.asarray(pi, dtype=float)
-    t = traj.times
-    ent = np.array([entropy(u, pi, triple.entropy) for u in traj.densities])
+
+def _pointwise_edb(cp, min_width_rel: float) -> np.ndarray:
+    t, ent = cp.times, cp.entropy
     floor = min_width_rel * (t[-1] - t[0])
     out = np.full(max(t.size - 2, 0), np.nan)
     for k in range(1, t.size - 1):
@@ -252,8 +213,7 @@ def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi,
         dE = (f0 * (x1 - x2) / ((x0 - x1) * (x0 - x2))
               + f1 * (2 * x1 - x0 - x2) / ((x1 - x0) * (x1 - x2))
               + f2 * (x1 - x0) / ((x2 - x0) * (x2 - x1)))
-        b = edb_integrand(traj.densities[k], traj.flux_at(k), triple, theta)
-        out[k - 1] = abs(b + dE)
+        out[k - 1] = abs(cp.integrand[k] + dE)
     return out
 
 
@@ -279,14 +239,17 @@ def rce_battery(traj: Trajectory, space, theta, pi, seed: int = 0, mask=None) ->
     function, the discontinuous member of the quadratic test class that
     separates the reflecting equation from the plain one.
     """
+    return _rce_battery(traj, net_flux(traj, theta), space, pi, seed, mask)
+
+
+def _rce_battery(traj, net_flux_series, space, pi, seed: int, mask) -> dict:
     battery = _lipschitz_battery(space.points, space.dist, seed)
     if mask is not None:
         step = np.where(np.asarray(mask, dtype=bool), 1.0, 0.0)
         battery.append(("component_step", step))
-    residuals = {}
-    for name, phi_vals in battery:
-        residuals[name] = continuity_residual(traj, phi_vals, theta, pi)
-    return residuals
+    phis = np.column_stack([phi_vals for _, phi_vals in battery])
+    spreads = continuity_spreads(traj, net_flux_series, phis, pi)
+    return {name: float(r) for (name, _), r in zip(battery, spreads)}
 
 
 def upgrade_verdict(report: LedgerReport) -> str:
@@ -311,15 +274,14 @@ def full_report(traj: Trajectory, triple: DissipationTriple, space, theta, pi,
                 rce_tol: float = 1e-8) -> LedgerReport:
     """Assemble the complete ledger: balance, chain rule, pointwise balance,
     continuity battery and the final verdict."""
-    report = edb_report(traj, triple, theta, pi, tol_rel=tol_rel, mask=mask)
-    chain, inconclusive, chain_spread = chain_rule_residual(traj, triple, theta, pi, detail=True)
-    report.chain_series = chain
-    report.chain_inconclusive = inconclusive
-    if not inconclusive:
+    cp = _checkpoint_pass(traj, triple, theta, pi)
+    report = _edb_report(traj, cp, pi, tol_rel, mask)
+    report.chain_series, report.chain_inconclusive, chain_spread = _chain_rule(cp)
+    if not report.chain_inconclusive:
         report.chain_ok = bool(np.isfinite(chain_spread) and chain_spread <= report.tol_abs)
         report.flags["chain_spread"] = chain_spread
-    report.pointwise_series = pointwise_edb(traj, triple, theta, pi)
-    residuals = rce_battery(traj, space, theta, pi, seed=seed, mask=mask)
+    report.pointwise_series = _pointwise_edb(cp, min_width_rel=1e-4)
+    residuals = _rce_battery(traj, cp.net_flux, space, pi, seed, mask)
     mass_scale = max(float(traj.densities[0] @ np.asarray(pi, float)), 1e-300)
     lipschitz = {k: v for k, v in residuals.items() if k != "component_step"}
     report.ce_residual = max(lipschitz.values()) / mass_scale

@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 from jumpflow.cli import main
 
 TWO_POINT = {
@@ -88,6 +89,32 @@ def test_verify_edited_flux_degrades_verdict(tmp_path):
                  "--flux", str(epath), "--out", str(vout)]) == 0
     verdict = json.loads((vout / "ledger.json").read_text())["verdict"]
     assert verdict == "Neither"
+
+
+@pytest.mark.parametrize("edit", ["index_too_large", "negative_index", "diagonal",
+                                  "duplicate", "time_off_grid", "not_antisymmetric"])
+def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
+    cfg_dict = dict(TWO_POINT, export_flux=True, integrator={"checkpoints": 16})
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, first, *rest = (out / "flux.csv").read_text().splitlines()
+    t, i, j, w = first.split(",")
+    rows = {
+        "index_too_large": [first, f"{t},0,2,1.0"],
+        "negative_index": [first, f"{t},-1,0,1.0"],
+        "diagonal": [first, f"{t},1,1,0.5"],
+        "duplicate": [first, first],
+        "time_off_grid": [first, f"0.123456789,{i},{j},{w}"],
+        "not_antisymmetric": [f"{t},{i},{j},{2.0 * float(w)!r}"],
+    }[edit]
+    epath = tmp_path / "flux_edited.csv"
+    epath.write_text("\n".join([header] + rows + rest) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
+    assert "config error at flux" in capsys.readouterr().err
+    assert not (tmp_path / "vout").exists()
 
 
 def test_malformed_config_exit_code_and_path(tmp_path, capsys):

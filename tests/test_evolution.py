@@ -8,8 +8,8 @@ from jumpflow.densities import (boltzmann_entropy, canonical_triple, cosh_pair,
                                 log_mean_flux, make_triple)
 from jumpflow import evolution
 from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, NumericalError,
-                                concatenate, continuity_residual, evolve, flux_csv_text,
-                                flux_from_csv, flux_from_density, flux_to_csv, generator,
+                                Trajectory, concatenate, continuity_residual, evolve, flux_csv_text,
+                                flux_from_csv, flux_to_csv, generator,
                                 rescale_time, trajectory_csv_text, trajectory_from_csv,
                                 trajectory_to_csv)
 from jumpflow.experiments import build_lift
@@ -211,10 +211,11 @@ def test_evolve_clip_on_chain_is_roundoff():
 
 def test_flux_values():
     u = np.array([2.0, 0.5, 1.0])
-    w = flux_from_density(u, COSH)
+    traj = Trajectory(times=[0.0, 1.0], densities=[u, np.full(3, 0.7)])
+    w = traj.flux_at(0)
     np.testing.assert_allclose(w, u[:, None] - u[None, :], atol=1e-14)
     np.testing.assert_allclose(w, -w.T, atol=1e-14)
-    assert np.all(flux_from_density(np.full(3, 0.7), COSH) == 0.0)
+    assert np.all(traj.flux_at(1) == 0.0)
 
 
 def test_evolution_invariants():
@@ -277,23 +278,30 @@ def test_concatenate_requires_matching_endpoint():
     assert joined.T == pytest.approx(1.0)
     assert joined.times.size == a.times.size + c.times.size - 1
     # any matching endpoint is accepted, including a reversed leg
-    from jumpflow.evolution import Trajectory
-
     reversed_leg = Trajectory(times=a.times, densities=a.densities[::-1].copy(),
                               flux_store=np.zeros((a.times.size, 2, 2)))
     back = concatenate(a, reversed_leg)
     assert back.densities[-1] == pytest.approx(a.densities[0])
 
 
-def test_concatenate_evolved_legs_keeps_flux_rule():
+def test_concatenate_evolved_legs_keeps_linear_flux():
     _, coup = two_point()
     a = evolve(coup, COSH, np.array([2.0, 0.0]), 0.5, IntegratorConfig(checkpoints=16))
     c = evolve(coup, COSH, a.densities[-1], 0.5, IntegratorConfig(checkpoints=16))
     joined = concatenate(a, c)
     assert joined.flux_store is None
-    assert joined.flux_rule is a.flux_rule
-    np.testing.assert_array_equal(joined.flux_at(20), flux_from_density(joined.densities[20],
-                                                                         COSH))
+    u = joined.densities[20]
+    np.testing.assert_array_equal(joined.flux_at(20), u[:, None] - u[None, :])
+
+
+def test_trajectory_rejects_non_antisymmetric_flux_store():
+    store = np.zeros((2, 2, 2))
+    store[1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="antisymmetric"):
+        Trajectory(times=[0.0, 1.0], densities=np.ones((2, 2)), flux_store=store)
+    store[1, 1, 0] = -1.0
+    traj = Trajectory(times=[0.0, 1.0], densities=np.ones((2, 2)), flux_store=store)
+    np.testing.assert_array_equal(traj.flux_at(1), store[1])
 
 
 def test_rescale_time():
@@ -324,7 +332,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.3, IntegratorConfig(checkpoints=32))
     path = tmp_path / "traj.csv"
     trajectory_to_csv(traj, path)
-    back = trajectory_from_csv(path, triple=COSH)
+    back = trajectory_from_csv(path)
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.densities, traj.densities)
     fpath = tmp_path / "flux.csv"
@@ -350,3 +358,7 @@ def test_trajectory_from_csv_rejects_malformed(tmp_path):
     bad2.write_text("time,u_0\n0.0,1.0\n")
     with pytest.raises(ValueError):
         trajectory_from_csv(bad2)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("t,u_0,u_1\n")
+    with pytest.raises(ValueError):
+        trajectory_from_csv(header_only)

@@ -9,8 +9,7 @@ from jumpflow.densities import canonical_triple, perspective_psi
 from jumpflow.evolution import IntegratorConfig, concatenate, evolve
 from jumpflow.functionals import (Upsilon, action_R, dual_R_star, entropy, f_upsilon,
                                   fisher_D, gagliardo_seminorm, luxemburg_norm,
-                                  seminorm_equivalence_check, trajectory_L,
-                                  trajectory_report)
+                                  seminorm_equivalence_check, trajectory_L)
 from jumpflow.measures import PosMeasure, jordan_from_setfunction
 from jumpflow.spaces import (build_grid, coupling, fractional_kernel, matrix_kernel,
                              punctured_mask)
@@ -159,18 +158,6 @@ def test_trajectory_ledger_two_point_closed_form():
     assert np.max(series) <= 1e-8 * scale
 
 
-def test_trajectory_report_serializable():
-    sp, coup = two_point_system()
-    traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.5, IntegratorConfig(checkpoints=64))
-    rep = trajectory_report(traj, COSH, coup.theta, sp.pi)
-    payload = rep.to_dict()
-    assert payload["flags"]["initial_singular"] is True
-    assert len(payload["breakdown"]) == traj.times.size - 1
-    import json
-
-    json.dumps(payload)  # strictly JSON-safe
-
-
 def test_trajectory_ledger_additive_under_concatenation():
     sp, coup = two_point_system()
     cfg = IntegratorConfig(checkpoints=128)
@@ -294,20 +281,6 @@ def test_luxemburg_norm():
     for c in (0.1, 3.0, 17.0):
         assert luxemburg_norm(c * zeta, young, theta) == pytest.approx(
             c * math.sqrt(2.0), rel=1e-9)
-
-
-def test_test_function_wrapper():
-    from jumpflow.functionals import TestFunction
-
-    sp = build_grid(-1.0, 1.0, 8)
-    coup = coupling(sp, fractional_kernel(sp, 0.6))
-    tf = TestFunction(np.clip(sp.points, -1, 1))
-    assert tf.in_x2(coup.theta)
-    first = tf.seminorm(coup.theta)
-    assert first == pytest.approx(gagliardo_seminorm(tf.values, coup.theta))
-    assert tf.seminorm(coup.theta) == first
-    with pytest.raises(ValueError):
-        TestFunction([1.0, np.inf])
 
 
 def test_seminorm_equivalence():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from jumpflow.densities import canonical_triple
-from jumpflow.evolution import IntegratorConfig, Trajectory, evolve
-from jumpflow.functionals import entropy
+from jumpflow.evolution import IntegratorConfig, Trajectory, continuity_residual, evolve
+from jumpflow.functionals import _checkpoint_pass, edb_integrand, entropy
 from jumpflow.ledger import (VERDICT_BALANCED, VERDICT_DISSIPATIVE, VERDICT_NEITHER,
-                             chain_rule_residual, edb_report, full_report, pointwise_edb,
-                             render_table, upgrade_verdict)
+                             _lipschitz_battery, chain_rule_residual, edb_report, full_report,
+                             pointwise_edb, rce_battery, render_table, upgrade_verdict)
 from jumpflow.spaces import (build_graph, build_grid, coupling, fractional_kernel,
                              matrix_kernel, punctured_mask)
 
@@ -163,3 +163,77 @@ def test_report_json_and_table():
     assert '"schema": 1' in payload
     table = render_table(rep)
     assert "verdict" in table and "mass" in table
+
+
+def punctured_grid(n=16):
+    sp = build_grid(-1.0, 1.0, n)
+    return sp, coupling(sp, fractional_kernel(sp, 0.75, mask=punctured_mask(sp, 0.0)))
+
+
+def pass_case(name):
+    if name == "cosh_vacuum_two_point":
+        sp, coup = two_point()
+        return sp, coup, COSH, np.array([2.0, 0.0])
+    if name == "cosh_punctured":
+        sp, coup = punctured_grid()
+        return sp, coup, COSH, 1.0 + 0.5 * np.sin(np.pi * sp.points)
+    sp = build_grid(-1.0, 1.0, 12)
+    coup = coupling(sp, fractional_kernel(sp, 0.6))
+    right = 0.0 if name == "quadratic_vacuum_grid" else 0.4
+    return sp, coup, QUAD, np.where(sp.points < 0.0, 1.5, right)
+
+
+@pytest.mark.parametrize("name", ["cosh_vacuum_two_point", "cosh_punctured",
+                                  "quadratic_grid", "quadratic_vacuum_grid"])
+def test_checkpoint_pass_matches_single_snapshot_oracles(name):
+    sp, coup, triple, u0 = pass_case(name)
+    traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
+    cp = _checkpoint_pass(traj, triple, coup.theta, sp.pi)
+    for k, u in enumerate(traj.densities):
+        w = traj.flux_at(k)
+        np.testing.assert_allclose(cp.integrand[k], edb_integrand(u, w, triple, coup.theta),
+                                   rtol=1e-12)
+        assert cp.entropy[k] == entropy(u, sp.pi, triple.entropy)
+        np.testing.assert_allclose(cp.net_flux[k], (w * coup.theta).sum(axis=1),
+                                   rtol=1e-12, atol=1e-14)
+        lam = triple.entropy.dphi_ext(u)
+        with np.errstate(invalid="ignore"):
+            grad = lam[None, :] - lam[:, None]
+            vals = np.where(coup.theta > 0, -grad * w * coup.theta, 0.0)
+        vals = np.where((w == 0.0) & ~np.isfinite(grad), 0.0, vals)
+        np.fill_diagonal(vals, 0.0)
+        pairing = np.nan if np.any(np.isnan(vals)) else 0.5 * np.sum(vals)
+        np.testing.assert_allclose(cp.pairing[k], pairing, rtol=1e-12, atol=1e-14)
+    assert np.isinf(cp.integrand[0]) == ("vacuum" in name)
+
+
+def test_rce_battery_equals_member_by_member_residuals():
+    sp, coup = punctured_grid(20)
+    traj = evolve(coup, COSH, 1.0 + 0.5 * np.sin(np.pi * sp.points), 0.3)
+    mask = sp.points < 0.0
+    battery = rce_battery(traj, sp, coup.theta, sp.pi, seed=3, mask=mask)
+    members = _lipschitz_battery(sp.points, sp.dist, 3) + [("component_step", mask * 1.0)]
+    assert list(battery) == [name for name, _ in members]
+    for name, phi in members:
+        single = continuity_residual(traj, phi, coup.theta, sp.pi)
+        assert battery[name] == pytest.approx(single, rel=1e-12, abs=1e-14), name
+
+
+def test_stored_flux_copy_gives_the_same_full_report():
+    sp, coup = punctured_grid()
+    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.5), 0.3,
+                  IntegratorConfig(checkpoints=64))
+    store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
+    stored = Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
+    mask = sp.points < 0.0
+    a = full_report(traj, COSH, sp, coup.theta, sp.pi, mask=mask).to_dict()
+    b = full_report(stored, COSH, sp, coup.theta, sp.pi, mask=mask).to_dict()
+
+    def close(x, y):
+        if isinstance(x, dict):
+            return x.keys() == y.keys() and all(close(x[k], y[k]) for k in x)
+        if isinstance(x, float):
+            return abs(x - y) <= 1e-12
+        return x == y
+
+    assert close(a, b)
