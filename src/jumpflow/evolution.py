@@ -139,16 +139,28 @@ def generator(coup, triple: DissipationTriple, compat_tol: float = 1e-9) -> np.n
     return Q
 
 
+def _component_labels(adj) -> np.ndarray:
+    """Connected components of a symmetric boolean adjacency, numbered in the
+    order of their smallest state.  Each state takes the least label among
+    itself and its neighbours, then the label of its label, until nothing moves."""
+    n = adj.shape[0]
+    labels = np.arange(n)
+    while True:
+        new = np.minimum(labels, np.where(adj, labels, n).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = new
+
+
 def _propagate_spectral(theta, pi, q_diag, u0, times, U) -> None:
     """U[k] = exp(t_k Q) u0 for k >= 1, via eigh of the symmetric S = Pi^(1/2) Q Pi^(-1/2)
     on each coupling component; its top eigenvalue is simple and exactly 0 (Q 1 = 0), so
     it is pinned to 0.  A whole-matrix eigh would mix the components' null eigenvalues."""
-    from scipy.sparse.csgraph import connected_components
-
     if not np.array_equal(theta, theta.T):
         raise NumericalError("coupling theta is not symmetric (no detailed balance)")
     root, block = np.sqrt(pi), 256  # checkpoint rows per GEMM: temporaries stay O(block n)
-    _, labels = connected_components(theta > 0, directed=False)
+    labels = _component_labels(theta > 0)
     for c in range(labels.max() + 1):
         idx = np.flatnonzero(labels == c)
         r = root[idx]
@@ -232,8 +244,7 @@ def continuity_spreads(traj: Trajectory, net_flux_series, phis, pi) -> np.ndarra
     phis = np.asarray(phis, dtype=float)
     obs = traj.densities @ (phis * np.asarray(pi, dtype=float)[:, None])
     rates = -(net_flux_series @ phis)
-    integrals = [cumulative_simpson_nonuniform(traj.times, rate)[0] for rate in rates.T]
-    defect = (obs - obs[0]) - np.column_stack(integrals)
+    defect = (obs - obs[0]) - cumulative_simpson_nonuniform(traj.times, rates)[0]
     return defect.max(axis=0) - defect.min(axis=0)
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .densities import DissipationTriple, canonical_triple
 from .evolution import IntegratorConfig, evolve
@@ -173,24 +172,29 @@ def _ramp(x, delta):
     return np.clip((x + delta) / (2.0 * delta), 0.0, 1.0)
 
 
-def _chunked_ramp_seminorm(x, h, s, delta, mask=None, chunk=512) -> float:
-    """Full double sum of the ramp seminorm without materializing n^2 arrays."""
-    phi = _ramp(x, delta)
-    n = x.size
-    total = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        d = np.abs(x[lo:hi, None] - x[None, :])
-        rows = np.arange(lo, hi)
-        d[rows - lo, rows] = 1.0
-        w = d ** (-(1.0 + 2.0 * s)) * h * h
-        if mask is not None:
-            w *= mask[lo:hi, :]
-        g = phi[lo:hi, None] - phi[None, :]
-        block = g * g * w
-        block[rows - lo, rows] = 0.0
-        total += float(block.sum())
-    return total
+_DIRECT_LAGS = 64
+
+
+def _toeplitz_ramp_sum(phi, h, s) -> float:
+    """sum_{i != j} (phi_i - phi_j)^2 |x_i - x_j|^(-(1+2s)) h^2 on a uniform grid.
+
+    The sum is Toeplitz: 2 sum_k w(k) S(k) with w(k) = (k h)^(-(1+2s)) h^2 and
+    S(k) = sum_i (phi_i - phi_{i+k})^2, which is two prefix sums of phi^2
+    minus twice the autocorrelation of phi, taken by one zero-padded FFT.
+    That difference loses the FFT's roundoff on sums of size n where S(k) is
+    small, so the first _DIRECT_LAGS lags, which carry the largest weights,
+    are summed directly.
+    """
+    n = phi.size
+    k = np.arange(1, n)
+    sq = np.concatenate([[0.0], np.cumsum(phi * phi)])
+    size = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(phi, size)
+    gaps = sq[n - k] + (sq[n] - sq[k]) - 2.0 * np.fft.irfft(f.real**2 + f.imag**2, size)[1:n]
+    near = min(_DIRECT_LAGS, n - 1)
+    gaps[:near] = [np.sum((phi[j:] - phi[:-j]) ** 2) for j in range(1, near + 1)]
+    w = (k * h) ** (-(1.0 + 2.0 * s)) * h * h
+    return 2.0 * float(w @ gaps)
 
 
 def density_gap_probe(s: float, deltas=None, n: int = 4096, masked: bool = False) -> ProbeResult:
@@ -201,18 +205,25 @@ def density_gap_probe(s: float, deltas=None, n: int = 4096, masked: bool = False
     s < 1/2 the seminorm converges as delta -> 0 and the relative change of
     the two smallest deltas is reported instead.
     """
+    if not 0.0 < s < 1.0:
+        raise ValueError("fractional exponent must lie in (0, 1)")
+    if n < 2:
+        raise ValueError("need n >= 2")
     if deltas is None:
         deltas = default_probe_deltas(s)
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
+    if not np.all(np.isfinite(deltas) & (deltas > 0)):
+        raise ValueError("ramp half-widths must be finite and positive")
     h = 2.0 / n
     if deltas.min() < 2.0 * h:
         raise ValueError("grid too coarse for the smallest delta")
+    if np.unique(deltas).size < 2:
+        raise ValueError("need at least two distinct ramp half-widths")
     x = -1.0 + (np.arange(n) + 0.5) * h
-    mask = None
-    if masked:
-        left = x < 0
-        mask = ((left[:, None] & left[None, :]) | (~left[:, None] & ~left[None, :])).astype(float)
-    vals = np.array([_chunked_ramp_seminorm(x, h, s, d, mask=mask) for d in deltas])
+    # the punctured mask keeps the pairs inside x < 0 and inside x >= 0: two blocks
+    blocks = np.split(x, [np.count_nonzero(x < 0)]) if masked else [x]
+    vals = np.array([sum(_toeplitz_ramp_sum(_ramp(b, d), h, s) for b in blocks)
+                     for d in deltas])
     if s > 0.5:
         slope = float(np.polyfit(np.log(deltas), np.log(vals), 1)[0])
         return ProbeResult(s=s, deltas=deltas, seminorms=vals, slope=slope,
@@ -285,18 +296,38 @@ def build_lift(base_space: StateSpace, base_kernel: Kernel, N: int,
     rates = np.zeros((M, M))
     for k, z, y, j in one_particle_jumps(configs, index):
         rates[k, j] += configs[k][z] * base_kernel.rates[z, y] / N
+    space = StateSpace(points=np.arange(M, dtype=float), dist=_lift_distances(base_space, configs),
+                       pi=pi_hat, kind="lift", meta={"N": N, "m": m})
+    kernel = Kernel(rates=rates, descriptor={"type": "lift", "N": N})
+    return LiftedSpace(base_space=base_space, base_kernel=base_kernel, N=N,
+                       configs=configs, space=space, kernel=kernel, index=index)
+
+
+def _lift_distances(base_space: StateSpace, configs) -> np.ndarray:
+    """Exact W2 between every pair of N-atom empirical measures.
+
+    On a line metric (dist_ij = |x_i - x_j|) the optimal plan is the monotone
+    matching, so W2^2 is the mean squared gap of the sorted atoms; other base
+    metrics solve one transport LP per pair.
+    """
+    x = base_space.points
+    counts = np.array(configs)
+    M, N = counts.shape[0], int(counts[0].sum())
+    if x.ndim == 1 and np.array_equal(base_space.dist, np.abs(x[:, None] - x[None, :])):
+        order = np.argsort(x, kind="stable")
+        atoms = np.array([np.repeat(x[order], c[order]) for c in counts])   # (M, N), sorted
+        d2 = np.empty((M, M))
+        block = max(1, (1 << 20) // atoms.size)   # rows per broadcast: temporaries stay ~8 MiB
+        for lo in range(0, M, block):
+            d2[lo:lo + block] = np.mean((atoms[lo:lo + block, None, :] - atoms[None]) ** 2, axis=2)
+        return np.sqrt(d2)
     cost2 = base_space.dist**2
     dist = np.zeros((M, M))
     for a in range(M):
         for b in range(a + 1, M):
-            mu = np.array(configs[a], dtype=float) / N
-            nu = np.array(configs[b], dtype=float) / N
-            dist[a, b] = dist[b, a] = math.sqrt(max(w2_exact(mu, nu, cost2), 0.0))
-    space = StateSpace(points=np.arange(M, dtype=float), dist=dist, pi=pi_hat,
-                       kind="lift", meta={"N": N, "m": m})
-    kernel = Kernel(rates=rates, descriptor={"type": "lift", "N": N})
-    return LiftedSpace(base_space=base_space, base_kernel=base_kernel, N=N,
-                       configs=configs, space=space, kernel=kernel, index=index)
+            w2 = w2_exact(counts[a] / N, counts[b] / N, cost2)
+            dist[a, b] = dist[b, a] = math.sqrt(max(w2, 0.0))
+    return dist
 
 
 def one_particle_jumps(configs, index):
@@ -332,6 +363,8 @@ def w2_exact(mu, nu, cost2) -> float:
     vertex of an integral polytope and is rounded to it, making the reported
     optimum exact up to float summation.
     """
+    from scipy.optimize import linprog  # ~0.7 s to import: only the LP path pays it
+
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
     cost2 = np.asarray(cost2, dtype=float)

@@ -58,49 +58,69 @@ def _quadratic_piece(x0, x1, x2, f0, f1, f2, a, b):
 
 
 def _interval_pieces(ts, bs):
-    """Per-interval integral contributions; inf at an interior sample poisons
-    its two intervals, an isolated non-finite endpoint gets the rectangle rule."""
+    """Per-interval integral contributions, one column per column of bs; inf at
+    an interior sample poisons its two intervals, an isolated non-finite
+    endpoint gets the rectangle rule.
+
+    The plan is the greedy left-to-right scan: an interval opens a Simpson
+    panel with the next one when both are finite and of comparable width,
+    otherwise it is a lone interval.  An interval is reached as a panel
+    opener exactly when it lies an even number of steps into its run of
+    possible openers, so the plan is a few index arrays and every piece of
+    one kind is evaluated in one array operation.
+    """
     ts = np.asarray(ts, dtype=float)
     bs = np.asarray(bs, dtype=float)
     K = ts.size - 1
     if K < 1:
-        return np.zeros(0), False
-    pieces = np.zeros(K)
-    endpoint_singular = False
-    k = 0
-    if not np.isfinite(bs[0]):
-        if K >= 1 and np.isfinite(bs[1]):
-            pieces[0] = bs[1] * (ts[1] - ts[0])
-            endpoint_singular = True
-            k = 1
-    last = K
-    if not np.isfinite(bs[K]) and K >= 2 and np.isfinite(bs[K - 1]):
+        return np.zeros((0,) + bs.shape[1:]), False
+    fin = np.isfinite(bs)
+    if bs.ndim == 2:
+        if not np.array_equal(fin.all(axis=1), fin.any(axis=1)):  # plans differ by column
+            cols = [_interval_pieces(ts, col) for col in bs.T]
+            return np.column_stack([p for p, _ in cols]), any(flag for _, flag in cols)
+        fin = fin.all(axis=1)
+    t = ts.reshape((-1,) + (1,) * (bs.ndim - 1))    # broadcasts against the columns
+    w = np.diff(ts)
+    pieces = np.zeros((K,) + bs.shape[1:])
+    first, last, endpoint_singular = 0, K, False
+    if not fin[0] and fin[1]:
+        pieces[0] = bs[1] * (ts[1] - ts[0])
+        first, endpoint_singular = 1, True
+    if not fin[K] and K >= 2 and fin[K - 1]:
         pieces[K - 1] = bs[K - 1] * (ts[K] - ts[K - 1])
-        endpoint_singular = True
-        last = K - 1
-    while k < last:
-        if not np.isfinite(bs[k]) or not np.isfinite(bs[k + 1]):
-            pieces[k] = np.inf
-            k += 1
-            continue
-        if k + 2 <= last and np.isfinite(bs[k + 2]):
-            w0, w1 = ts[k + 1] - ts[k], ts[k + 2] - ts[k + 1]
-            if max(w0, w1) <= _PAIR_WIDTH_RATIO * min(w0, w1):
-                args = (ts[k], ts[k + 1], ts[k + 2], bs[k], bs[k + 1], bs[k + 2])
-                pieces[k] = _quadratic_piece(*args, ts[k], ts[k + 1])
-                pieces[k + 1] = _quadratic_piece(*args, ts[k + 1], ts[k + 2])
-                k += 2
-                continue
-        # lone interval: quadratic through the better-conditioned neighbor triple
-        if k >= 1 and np.isfinite(bs[k - 1]) and (ts[k] - ts[k - 1]) <= _PAIR_WIDTH_RATIO * (ts[k + 1] - ts[k]):
-            pieces[k] = _quadratic_piece(ts[k - 1], ts[k], ts[k + 1],
-                                         bs[k - 1], bs[k], bs[k + 1], ts[k], ts[k + 1])
-        elif k + 2 <= K and np.isfinite(bs[k + 2]) and (ts[k + 2] - ts[k + 1]) <= _PAIR_WIDTH_RATIO * (ts[k + 1] - ts[k]):
-            pieces[k] = _quadratic_piece(ts[k], ts[k + 1], ts[k + 2],
-                                         bs[k], bs[k + 1], bs[k + 2], ts[k], ts[k + 1])
-        else:
-            pieces[k] = 0.5 * (bs[k] + bs[k + 1]) * (ts[k + 1] - ts[k])
-        k += 1
+        last, endpoint_singular = K - 1, True
+    k = np.arange(first, last)
+    bad = ~(fin[k] & fin[k + 1])
+    opener = np.zeros(k.size, dtype=bool)
+    j = k[:-1]
+    opener[:-1] = (~bad[:-1] & fin[j + 2]
+                   & (np.maximum(w[j], w[j + 1]) <= _PAIR_WIDTH_RATIO * np.minimum(w[j], w[j + 1])))
+    pos = np.arange(k.size)
+    starts = np.ones(k.size, dtype=bool)
+    starts[1:] = ~opener[:-1]
+    run_start = np.maximum.accumulate(np.where(starts, pos, 0))
+    opens = opener & ((pos - run_start) % 2 == 0)
+    closes = np.zeros(k.size, dtype=bool)
+    closes[1:] = opens[:-1]
+    lone = ~(opens | closes | bad)
+
+    pieces[k[bad]] = np.inf
+    j = k[opens]
+    nodes = (t[j], t[j + 1], t[j + 2], bs[j], bs[j + 1], bs[j + 2])
+    pieces[j] = _quadratic_piece(*nodes, t[j], t[j + 1])
+    pieces[j + 1] = _quadratic_piece(*nodes, t[j + 1], t[j + 2])
+    # lone interval: quadratic through the better-conditioned neighbor triple
+    j = k[lone]
+    fin_next, w_next = np.append(fin, False), np.append(w, 0.0)  # j + 2 may pass the end
+    left = (j >= 1) & fin[j - 1] & (w[j - 1] <= _PAIR_WIDTH_RATIO * w[j])
+    right = ~left & fin_next[j + 2] & (w_next[j + 1] <= _PAIR_WIDTH_RATIO * w[j])
+    trap = ~(left | right)
+    for sel, i in ((left, j[left] - 1), (right, j[right])):
+        pieces[j[sel]] = _quadratic_piece(t[i], t[i + 1], t[i + 2], bs[i], bs[i + 1], bs[i + 2],
+                                          t[j[sel]], t[j[sel] + 1])
+    j = j[trap]
+    pieces[j] = 0.5 * (bs[j] + bs[j + 1]) * (t[j + 1] - t[j])
     return pieces, endpoint_singular
 
 
@@ -113,10 +133,11 @@ def simpson_nonuniform(ts, bs):
 def cumulative_simpson_nonuniform(ts, bs):
     """Cumulative integral at every checkpoint plus a singular-endpoint flag.
 
+    ``bs`` is one series of K+1 samples or a (K+1, m) array of m series.
     Returns ``(I, endpoint_singular)`` with I[0] = 0 and
-    I[k] = integral over [ts[0], ts[k]].  Interval additivity is exact by
-    construction.
+    I[k] = integral over [ts[0], ts[k]], columnwise.  Interval additivity is
+    exact by construction.
     """
     pieces, flag = _interval_pieces(ts, bs)
-    out = np.concatenate([[0.0], np.cumsum(pieces)])
+    out = np.concatenate([np.zeros((1,) + pieces.shape[1:]), np.cumsum(pieces, axis=0)])
     return out, flag

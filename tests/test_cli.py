@@ -212,3 +212,63 @@ def test_lift_command(tmp_path):
     payload = json.loads((out / "lift_m2_N2.json").read_text())
     assert payload["verdict"]["ok"]
     assert payload["configs"] == 3
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["probe", "--s", "0.75", "--n", "0"], "n"),
+    (["probe", "--s", "0.75", "--n", "-4"], "n"),
+    (["probe", "--s", "1.5", "--n", "64"], "s"),
+    (["probe", "--s", "0.75", "--n", "64", "--deltas", "0.2,nan"], "deltas"),
+    (["probe", "--s", "0.75", "--n", "64", "--deltas", "0.2,-0.1"], "deltas"),
+    (["probe", "--s", "0.25", "--n", "64", "--deltas", "0.2"], "deltas"),
+    (["probe", "--s", "0.75", "--n", "64", "--deltas", "0.2,0.2"], "deltas"),
+    (["lift", "--m", "3", "--N", "2", "--s", "1.5"], "s"),
+    (["lift", "--m", "3", "--N", "2", "--s", "-1"], "s"),
+    (["lift", "--m", "1", "--N", "2"], "lift"),
+])
+def test_probe_and_lift_reject_bad_arguments(tmp_path, capsys, argv, name):
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"config error at {name}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_commands_do_not_import_scipy(tmp_path):
+    # scipy is only for the transport LP on non-line lift bases; the tests
+    # themselves import it, so the commands run in a fresh interpreter
+    import subprocess
+    import sys
+
+    import jumpflow
+
+    cfg = write_config(tmp_path, TWO_POINT)
+    sweep = write_config(tmp_path, {
+        "schema": 1,
+        "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 8},
+        "kernel": {"type": "fractional", "s": 0.75},
+        "triple": "cosh",
+        "initial": {"type": "step", "left": 1.5, "right": 0.5, "split": 0.0},
+        "T": 0.1,
+        "integrator": {"checkpoints": 16},
+        "sweep": {"eps_list": [1e-1, 1e-2]},
+    }, name="sweep.json")
+    out = str(tmp_path / "out")
+    commands = [
+        ["run", "--config", cfg, "--out", out],
+        ["verify", "--config", cfg, "--trajectory", os.path.join(out, "trajectory.csv"),
+         "--out", str(tmp_path / "verify")],
+        ["probe", "--s", "0.75", "--deltas", "0.2,0.1", "--n", "64", "--out", out],
+        ["sweep", "--config", sweep, "--out", out],
+        ["lift", "--m", "3", "--N", "2", "--out", out],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from jumpflow.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpflow.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"

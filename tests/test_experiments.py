@@ -9,8 +9,8 @@ from jumpflow.experiments import (build_lift, default_probe_deltas, density_gap_
                                   key_estimate_check, reflecting_scenario,
                                   robustness_sweep, uniqueness_probe, w2_exact)
 from jumpflow.ledger import edb_report
-from jumpflow.spaces import (build_graph, build_grid, coupling, fractional_kernel,
-                             matrix_kernel)
+from jumpflow.spaces import (build_graph, build_grid, build_torus, coupling,
+                             fractional_kernel, matrix_kernel)
 
 COSH = canonical_triple("cosh")
 
@@ -96,6 +96,49 @@ def test_probe_small_grid_wiring():
     assert res_low.tail_relative_change is not None
 
 
+def _dense_ramp_seminorm(x, h, s, delta, mask=None, chunk=512):
+    """The ramp seminorm as the full double sum, a chunk of rows at a time."""
+    phi = np.clip((x + delta) / (2.0 * delta), 0.0, 1.0)
+    total = 0.0
+    for lo in range(0, x.size, chunk):
+        hi = min(lo + chunk, x.size)
+        d = np.abs(x[lo:hi, None] - x[None, :])
+        rows = np.arange(lo, hi)
+        d[rows - lo, rows] = 1.0
+        w = d ** (-(1.0 + 2.0 * s)) * h * h
+        if mask is not None:
+            w *= mask[lo:hi, :]
+        block = (phi[lo:hi, None] - phi[None, :]) ** 2 * w
+        block[rows - lo, rows] = 0.0
+        total += float(block.sum())
+    return total
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("s", [0.25, 0.6, 0.75, 0.9])
+@pytest.mark.parametrize("masked", [False, True])
+def test_probe_matches_dense_double_sum(n, s, masked):
+    # widths from the finest the grid allows to ramps across the whole domain,
+    # where phi^2 prefix sums and the FFT autocorrelation cancel the most
+    h = 2.0 / n
+    x = -1.0 + (np.arange(n) + 0.5) * h
+    left = x < 0
+    mask = (left[:, None] == left[None, :]).astype(float) if masked else None
+    res = density_gap_probe(s, deltas=[0.99, 0.5, 0.2, 0.05, 0.02, 2.0 * h], n=n, masked=masked)
+    dense = np.array([_dense_ramp_seminorm(x, h, s, d, mask) for d in res.deltas])
+    np.testing.assert_allclose(res.seminorms, dense, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [dict(s=0.0), dict(s=1.0), dict(s=1.5), dict(n=1),
+                                 dict(n=0), dict(deltas=[0.1, np.nan]),
+                                 dict(deltas=[0.1, -0.2]), dict(deltas=[np.inf]),
+                                 dict(deltas=[0.2]), dict(deltas=[0.2, 0.2])])
+def test_probe_rejects_bad_arguments(bad):
+    args = dict(s=0.75, deltas=[0.2, 0.1], n=64) | bad
+    with pytest.raises(ValueError):
+        density_gap_probe(**args)
+
+
 def test_probe_rejects_coarse_grid():
     with pytest.raises(ValueError):
         density_gap_probe(0.75, deltas=[1e-3], n=64)
@@ -143,6 +186,40 @@ def test_w2_matches_sorted_coupling_on_line():
         qb = np.repeat(x, b_cnt)
         oracle = float(np.mean((qa - qb) ** 2))
         assert lp == pytest.approx(oracle, abs=1e-10)
+
+
+@pytest.mark.parametrize("m,N", [(2, 2), (3, 3), (4, 4)])
+def test_lift_line_distances_equal_transport_lp(m, N):
+    base = build_grid(0.0, 1.0, m)
+    lifted = build_lift(base, fractional_kernel(base, 0.6), N)
+    dist = lifted.space.dist
+    assert np.array_equal(dist, dist.T) and not np.any(np.diag(dist))
+    for a, ca in enumerate(lifted.configs):
+        for b in range(a + 1, lifted.n_configs):
+            lp = w2_exact(np.array(ca) / N, np.array(lifted.configs[b]) / N, base.dist**2)
+            assert abs(dist[a, b] ** 2 - lp) <= 1e-15, (ca, lifted.configs[b])
+
+
+def test_lift_torus_base_solves_transport_lp(monkeypatch):
+    # on the three-point torus every pair sits at distance 1/3, so W2^2 is
+    # 1/9 times the mass that moves; the line matching would give (2/3)^2
+    # between the two outer atoms
+    from jumpflow import experiments
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return w2_exact(*args)
+
+    monkeypatch.setattr(experiments, "w2_exact", counted)
+    base, N = build_torus(3), 2
+    lifted = build_lift(base, fractional_kernel(base, 0.6), N)
+    assert len(calls) == lifted.n_configs * (lifted.n_configs - 1) // 2
+    for a, ca in enumerate(lifted.configs):
+        for b, cb in enumerate(lifted.configs):
+            moved = 0.5 * np.abs(np.subtract(ca, cb)).sum() / N
+            assert lifted.space.dist[a, b] ** 2 == pytest.approx(moved / 9.0, abs=1e-15)
 
 
 def test_lift_single_particle_is_base():
