@@ -348,29 +348,18 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _check_exponent(s):
-    if not 0.0 < s < 1.0:
-        raise SchemaError("s", "must lie in (0, 1)")
-
-
 def cmd_probe(args):
-    _check_exponent(args.s)
-    if args.n < 2:
-        raise SchemaError("n", "must be >= 2")
     deltas = None
     if args.deltas:
         try:
             deltas = [float(tok) for tok in args.deltas.split(",")]
         except ValueError:
             raise SchemaError("deltas", "expected a comma-separated list of numbers")
-        if not all(np.isfinite(d) and d > 0 for d in deltas):
-            raise SchemaError("deltas", "must be finite and positive")
-        if len(set(deltas)) < 2:
-            raise SchemaError("deltas", "need at least two distinct widths")
     try:
         result = experiments.density_gap_probe(args.s, deltas=deltas, n=args.n)
     except ValueError as exc:
-        raise SchemaError("probe", str(exc))
+        name = str(exc).split(" ", 1)[0]  # the probe names the rejected argument first
+        raise SchemaError(name if name in ("s", "deltas", "n") else "probe", str(exc))
     os.makedirs(args.out, exist_ok=True)
     stem = f"probe_s{args.s}_n{args.n}"
     lines = ["delta,seminorm"]
@@ -386,9 +375,11 @@ def cmd_probe(args):
 def cmd_lift(args):
     if args.m < 2 or args.m > 6 or args.N < 1 or args.N > 5:
         raise SchemaError("lift", "need 2 <= m <= 6 and 1 <= N <= 5")
-    _check_exponent(args.s)
     base = spaces.build_grid(0.0, 1.0, args.m)
-    kernel = spaces.fractional_kernel(base, args.s)
+    try:
+        kernel = spaces.fractional_kernel(base, args.s)
+    except ValueError as exc:
+        raise SchemaError("s", str(exc))
     lifted = experiments.build_lift(base, kernel, args.N)
     verdict = experiments.key_estimate_check(lifted)
     payload = {

@@ -141,16 +141,20 @@ def generator(coup, triple: DissipationTriple, compat_tol: float = 1e-9) -> np.n
 
 def _component_labels(adj) -> np.ndarray:
     """Connected components of a symmetric boolean adjacency, numbered in the
-    order of their smallest state.  Each state takes the least label among
-    itself and its neighbours, then the label of its label, until nothing moves."""
+    order of their smallest state: a breadth-first search from each state not
+    yet reached, so every row of adj is read once."""
     n = adj.shape[0]
-    labels = np.arange(n)
-    while True:
-        new = np.minimum(labels, np.where(adj, labels, n).min(axis=1))
-        new = new[new]
-        if np.array_equal(new, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = new
+    labels = np.full(n, -1)
+    c = 0
+    for seed in range(n):
+        if labels[seed] >= 0:
+            continue
+        frontier = np.array([seed])
+        while frontier.size:
+            labels[frontier] = c
+            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (labels < 0))
+        c += 1
+    return labels
 
 
 def _propagate_spectral(theta, pi, q_diag, u0, times, U) -> None:
@@ -244,7 +248,8 @@ def continuity_spreads(traj: Trajectory, net_flux_series, phis, pi) -> np.ndarra
     phis = np.asarray(phis, dtype=float)
     obs = traj.densities @ (phis * np.asarray(pi, dtype=float)[:, None])
     rates = -(net_flux_series @ phis)
-    defect = (obs - obs[0]) - cumulative_simpson_nonuniform(traj.times, rates)[0]
+    integrals = [cumulative_simpson_nonuniform(traj.times, rate)[0] for rate in rates.T]
+    defect = (obs - obs[0]) - np.column_stack(integrals)
     return defect.max(axis=0) - defect.min(axis=0)
 
 

@@ -205,20 +205,21 @@ def density_gap_probe(s: float, deltas=None, n: int = 4096, masked: bool = False
     s < 1/2 the seminorm converges as delta -> 0 and the relative change of
     the two smallest deltas is reported instead.
     """
+    # each message starts with the name of the argument it rejects
     if not 0.0 < s < 1.0:
-        raise ValueError("fractional exponent must lie in (0, 1)")
+        raise ValueError("s must lie in (0, 1)")
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ValueError("n must be at least 2")
     if deltas is None:
         deltas = default_probe_deltas(s)
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     if not np.all(np.isfinite(deltas) & (deltas > 0)):
-        raise ValueError("ramp half-widths must be finite and positive")
+        raise ValueError("deltas must be finite and positive")
     h = 2.0 / n
     if deltas.min() < 2.0 * h:
-        raise ValueError("grid too coarse for the smallest delta")
+        raise ValueError("deltas must be at least 4/n, two grid steps: the grid is too coarse")
     if np.unique(deltas).size < 2:
-        raise ValueError("need at least two distinct ramp half-widths")
+        raise ValueError("deltas must hold at least two distinct ramp half-widths")
     x = -1.0 + (np.arange(n) + 0.5) * h
     # the punctured mask keeps the pairs inside x < 0 and inside x >= 0: two blocks
     blocks = np.split(x, [np.count_nonzero(x < 0)]) if masked else [x]

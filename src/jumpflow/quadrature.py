@@ -58,9 +58,8 @@ def _quadratic_piece(x0, x1, x2, f0, f1, f2, a, b):
 
 
 def _interval_pieces(ts, bs):
-    """Per-interval integral contributions, one column per column of bs; inf at
-    an interior sample poisons its two intervals, an isolated non-finite
-    endpoint gets the rectangle rule.
+    """Per-interval integral contributions; inf at an interior sample poisons
+    its two intervals, an isolated non-finite endpoint gets the rectangle rule.
 
     The plan is the greedy left-to-right scan: an interval opens a Simpson
     panel with the next one when both are finite and of comparable width,
@@ -73,16 +72,10 @@ def _interval_pieces(ts, bs):
     bs = np.asarray(bs, dtype=float)
     K = ts.size - 1
     if K < 1:
-        return np.zeros((0,) + bs.shape[1:]), False
+        return np.zeros(0), False
     fin = np.isfinite(bs)
-    if bs.ndim == 2:
-        if not np.array_equal(fin.all(axis=1), fin.any(axis=1)):  # plans differ by column
-            cols = [_interval_pieces(ts, col) for col in bs.T]
-            return np.column_stack([p for p, _ in cols]), any(flag for _, flag in cols)
-        fin = fin.all(axis=1)
-    t = ts.reshape((-1,) + (1,) * (bs.ndim - 1))    # broadcasts against the columns
     w = np.diff(ts)
-    pieces = np.zeros((K,) + bs.shape[1:])
+    pieces = np.zeros(K)
     first, last, endpoint_singular = 0, K, False
     if not fin[0] and fin[1]:
         pieces[0] = bs[1] * (ts[1] - ts[0])
@@ -107,9 +100,9 @@ def _interval_pieces(ts, bs):
 
     pieces[k[bad]] = np.inf
     j = k[opens]
-    nodes = (t[j], t[j + 1], t[j + 2], bs[j], bs[j + 1], bs[j + 2])
-    pieces[j] = _quadratic_piece(*nodes, t[j], t[j + 1])
-    pieces[j + 1] = _quadratic_piece(*nodes, t[j + 1], t[j + 2])
+    nodes = (ts[j], ts[j + 1], ts[j + 2], bs[j], bs[j + 1], bs[j + 2])
+    pieces[j] = _quadratic_piece(*nodes, ts[j], ts[j + 1])
+    pieces[j + 1] = _quadratic_piece(*nodes, ts[j + 1], ts[j + 2])
     # lone interval: quadratic through the better-conditioned neighbor triple
     j = k[lone]
     fin_next, w_next = np.append(fin, False), np.append(w, 0.0)  # j + 2 may pass the end
@@ -117,10 +110,10 @@ def _interval_pieces(ts, bs):
     right = ~left & fin_next[j + 2] & (w_next[j + 1] <= _PAIR_WIDTH_RATIO * w[j])
     trap = ~(left | right)
     for sel, i in ((left, j[left] - 1), (right, j[right])):
-        pieces[j[sel]] = _quadratic_piece(t[i], t[i + 1], t[i + 2], bs[i], bs[i + 1], bs[i + 2],
-                                          t[j[sel]], t[j[sel] + 1])
+        pieces[j[sel]] = _quadratic_piece(ts[i], ts[i + 1], ts[i + 2], bs[i], bs[i + 1], bs[i + 2],
+                                          ts[j[sel]], ts[j[sel] + 1])
     j = j[trap]
-    pieces[j] = 0.5 * (bs[j] + bs[j + 1]) * (t[j + 1] - t[j])
+    pieces[j] = 0.5 * (bs[j] + bs[j + 1]) * (ts[j + 1] - ts[j])
     return pieces, endpoint_singular
 
 
@@ -133,11 +126,10 @@ def simpson_nonuniform(ts, bs):
 def cumulative_simpson_nonuniform(ts, bs):
     """Cumulative integral at every checkpoint plus a singular-endpoint flag.
 
-    ``bs`` is one series of K+1 samples or a (K+1, m) array of m series.
     Returns ``(I, endpoint_singular)`` with I[0] = 0 and
-    I[k] = integral over [ts[0], ts[k]], columnwise.  Interval additivity is
-    exact by construction.
+    I[k] = integral over [ts[0], ts[k]].  Interval additivity is exact by
+    construction.
     """
     pieces, flag = _interval_pieces(ts, bs)
-    out = np.concatenate([np.zeros((1,) + pieces.shape[1:]), np.cumsum(pieces, axis=0)])
+    out = np.concatenate([[0.0], np.cumsum(pieces)])
     return out, flag

@@ -222,6 +222,7 @@ def test_lift_command(tmp_path):
     (["probe", "--s", "0.75", "--n", "64", "--deltas", "0.2,-0.1"], "deltas"),
     (["probe", "--s", "0.25", "--n", "64", "--deltas", "0.2"], "deltas"),
     (["probe", "--s", "0.75", "--n", "64", "--deltas", "0.2,0.2"], "deltas"),
+    (["probe", "--s", "0.75", "--n", "8", "--deltas", "0.2,0.1"], "deltas"),
     (["lift", "--m", "3", "--N", "2", "--s", "1.5"], "s"),
     (["lift", "--m", "3", "--N", "2", "--s", "-1"], "s"),
     (["lift", "--m", "1", "--N", "2"], "lift"),

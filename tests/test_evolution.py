@@ -154,6 +154,28 @@ def test_propagator_isolated_state():
     assert np.all(traj.densities[:, 3] == 3.0)
 
 
+def test_component_labels_match_scipy():
+    from scipy.sparse.csgraph import connected_components
+
+    def path(order, n):
+        adj = np.zeros((n, n), dtype=bool)
+        adj[order[:-1], order[1:]] = adj[order[1:], order[:-1]] = True
+        return adj
+
+    n = 300
+    cases = [path(np.r_[0, n - 1:0:-1], n),          # 0-(n-1)-(n-2)-...-1
+             path(np.r_[0, np.arange(2, n, 2)], n)]   # a path on the even states, odd ones isolated
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        perm = rng.permutation(n)
+        cases.append(path(perm[:rng.integers(2, n)], n))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.01), 1)
+        cases.append(upper | upper.T)
+    for adj in cases:
+        want = connected_components(adj, directed=False)[1]
+        np.testing.assert_array_equal(evolution._component_labels(adj), want)
+
+
 def test_propagator_matches_expm_lift_multinomial_weights():
     base = build_grid(0.0, 1.0, 3)
     lifted = build_lift(base, fractional_kernel(base, 0.6), 2)

@@ -74,23 +74,6 @@ def test_panel_plan_matches_scan():
         _assert_same_pieces(got, want, ts, bs)
 
 
-def test_columns_integrate_like_single_series():
-    rng = np.random.default_rng(4)
-    for trial in range(400):
-        ts, bs = _random_case(rng, trial)
-        # same finiteness in every column (one plan), then mixed (one plan per column)
-        for cols in (np.column_stack([bs, 2.0 * bs - 1.0]),
-                     np.column_stack([bs, rng.normal(size=bs.size)])):
-            integral, flag = cumulative_simpson_nonuniform(ts, cols)
-            assert integral.shape == cols.shape
-            flags = []
-            for c in range(cols.shape[1]):
-                one, one_flag = cumulative_simpson_nonuniform(ts, cols[:, c])
-                flags.append(one_flag)
-                np.testing.assert_array_equal(integral[:, c], one)
-            assert flag == any(flags)
-
-
 def test_graded_grid_log_singularity():
     # int_0^T log(1/t) dt = T (1 - log T); the first sample is the rectangle
     T = 0.5
