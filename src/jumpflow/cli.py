@@ -144,22 +144,18 @@ def build_initial(cfg, space, path="initial"):
         left = _number(cfg["left"], f"{path}.left", lo=0.0)
         right = _number(cfg["right"], f"{path}.right", lo=0.0)
         return np.where(space.points < split, left, right)
-    if kind == "vector":
-        _require_keys(cfg, path, ["type", "values"])
-        vals = np.asarray(cfg["values"], dtype=float)
-        if vals.shape != (space.n,):
-            raise SchemaError(f"{path}.values", "length does not match the space")
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise SchemaError(f"{path}.values", "must be finite and nonnegative")
-        return vals
-    if kind == "file":
-        _require_keys(cfg, path, ["type", "path"])
+    if kind in ("vector", "file"):
+        key = "values" if kind == "vector" else "path"
+        _require_keys(cfg, path, ["type", key])
         try:
-            vals = np.loadtxt(cfg["path"], delimiter=",", ndmin=1)
-        except OSError as exc:
-            raise SchemaError(f"{path}.path", str(exc))
+            vals = (np.asarray(cfg["values"], dtype=float) if kind == "vector"
+                    else np.loadtxt(cfg["path"], delimiter=",", ndmin=1))
+        except (OSError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}.{key}", str(exc))
         if vals.shape != (space.n,):
-            raise SchemaError(f"{path}.path", "length does not match the space")
+            raise SchemaError(f"{path}.{key}", "length does not match the space")
+        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
+            raise SchemaError(f"{path}.{key}", "must be finite and nonnegative")
         return vals
     raise SchemaError(f"{path}.type", f"unknown initial type '{kind}'")
 
@@ -244,6 +240,9 @@ def atomic_write(path, text):
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)  # mkstemp made the file 0600; give it the mode open() would
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -321,10 +320,11 @@ def cmd_sweep(args):
     sweep_cfg = cfg["sweep"]
     _require_keys(sweep_cfg, "config.sweep", ["eps_list"])
     eps_list = sweep_cfg["eps_list"]
-    if (not isinstance(eps_list, list) or len(eps_list) < 2
-            or any(not isinstance(e, (int, float)) or isinstance(e, bool) or e <= 0
-                   for e in eps_list)):
-        raise SchemaError("config.sweep.eps_list", "expected a list of positive numbers")
+    if not isinstance(eps_list, list) or len(eps_list) < 2:
+        raise SchemaError("config.sweep.eps_list", "expected a list of at least two numbers")
+    eps_list = [_number(e, "config.sweep.eps_list") for e in eps_list]
+    if eps_list[-1] <= 0 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
+        raise SchemaError("config.sweep.eps_list", "must be positive and strictly decreasing")
     base_cfg = dict(cfg)
     del base_cfg["sweep"]
     # the sweep applies its own cutoffs to the raw kernel
@@ -334,7 +334,6 @@ def cmd_sweep(args):
     result = experiments.robustness_sweep(parsed["space"], parsed["kernel"], parsed["triple"],
                                           eps_list, parsed["u0"], parsed["T"],
                                           parsed["integrator"])
-    os.makedirs(args.out, exist_ok=True)
     stem = f"sweep_n{parsed['space'].n}"
     lines = ["eps,l1_gap_to_next,edb_residual_rel"]
     gaps = list(result.gaps) + [float("nan")]
@@ -342,9 +341,10 @@ def cmd_sweep(args):
         gap_s = "" if not np.isfinite(gap) else format(gap, ".17g")
         lines.append(f"{format(eps, '.17g')},{gap_s},{format(res, '.17g')}")
     lines.append("")
+    payload = json_text(result.to_dict())  # rendered before the first write: no lone CSV
     atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
-    _write_json(os.path.join(args.out, stem + ".json"), result.to_dict())
-    print(json_text(result.to_dict()))
+    atomic_write(os.path.join(args.out, stem + ".json"), payload + "\n")
+    print(payload)
     return EXIT_OK
 
 
@@ -360,15 +360,15 @@ def cmd_probe(args):
     except ValueError as exc:
         name = str(exc).split(" ", 1)[0]  # the probe names the rejected argument first
         raise SchemaError(name if name in ("s", "deltas", "n") else "probe", str(exc))
-    os.makedirs(args.out, exist_ok=True)
     stem = f"probe_s{args.s}_n{args.n}"
     lines = ["delta,seminorm"]
     for d, v in zip(result.deltas, result.seminorms):
         lines.append(f"{format(d, '.17g')},{format(v, '.17g')}")
     lines.append("")
+    payload = json_text(result.to_dict())  # rendered before the first write: no lone CSV
     atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
-    _write_json(os.path.join(args.out, stem + ".json"), result.to_dict())
-    print(json_text(result.to_dict()))
+    atomic_write(os.path.join(args.out, stem + ".json"), payload + "\n")
+    print(payload)
     return EXIT_OK
 
 
@@ -382,15 +382,14 @@ def cmd_lift(args):
         raise SchemaError("s", str(exc))
     lifted = experiments.build_lift(base, kernel, args.N)
     verdict = experiments.key_estimate_check(lifted)
-    payload = {
+    payload = json_text({  # rendered before the first write: no lone CSV
         "schema": 1,
         "m": args.m,
         "N": args.N,
         "configs": lifted.n_configs,
         "pi_total": float(lifted.space.pi.sum()),
         "verdict": {k: jsonify(v) for k, v in verdict.items()},
-    }
-    os.makedirs(args.out, exist_ok=True)
+    })
     stem = f"lift_m{args.m}_N{args.N}"
     lines = ["from_config,to_config,w2_squared,jump_bound"]
     for k, z, y, j in experiments.one_particle_jumps(lifted.configs, lifted.index):
@@ -400,8 +399,8 @@ def cmd_lift(args):
             format(base.dist[z, y] ** 2 / args.N, ".17g")))
     lines.append("")
     atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
-    _write_json(os.path.join(args.out, stem + ".json"), payload)
-    print(json_text(payload))
+    atomic_write(os.path.join(args.out, stem + ".json"), payload + "\n")
+    print(payload)
     return EXIT_OK if verdict["ok"] else EXIT_NUMERICAL
 
 

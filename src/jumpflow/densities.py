@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,19 +30,13 @@ __all__ = [
     "cosh_pair",
     "log_mean_flux",
     "geometric_mean_flux",
-    "make_triple",
     "canonical_triple",
     "phi_boltzmann",
-    "psi_star",
-    "alpha",
     "legendre",
     "lambda_phi",
     "f_map",
     "compat_check",
     "d_phi",
-    "convexity_check",
-    "perspective_psi",
-    "psistar_bounds_check",
 ]
 
 
@@ -70,43 +64,14 @@ class EntropyDensity:
 class DissipationPair:
     """Dual pair (psi, psi*) of even convex dissipation densities.
 
-    ``c0`` is the quadratic constant psi*(xi)/xi^2 -> c0 near zero.  ``psi``
-    may be None, in which case `legendre` falls back to a numeric conjugate.
+    ``psi`` may be None, in which case `legendre` falls back to a numeric
+    conjugate.
     """
 
     psi_star: Callable
     dpsi_star: Callable
-    c0: float
     psi: Optional[Callable] = None
     name: str = "custom"
-    _r_cache: list = field(default_factory=list, repr=False, compare=False)
-
-    def quadratic_window_radius(self) -> float:
-        """Largest grid-certified r with c0/2 x^2 <= psi*(x) <= 3 c0/2 x^2 on [0, r]."""
-        if self._r_cache:
-            return self._r_cache[0]
-        r = _find_quadratic_window(self.psi_star, self.c0)
-        self._r_cache.append(r)
-        return r
-
-    def f_star(self, zeta):
-        """Even convex superlinear dominating function used in the growth bounds.
-
-        f*(z) = (3/2) c0 z^2 + (z^2 / r^2) psi*(z) with r the quadratic window.
-        """
-        z = np.asarray(zeta, dtype=float)
-        r = self.quadratic_window_radius()
-        out = 1.5 * self.c0 * z**2 + (z**2 / r**2) * self.psi_star(z)
-        return out if out.ndim else float(out)
-
-    def f_lower(self, w):
-        """Convex conjugate of `f_star`, computed numerically."""
-        return _numeric_conjugate(self.f_star, _numeric_derivative(self.f_star), w)
-
-    def k_quadratic(self, M: float) -> float:
-        """Constant K_M with |xi|^2 <= K_M psi*(xi) on [-M, M]."""
-        r = self.quadratic_window_radius()
-        return 2.0 / self.c0 + M**2 / self.psi_star(r)
 
 
 @dataclass(frozen=True)
@@ -114,12 +79,7 @@ class FluxDensity:
     """Concave symmetric flux density alpha(u, v) >= 0."""
 
     alpha: Callable
-    c_alpha: float = 1.0    # alpha(u, v) <= c_alpha (1 + u + v)
     name: str = "custom"
-
-    def recession(self, u, v, t_large: float = 1e12) -> float:
-        """Recession value lim alpha(t u, t v)/t, estimated at a large scale."""
-        return float(self.alpha(t_large * u, t_large * v) / t_large)
 
 
 @dataclass(frozen=True)
@@ -129,31 +89,6 @@ class DissipationTriple:
     flux: FluxDensity
     compatible: bool = False
     name: str = "custom"
-
-
-def _find_quadratic_window(psi_star, c0, r_max=64.0, grid=512) -> float:
-    def ok(r):
-        x = np.linspace(0.0, r, grid)[1:]
-        v = psi_star(x)
-        return np.all(v <= 1.5 * c0 * x**2 + 1e-13) and np.all(v >= 0.5 * c0 * x**2 - 1e-13)
-
-    r = 1.0
-    while not ok(r):
-        r *= 0.5
-        if r < 1e-8:
-            raise ValueError("psi* is not asymptotically quadratic near zero")
-    while r < r_max and ok(2.0 * r):
-        r *= 2.0
-    if r >= r_max:
-        return r_max
-    lo, hi = r, 2.0 * r
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +132,6 @@ def quadratic_pair() -> DissipationPair:
     return DissipationPair(
         psi_star=_psi_star_quadratic,
         dpsi_star=lambda xi: np.asarray(xi, dtype=float) * 1.0,
-        c0=0.5,
         psi=_psi_star_quadratic,
         name="quadratic",
     )
@@ -207,7 +141,6 @@ def cosh_pair() -> DissipationPair:
     return DissipationPair(
         psi_star=_psi_star_cosh,
         dpsi_star=lambda xi: 2.0 * np.sinh(0.5 * np.asarray(xi, dtype=float)),
-        c0=0.5,
         psi=_psi_cosh,
         name="cosh",
     )
@@ -235,53 +168,26 @@ def _geo_mean(u, v):
 
 
 def log_mean_flux() -> FluxDensity:
-    return FluxDensity(alpha=_log_mean, c_alpha=1.0, name="logmean")
+    return FluxDensity(alpha=_log_mean, name="logmean")
 
 
 def geometric_mean_flux() -> FluxDensity:
-    return FluxDensity(alpha=_geo_mean, c_alpha=1.0, name="geomean")
-
-
-def make_triple(entropy, pair, flux, compatible=False, name="custom") -> DissipationTriple:
-    return DissipationTriple(entropy, pair, flux, compatible=compatible, name=name)
+    return FluxDensity(alpha=_geo_mean, name="geomean")
 
 
 def canonical_triple(kind: str) -> DissipationTriple:
     """The two compatible Boltzmann triples, by name 'quadratic' or 'cosh'."""
     if kind == "quadratic":
-        return make_triple(boltzmann_entropy(), quadratic_pair(), log_mean_flux(),
-                           compatible=True, name="quadratic")
+        return DissipationTriple(boltzmann_entropy(), quadratic_pair(), log_mean_flux(),
+                                 compatible=True, name="quadratic")
     if kind == "cosh":
-        return make_triple(boltzmann_entropy(), cosh_pair(), geometric_mean_flux(),
-                           compatible=True, name="cosh")
+        return DissipationTriple(boltzmann_entropy(), cosh_pair(), geometric_mean_flux(),
+                                 compatible=True, name="cosh")
     raise ValueError(f"unknown triple '{kind}'")
 
 
 # ---------------------------------------------------------------------------
 # spec operations
-
-
-def psi_star(variant: str, xi):
-    if variant == "quadratic":
-        return _psi_star_quadratic(xi)
-    if variant == "cosh":
-        return _psi_star_cosh(xi)
-    raise ValueError(f"unknown dissipation variant '{variant}'")
-
-
-def alpha(variant: str, u, v):
-    if variant == "logmean":
-        return _log_mean(u, v)
-    if variant == "geomean":
-        return _geo_mean(u, v)
-    raise ValueError(f"unknown flux variant '{variant}'")
-
-
-def _numeric_derivative(fn, h=1e-6):
-    def d(x):
-        return (fn(x + h) - fn(x - h)) / (2.0 * h)
-
-    return d
 
 
 def _numeric_conjugate(fn, dfn, w, tol=1e-10):
@@ -403,62 +309,3 @@ def d_phi(triple: DissipationTriple, u, v):
         core = np.where(np.isfinite(lam), triple.pair.psi_star(np.where(np.isfinite(lam), lam, 0.0)), np.inf)
     out = np.where(a > 0, core * a, np.where((u == 0) & (v == 0), 0.0, np.inf))
     return out if out.ndim else float(out)
-
-
-def convexity_check(fn, samples: int = 2000, seed: int = 0, lo: float = 1e-3, hi: float = 20.0,
-                    tol: float = 1e-12) -> bool:
-    """Random midpoint convexity test of fn on the open quadrant."""
-    rng = np.random.default_rng(seed)
-    p = rng.uniform(lo, hi, (samples, 2))
-    q = rng.uniform(lo, hi, (samples, 2))
-    mid = 0.5 * (p + q)
-    lhs = fn(mid[:, 0], mid[:, 1])
-    rhs = 0.5 * (fn(p[:, 0], p[:, 1]) + fn(q[:, 0], q[:, 1]))
-    scale = np.maximum(1.0, np.abs(rhs))
-    return bool(np.all(lhs <= rhs + tol * scale))
-
-
-def perspective_psi(pair: DissipationPair, w, s):
-    """Perspective s psi(w/s); at s = 0 the superlinear recession: 0 iff w = 0."""
-    w = np.asarray(w, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if np.any(s < 0):
-        raise ValueError("perspective scale must be nonnegative")
-    safe = np.where(s > 0, s, 1.0)
-    with np.errstate(over="ignore"):
-        body = safe * legendre(pair, w / safe)
-    out = np.where(s > 0, body, np.where(w == 0, 0.0, np.inf))
-    return out if out.ndim else float(out)
-
-
-def psistar_bounds_check(pair: DissipationPair, M: float = 5.0, grid: int = 257) -> dict:
-    """Verify the structural growth bounds of the dual dissipation density.
-
-    Checks evenness, monotonicity on [0, M], the quadratic lower bound
-    |xi|^2 <= K_M psi*(xi) with the explicit K_M = 2/c0 + M^2/psi*(r), and
-    the control bound psi*(beta zeta) <= (beta/B)^2 f*(B zeta).
-    """
-    xi = np.linspace(0.0, M, grid)
-    r = pair.quadratic_window_radius()
-    K_M = pair.k_quadratic(M)
-    even_viol = float(np.max(np.abs(pair.psi_star(xi) - pair.psi_star(-xi))))
-    mono_viol = float(max(0.0, -np.min(np.diff(pair.psi_star(xi)))))
-    quad = xi**2 - K_M * pair.psi_star(xi)
-    quad_viol = float(max(0.0, np.max(quad)))
-    ctrl_viol = 0.0
-    zeta = np.linspace(-M, M, 41)
-    for B in (0.5, 1.0, 2.0, 4.0):
-        for beta in np.linspace(-B, B, 21):
-            lhs = pair.psi_star(beta * zeta)
-            rhs = (beta / B) ** 2 * pair.f_star(B * zeta)
-            ctrl_viol = max(ctrl_viol, float(np.max(lhs - rhs)))
-    ctrl_viol = max(0.0, ctrl_viol)
-    return {
-        "r": r,
-        "K_M": K_M,
-        "evenness_violation": even_viol,
-        "monotonicity_violation": mono_viol,
-        "quadratic_bound_violation": quad_viol,
-        "control_bound_violation": ctrl_viol,
-        "ok": max(even_viol, mono_viol, quad_viol, ctrl_viol) <= 1e-10,
-    }

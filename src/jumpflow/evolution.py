@@ -22,9 +22,9 @@ from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform
 __all__ = [
     "IncompatibleTripleError", "NumericalError", "IntegratorConfig", "Trajectory",
     "generator", "evolve", "coupling_edges", "net_flux", "continuity_spreads",
-    "continuity_residual", "concatenate", "rescale_time",
-    "trajectory_csv_text", "trajectory_to_csv", "trajectory_from_csv",
-    "flux_csv_text", "flux_to_csv", "flux_from_csv",
+    "continuity_residual", "concatenate",
+    "trajectory_csv_text", "trajectory_from_csv",
+    "flux_csv_text", "flux_from_csv",
 ]
 
 DEFAULT_CHECKPOINT_DENSITY = 512  # checkpoint intervals per unit time
@@ -277,26 +277,6 @@ def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:
                       meta={"concatenated": True})
 
 
-def rescale_time(traj: Trajectory, forward, inverse, derivative) -> Trajectory:
-    """Reparametrize by a strictly increasing map forward: [0, S] -> [0, T].
-
-    The new grid consists of the preimages of the stored checkpoints, the
-    density is composed with the map and the flux picks up the map slope,
-    which preserves the continuity equation.  ``inverse`` and ``derivative``
-    are the inverse map and the slope of ``forward``.
-    """
-    new_times = np.array([inverse(t) for t in traj.times])
-    if np.any(np.diff(new_times) <= 0):
-        raise ValueError("time map must be strictly increasing")
-    back = np.array([forward(s) for s in new_times])
-    if np.max(np.abs(back - traj.times)) > 1e-9 * max(1.0, traj.T):
-        raise ValueError("inverse is not consistent with the forward map")
-    slopes = np.array([derivative(s) for s in new_times])
-    store = np.stack([slopes[k] * traj.flux_at(k) for k in range(traj.times.size)])
-    return Trajectory(times=new_times, densities=traj.densities, flux_store=store,
-                      meta={"rescaled": True})
-
-
 # ---------------------------------------------------------------------------
 # CSV export, 17 significant digits (exact float round trip)
 
@@ -311,11 +291,6 @@ def trajectory_csv_text(traj: Trajectory) -> str:
         lines.append(",".join([_fmt(t)] + [_fmt(v) for v in traj.densities[k]]))
     lines.append("")  # trailing newline, joined once
     return "\n".join(lines)
-
-
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(trajectory_csv_text(traj))
 
 
 def trajectory_from_csv(path) -> Trajectory:
@@ -338,11 +313,6 @@ def flux_csv_text(traj: Trajectory) -> str:
         lines += [f"{t_s},{i},{j},{_fmt(w[i, j])}" for i, j in zip(*np.nonzero(w)) if i != j]
     lines.append("")
     return "\n".join(lines)
-
-
-def flux_to_csv(traj: Trajectory, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(flux_csv_text(traj))
 
 
 def flux_from_csv(path, traj: Trajectory) -> Trajectory:

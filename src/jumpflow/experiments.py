@@ -1,6 +1,6 @@
-"""Headline numerical scenarios: cutoff robustness sweep, reflecting
-punctured-domain run, density-gap ramp probe, configuration-space lift with
-the exact transport estimate, and the two-integrator uniqueness probe.
+"""Headline numerical scenarios: cutoff robustness sweep, density-gap ramp
+probe, configuration-space lift with the exact transport estimate, and the
+two-integrator uniqueness probe.
 """
 
 from __future__ import annotations
@@ -11,19 +11,17 @@ from typing import Optional
 
 import numpy as np
 
-from .densities import DissipationTriple, canonical_triple
+from .densities import DissipationTriple
 from .evolution import IntegratorConfig, evolve
-from .functionals import entropy, entropy_series, jsonify
+from .functionals import entropy_series, jsonify
 from .ledger import edb_report, default_tolerance
-from .spaces import (Coupling, Kernel, StateSpace, build_grid, coupling, cutoff,
-                     fractional_kernel, punctured_mask, taming_bound)
+from .spaces import Coupling, Kernel, StateSpace, coupling, cutoff, taming_bound
 
 __all__ = [
     "SweepResult",
     "LiftedSpace",
     "ProbeResult",
     "robustness_sweep",
-    "reflecting_scenario",
     "density_gap_probe",
     "default_probe_deltas",
     "build_lift",
@@ -89,40 +87,6 @@ def robustness_sweep(space: StateSpace, base_kernel: Kernel, triple: Dissipation
                      for k in range(len(eps_list) - 1)])
     return SweepResult(eps_list=eps_list, terminal=terminal, gaps=gaps,
                        entropy_curves=curves, edb_residuals=residuals, times=times)
-
-
-# ---------------------------------------------------------------------------
-# reflecting punctured-domain scenario
-
-
-def reflecting_scenario(n: int, s: float, split: float, u0, T: float,
-                        triple: Optional[DissipationTriple] = None,
-                        config: IntegratorConfig = IntegratorConfig()) -> dict:
-    """Punctured fractional kernel run: masses stay inside the components and
-    the profile equilibrates toward the componentwise constant."""
-    triple = triple or canonical_triple("cosh")
-    space = build_grid(-1.0, 1.0, n)
-    mask = punctured_mask(space, split)
-    coup = coupling(space, fractional_kernel(space, s, mask=mask))
-    u0 = np.asarray(u0, dtype=float)
-    traj = evolve(coup, triple, u0, T, config)
-    left = space.points < split
-    m_left = traj.densities[:, left] @ space.pi[left]
-    m_right = traj.densities[:, ~left] @ space.pi[~left]
-    eq = np.where(left, m_left[0] / space.pi[left].sum(), m_right[0] / space.pi[~left].sum())
-    gap = float(np.max(np.abs(traj.densities[-1] - eq)))
-    return {
-        "space": space,
-        "coupling": coup,
-        "mask_left": left,
-        "trajectory": traj,
-        "mass_left_drift": float(np.max(np.abs(m_left - m_left[0]))),
-        "mass_right_drift": float(np.max(np.abs(m_right - m_right[0]))),
-        "equilibrium_profile": eq,
-        "terminal_gap": gap,
-        "entropy_curve": entropy_series(traj.densities, space.pi, triple.entropy),
-        "entropy_at_equilibrium": entropy(eq, space.pi, triple.entropy),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +263,7 @@ def build_lift(base_space: StateSpace, base_kernel: Kernel, N: int,
         rates[k, j] += configs[k][z] * base_kernel.rates[z, y] / N
     space = StateSpace(points=np.arange(M, dtype=float), dist=_lift_distances(base_space, configs),
                        pi=pi_hat, kind="lift", meta={"N": N, "m": m})
-    kernel = Kernel(rates=rates, descriptor={"type": "lift", "N": N})
+    kernel = Kernel(rates=rates)
     return LiftedSpace(base_space=base_space, base_kernel=base_kernel, N=N,
                        configs=configs, space=space, kernel=kernel, index=index)
 

@@ -1,5 +1,5 @@
-"""Variational functionals: entropy, action, dual action, Fisher information,
-trajectory ledger integrand, convex functionals of measures, seminorms.
+"""Variational functionals: entropy, action, Fisher information, trajectory
+ledger integrand, convex functionals of measures.
 
 All edge sums run over ordered pairs (i, j), i != j, and carry the global
 factor 1/2.  Extended values propagate as a saturating +inf, never as an
@@ -10,32 +10,27 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .densities import DissipationTriple, d_phi, legendre
 from .evolution import coupling_edges
-from .measures import PosMeasure, SignedMeasurePair
+from .measures import PosMeasure
 from .quadrature import cumulative_simpson_nonuniform
 
 __all__ = [
-    "FunctionalReport",
     "jsonify",
     "json_text",
     "Upsilon",
     "entropy",
     "entropy_series",
     "action_R",
-    "dual_R_star",
     "fisher_D",
     "edb_integrand",
     "trajectory_L",
     "f_upsilon",
-    "gagliardo_seminorm",
-    "luxemburg_norm",
-    "seminorm_equivalence_check",
 ]
 
 
@@ -60,22 +55,6 @@ def json_text(obj, indent: int = 2) -> str:
     return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
 
 
-@dataclass(frozen=True)
-class FunctionalReport:
-    """Value of an extended functional with row breakdown and evaluation flags."""
-
-    value: float
-    breakdown: Optional[np.ndarray] = None
-    flags: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": jsonify(self.value),
-            "breakdown": None if self.breakdown is None else [jsonify(v) for v in self.breakdown],
-            "flags": {k: jsonify(v) for k, v in self.flags.items()},
-        }
-
-
 def _offdiag(n):
     return ~np.eye(n, dtype=bool)
 
@@ -95,7 +74,7 @@ def entropy_series(U, pi, entropy_density) -> np.ndarray:
                            for k in range(0, len(U), 256)])
 
 
-def action_R(u, w, triple: DissipationTriple, theta, report: bool = False):
+def action_R(u, w, triple: DissipationTriple, theta):
     """Primal action of the flux density w of 2j with respect to theta.
 
     Sums psi(w/alpha) alpha theta / 2 over edges where alpha > 0.  The value
@@ -120,20 +99,7 @@ def action_R(u, w, triple: DissipationTriple, theta, report: bool = False):
     degenerate = bool(np.any(charged_degenerate))
     if degenerate:
         total = float("inf")
-    if not report:
-        return total
-    return FunctionalReport(value=total, breakdown=0.5 * vals.sum(axis=1),
-                            flags={"recession_active": degenerate})
-
-
-def dual_R_star(u, xi, triple: DissipationTriple, theta) -> float:
-    """Dual action sum psi*(xi) nu_rho / 2 with nu_rho = alpha(u_i, u_j) theta."""
-    u = np.asarray(u, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    off = _offdiag(u.size)
-    nu = triple.flux.alpha(u[:, None], u[None, :]) * theta
-    return 0.5 * float(np.sum(np.where(off, triple.pair.psi_star(xi) * nu, 0.0)))
+    return total
 
 
 def fisher_D(u, triple: DissipationTriple, theta) -> float:
@@ -289,76 +255,3 @@ def f_upsilon(mu, nu: PosMeasure, upsilon: Upsilon) -> float:
         direction = sing_vals[i] / sing_tv[i]
         total += upsilon.recession(direction) * sing_tv[i]
     return float(total)
-
-
-def gagliardo_seminorm(phi_vals, theta) -> float:
-    """Quadratic nonlocal seminorm sum (phi_j - phi_i)^2 theta_ij over i != j."""
-    phi_vals = np.asarray(phi_vals, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    grad = phi_vals[None, :] - phi_vals[:, None]
-    return float(np.sum(grad * grad * theta))
-
-
-def luxemburg_norm(zeta, young, theta, rel_tol: float = 1e-10) -> float:
-    """Luxemburg norm inf{l > 0 : sum Y(zeta/l) theta <= 1}, by bisection."""
-    zeta = np.asarray(zeta, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    active = theta > 0
-    if not np.any(active & (zeta != 0)):
-        return 0.0
-
-    def G(level):
-        return float(np.sum(young(zeta[active] / level) * theta[active]))
-
-    hi = 1.0
-    for _ in range(2000):
-        if G(hi) <= 1.0:
-            break
-        hi *= 2.0
-    lo = hi
-    for _ in range(2000):
-        if G(0.5 * lo) > 1.0:
-            break
-        lo *= 0.5
-    lo *= 0.5
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if G(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def seminorm_equivalence_check(phi_vals, pair, theta) -> dict:
-    """Certify that the quadratic seminorm and the psi*-modular are equivalent
-    for a bounded test function, with the explicit two-sided constants.
-
-    With M the sup of the discrete gradient, psi*(xi) <= f*(M)/M^2 xi^2 and
-    xi^2 <= K_M psi*(xi) hold pointwise on [-M, M], so the two finiteness
-    flags must agree and the sums obey the two-sided bound.
-    """
-    phi_vals = np.asarray(phi_vals, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    n = phi_vals.size
-    off = _offdiag(n)
-    grad = phi_vals[None, :] - phi_vals[:, None]
-    g2 = float(np.sum(np.where(off, grad * grad * theta, 0.0)))
-    gpsi = float(np.sum(np.where(off, pair.psi_star(grad) * theta, 0.0)))
-    M = float(np.max(np.abs(grad[off]))) if n > 1 else 0.0
-    if M == 0.0:
-        return {"g2": g2, "gpsi": gpsi, "M": 0.0, "upper_const": 0.0, "lower_const": 0.0,
-                "both_finite": True, "upper_ok": gpsi == 0.0, "lower_ok": g2 == 0.0}
-    upper_const = pair.f_star(M) / M**2
-    lower_const = pair.k_quadratic(M)
-    slack = 1.0 + 1e-12
-    return {
-        "g2": g2,
-        "gpsi": gpsi,
-        "M": M,
-        "upper_const": upper_const,
-        "lower_const": lower_const,
-        "both_finite": bool(np.isfinite(g2) and np.isfinite(gpsi)),
-        "upper_ok": gpsi <= upper_const * g2 * slack,
-        "lower_ok": g2 <= lower_const * gpsi * slack,
-    }

@@ -15,14 +15,11 @@ import numpy as np
 __all__ = [
     "PosMeasure",
     "SignedMeasurePair",
-    "EdgeMeasure",
     "jordan_from_setfunction",
     "add",
     "scale_by_function",
     "restrict",
     "lebesgue_decompose",
-    "total_variation",
-    "swap_pushforward",
 ]
 
 
@@ -172,43 +169,3 @@ def lebesgue_decompose(mu: SignedMeasurePair, gamma: PosMeasure):
         PosMeasure(np.where(ac, 0.0, mu.neg.weights)),
     )
     return density, singular
-
-
-def total_variation(mu: SignedMeasurePair, atoms=None) -> float:
-    """Total variation pos(B) + neg(B)."""
-    return mu.tv(atoms)
-
-
-@dataclass(frozen=True)
-class EdgeMeasure:
-    """Measure on ordered pairs (i, j), i != j, stored as a dense matrix.
-
-    The matrix may be signed; the diagonal is identically zero.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("edge weights must form a square matrix")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("edge weights must be finite")
-        if np.any(np.diag(w) != 0):
-            w = w.copy()
-            np.fill_diagonal(w, 0.0)
-        object.__setattr__(self, "weights", w)
-        self.weights.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    def as_signed_pair(self) -> SignedMeasurePair:
-        """Flatten the edge atoms into a Jordan pair over n*n indices."""
-        return jordan_from_setfunction(self.weights.ravel())
-
-
-def swap_pushforward(j: EdgeMeasure) -> EdgeMeasure:
-    """Push forward under the coordinate swap (x, y) -> (y, x)."""
-    return EdgeMeasure(j.weights.T.copy())

@@ -21,17 +21,10 @@ __all__ = [
     "build_graph",
     "fractional_kernel",
     "matrix_kernel",
-    "radial_kernel",
     "punctured_mask",
     "cutoff",
     "coupling",
     "taming_bound",
-    "theta_rho",
-    "nu_rho",
-    "space_to_dict",
-    "space_from_dict",
-    "kernel_to_dict",
-    "kernel_from_dict",
 ]
 
 
@@ -68,9 +61,6 @@ class StateSpace:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def pi_total(self) -> float:
-        return float(self.pi.sum())
-
     def check_triangle(self, samples: int = 200, seed: int = 0, tol: float = 1e-12) -> bool:
         rng = np.random.default_rng(seed)
         i, j, k = rng.integers(0, self.n, (3, samples))
@@ -79,10 +69,9 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Jump rates kappa_ij >= 0 with zero diagonal, plus an origin descriptor."""
+    """Jump rates kappa_ij >= 0 with zero diagonal."""
 
     rates: np.ndarray
-    descriptor: dict = field(default_factory=lambda: {"type": "matrix"})
 
     def __post_init__(self):
         r = np.asarray(self.rates, dtype=float)
@@ -112,11 +101,6 @@ class Coupling:
     @property
     def n(self) -> int:
         return self.theta.shape[0]
-
-    @property
-    def kernel_rates(self) -> np.ndarray:
-        """Rates re-derived from the symmetrized coupling, theta_ij / pi_i."""
-        return self.theta / self.pi[:, None]
 
 
 def build_grid(a: float, b: float, n: int) -> StateSpace:
@@ -168,27 +152,11 @@ def fractional_kernel(space: StateSpace, s: float, mask=None) -> Kernel:
     if mask is not None:
         rates = rates * np.asarray(mask, dtype=float)
     np.fill_diagonal(rates, 0.0)
-    desc = {"type": "fractional", "s": float(s), "masked": mask is not None}
-    return Kernel(rates=rates, descriptor=desc)
+    return Kernel(rates=rates)
 
 
 def matrix_kernel(rates) -> Kernel:
-    return Kernel(rates=np.asarray(rates, dtype=float), descriptor={"type": "matrix"})
-
-
-def radial_kernel(space: StateSpace, profile, mask=None, name="custom") -> Kernel:
-    """Midpoint-rule discretization of an arbitrary radial rate profile.
-
-    ``profile(r)`` gives the rate density at distance r > 0; the diagonal is
-    excluded, so singular profiles are admissible.
-    """
-    d = space.dist.copy()
-    np.fill_diagonal(d, 1.0)
-    rates = profile(d) * space.pi[None, :]
-    if mask is not None:
-        rates = rates * np.asarray(mask, dtype=float)
-    np.fill_diagonal(rates, 0.0)
-    return Kernel(rates=rates, descriptor={"type": name})
+    return Kernel(rates=np.asarray(rates, dtype=float))
 
 
 def cutoff(kernel: Kernel, space: StateSpace, eps: float) -> Kernel:
@@ -197,9 +165,7 @@ def cutoff(kernel: Kernel, space: StateSpace, eps: float) -> Kernel:
         raise ValueError("cutoff parameter must be positive")
     d2 = np.minimum(1.0, space.dist**2)
     rates = kernel.rates * d2 / (eps + d2)
-    desc = dict(kernel.descriptor)
-    desc["cutoff_eps"] = float(eps)
-    return Kernel(rates=rates, descriptor=desc)
+    return Kernel(rates=rates)
 
 
 def coupling(space: StateSpace, kernel: Kernel) -> Coupling:
@@ -218,49 +184,3 @@ def taming_bound(space: StateSpace, kernel: Kernel) -> float:
     """sup_i sum_j (1 ^ d_ij^2) kappa_ij, the metric-kernel compatibility constant."""
     d2 = np.minimum(1.0, space.dist**2)
     return float(np.max(np.sum(d2 * kernel.rates, axis=1)))
-
-
-def theta_rho(coup: Coupling, u):
-    """Density-adjusted couplings (theta_minus, theta_plus) = (u_i theta, u_j theta)."""
-    u = np.asarray(u, dtype=float)
-    minus = u[:, None] * coup.theta
-    return minus, minus.T.copy()
-
-
-def nu_rho(coup: Coupling, flux, u) -> np.ndarray:
-    """Concave transformation nu_ij = alpha(u_i, u_j) theta_ij."""
-    u = np.asarray(u, dtype=float)
-    return flux.alpha(u[:, None], u[None, :]) * coup.theta
-
-
-# ---------------------------------------------------------------------------
-# JSON schema (versioned, round-trip exact via repr-floats)
-
-
-def space_to_dict(space: StateSpace) -> dict:
-    return {
-        "schema": 1,
-        "kind": space.kind,
-        "points": space.points.tolist(),
-        "dist": space.dist.tolist(),
-        "pi": space.pi.tolist(),
-        "meta": space.meta,
-    }
-
-
-def space_from_dict(d: dict) -> StateSpace:
-    if d.get("schema") != 1:
-        raise ValueError("unsupported space schema")
-    return StateSpace(points=np.array(d["points"], float), dist=np.array(d["dist"], float),
-                      pi=np.array(d["pi"], float), kind=d.get("kind", "graph"),
-                      meta=d.get("meta", {}))
-
-
-def kernel_to_dict(kernel: Kernel) -> dict:
-    return {"schema": 1, "rates": kernel.rates.tolist(), "descriptor": kernel.descriptor}
-
-
-def kernel_from_dict(d: dict) -> Kernel:
-    if d.get("schema") != 1:
-        raise ValueError("unsupported kernel schema")
-    return Kernel(rates=np.array(d["rates"], float), descriptor=d.get("descriptor", {"type": "matrix"}))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -127,6 +128,26 @@ def test_malformed_config_exit_code_and_path(tmp_path, capsys):
     assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
 
 
+@pytest.mark.parametrize("kind,values", [
+    ("file", "2.0,abc"),
+    ("file", "2.0,-4"),
+    ("file", "nan,0.0"),
+    ("vector", ["2.0", "abc"]),
+])
+def test_initial_values_rejected_as_schema_errors(tmp_path, capsys, kind, values):
+    if kind == "file":
+        data = tmp_path / "u0.csv"
+        data.write_text(values + "\n")
+        initial, key = {"type": "file", "path": str(data)}, "path"
+    else:
+        initial, key = {"type": "vector", "values": values}, "values"
+    cfg = write_config(tmp_path, dict(TWO_POINT, initial=initial))
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"config error at initial.{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     bad = dict(TWO_POINT)
     bad["unexpected"] = 1
@@ -196,6 +217,38 @@ def test_sweep_command(tmp_path):
     csv = (out / "sweep_n16.csv").read_text().splitlines()
     assert csv[0] == "eps,l1_gap_to_next,edb_residual_rel"
     assert len(csv) == 4
+
+
+@pytest.mark.parametrize("eps_list", [[0.001, 0.1], [0.1, float("nan")],
+                                      [float("inf"), 0.1]])
+def test_sweep_rejects_bad_eps_list(tmp_path, capsys, eps_list):
+    cfg = write_config(tmp_path, {
+        "schema": 1,
+        "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 8},
+        "kernel": {"type": "fractional", "s": 0.75},
+        "triple": "cosh",
+        "initial": {"type": "step", "left": 1.5, "right": 0.5, "split": 0.0},
+        "T": 0.1,
+        "integrator": {"checkpoints": 16},
+        "sweep": {"eps_list": eps_list},
+    })
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert "config error at config.sweep.eps_list:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_outputs_have_the_umask_mode(tmp_path):
+    # open() would create the files 0644 under umask 022; atomic_write must too
+    cfg = write_config(tmp_path, dict(TWO_POINT, export_flux=True))
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("trajectory.csv", "flux.csv", "ledger.json"):
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o644, name
 
 
 def test_probe_command(tmp_path):

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpflow.densities import (alpha, canonical_triple, compat_check, convexity_check,
-                                cosh_pair, d_phi, f_map, geometric_mean_flux, lambda_phi,
-                                legendre, log_mean_flux, make_triple, boltzmann_entropy,
-                                perspective_psi, phi_boltzmann, psi_star,
-                                psistar_bounds_check, quadratic_pair)
+from jumpflow.densities import (DissipationTriple, boltzmann_entropy, canonical_triple,
+                                compat_check, cosh_pair, d_phi, f_map, geometric_mean_flux,
+                                lambda_phi, legendre, log_mean_flux, phi_boltzmann,
+                                quadratic_pair)
 
 COSH = canonical_triple("cosh")
 QUAD = canonical_triple("quadratic")
+LOGMEAN = log_mean_flux().alpha
+GEOMEAN = geometric_mean_flux().alpha
 
 
 def test_phi_boltzmann_values():
@@ -26,18 +27,18 @@ def test_phi_boltzmann_values():
 
 
 def test_psi_star_values():
-    assert psi_star("quadratic", 0.0) == 0.0
-    assert psi_star("cosh", 0.0) == 0.0
-    assert psi_star("quadratic", 2.0) == 2.0
-    assert psi_star("cosh", 2.0) == pytest.approx(4.0 * (math.cosh(1.0) - 1.0), rel=1e-15)
+    assert quadratic_pair().psi_star(0.0) == 0.0
+    assert cosh_pair().psi_star(0.0) == 0.0
+    assert quadratic_pair().psi_star(2.0) == 2.0
+    assert cosh_pair().psi_star(2.0) == pytest.approx(4.0 * (math.cosh(1.0) - 1.0), rel=1e-15)
 
 
 def test_alpha_values():
     for u in (0.3, 1.0, 5.0):
-        assert alpha("logmean", u, u) == pytest.approx(u, rel=1e-12)
-    assert alpha("logmean", 4.0, 0.0) == 0.0
-    assert alpha("geomean", 4.0, 0.0) == 0.0
-    assert alpha("logmean", 1.0, math.e) == pytest.approx(math.e - 1.0, rel=1e-14)
+        assert LOGMEAN(u, u) == pytest.approx(u, rel=1e-12)
+    assert LOGMEAN(4.0, 0.0) == 0.0
+    assert GEOMEAN(4.0, 0.0) == 0.0
+    assert LOGMEAN(1.0, math.e) == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
 def test_alpha_near_diagonal_stability():
@@ -49,25 +50,24 @@ def test_alpha_near_diagonal_stability():
     for off in (1e-9, 1e-7, 1e-5, 1e-3):
         hi = mpmath.mpf(u) + mpmath.mpf(off)
         exact = float(mpmath.mpf(off) / (mpmath.log(hi) - mpmath.log(mpmath.mpf(u))))
-        assert alpha("logmean", u + off, u) == pytest.approx(exact, rel=1e-10)
+        assert LOGMEAN(u + off, u) == pytest.approx(exact, rel=1e-10)
 
 
 def test_alpha_one_homogeneous():
     rng = np.random.default_rng(0)
     u, v = rng.uniform(0.01, 5.0, (2, 200))
     lam = rng.uniform(1e-3, 10.0, 200)
-    for variant in ("logmean", "geomean"):
-        a1 = alpha(variant, lam * u, lam * v)
-        a2 = lam * alpha(variant, u, v)
+    for alpha in (LOGMEAN, GEOMEAN):
+        a1 = alpha(lam * u, lam * v)
+        a2 = lam * alpha(u, v)
         np.testing.assert_allclose(a1, a2, rtol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(1e-6, 10.0), st.floats(1e-6, 10.0), st.floats(1e-3, 10.0),
-       st.sampled_from(["logmean", "geomean"]))
-def test_alpha_homogeneity_property(u, v, lam, variant):
-    assert alpha(variant, lam * u, lam * v) == pytest.approx(
-        lam * alpha(variant, u, v), rel=1e-11)
+       st.sampled_from([LOGMEAN, GEOMEAN]))
+def test_alpha_homogeneity_property(u, v, lam, alpha):
+    assert alpha(lam * u, lam * v) == pytest.approx(lam * alpha(u, v), rel=1e-11)
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,7 +104,7 @@ def test_legendre_numeric_pair():
     # strip the closed form: the numeric conjugate must recover it
     pair = cosh_pair()
     blind = quadratic_pair().__class__(psi_star=pair.psi_star, dpsi_star=pair.dpsi_star,
-                                       c0=pair.c0, psi=None, name="blind")
+                                       psi=None, name="blind")
     for w in (-3.0, -0.5, 0.7, 4.2):
         assert legendre(blind, w) == pytest.approx(legendre(pair, w), abs=1e-9)
 
@@ -153,8 +153,8 @@ def test_compat_check():
 
 def test_compat_check_mismatched_triple():
     # cosh dissipation with the logarithmic mean is not compatible
-    wrong = make_triple(boltzmann_entropy(), cosh_pair(), log_mean_flux(),
-                        compatible=True, name="mismatch")
+    wrong = DissipationTriple(boltzmann_entropy(), cosh_pair(), log_mean_flux(),
+                              compatible=True, name="mismatch")
     # residual at (1, 4): 2 sinh(log 2) logmean(1, 4) vs 3
     expected = 2.0 * math.sinh(math.log(2.0)) * (3.0 / math.log(4.0)) - 3.0
     assert abs(f_map(wrong, 1.0, 4.0) - 3.0) == pytest.approx(abs(expected), rel=1e-12)
@@ -190,52 +190,41 @@ def test_d_phi_symmetry():
 
 
 def test_d_phi_generic_warns():
-    generic = make_triple(boltzmann_entropy(), cosh_pair(), log_mean_flux(), name="generic")
+    generic = DissipationTriple(boltzmann_entropy(), cosh_pair(), log_mean_flux(), name="generic")
     with pytest.warns(UserWarning):
         d_phi(generic, 1.0, 2.0)
 
 
+def midpoint_convex(fn, samples=2000, seed=0, lo=1e-3, hi=20.0, tol=1e-12):
+    """Random midpoint convexity test of fn on the open quadrant."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(lo, hi, (samples, 2))
+    q = rng.uniform(lo, hi, (samples, 2))
+    mid = 0.5 * (p + q)
+    lhs = fn(mid[:, 0], mid[:, 1])
+    rhs = 0.5 * (fn(p[:, 0], p[:, 1]) + fn(q[:, 0], q[:, 1]))
+    return bool(np.all(lhs <= rhs + tol * np.maximum(1.0, np.abs(rhs))))
+
+
 def test_convexity_check():
-    assert convexity_check(lambda u, v: d_phi(COSH, u, v))
-    assert convexity_check(lambda u, v: d_phi(QUAD, u, v))
-    assert not convexity_check(lambda u, v: -u * v)
-
-
-def test_perspective():
-    pair = quadratic_pair()
-    assert perspective_psi(pair, 0.0, 3.0) == 0.0
-    assert perspective_psi(pair, 2.0, 0.0) == math.inf
-    assert perspective_psi(pair, 0.0, 0.0) == 0.0
-    assert perspective_psi(pair, 2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
+    # the Fisher integrand is jointly convex for both canonical triples
+    assert midpoint_convex(lambda u, v: d_phi(COSH, u, v))
+    assert midpoint_convex(lambda u, v: d_phi(QUAD, u, v))
+    assert not midpoint_convex(lambda u, v: -u * v)
 
 
 def test_psistar_bounds():
+    # even, increasing on [0, M], zero at 0 and at least quadratic: xi^2 <= 2 psi*(xi)
+    xi = np.linspace(0.0, 5.0, 257)
     for pair in (cosh_pair(), quadratic_pair()):
-        report = psistar_bounds_check(pair, M=5.0)
-        assert report["ok"], report
-        # equalities at zero
+        assert np.max(np.abs(pair.psi_star(xi) - pair.psi_star(-xi))) <= 1e-10
+        assert np.min(np.diff(pair.psi_star(xi))) >= 0.0
         assert pair.psi_star(0.0) == 0.0
-        assert 0.0 <= report["K_M"] * pair.psi_star(0.0)
+        assert np.all(xi**2 <= 2.0 * pair.psi_star(xi) + 1e-12)
 
 
 def test_flux_growth_constant():
     rng = np.random.default_rng(6)
     u, v = rng.uniform(0.0, 50.0, (2, 500))
     for flux in (log_mean_flux(), geometric_mean_flux()):
-        assert np.all(flux.alpha(u, v) <= flux.c_alpha * (1.0 + u + v) + 1e-12)
-
-
-def test_flux_recession():
-    # both mean flux densities are 1-homogeneous, so the recession is itself
-    for flux in (log_mean_flux(), geometric_mean_flux()):
-        for u, v in ((1.0, 4.0), (0.3, 0.3), (2.0, 0.0)):
-            assert flux.recession(u, v) == pytest.approx(flux.alpha(u, v), rel=1e-9)
-
-
-def test_f_lower_conjugate_bound():
-    # the conjugate pair satisfies f(w) <= psi(delta w) / delta^2 on (0, 1]
-    for pair in (cosh_pair(), quadratic_pair()):
-        for w in (-3.0, 0.5, 2.0):
-            fw = pair.f_lower(w)
-            for delta in (0.25, 0.5, 1.0):
-                assert fw <= legendre(pair, delta * w) / delta**2 + 1e-8
+        assert np.all(flux.alpha(u, v) <= 1.0 + u + v + 1e-12)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from jumpflow.densities import (boltzmann_entropy, canonical_triple, cosh_pair,
-                                log_mean_flux, make_triple)
+from jumpflow.densities import (DissipationTriple, boltzmann_entropy, canonical_triple,
+                                cosh_pair, log_mean_flux)
 from jumpflow import evolution
 from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, NumericalError,
                                 Trajectory, concatenate, continuity_residual, evolve, flux_csv_text,
-                                flux_from_csv, flux_to_csv, generator,
-                                rescale_time, trajectory_csv_text, trajectory_from_csv,
-                                trajectory_to_csv)
+                                flux_from_csv, generator, trajectory_csv_text,
+                                trajectory_from_csv)
 from jumpflow.experiments import build_lift
 from jumpflow.functionals import entropy
 from jumpflow.spaces import (Coupling, build_graph, build_grid, coupling, cutoff,
@@ -53,11 +52,11 @@ def test_generator_two_point():
 
 def test_generator_refuses_incompatible_triple():
     _, coup = two_point()
-    wrong = make_triple(boltzmann_entropy(), cosh_pair(), log_mean_flux(),
-                        compatible=True, name="mismatch")
+    wrong = DissipationTriple(boltzmann_entropy(), cosh_pair(), log_mean_flux(),
+                              compatible=True, name="mismatch")
     with pytest.raises(IncompatibleTripleError):
         generator(coup, wrong)
-    undeclared = make_triple(boltzmann_entropy(), cosh_pair(), log_mean_flux())
+    undeclared = DissipationTriple(boltzmann_entropy(), cosh_pair(), log_mean_flux())
     with pytest.raises(IncompatibleTripleError):
         generator(coup, undeclared)
 
@@ -326,39 +325,16 @@ def test_trajectory_rejects_non_antisymmetric_flux_store():
     np.testing.assert_array_equal(traj.flux_at(1), store[1])
 
 
-def test_rescale_time():
-    sp, coup = two_point()
-    traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, IntegratorConfig(checkpoints=64))
-    ident = rescale_time(traj, lambda s: s, lambda t: t, lambda s: 1.0)
-    np.testing.assert_array_equal(ident.times, traj.times)
-    np.testing.assert_array_equal(ident.densities, traj.densities)
-    np.testing.assert_allclose(ident.flux_at(5), traj.flux_at(5))
-
-    # map s -> s/2 stretches the clock: duration doubles, flux halves,
-    # and the continuity residual stays at the original level
-    slow = rescale_time(traj, lambda s: 0.5 * s, lambda t: 2.0 * t, lambda s: 0.5)
-    assert slow.T == pytest.approx(2.0)
-    np.testing.assert_allclose(slow.flux_at(7), 0.5 * traj.flux_at(7))
-    phi = sp.points.astype(float)
-    base = continuity_residual(traj, phi, coup.theta, sp.pi)
-    scaled = continuity_residual(slow, phi, coup.theta, sp.pi)
-    assert scaled <= base + 1e-12
-
-    fast = rescale_time(traj, lambda s: 2.0 * s, lambda t: 0.5 * t, lambda s: 2.0)
-    assert fast.T == pytest.approx(0.5)
-    np.testing.assert_allclose(fast.flux_at(7), 2.0 * traj.flux_at(7))
-
-
 def test_csv_round_trip_bit_exact(tmp_path):
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.3, IntegratorConfig(checkpoints=32))
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(traj, path)
+    path.write_text(trajectory_csv_text(traj))
     back = trajectory_from_csv(path)
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.densities, traj.densities)
     fpath = tmp_path / "flux.csv"
-    flux_to_csv(traj, fpath)
+    fpath.write_text(flux_csv_text(traj))
     withflux = flux_from_csv(fpath, back)
     np.testing.assert_array_equal(withflux.flux_at(3), traj.flux_at(3))
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from jumpflow.densities import canonical_triple
-from jumpflow.evolution import IntegratorConfig
+from jumpflow.evolution import IntegratorConfig, evolve
 from jumpflow.experiments import (build_lift, default_probe_deltas, density_gap_probe,
-                                  key_estimate_check, reflecting_scenario,
-                                  robustness_sweep, uniqueness_probe, w2_exact)
+                                  key_estimate_check, robustness_sweep, uniqueness_probe,
+                                  w2_exact)
+from jumpflow.functionals import entropy, entropy_series
 from jumpflow.ledger import edb_report
 from jumpflow.spaces import (build_graph, build_grid, build_torus, coupling,
-                             fractional_kernel, matrix_kernel)
+                             fractional_kernel, matrix_kernel, punctured_mask)
 
 COSH = canonical_triple("cosh")
 
@@ -41,8 +42,6 @@ def test_sweep_stationary_all_gaps_zero():
 
 
 def test_sweep_fractional_punctured_decreasing():
-    from jumpflow.spaces import punctured_mask
-
     sp = build_grid(-1.0, 1.0, 40)
     kern = fractional_kernel(sp, 0.75, mask=punctured_mask(sp, 0.0))
     u0 = 1.0 + 0.8 * np.sin(np.pi * sp.points) * (sp.points < 0) + 0.3 * (sp.points > 0)
@@ -60,18 +59,24 @@ def test_sweep_rejects_increasing_eps():
 
 
 def test_reflecting_scenario_masses_and_equilibration():
+    # punctured kernel: masses stay inside the components and the profile
+    # equilibrates toward the componentwise constant
     n = 40
     sp = build_grid(-1.0, 1.0, n)
+    coup = coupling(sp, fractional_kernel(sp, 0.75, mask=punctured_mask(sp, 0.0)))
     u0 = np.where(sp.points < 0.0, 2.0, 0.0)
-    out = reflecting_scenario(n, 0.75, 0.0, u0, 6.0, COSH,
-                              IntegratorConfig(checkpoints=256))
-    assert out["mass_right_drift"] <= 1e-12
-    assert out["mass_left_drift"] <= 1e-12 * 2.0
+    traj = evolve(coup, COSH, u0, 6.0, IntegratorConfig(checkpoints=256))
+    left = sp.points < 0.0
+    m_left = traj.densities[:, left] @ sp.pi[left]
+    m_right = traj.densities[:, ~left] @ sp.pi[~left]
+    assert np.max(np.abs(m_right - m_right[0])) <= 1e-12
+    assert np.max(np.abs(m_left - m_left[0])) <= 1e-12 * 2.0
     # componentwise ergodicity: flat at 2 on the left, 0 on the right
-    assert out["terminal_gap"] <= 1e-3
-    ent = out["entropy_curve"]
+    eq = np.where(left, m_left[0] / sp.pi[left].sum(), m_right[0] / sp.pi[~left].sum())
+    assert np.max(np.abs(traj.densities[-1] - eq)) <= 1e-3
+    ent = entropy_series(traj.densities, sp.pi, COSH.entropy)
     assert np.all(np.diff(ent) <= 1e-12)
-    assert ent[-1] == pytest.approx(out["entropy_at_equilibrium"], abs=1e-6)
+    assert ent[-1] == pytest.approx(entropy(eq, sp.pi, COSH.entropy), abs=1e-6)
 
 
 def test_probe_windows():
@@ -284,8 +289,6 @@ def test_lifted_system_evolves_with_balance():
     kern = fractional_kernel(base, 0.6)
     lifted = build_lift(base, kern, 2)
     coup = coupling(lifted.space, lifted.kernel)
-    from jumpflow.evolution import evolve
-
     u0 = np.array([2.0, 0.5, 0.5])
     traj = evolve(coup, COSH, u0, 0.5, IntegratorConfig(checkpoints=256))
     rep = edb_report(traj, COSH, coup.theta, lifted.space.pi, tol_rel=1e-6)

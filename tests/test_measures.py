@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpflow.measures import (EdgeMeasure, PosMeasure, SignedMeasurePair, add,
-                               jordan_from_setfunction, lebesgue_decompose, restrict,
-                               scale_by_function, swap_pushforward, total_variation)
+from jumpflow.measures import (PosMeasure, SignedMeasurePair, add, jordan_from_setfunction,
+                               lebesgue_decompose, restrict, scale_by_function)
 
 
 def all_subsets(n):
@@ -157,7 +156,7 @@ def test_lebesgue_tv_additivity():
         gamma = PosMeasure(g)
         mu = jordan_from_setfunction(v)
         density, singular = lebesgue_decompose(mu, gamma)
-        lhs = total_variation(mu)
+        lhs = mu.tv()
         rhs = float(np.sum(np.abs(density) * g)) + singular.tv()
         assert lhs == pytest.approx(rhs, rel=1e-12)
         # singular part is carried exactly by the null set of gamma
@@ -165,22 +164,12 @@ def test_lebesgue_tv_additivity():
 
 
 def test_total_variation():
-    assert total_variation(SignedMeasurePair.zero(4)) == 0.0
+    assert SignedMeasurePair.zero(4).tv() == 0.0
     pair = SignedMeasurePair(PosMeasure([1.0, 0.0]), PosMeasure([0.0, 1.0]))
-    assert total_variation(pair, (0, 1)) == 2.0
+    assert pair.tv((0, 1)) == 2.0
     rng = np.random.default_rng(8)
     v = rng.normal(size=8)
-    assert total_variation(jordan_from_setfunction(v)) == pytest.approx(np.abs(v).sum())
-
-
-def test_swap_pushforward():
-    sym = EdgeMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_array_equal(swap_pushforward(sym).weights, sym.weights)
-    single = EdgeMeasure(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    swapped = swap_pushforward(single)
-    assert swapped.weights[1, 0] == 2.0 and swapped.weights[0, 1] == 0.0
-    twice = swap_pushforward(swapped)
-    np.testing.assert_array_equal(twice.weights, single.weights)
+    assert jordan_from_setfunction(v).tv() == pytest.approx(np.abs(v).sum())
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,15 +1,10 @@
 """State spaces, kernels and couplings."""
 
-import json
-
 import numpy as np
 import pytest
 
-from jumpflow.densities import geometric_mean_flux
 from jumpflow.spaces import (build_graph, build_grid, build_torus, coupling, cutoff,
-                             fractional_kernel, kernel_from_dict, kernel_to_dict,
-                             matrix_kernel, nu_rho, punctured_mask, space_from_dict,
-                             space_to_dict, taming_bound, theta_rho)
+                             fractional_kernel, matrix_kernel, punctured_mask, taming_bound)
 
 
 def test_build_grid_points():
@@ -137,16 +132,6 @@ def test_cutoff_total_rate_bounded_by_taming_over_eps():
         assert total <= c_kappa / eps + 1e-12
 
 
-def test_radial_kernel_matches_fractional():
-    from jumpflow.spaces import radial_kernel
-
-    grid = build_grid(-1.0, 1.0, 10)
-    s = 0.6
-    custom = radial_kernel(grid, lambda r: r ** (-(1.0 + 2 * s)))
-    frac = fractional_kernel(grid, s)
-    np.testing.assert_allclose(custom.rates, frac.rates, rtol=1e-14)
-
-
 def test_coupling_residuals():
     sp = build_grid(-1.0, 1.0, 8)
     sym = matrix_kernel(np.ones((8, 8)) - np.eye(8))
@@ -165,35 +150,6 @@ def test_coupling_residuals():
     assert np.max(np.abs(asym.theta - asym.theta.T)) == 0.0
 
 
-def test_theta_rho():
-    sp = build_grid(-1.0, 1.0, 6)
-    coup = coupling(sp, fractional_kernel(sp, 0.5))
-    ones = np.ones(6)
-    minus, plus = theta_rho(coup, ones)
-    np.testing.assert_array_equal(minus, coup.theta)
-    np.testing.assert_array_equal(plus, coup.theta)
-    zminus, zplus = theta_rho(coup, np.zeros(6))
-    assert np.all(zminus == 0.0) and np.all(zplus == 0.0)
-    rng = np.random.default_rng(2)
-    u = rng.random(6)
-    m, p = theta_rho(coup, u)
-    np.testing.assert_array_equal(p, m.T)
-
-
-def test_nu_rho():
-    sp = build_grid(-1.0, 1.0, 6)
-    coup = coupling(sp, fractional_kernel(sp, 0.5))
-    flux = geometric_mean_flux()
-    np.testing.assert_allclose(nu_rho(coup, flux, np.ones(6)), coup.theta, rtol=1e-14)
-    u = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    nu = nu_rho(coup, flux, u)
-    assert np.all(nu[0, :] == 0.0) and np.all(nu[:, 0] == 0.0)
-    rng = np.random.default_rng(3)
-    u = rng.random(6)
-    expected = np.sqrt(u[:, None] * u[None, :]) * coup.theta
-    np.testing.assert_allclose(nu_rho(coup, flux, u), expected, rtol=1e-14)
-
-
 def test_punctured_coupling_blocks_cross_edges():
     sp = build_grid(-1.0, 1.0, 12)
     mask = punctured_mask(sp, 0.0)
@@ -201,15 +157,3 @@ def test_punctured_coupling_blocks_cross_edges():
     left = sp.points < 0
     assert np.all(coup.theta[np.ix_(left, ~left)] == 0.0)
     assert np.all(coup.theta[np.ix_(~left, left)] == 0.0)
-
-
-def test_json_round_trip():
-    sp = build_grid(-1.0, 1.0, 5)
-    k = fractional_kernel(sp, 0.6)
-    sp2 = space_from_dict(json.loads(json.dumps(space_to_dict(sp))))
-    k2 = kernel_from_dict(json.loads(json.dumps(kernel_to_dict(k))))
-    np.testing.assert_array_equal(sp2.points, sp.points)
-    np.testing.assert_array_equal(sp2.dist, sp.dist)
-    np.testing.assert_array_equal(sp2.pi, sp.pi)
-    np.testing.assert_array_equal(k2.rates, k.rates)
-    assert k2.descriptor == k.descriptor
