@@ -275,10 +275,12 @@ def cmd_run(args):
     parsed = parse_run_config(load_config(args.config))
     overrides = {"method": args.method, "checkpoints": args.checkpoints}
     overrides = {k: v for k, v in overrides.items() if v is not None}
+    if "checkpoints" in overrides:  # the bounds of build_integrator and parse_run_config
+        _integer(args.checkpoints, "checkpoints", lo=1)
     if overrides:
         parsed["integrator"] = dataclasses.replace(parsed["integrator"], **overrides)
     if args.seed is not None:
-        parsed["seed"] = args.seed
+        parsed["seed"] = _integer(args.seed, "seed", lo=0)
     coup = spaces.coupling(parsed["space"], parsed["kernel"])
     traj = evolution.evolve(coup, parsed["triple"], parsed["u0"], parsed["T"],
                             parsed["integrator"])

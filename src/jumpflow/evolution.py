@@ -21,8 +21,8 @@ from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform
 
 __all__ = [
     "IncompatibleTripleError", "NumericalError", "IntegratorConfig", "Trajectory",
-    "generator", "evolve", "coupling_edges", "net_flux", "continuity_spreads",
-    "continuity_residual", "concatenate",
+    "generator", "evolve", "coupling_edges", "net_flux", "continuity_rates",
+    "continuity_spreads", "continuity_residual", "concatenate",
     "trajectory_csv_text", "trajectory_from_csv",
     "flux_csv_text", "flux_from_csv",
 ]
@@ -116,6 +116,13 @@ class Trajectory:
             return self.flux_store[k][rows, cols]
         u = self.densities[k]
         return u[rows] - u[cols]
+
+    def flux_is_linear(self, rows, cols) -> bool:
+        """Whether the flux is exactly u_i - u_j on the edges (rows, cols) at every checkpoint."""
+        if self.flux_store is None:
+            return True
+        return all(np.array_equal(w[rows, cols], u[rows] - u[cols])
+                   for w, u in zip(self.flux_store, self.densities))
 
     def mass(self, pi) -> np.ndarray:
         return self.densities @ np.asarray(pi, dtype=float)
@@ -237,17 +244,31 @@ def net_flux(traj: Trajectory, theta) -> np.ndarray:
     return out
 
 
-def continuity_spreads(traj: Trajectory, net_flux_series, phis, pi) -> np.ndarray:
-    """Continuity-equation defect spread for each column of ``phis`` (n, m).
+def continuity_rates(traj: Trajectory, theta, phis, linear: Optional[bool] = None) -> np.ndarray:
+    """Rate of sum_i phi_i u_i pi_i, (K+1, m) for the columns of ``phis`` (n, m):
+    -sum_i phi_i (net flux)_i, or on the linear flux -u . (L phi) with
+    (L phi)_i = sum_j theta_ij (phi_i - phi_j), exactly zero for a phi constant
+    on each coupling component.  ``linear`` None asks the trajectory."""
+    rows, cols, weights = coupling_edges(theta)
+    phis = np.asarray(phis, dtype=float)
+    if linear is None:
+        linear = traj.flux_is_linear(rows, cols)
+    if not linear:
+        return -(net_flux(traj, theta) @ phis)
+    d = (phis[rows] - phis[cols]) * weights[:, None]
+    lap = np.column_stack([np.bincount(rows, c, traj.n) - np.bincount(cols, c, traj.n)
+                           for c in d.T])
+    return -(traj.densities @ lap)
 
-    The defect on [s, t] is the increment of the observable sum_i phi_i u_i pi_i
-    minus the time-quadratured rate, which for an antisymmetric flux and a
-    symmetric coupling is 1/2 sum_ij (phi_j - phi_i) w_ij theta_ij =
-    -sum_i phi_i (net flux)_i; the spread over all checkpoint pairs is reported.
-    """
+
+def continuity_spreads(traj: Trajectory, theta, phis, pi,
+                       linear: Optional[bool] = None) -> np.ndarray:
+    """Continuity-equation defect spread for each column of ``phis`` (n, m): the
+    increment of sum_i phi_i u_i pi_i minus its time-quadratured rate
+    (``continuity_rates``) on [s, t], spread over all checkpoint pairs."""
     phis = np.asarray(phis, dtype=float)
     obs = traj.densities @ (phis * np.asarray(pi, dtype=float)[:, None])
-    rates = -(net_flux_series @ phis)
+    rates = continuity_rates(traj, theta, phis, linear)
     integrals = [cumulative_simpson_nonuniform(traj.times, rate)[0] for rate in rates.T]
     defect = (obs - obs[0]) - np.column_stack(integrals)
     return defect.max(axis=0) - defect.min(axis=0)
@@ -256,8 +277,8 @@ def continuity_spreads(traj: Trajectory, net_flux_series, phis, pi) -> np.ndarra
 def continuity_residual(traj: Trajectory, phi_vals, theta, pi) -> float:
     """Largest continuity-equation defect over all checkpoint pairs [s, t]
     (see ``continuity_spreads``) for one test function."""
-    phis = np.asarray(phi_vals, dtype=float)[:, None]
-    return float(continuity_spreads(traj, net_flux(traj, theta), phis, pi)[0])
+    return float(continuity_spreads(traj, theta, np.asarray(phi_vals, dtype=float)[:, None],
+                                    pi)[0])
 
 
 def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:

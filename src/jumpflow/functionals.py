@@ -125,9 +125,9 @@ class _CheckpointPass:
 
     times: np.ndarray
     entropy: np.ndarray     # E(u_k)
-    integrand: np.ndarray   # R(u_k, w_k) + D(u_k)
+    integrand: np.ndarray   # R(u_k, w_k) + D(u_k); the pairing itself under the Fenchel split
     pairing: np.ndarray     # 1/2 sum_ij -(phi'(u_j) - phi'(u_i)) w_ij theta_ij, NaN if undefined
-    net_flux: np.ndarray    # (K+1, n): sum_j w_ij theta_ij
+    linear_flux: bool       # w_ij = u_i - u_j on every coupling edge (evolution.continuity_rates)
 
     def ledger(self):
         """(ledger series, cumulative integral of R + D, singular-endpoint flag)."""
@@ -135,14 +135,25 @@ class _CheckpointPass:
         return self.entropy - self.entropy[0] + integral, integral, singular
 
 
-def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointPass:
+def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi,
+                     linear: Optional[bool] = None) -> _CheckpointPass:
     """One pass over the checkpoints that reads each flux snapshot once, on the
     edges i < j with theta_ij > 0: for an antisymmetric flux every ordered-pair
-    summand of ``action_R``, ``fisher_D`` and the chain-rule pairing is symmetric."""
+    summand of ``action_R``, ``fisher_D`` and the chain-rule pairing is symmetric.
+    On the linear flux of a canonical triple Fenchel-Young holds with equality on
+    every edge, so R + D is the pairing (the Fenchel split); otherwise R + D is
+    taken edge by edge.  ``linear`` None asks the trajectory; False forces the
+    per-edge pass."""
     rows, cols, th = coupling_edges(theta)
-    U, n = traj.densities, traj.n
+    U = traj.densities
+    if linear is None:
+        linear = traj.flux_is_linear(rows, cols)
+    ent = entropy_series(U, pi, triple.entropy)
+    if linear and triple.name in ("cosh", "quadratic"):
+        g = np.array([_pairing(triple.entropy.dphi_ext(u), u[rows] - u[cols], rows, cols, th)
+                      for u in U])
+        return _CheckpointPass(traj.times, ent, g, g, True)
     b, g = np.empty(U.shape[0]), np.empty(U.shape[0])
-    net = np.empty(U.shape)
     for k, u in enumerate(U):
         w, ui, uj = traj.edge_flux(k, rows, cols), u[rows], u[cols]
         a = triple.flux.alpha(ui, uj)
@@ -154,16 +165,17 @@ def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointP
         dv = d_phi(triple, ui, uj)
         D = np.inf if np.any(np.isinf(dv)) else float(np.sum(dv * th))
         b[k] = R + D
-        lam = triple.entropy.dphi_ext(u)
-        with np.errstate(invalid="ignore"):
-            grad = lam[rows] - lam[cols]  # minus the gradient of phi'(u)
-            vals = grad * w * th
-        if not np.all(np.isfinite(lam)):  # an infinite slope against zero flux pairs to 0
-            vals[(w == 0.0) & ~np.isfinite(grad)] = 0.0
-        g[k] = np.nan if np.any(np.isnan(vals)) else float(np.sum(vals))
-        wt = w * th  # net outflow as in evolution.net_flux
-        net[k] = np.bincount(rows, wt, n) - np.bincount(cols, wt, n)
-    return _CheckpointPass(traj.times, entropy_series(U, pi, triple.entropy), b, g, net)
+        g[k] = _pairing(triple.entropy.dphi_ext(u), w, rows, cols, th)
+    return _CheckpointPass(traj.times, ent, b, g, linear)
+
+
+def _pairing(lam, w, rows, cols, th) -> float:
+    """Sum over the edges of (lam_i - lam_j) w theta, lam = phi'(u); NaN if undefined."""
+    with np.errstate(invalid="ignore"):
+        vals = (lam[rows] - lam[cols]) * w
+    if not np.all(np.isfinite(lam)):  # an infinite slope against zero flux pairs to 0
+        vals[(w == 0.0) & ~np.isfinite(vals)] = 0.0
+    return float(vals @ th)
 
 
 def trajectory_L(traj, triple: DissipationTriple, theta, pi, report: bool = False):

@@ -63,6 +63,55 @@ def test_verify_round_trip_byte_identical(tmp_path):
     assert (out / "ledger.json").read_bytes() == (vout / "ledger.json").read_bytes()
 
 
+PUNCTURED_GRID = {
+    "schema": 1,
+    "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 12},
+    "kernel": {"type": "fractional", "s": 0.75,
+               "mask": {"type": "punctured", "split": 0.0}},
+    "triple": "quadratic",
+    "initial": {"type": "step", "left": 2.0, "right": 0.5, "split": -0.5},
+    "T": 0.3,
+    "integrator": {"checkpoints": 64},
+    "seed": 3,
+}
+
+
+@pytest.mark.parametrize("base", [TWO_POINT, PUNCTURED_GRID], ids=["two_point", "punctured"])
+def test_verify_flux_round_trip_byte_identical(tmp_path, base):
+    cfg = write_config(tmp_path, dict(base, export_flux=True))
+    out, vout = tmp_path / "out", tmp_path / "vout"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(out / "flux.csv"), "--out", str(vout)]) == 0
+    assert (out / "ledger.json").read_bytes() == (vout / "ledger.json").read_bytes()
+
+
+def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
+    from jumpflow.evolution import flux_from_csv, trajectory_from_csv
+
+    cfg = write_config(tmp_path, dict(TWO_POINT, export_flux=True))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "flux.csv").read_text().splitlines()
+    # the two entries of edge {0, 1} at a middle checkpoint, one ulp up: still antisymmetric
+    m = 2 * (len(rows) // 4)
+    t, i, j, w = rows[m].split(",")
+    t2, i2, j2, w2 = rows[m + 1].split(",")
+    assert (t2, i2, j2) == (t, j, i) and float(w2) == -float(w)
+    w = float(np.nextafter(float(w), np.inf))
+    rows[m:m + 2] = [f"{t},{i},{j},{w!r}", f"{t},{j},{i},{-w!r}"]
+    epath = tmp_path / "flux_edited.csv"
+    epath.write_text("\n".join([header] + rows) + "\n")
+    traj = flux_from_csv(epath, trajectory_from_csv(out / "trajectory.csv"))
+    assert not traj.flux_is_linear(np.array([0]), np.array([1]))
+    vout = tmp_path / "vout"
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(epath), "--out", str(vout)]) == 0
+    ledger = json.loads((vout / "ledger.json").read_text())
+    assert ledger["verdict"] == "Balanced/Reflecting"
+    assert ledger["chain_ok"] and ledger["edb_ok"]
+
+
 def test_verify_rejects_truncated_csv(tmp_path):
     cfg = write_config(tmp_path, TWO_POINT)
     out = tmp_path / "out"
@@ -145,6 +194,17 @@ def test_initial_values_rejected_as_schema_errors(tmp_path, capsys, kind, values
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert f"config error at initial.{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,name", [("--checkpoints", "0", "checkpoints"),
+                                             ("--checkpoints", "-3", "checkpoints"),
+                                             ("--seed", "-1", "seed")])
+def test_run_overrides_rejected_as_schema_errors(tmp_path, capsys, flag, value, name):
+    cfg = write_config(tmp_path, TWO_POINT)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), flag, value]) == 2
+    assert f"config error at {name}:" in capsys.readouterr().err
     assert not out.exists()
 
 

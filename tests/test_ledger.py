@@ -1,14 +1,18 @@
 """Energy-dissipation certificates: balance, chain rule, pointwise form, verdicts."""
 
+import decimal
+
 import numpy as np
 import pytest
 
 from jumpflow.densities import canonical_triple
-from jumpflow.evolution import IntegratorConfig, Trajectory, continuity_residual, evolve
+from jumpflow.evolution import (IntegratorConfig, Trajectory, continuity_rates,
+                                continuity_residual, coupling_edges, evolve)
 from jumpflow.functionals import _checkpoint_pass, edb_integrand, entropy
 from jumpflow.ledger import (VERDICT_BALANCED, VERDICT_DISSIPATIVE, VERDICT_NEITHER,
-                             _lipschitz_battery, chain_rule_residual, edb_report, full_report,
-                             pointwise_edb, rce_battery, render_table, upgrade_verdict)
+                             _full_report, _lipschitz_battery, chain_rule_residual, edb_report,
+                             full_report, pointwise_edb, rce_battery, render_table,
+                             upgrade_verdict)
 from jumpflow.spaces import (build_graph, build_grid, coupling, fractional_kernel,
                              matrix_kernel, punctured_mask)
 
@@ -170,6 +174,10 @@ def punctured_grid(n=16):
     return sp, coupling(sp, fractional_kernel(sp, 0.75, mask=punctured_mask(sp, 0.0)))
 
 
+PASS_CASES = ["cosh_vacuum_two_point", "cosh_punctured", "quadratic_grid",
+              "quadratic_vacuum_grid"]
+
+
 def pass_case(name):
     if name == "cosh_vacuum_two_point":
         sp, coup = two_point()
@@ -183,19 +191,45 @@ def pass_case(name):
     return sp, coup, QUAD, np.where(sp.points < 0.0, 1.5, right)
 
 
-@pytest.mark.parametrize("name", ["cosh_vacuum_two_point", "cosh_punctured",
-                                  "quadratic_grid", "quadratic_vacuum_grid"])
+def exact_log_pairing(u, theta):
+    """Sum over the edges i < j of theta (ln u_i - ln u_j)(u_i - u_j) to 40 digits
+    (+inf when an edge joins a vacant and an occupied state): R + D of either
+    canonical triple on the linear flux."""
+    D = decimal.Decimal
+    total = D(0)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        x = [D(float(v)) for v in u]  # exact
+        ln = [v.ln() if v > 0 else None for v in x]
+        for i, j in zip(*coupling_edges(theta)[:2]):
+            if x[i] == x[j]:
+                continue
+            if x[i] == 0 or x[j] == 0:
+                return np.inf
+            total += D(float(theta[i, j])) * (ln[i] - ln[j]) * (x[i] - x[j])
+    return float(total)
+
+
+@pytest.mark.parametrize("name", PASS_CASES)
 def test_checkpoint_pass_matches_single_snapshot_oracles(name):
     sp, coup, triple, u0 = pass_case(name)
     traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
-    cp = _checkpoint_pass(traj, triple, coup.theta, sp.pi)
+    cp = _checkpoint_pass(traj, triple, coup.theta, sp.pi)  # Fenchel split
+    edge = _checkpoint_pass(traj, triple, coup.theta, sp.pi, linear=False)  # per-edge R + D
+    assert cp.linear_flux and not edge.linear_flux
+    # minus the net flux is the rate of the indicator of each state
+    phis = np.column_stack([np.eye(sp.n)] + [phi for _, phi in
+                                            _lipschitz_battery(sp.points, sp.dist, 0)])
+    rates = [continuity_rates(traj, coup.theta, phis, linear) for linear in (True, False)]
     for k, u in enumerate(traj.densities):
         w = traj.flux_at(k)
-        np.testing.assert_allclose(cp.integrand[k], edb_integrand(u, w, triple, coup.theta),
+        np.testing.assert_allclose(cp.integrand[k], exact_log_pairing(u, coup.theta),
                                    rtol=1e-12)
-        assert cp.entropy[k] == entropy(u, sp.pi, triple.entropy)
-        np.testing.assert_allclose(cp.net_flux[k], (w * coup.theta).sum(axis=1),
-                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(edge.integrand[k], edb_integrand(u, w, triple, coup.theta),
+                                   rtol=1e-12)
+        assert cp.entropy[k] == edge.entropy[k] == entropy(u, sp.pi, triple.entropy)
+        for r in rates:
+            np.testing.assert_allclose(r[k], -(w * coup.theta).sum(axis=1) @ phis,
+                                       rtol=1e-12, atol=1e-14)
         lam = triple.entropy.dphi_ext(u)
         with np.errstate(invalid="ignore"):
             grad = lam[None, :] - lam[:, None]
@@ -203,8 +237,9 @@ def test_checkpoint_pass_matches_single_snapshot_oracles(name):
         vals = np.where((w == 0.0) & ~np.isfinite(grad), 0.0, vals)
         np.fill_diagonal(vals, 0.0)
         pairing = np.nan if np.any(np.isnan(vals)) else 0.5 * np.sum(vals)
-        np.testing.assert_allclose(cp.pairing[k], pairing, rtol=1e-12, atol=1e-14)
-    assert np.isinf(cp.integrand[0]) == ("vacuum" in name)
+        for p in (cp.pairing[k], edge.pairing[k]):
+            np.testing.assert_allclose(p, pairing, rtol=1e-12, atol=1e-14)
+    assert np.isinf(cp.integrand[0]) == np.isinf(edge.integrand[0]) == ("vacuum" in name)
 
 
 def test_rce_battery_equals_member_by_member_residuals():
@@ -220,14 +255,13 @@ def test_rce_battery_equals_member_by_member_residuals():
 
 
 def test_stored_flux_copy_gives_the_same_full_report():
-    sp, coup = punctured_grid()
-    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.5), 0.3,
-                  IntegratorConfig(checkpoints=64))
-    store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
-    stored = Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
-    mask = sp.points < 0.0
-    a = full_report(traj, COSH, sp, coup.theta, sp.pi, mask=mask).to_dict()
-    b = full_report(stored, COSH, sp, coup.theta, sp.pi, mask=mask).to_dict()
+    # a stored copy of the linear flux is recognised as linear and takes the
+    # Fenchel split; the per-edge R + D pass with net-flux rates is the oracle
+    sp60 = build_grid(-1.0, 1.0, 60)
+    coup60 = coupling(sp60, fractional_kernel(sp60, 0.6, mask=punctured_mask(sp60, 0.0)))
+    cases = [(name, *pass_case(name)) for name in PASS_CASES]
+    cases.append(("quadratic_punctured_60", sp60, coup60, QUAD,
+                  np.where(sp60.points < -0.5, 1.5, 0.4)))
 
     def close(x, y):
         if isinstance(x, dict):
@@ -236,4 +270,16 @@ def test_stored_flux_copy_gives_the_same_full_report():
             return abs(x - y) <= 1e-12
         return x == y
 
-    assert close(a, b)
+    for name, sp, coup, triple, u0 in cases:
+        traj = evolve(coup, triple, u0, 0.3, IntegratorConfig(checkpoints=64))
+        store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
+        stored = Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
+        mask = sp.points < 0.0 if "punctured" in name else None
+        args = (sp, coup.theta, sp.pi, None, 0, mask, 1e-8)
+        split = _checkpoint_pass(stored, triple, coup.theta, sp.pi)
+        edge = _checkpoint_pass(stored, triple, coup.theta, sp.pi, linear=False)
+        assert split.linear_flux and split.integrand is split.pairing
+        a = _full_report(stored, split, *args).to_dict()
+        b = _full_report(stored, edge, *args).to_dict()
+        assert close(a, b), name
+        assert a == full_report(traj, triple, sp, coup.theta, sp.pi, mask=mask).to_dict()
