@@ -92,14 +92,15 @@ def build_space(cfg, path="space"):
 
 
 def build_kernel(cfg, space, path="kernel"):
+    """The configured kernel and the split of its punctured mask (None without one)."""
     _require_keys(cfg, path, ["type"], ["s", "mask", "cutoff", "rates"])
     kind = cfg["type"]
+    split = None
     if kind == "fractional":
         _require_keys(cfg, path, ["type", "s"], ["mask", "cutoff"])
         s = _number(cfg["s"], f"{path}.s")
         if not (0 < s < 1):
             raise SchemaError(f"{path}.s", "must lie in (0, 1)")
-        mask = None
         mask_arr = None
         if "mask" in cfg and cfg["mask"] is not None:
             mcfg = cfg["mask"]
@@ -128,8 +129,7 @@ def build_kernel(cfg, space, path="kernel"):
         if eps <= 0:
             raise SchemaError(f"{path}.cutoff", "must be positive")
         kernel = spaces.cutoff(kernel, space, eps)
-    mask_flag = mask_arr if kind == "fractional" else None
-    return kernel, mask_flag
+    return kernel, split
 
 
 def build_initial(cfg, space, path="initial"):
@@ -195,7 +195,7 @@ def parse_run_config(cfg):
     if cfg["schema"] != 1:
         raise SchemaError("config.schema", "unsupported schema version")
     space = build_space(cfg["space"])
-    kernel, mask = build_kernel(cfg["kernel"], space)
+    kernel, mask_split = build_kernel(cfg["kernel"], space)
     if cfg["triple"] not in ("cosh", "quadratic"):
         raise SchemaError("config.triple", "must be 'cosh' or 'quadratic'")
     triple = canonical_triple(cfg["triple"])
@@ -212,10 +212,9 @@ def parse_run_config(cfg):
             raise SchemaError("config.tol_rel", "must be positive")
     export_flux = bool(cfg.get("export_flux", False))
     return {
-        "space": space, "kernel": kernel, "mask": mask, "triple": triple, "u0": u0,
-        "T": T, "integrator": config, "seed": seed, "export_flux": export_flux,
+        "space": space, "kernel": kernel, "mask_split": mask_split, "triple": triple,
+        "u0": u0, "T": T, "integrator": config, "seed": seed, "export_flux": export_flux,
         "tol_rel": tol_rel, "cutoff_eps": (cfg["kernel"] or {}).get("cutoff"),
-        "mask_split": (cfg["kernel"].get("mask") or {}).get("split", 0.0),
     }
 
 
@@ -254,6 +253,15 @@ def _write_json(path, obj):
     atomic_write(path, json_text(obj) + "\n")
 
 
+def _write_csv_json(out, stem, lines, obj):
+    """Write stem.csv (``lines``, newline-terminated) and stem.json, then print the
+    JSON.  It is rendered before the first write, so a failure leaves no lone CSV."""
+    payload = json_text(obj)
+    atomic_write(os.path.join(out, stem + ".csv"), "\n".join(lines + [""]))
+    atomic_write(os.path.join(out, stem + ".json"), payload + "\n")
+    print(payload)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -263,12 +271,11 @@ def _ledger_for(parsed, traj):
     tol_rel = parsed["tol_rel"]
     if tol_rel is None:
         tol_rel = ledger.default_tolerance(parsed["cutoff_eps"])
-    mask_vec = None
-    if parsed["mask"] is not None:
-        mask_vec = parsed["space"].points < parsed["mask_split"]
+    split = parsed["mask_split"]
+    mask = None if split is None else parsed["space"].points < split
     return ledger.full_report(traj, parsed["triple"], parsed["space"], coup.theta,
                               parsed["space"].pi, tol_rel=tol_rel, seed=parsed["seed"],
-                              mask=mask_vec)
+                              mask=mask)
 
 
 def cmd_run(args):
@@ -342,11 +349,7 @@ def cmd_sweep(args):
     for eps, gap, res in zip(result.eps_list, gaps, result.edb_residuals):
         gap_s = "" if not np.isfinite(gap) else format(gap, ".17g")
         lines.append(f"{format(eps, '.17g')},{gap_s},{format(res, '.17g')}")
-    lines.append("")
-    payload = json_text(result.to_dict())  # rendered before the first write: no lone CSV
-    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
-    atomic_write(os.path.join(args.out, stem + ".json"), payload + "\n")
-    print(payload)
+    _write_csv_json(args.out, stem, lines, result.to_dict())
     return EXIT_OK
 
 
@@ -366,11 +369,7 @@ def cmd_probe(args):
     lines = ["delta,seminorm"]
     for d, v in zip(result.deltas, result.seminorms):
         lines.append(f"{format(d, '.17g')},{format(v, '.17g')}")
-    lines.append("")
-    payload = json_text(result.to_dict())  # rendered before the first write: no lone CSV
-    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
-    atomic_write(os.path.join(args.out, stem + ".json"), payload + "\n")
-    print(payload)
+    _write_csv_json(args.out, stem, lines, result.to_dict())
     return EXIT_OK
 
 
@@ -384,14 +383,6 @@ def cmd_lift(args):
         raise SchemaError("s", str(exc))
     lifted = experiments.build_lift(base, kernel, args.N)
     verdict = experiments.key_estimate_check(lifted)
-    payload = json_text({  # rendered before the first write: no lone CSV
-        "schema": 1,
-        "m": args.m,
-        "N": args.N,
-        "configs": lifted.n_configs,
-        "pi_total": float(lifted.space.pi.sum()),
-        "verdict": {k: jsonify(v) for k, v in verdict.items()},
-    })
     stem = f"lift_m{args.m}_N{args.N}"
     lines = ["from_config,to_config,w2_squared,jump_bound"]
     for k, z, y, j in experiments.one_particle_jumps(lifted.configs, lifted.index):
@@ -399,10 +390,14 @@ def cmd_lift(args):
             lifted.configs[k], lifted.configs[j],
             format(lifted.space.dist[k, j] ** 2, ".17g"),
             format(base.dist[z, y] ** 2 / args.N, ".17g")))
-    lines.append("")
-    atomic_write(os.path.join(args.out, stem + ".csv"), "\n".join(lines))
-    atomic_write(os.path.join(args.out, stem + ".json"), payload + "\n")
-    print(payload)
+    _write_csv_json(args.out, stem, lines, {
+        "schema": 1,
+        "m": args.m,
+        "N": args.N,
+        "configs": lifted.n_configs,
+        "pi_total": float(lifted.space.pi.sum()),
+        "verdict": {k: jsonify(v) for k, v in verdict.items()},
+    })
     return EXIT_OK if verdict["ok"] else EXIT_NUMERICAL
 
 

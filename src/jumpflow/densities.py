@@ -122,9 +122,10 @@ def _psi_star_cosh(xi):
 
 
 def _psi_cosh(w):
-    # conjugate of 4(cosh(xi/2) - 1)
+    # conjugate of 4(cosh(xi/2) - 1), 2w asinh(w/2) - 2 (sqrt(4 + w^2) - 2), with the
+    # bracket as w^2 / (sqrt(4 + w^2) + 2): nothing cancels near 0, w^2 is never formed
     w = np.asarray(w, dtype=float)
-    out = 2.0 * w * np.arcsinh(0.5 * w) - 2.0 * np.sqrt(4.0 + w**2) + 4.0
+    out = 2.0 * w * np.arcsinh(0.5 * w) - 2.0 * w * (w / (np.hypot(2.0, w) + 2.0))
     return out if out.ndim else float(out)
 
 
@@ -283,14 +284,18 @@ def d_phi(triple: DissipationTriple, u, v):
 
     Closed-form lower semicontinuous envelopes for the canonical triples:
     quadratic-Boltzmann  (v - u)(log v - log u)/2, +inf when exactly one
-    argument vanishes; cosh-Boltzmann  2 (sqrt v - sqrt u)^2 everywhere.
+    argument vanishes; cosh-Boltzmann  2 (sqrt v - sqrt u)^2 everywhere, taken
+    as 2 ((v - u) / (sqrt v + sqrt u))^2 so nearby u, v do not cancel.
     Generic triples fall back to the raw product psi*(Lambda) alpha without
     envelope computation.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if triple.name == "cosh":
-        out = 2.0 * (np.sqrt(np.maximum(v, 0.0)) - np.sqrt(np.maximum(u, 0.0))) ** 2
+        u, v = np.maximum(u, 0.0), np.maximum(v, 0.0)
+        roots = np.sqrt(v) + np.sqrt(u)
+        with np.errstate(invalid="ignore"):
+            out = np.where(roots > 0, 2.0 * ((v - u) / roots) ** 2, 0.0)
         return out if out.ndim else float(out)
     if triple.name == "quadratic":
         with np.errstate(divide="ignore", invalid="ignore"):

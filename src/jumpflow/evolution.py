@@ -21,7 +21,7 @@ from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform
 
 __all__ = [
     "IncompatibleTripleError", "NumericalError", "IntegratorConfig", "Trajectory",
-    "generator", "evolve", "coupling_edges", "net_flux", "continuity_rates",
+    "generator", "evolve", "coupling_edges", "continuity_rates",
     "continuity_spreads", "continuity_residual", "concatenate",
     "trajectory_csv_text", "trajectory_from_csv",
     "flux_csv_text", "flux_from_csv",
@@ -68,12 +68,15 @@ class Trajectory:
     data: ``flux_store=None`` declares the compatible linear flux
     w_ij = u_i - u_j, the only flux ``evolve`` produces; otherwise the store
     holds one exactly antisymmetric (n, n) snapshot per checkpoint.
+    ``linear_flux`` records, once, whether the flux is that linear flux on
+    every pair at every checkpoint (exactly; a store one ulp off is not).
     """
 
     times: np.ndarray               # (K+1,), starts at 0
     densities: np.ndarray           # (K+1, n)
     flux_store: Optional[np.ndarray] = None  # (K+1, n, n) when stored
     meta: dict = field(default_factory=dict)
+    linear_flux: bool = field(default=True, init=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -93,10 +96,13 @@ class Trajectory:
             w = np.asarray(self.flux_store, dtype=float)
             if w.shape != (t.size, u.shape[1], u.shape[1]):
                 raise ValueError("flux store must hold one (n, n) snapshot per checkpoint")
-            # snapshot by snapshot: no second (K+1, n, n) array
-            if not all(np.array_equal(wk, -wk.T) for wk in w):
-                raise ValueError("stored flux snapshots must be exactly antisymmetric")
+            linear = True
+            for wk, uk in zip(w, u):  # snapshot by snapshot: no second (K+1, n, n) array
+                if not np.array_equal(wk, -wk.T):
+                    raise ValueError("stored flux snapshots must be exactly antisymmetric")
+                linear = linear and np.array_equal(wk, uk[:, None] - uk[None, :])
             object.__setattr__(self, "flux_store", w)
+            object.__setattr__(self, "linear_flux", linear)
 
     @property
     def n(self) -> int:
@@ -116,13 +122,6 @@ class Trajectory:
             return self.flux_store[k][rows, cols]
         u = self.densities[k]
         return u[rows] - u[cols]
-
-    def flux_is_linear(self, rows, cols) -> bool:
-        """Whether the flux is exactly u_i - u_j on the edges (rows, cols) at every checkpoint."""
-        if self.flux_store is None:
-            return True
-        return all(np.array_equal(w[rows, cols], u[rows] - u[cols])
-                   for w, u in zip(self.flux_store, self.densities))
 
     def mass(self, pi) -> np.ndarray:
         return self.densities @ np.asarray(pi, dtype=float)
@@ -233,42 +232,28 @@ def coupling_edges(theta):
     return rows, cols, theta[rows, cols]
 
 
-def net_flux(traj: Trajectory, theta) -> np.ndarray:
-    """Net outflow series sum_j w_ij theta_ij, shape (K+1, n), of the
-    antisymmetric flux, read on the edges i < j."""
-    rows, cols, weights = coupling_edges(theta)
-    out = np.empty(traj.densities.shape)
-    for k in range(traj.times.size):
-        wt = traj.edge_flux(k, rows, cols) * weights
-        out[k] = np.bincount(rows, wt, traj.n) - np.bincount(cols, wt, traj.n)
-    return out
-
-
-def continuity_rates(traj: Trajectory, theta, phis, linear: Optional[bool] = None) -> np.ndarray:
+def continuity_rates(traj: Trajectory, theta, phis) -> np.ndarray:
     """Rate of sum_i phi_i u_i pi_i, (K+1, m) for the columns of ``phis`` (n, m):
-    -sum_i phi_i (net flux)_i, or on the linear flux -u . (L phi) with
-    (L phi)_i = sum_j theta_ij (phi_i - phi_j), exactly zero for a phi constant
-    on each coupling component.  ``linear`` None asks the trajectory."""
+    -sum over the edges i < j of w_ij d_ij, d_ij = (phi_i - phi_j) theta_ij, exactly
+    zero for a phi constant on each coupling component.  On the linear flux it is
+    -u . (L phi), (L phi)_i = sum_j theta_ij (phi_i - phi_j): one GEMM, no flux read."""
     rows, cols, weights = coupling_edges(theta)
     phis = np.asarray(phis, dtype=float)
-    if linear is None:
-        linear = traj.flux_is_linear(rows, cols)
-    if not linear:
-        return -(net_flux(traj, theta) @ phis)
     d = (phis[rows] - phis[cols]) * weights[:, None]
+    if not traj.linear_flux:
+        return -np.array([traj.edge_flux(k, rows, cols) @ d for k in range(traj.times.size)])
     lap = np.column_stack([np.bincount(rows, c, traj.n) - np.bincount(cols, c, traj.n)
                            for c in d.T])
     return -(traj.densities @ lap)
 
 
-def continuity_spreads(traj: Trajectory, theta, phis, pi,
-                       linear: Optional[bool] = None) -> np.ndarray:
+def continuity_spreads(traj: Trajectory, theta, phis, pi) -> np.ndarray:
     """Continuity-equation defect spread for each column of ``phis`` (n, m): the
     increment of sum_i phi_i u_i pi_i minus its time-quadratured rate
     (``continuity_rates``) on [s, t], spread over all checkpoint pairs."""
     phis = np.asarray(phis, dtype=float)
     obs = traj.densities @ (phis * np.asarray(pi, dtype=float)[:, None])
-    rates = continuity_rates(traj, theta, phis, linear)
+    rates = continuity_rates(traj, theta, phis)
     integrals = [cumulative_simpson_nonuniform(traj.times, rate)[0] for rate in rates.T]
     defect = (obs - obs[0]) - np.column_stack(integrals)
     return defect.max(axis=0) - defect.min(axis=0)

@@ -127,7 +127,6 @@ class _CheckpointPass:
     entropy: np.ndarray     # E(u_k)
     integrand: np.ndarray   # R(u_k, w_k) + D(u_k); the pairing itself under the Fenchel split
     pairing: np.ndarray     # 1/2 sum_ij -(phi'(u_j) - phi'(u_i)) w_ij theta_ij, NaN if undefined
-    linear_flux: bool       # w_ij = u_i - u_j on every coupling edge (evolution.continuity_rates)
 
     def ledger(self):
         """(ledger series, cumulative integral of R + D, singular-endpoint flag)."""
@@ -135,27 +134,25 @@ class _CheckpointPass:
         return self.entropy - self.entropy[0] + integral, integral, singular
 
 
-def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi,
-                     linear: Optional[bool] = None) -> _CheckpointPass:
+def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointPass:
     """One pass over the checkpoints that reads each flux snapshot once, on the
     edges i < j with theta_ij > 0: for an antisymmetric flux every ordered-pair
     summand of ``action_R``, ``fisher_D`` and the chain-rule pairing is symmetric.
-    On the linear flux of a canonical triple Fenchel-Young holds with equality on
-    every edge, so R + D is the pairing (the Fenchel split); otherwise R + D is
-    taken edge by edge.  ``linear`` None asks the trajectory; False forces the
-    per-edge pass."""
+    On the linear flux (``traj.linear_flux``) of a canonical triple Fenchel-Young
+    holds with equality on every edge, so R + D is the pairing (the Fenchel
+    split); otherwise R + D is taken edge by edge."""
     rows, cols, th = coupling_edges(theta)
     U = traj.densities
-    if linear is None:
-        linear = traj.flux_is_linear(rows, cols)
+    split = traj.linear_flux and triple.name in ("cosh", "quadratic")
     ent = entropy_series(U, pi, triple.entropy)
-    if linear and triple.name in ("cosh", "quadratic"):
-        g = np.array([_pairing(triple.entropy.dphi_ext(u), u[rows] - u[cols], rows, cols, th)
-                      for u in U])
-        return _CheckpointPass(traj.times, ent, g, g, True)
-    b, g = np.empty(U.shape[0]), np.empty(U.shape[0])
+    g = np.empty(U.shape[0])
+    b = g if split else np.empty(U.shape[0])
     for k, u in enumerate(U):
-        w, ui, uj = traj.edge_flux(k, rows, cols), u[rows], u[cols]
+        w = traj.edge_flux(k, rows, cols)
+        g[k] = _pairing(triple.entropy.dphi_ext(u), w, rows, cols, th)
+        if split:
+            continue
+        ui, uj = u[rows], u[cols]
         a = triple.flux.alpha(ui, uj)
         if np.any((a == 0) & (w != 0)):
             R = np.inf  # the flux charges an edge where alpha vanishes
@@ -165,8 +162,7 @@ def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi,
         dv = d_phi(triple, ui, uj)
         D = np.inf if np.any(np.isinf(dv)) else float(np.sum(dv * th))
         b[k] = R + D
-        g[k] = _pairing(triple.entropy.dphi_ext(u), w, rows, cols, th)
-    return _CheckpointPass(traj.times, ent, b, g, linear)
+    return _CheckpointPass(traj.times, ent, b, g)
 
 
 def _pairing(lam, w, rows, cols, th) -> float:

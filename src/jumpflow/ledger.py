@@ -239,16 +239,12 @@ def rce_battery(traj: Trajectory, space, theta, pi, seed: int = 0, mask=None) ->
     function, the discontinuous member of the quadratic test class that
     separates the reflecting equation from the plain one.
     """
-    return _rce_battery(traj, theta, None, space, pi, seed, mask)
-
-
-def _rce_battery(traj, theta, linear, space, pi, seed: int, mask) -> dict:
     battery = _lipschitz_battery(space.points, space.dist, seed)
     if mask is not None:
         step = np.where(np.asarray(mask, dtype=bool), 1.0, 0.0)
         battery.append(("component_step", step))
     phis = np.column_stack([phi_vals for _, phi_vals in battery])
-    spreads = continuity_spreads(traj, theta, phis, pi, linear)
+    spreads = continuity_spreads(traj, theta, phis, pi)
     return {name: float(r) for (name, _), r in zip(battery, spreads)}
 
 
@@ -274,18 +270,14 @@ def full_report(traj: Trajectory, triple: DissipationTriple, space, theta, pi,
                 rce_tol: float = 1e-8) -> LedgerReport:
     """Assemble the complete ledger: balance, chain rule, pointwise balance,
     continuity battery and the final verdict."""
-    return _full_report(traj, _checkpoint_pass(traj, triple, theta, pi), space, theta, pi,
-                        tol_rel, seed, mask, rce_tol)
-
-
-def _full_report(traj, cp, space, theta, pi, tol_rel, seed, mask, rce_tol) -> LedgerReport:
+    cp = _checkpoint_pass(traj, triple, theta, pi)
     report = _edb_report(traj, cp, pi, tol_rel, mask)
     report.chain_series, report.chain_inconclusive, chain_spread = _chain_rule(cp)
     if not report.chain_inconclusive:
         report.chain_ok = bool(np.isfinite(chain_spread) and chain_spread <= report.tol_abs)
         report.flags["chain_spread"] = chain_spread
     report.pointwise_series = _pointwise_edb(cp, min_width_rel=1e-4)
-    residuals = _rce_battery(traj, theta, cp.linear_flux, space, pi, seed, mask)
+    residuals = rce_battery(traj, space, theta, pi, seed, mask)
     mass_scale = max(float(traj.densities[0] @ np.asarray(pi, float)), 1e-300)
     lipschitz = {k: v for k, v in residuals.items() if k != "component_step"}
     report.ce_residual = max(lipschitz.values()) / mass_scale

@@ -103,7 +103,7 @@ def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
     traj = flux_from_csv(epath, trajectory_from_csv(out / "trajectory.csv"))
-    assert not traj.flux_is_linear(np.array([0]), np.array([1]))
+    assert not traj.linear_flux
     vout = tmp_path / "vout"
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
                  "--flux", str(epath), "--out", str(vout)]) == 0

@@ -1,5 +1,6 @@
 """Density maps against closed-form values and grid-search oracles."""
 
+import decimal
 import math
 
 import numpy as np
@@ -93,6 +94,22 @@ def test_legendre_closed_forms():
     assert legendre(quadratic_pair(), 2.0) == 2.0
 
 
+def decimal_psi_cosh(w):
+    """psi(w) = 2w asinh(w/2) - 2 sqrt(4 + w^2) + 4 to 60 digits, on |w| (psi is
+    even), with asinh(x) = ln(x + sqrt(x^2 + 1))."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        x = abs(decimal.Decimal(float(w)))  # exact
+        asinh = (x / 2 + (x * x / 4 + 1).sqrt()).ln()
+        return float(2 * x * asinh - 2 * (4 + x * x).sqrt() + 4)
+
+
+@pytest.mark.parametrize("w", [1e-8, -1e-8, 1e-6, 1e-4, 1e-2, 1.0, 30.0, 1e8, 1e200])
+def test_legendre_cosh_matches_a_decimal_reference(w):
+    # the textbook form cancels near 0 (8.3e-8 relative off at w = 1e-4) and
+    # overflows in w^2 at 1e200
+    assert legendre(cosh_pair(), w) == pytest.approx(decimal_psi_cosh(w), rel=1e-14, abs=0)
+
+
 def test_legendre_cosh_matches_grid_search():
     pair = cosh_pair()
     rng = np.random.default_rng(1)
@@ -170,6 +187,17 @@ def test_d_phi_closed_forms():
     assert d_phi(QUAD, 1.0, 0.0) == math.inf
     assert d_phi(QUAD, 0.0, 0.0) == 0.0
     assert d_phi(COSH, 0.0, 4.0) == pytest.approx(8.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("u, gap", [(1.0, 1e-8), (1e-3, 1e-6), (2.5, 1e-4), (7.0, 1e-2),
+                                    (1e-9, 1e-5), (1e6, 1e-12)])
+def test_d_phi_cosh_near_diagonal_matches_a_decimal_reference(u, gap):
+    # 2 (sqrt v - sqrt u)^2 to 60 digits; the float difference of roots cancels here
+    v = u * (1.0 + gap)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        exact = float(2 * (decimal.Decimal(v).sqrt() - decimal.Decimal(u).sqrt()) ** 2)
+    assert d_phi(COSH, u, v) == pytest.approx(exact, rel=1e-14, abs=0)
+    assert d_phi(COSH, v, u) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def test_d_phi_matches_product_off_degeneracy():

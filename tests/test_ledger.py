@@ -10,7 +10,7 @@ from jumpflow.evolution import (IntegratorConfig, Trajectory, continuity_rates,
                                 continuity_residual, coupling_edges, evolve)
 from jumpflow.functionals import _checkpoint_pass, edb_integrand, entropy
 from jumpflow.ledger import (VERDICT_BALANCED, VERDICT_DISSIPATIVE, VERDICT_NEITHER,
-                             _full_report, _lipschitz_battery, chain_rule_residual, edb_report,
+                             _lipschitz_battery, chain_rule_residual, edb_report,
                              full_report, pointwise_edb, rce_battery, render_table,
                              upgrade_verdict)
 from jumpflow.spaces import (build_graph, build_grid, coupling, fractional_kernel,
@@ -209,36 +209,53 @@ def exact_log_pairing(u, theta):
     return float(total)
 
 
+def one_ulp_off(traj, theta):
+    """A stored copy of the linear flux with the entry pair of the last checkpoint's
+    largest coupling-edge flux moved one ulp, kept antisymmetric: the data that
+    sends the checkpoint pass down its per-edge R + D branch."""
+    store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
+    rows, cols, _ = coupling_edges(theta)
+    e = np.argmax(np.abs(store[-1][rows, cols]))
+    i, j = rows[e], cols[e]
+    store[-1, i, j] = np.nextafter(store[-1, i, j], np.inf)
+    store[-1, j, i] = -store[-1, i, j]
+    return Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
+
+
 @pytest.mark.parametrize("name", PASS_CASES)
 def test_checkpoint_pass_matches_single_snapshot_oracles(name):
     sp, coup, triple, u0 = pass_case(name)
     traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
+    off = one_ulp_off(traj, coup.theta)
+    assert traj.linear_flux and not off.linear_flux
     cp = _checkpoint_pass(traj, triple, coup.theta, sp.pi)  # Fenchel split
-    edge = _checkpoint_pass(traj, triple, coup.theta, sp.pi, linear=False)  # per-edge R + D
-    assert cp.linear_flux and not edge.linear_flux
+    edge = _checkpoint_pass(off, triple, coup.theta, sp.pi)  # per-edge R + D
+    assert cp.integrand is cp.pairing and edge.integrand is not edge.pairing
     # minus the net flux is the rate of the indicator of each state
     phis = np.column_stack([np.eye(sp.n)] + [phi for _, phi in
                                             _lipschitz_battery(sp.points, sp.dist, 0)])
-    rates = [continuity_rates(traj, coup.theta, phis, linear) for linear in (True, False)]
+    runs = [(t, p, continuity_rates(t, coup.theta, phis))
+            for t, p in ((traj, cp.pairing), (off, edge.pairing))]
     for k, u in enumerate(traj.densities):
-        w = traj.flux_at(k)
-        np.testing.assert_allclose(cp.integrand[k], exact_log_pairing(u, coup.theta),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(edge.integrand[k], edb_integrand(u, w, triple, coup.theta),
+        exact = exact_log_pairing(u, coup.theta)
+        np.testing.assert_allclose(cp.integrand[k], exact, rtol=1e-12)
+        np.testing.assert_allclose(edge.integrand[k], exact, rtol=1e-12)
+        np.testing.assert_allclose(edge.integrand[k],
+                                   edb_integrand(u, off.flux_at(k), triple, coup.theta),
                                    rtol=1e-12)
         assert cp.entropy[k] == edge.entropy[k] == entropy(u, sp.pi, triple.entropy)
-        for r in rates:
-            np.testing.assert_allclose(r[k], -(w * coup.theta).sum(axis=1) @ phis,
-                                       rtol=1e-12, atol=1e-14)
         lam = triple.entropy.dphi_ext(u)
-        with np.errstate(invalid="ignore"):
-            grad = lam[None, :] - lam[:, None]
-            vals = np.where(coup.theta > 0, -grad * w * coup.theta, 0.0)
-        vals = np.where((w == 0.0) & ~np.isfinite(grad), 0.0, vals)
-        np.fill_diagonal(vals, 0.0)
-        pairing = np.nan if np.any(np.isnan(vals)) else 0.5 * np.sum(vals)
-        for p in (cp.pairing[k], edge.pairing[k]):
-            np.testing.assert_allclose(p, pairing, rtol=1e-12, atol=1e-14)
+        for t, p, rates in runs:
+            w = t.flux_at(k)
+            np.testing.assert_allclose(rates[k], -(w * coup.theta).sum(axis=1) @ phis,
+                                       rtol=1e-12, atol=1e-14)
+            with np.errstate(invalid="ignore"):
+                grad = lam[None, :] - lam[:, None]
+                vals = np.where(coup.theta > 0, -grad * w * coup.theta, 0.0)
+            vals = np.where((w == 0.0) & ~np.isfinite(grad), 0.0, vals)
+            np.fill_diagonal(vals, 0.0)
+            pairing = np.nan if np.any(np.isnan(vals)) else 0.5 * np.sum(vals)
+            np.testing.assert_allclose(p[k], pairing, rtol=1e-12, atol=1e-14)
     assert np.isinf(cp.integrand[0]) == np.isinf(edge.integrand[0]) == ("vacuum" in name)
 
 
@@ -255,8 +272,9 @@ def test_rce_battery_equals_member_by_member_residuals():
 
 
 def test_stored_flux_copy_gives_the_same_full_report():
-    # a stored copy of the linear flux is recognised as linear and takes the
-    # Fenchel split; the per-edge R + D pass with net-flux rates is the oracle
+    # an exact stored copy of the linear flux is linear data and gives exactly the
+    # storeless report; a copy one ulp off takes the per-edge R + D pass and the
+    # per-checkpoint flux rates, which must agree with it
     sp60 = build_grid(-1.0, 1.0, 60)
     coup60 = coupling(sp60, fractional_kernel(sp60, 0.6, mask=punctured_mask(sp60, 0.0)))
     cases = [(name, *pass_case(name)) for name in PASS_CASES]
@@ -274,12 +292,12 @@ def test_stored_flux_copy_gives_the_same_full_report():
         traj = evolve(coup, triple, u0, 0.3, IntegratorConfig(checkpoints=64))
         store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
         stored = Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
-        mask = sp.points < 0.0 if "punctured" in name else None
-        args = (sp, coup.theta, sp.pi, None, 0, mask, 1e-8)
+        off = one_ulp_off(traj, coup.theta)
+        assert stored.linear_flux and not off.linear_flux
         split = _checkpoint_pass(stored, triple, coup.theta, sp.pi)
-        edge = _checkpoint_pass(stored, triple, coup.theta, sp.pi, linear=False)
-        assert split.linear_flux and split.integrand is split.pairing
-        a = _full_report(stored, split, *args).to_dict()
-        b = _full_report(stored, edge, *args).to_dict()
-        assert close(a, b), name
-        assert a == full_report(traj, triple, sp, coup.theta, sp.pi, mask=mask).to_dict()
+        assert split.integrand is split.pairing
+        mask = sp.points < 0.0 if "punctured" in name else None
+        args = (triple, sp, coup.theta, sp.pi)
+        a = full_report(traj, *args, mask=mask).to_dict()
+        assert full_report(stored, *args, mask=mask).to_dict() == a, name
+        assert close(full_report(off, *args, mask=mask).to_dict(), a), name
