@@ -122,10 +122,14 @@ def _psi_star_cosh(xi):
 
 
 def _psi_cosh(w):
-    # conjugate of 4(cosh(xi/2) - 1), 2w asinh(w/2) - 2 (sqrt(4 + w^2) - 2), with the
-    # bracket as w^2 / (sqrt(4 + w^2) + 2): nothing cancels near 0, w^2 is never formed
-    w = np.asarray(w, dtype=float)
-    out = 2.0 * w * np.arcsinh(0.5 * w) - 2.0 * w * (w / (np.hypot(2.0, w) + 2.0))
+    # conjugate of 4(cosh(xi/2) - 1), 2a asinh(a/2) - 2 (sqrt(4 + a^2) - 2) on a = |w|,
+    # as 2a (asinh(a/2) - r) with r = a / (sqrt(4 + a^2) + 2) in [0, 1]: nothing cancels
+    # near 0, a^2 is never formed, and from |w| ~ 1.3e305 on the product overflows to
+    # +inf, which is psi's value there (r is its limit 1 at a = inf)
+    a = np.abs(np.asarray(w, dtype=float))
+    r = np.divide(a, np.hypot(2.0, a) + 2.0, out=np.ones_like(a), where=~np.isinf(a))
+    with np.errstate(over="ignore"):
+        out = 2.0 * a * (np.arcsinh(0.5 * a) - r)
     return out if out.ndim else float(out)
 
 

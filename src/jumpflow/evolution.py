@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -313,19 +314,27 @@ def trajectory_from_csv(path) -> Trajectory:
 
 
 def flux_csv_text(traj: Trajectory) -> str:
-    lines = ["t,i,j,w"]
-    for k, t in enumerate(traj.times):
-        w, t_s = traj.flux_at(k), _fmt(t)
-        lines += [f"{t_s},{i},{j},{_fmt(w[i, j])}" for i, j in zip(*np.nonzero(w)) if i != j]
-    lines.append("")
-    return "\n".join(lines)
+    """The flux as 't,i,j,w' lines, one per nonzero entry with i < j: the flux
+    is antisymmetric, so `flux_from_csv` restores w_ji = -w_ij by mirroring."""
+    rows, cols = np.triu_indices(traj.n, 1)
+    edges = [f",{i},{j}," for i, j in zip(rows.tolist(), cols.tolist())]
+    chunks = ["t,i,j,w\n"]
+    for k, t in enumerate(traj.times.tolist()):
+        w, t_s = traj.edge_flux(k, rows, cols), _fmt(t)
+        nonzero = (w != 0).tolist()
+        chunks.append("".join([f"{t_s}{e}{x:.17g}\n" for e, x in
+                               zip(compress(edges, nonzero), compress(w.tolist(), nonzero))]))
+    return "".join(chunks)
 
 
 def flux_from_csv(path, traj: Trajectory) -> Trajectory:
-    """Attach the flux of a 't,i,j,w' CSV to ``traj`` as a store; entries not
-    listed are zero.  Raises ValueError for a time off the trajectory grid
+    """Attach the flux of a 't,i,j,w' CSV to ``traj`` as a store.  Each entry
+    w_ij also sets its mirror w_ji = -w_ij, so the file may list each pair once
+    (as `flux_csv_text` writes it) or both halves (the legacy layout); pairs
+    not listed are zero.  Raises ValueError for a time off the trajectory grid
     (exact float match), a state index outside [0, n), a diagonal entry, a
-    repeated (t, i, j) entry or a store that is not antisymmetric."""
+    non-finite value, a repeated (t, i, j) entry or two listed halves of a pair
+    that are not exact negatives (the store would not be antisymmetric)."""
     with open(path) as fh:
         if fh.readline().strip() != "t,i,j,w":
             raise ValueError("flux CSV must start with the 't,i,j,w' header")
@@ -336,6 +345,9 @@ def flux_from_csv(path, traj: Trajectory) -> Trajectory:
         raise ValueError("flux CSV rows must have the four fields t,i,j,w")
     data = data.reshape(-1, 4)
     t, ij, w = data[:, 0], data[:, 1:3], data[:, 3]
+    finite = np.isfinite(w)
+    if not np.all(finite):
+        raise ValueError(f"flux CSV value {_fmt(w[np.argmin(finite)])} is not finite")
     K, n = traj.times.size, traj.n
     k = np.minimum(np.searchsorted(traj.times, t), K - 1)
     off_grid = traj.times[k] != t
@@ -350,7 +362,8 @@ def flux_from_csv(path, traj: Trajectory) -> Trajectory:
     ordered = np.sort(flat)  # np.unique is ~60x slower here (numpy 2.4, 1.5 M entries)
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("flux CSV lists a (t, i, j) entry twice")
-    store = np.zeros((K, n, n))
-    store.reshape(-1)[flat] = w
-    return Trajectory(times=traj.times, densities=traj.densities, flux_store=store,
-                      meta=dict(traj.meta))
+    store = np.zeros(K * n * n)
+    store[(k * n + j) * n + i] = -w  # the mirror; a listed other half overrides it
+    store[flat] = w
+    return Trajectory(times=traj.times, densities=traj.densities,
+                      flux_store=store.reshape(K, n, n), meta=dict(traj.meta))

@@ -86,20 +86,52 @@ def test_verify_flux_round_trip_byte_identical(tmp_path, base):
     assert (out / "ledger.json").read_bytes() == (vout / "ledger.json").read_bytes()
 
 
+def legacy_flux_csv_text(traj):
+    """The both-halves layout written before flux.csv listed each pair once:
+    one line per nonzero off-diagonal entry, row-major."""
+    lines = ["t,i,j,w"]
+    for k, t in enumerate(traj.times):
+        w, t_s = traj.flux_at(k), format(float(t), ".17g")
+        lines += [f"{t_s},{i},{j},{format(float(w[i, j]), '.17g')}"
+                  for i, j in zip(*np.nonzero(w)) if i != j]
+    lines.append("")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("base", [TWO_POINT, PUNCTURED_GRID], ids=["two_point", "punctured"])
+def test_verify_flux_reads_the_legacy_both_halves_layout(tmp_path, base):
+    from jumpflow.evolution import flux_from_csv, trajectory_from_csv
+
+    cfg = write_config(tmp_path, dict(base, export_flux=True))
+    out, vout = tmp_path / "out", tmp_path / "vout"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    traj = trajectory_from_csv(out / "trajectory.csv")
+    legacy = tmp_path / "flux_legacy.csv"
+    legacy.write_text(legacy_flux_csv_text(traj))
+    n_pairs = len((out / "flux.csv").read_text().splitlines()) - 1
+    assert len(legacy.read_text().splitlines()) == 1 + 2 * n_pairs
+    np.testing.assert_array_equal(flux_from_csv(legacy, traj).flux_store,
+                                  flux_from_csv(out / "flux.csv", traj).flux_store)
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(legacy), "--out", str(vout)]) == 0
+    assert (out / "ledger.json").read_bytes() == (vout / "ledger.json").read_bytes()
+
+
 def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
     from jumpflow.evolution import flux_from_csv, trajectory_from_csv
 
     cfg = write_config(tmp_path, dict(TWO_POINT, export_flux=True))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    header, *rows = (out / "flux.csv").read_text().splitlines()
-    # the two entries of edge {0, 1} at a middle checkpoint, one ulp up: still antisymmetric
-    m = 2 * (len(rows) // 4)
+    text = (out / "flux.csv").read_text()
+    header, *rows = text.splitlines()
+    # edge {0, 1} at a middle checkpoint, listed once (i < j), one ulp up; the
+    # reader mirrors it, so the store stays antisymmetric
+    m = len(rows) // 2
     t, i, j, w = rows[m].split(",")
-    t2, i2, j2, w2 = rows[m + 1].split(",")
-    assert (t2, i2, j2) == (t, j, i) and float(w2) == -float(w)
+    assert int(i) < int(j) and f"\n{t},{j},{i}," not in text and float(w) != 0.0
     w = float(np.nextafter(float(w), np.inf))
-    rows[m:m + 2] = [f"{t},{i},{j},{w!r}", f"{t},{j},{i},{-w!r}"]
+    rows[m] = f"{t},{i},{j},{w!r}"
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
     traj = flux_from_csv(epath, trajectory_from_csv(out / "trajectory.csv"))
@@ -142,7 +174,8 @@ def test_verify_edited_flux_degrades_verdict(tmp_path):
 
 
 @pytest.mark.parametrize("edit", ["index_too_large", "negative_index", "diagonal",
-                                  "duplicate", "time_off_grid", "not_antisymmetric"])
+                                  "duplicate", "time_off_grid", "not_antisymmetric",
+                                  "nan_value", "infinite_pair"])
 def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
     cfg_dict = dict(TWO_POINT, export_flux=True, integrator={"checkpoints": 16})
     cfg = write_config(tmp_path, cfg_dict)
@@ -156,14 +189,21 @@ def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
         "diagonal": [first, f"{t},1,1,0.5"],
         "duplicate": [first, first],
         "time_off_grid": [first, f"0.123456789,{i},{j},{w}"],
-        "not_antisymmetric": [f"{t},{i},{j},{2.0 * float(w)!r}"],
+        # a second half that is not the exact negative of the listed one
+        "not_antisymmetric": [first, f"{t},{j},{i},{2.0 * float(w)!r}"],
+        # a nan on the one line of its pair
+        "nan_value": [f"{t},{i},{j},nan"],
+        # exact negatives, both halves listed (the legacy layout), but not finite
+        "infinite_pair": [f"{t},{i},{j},inf", f"{t},{j},{i},-inf"],
     }[edit]
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows + rest) + "\n")
     capsys.readouterr()
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
                  "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
-    assert "config error at flux" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error at flux" in err
+    assert ("not finite" in err) == (edit in ("nan_value", "infinite_pair"))
     assert not (tmp_path / "vout").exists()
 
 

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ def test_legendre_cosh_matches_a_decimal_reference(w):
     # the textbook form cancels near 0 (8.3e-8 relative off at w = 1e-4) and
     # overflows in w^2 at 1e200
     assert legendre(cosh_pair(), w) == pytest.approx(decimal_psi_cosh(w), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("w", [math.inf, -math.inf, 1e308, -1e308, np.finfo(float).max])
+def test_legendre_cosh_overflows_to_inf(w):
+    # psi(w) ~ 2|w| log|w| passes the float max near |w| = 1.3e305; the
+    # two-term form gave inf - inf = NaN (and RuntimeWarnings) once 2w overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert legendre(cosh_pair(), w) == math.inf
+        assert np.all(legendre(cosh_pair(), np.array([w, -w, 1.0]))[:2] == math.inf)
 
 
 def test_legendre_cosh_matches_grid_search():

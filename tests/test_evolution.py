@@ -339,6 +339,46 @@ def test_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(withflux.flux_at(3), traj.flux_at(3))
 
 
+def test_flux_csv_lists_each_nonzero_pair_once(tmp_path):
+    sp = build_grid(-1.0, 1.0, 8)
+    coup = coupling(sp, fractional_kernel(sp, 0.75))
+    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 1.5, 0.5), 0.1,
+                  IntegratorConfig(checkpoints=8))
+    header, *rows = flux_csv_text(traj).splitlines()
+    assert header == "t,i,j,w"
+    fields = [r.split(",") for r in rows]
+    assert all(int(i) < int(j) for _, i, j, _ in fields)
+    upper = np.triu(np.ones((traj.n, traj.n), dtype=bool), 1)
+    assert len(rows) == sum(int(np.count_nonzero(traj.flux_at(k)[upper]))
+                            for k in range(traj.times.size))
+    # the same pairs listed as their j > i halves read to the same store
+    fpath, lower = tmp_path / "flux.csv", tmp_path / "flux_lower.csv"
+    fpath.write_text(flux_csv_text(traj))
+    lower.write_text("\n".join([header] + [f"{t},{j},{i},{-float(w)!r}" for t, i, j, w in fields])
+                     + "\n")
+    store = flux_from_csv(fpath, traj).flux_store
+    np.testing.assert_array_equal(flux_from_csv(lower, traj).flux_store, store)
+    np.testing.assert_array_equal(store, np.stack([traj.flux_at(k)
+                                                   for k in range(traj.times.size)]))
+
+
+def test_flux_csv_values_format_as_17_digit_floats(tmp_path):
+    vals = [0.0, 5e-324, 2.2250738585072009e-308, 1e-300, -1e-300, 1.0 / 3.0, -7.5, 1e300]
+    n = 5
+    rows, cols = np.triu_indices(n, 1)
+    store = np.zeros((2, n, n))
+    store[1, rows[:len(vals)], cols[:len(vals)]] = vals
+    store[1] -= store[1].T
+    traj = Trajectory(times=[0.0, 0.25], densities=np.ones((2, n)), flux_store=store)
+    lines = flux_csv_text(traj).splitlines()
+    expected = [f"0.25,{i},{j},{format(float(store[1, i, j]), '.17g')}"
+                for i, j in zip(rows, cols) if store[1, i, j] != 0]
+    assert lines == ["t,i,j,w"] + expected and len(expected) == len(vals) - 1
+    fpath = tmp_path / "flux.csv"
+    fpath.write_text("\n".join(lines) + "\n")
+    np.testing.assert_array_equal(flux_from_csv(fpath, traj).flux_store, store)
+
+
 def test_csv_text_ends_in_one_newline():
     _, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.3, IntegratorConfig(checkpoints=8))

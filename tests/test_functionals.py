@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from jumpflow.densities import canonical_triple, legendre
-from jumpflow.evolution import IntegratorConfig, concatenate, evolve
-from jumpflow.functionals import (Upsilon, action_R, entropy, f_upsilon, fisher_D,
-                                  trajectory_L)
+from jumpflow.evolution import IntegratorConfig, Trajectory, concatenate, evolve
+from jumpflow.functionals import (Upsilon, _checkpoint_pass, action_R, entropy, f_upsilon,
+                                  fisher_D, trajectory_L)
 from jumpflow.measures import PosMeasure, jordan_from_setfunction
 from jumpflow.spaces import build_grid, coupling, fractional_kernel, matrix_kernel
 
@@ -55,6 +55,18 @@ def test_action_recession():
     assert action_R(u, w, COSH, coup.theta) == math.inf
     # vanishing flux on the degenerate edge is free
     assert action_R(u, np.zeros((2, 2)), COSH, coup.theta) == 0.0
+
+
+def test_action_on_a_nearly_vacant_edge_is_inf():
+    # alpha = 1e-160 > 0, so the edge is active and w / alpha overflows to inf:
+    # psi(inf) is +inf, and so are R and the per-edge R + D, not NaN
+    sp, coup = two_point_system()
+    u = np.array([1e-160, 1e-160])
+    w = np.array([[0.0, 1e150], [-1e150, 0.0]])
+    assert action_R(u, w, COSH, coup.theta) == math.inf
+    traj = Trajectory(times=[0.0, 1.0], densities=np.stack([u, u]), flux_store=np.stack([w, w]))
+    assert not traj.linear_flux
+    assert np.all(_checkpoint_pass(traj, COSH, coup.theta, sp.pi).integrand == math.inf)
 
 
 def test_action_matches_perspective_by_hand():
