@@ -232,13 +232,16 @@ def load_config(path):
 # atomic output
 
 
-def atomic_write(path, text):
+def atomic_write(path, chunks):
+    """Write the strings of ``chunks`` (any iterable, consumed once) to ``path``
+    through a temp file and a rename; on any failure, a chunk generator raising
+    mid-write included, neither the file nor the temp file is left."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         umask = os.umask(0)  # mkstemp made the file 0600; give it the mode open() would
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -250,15 +253,15 @@ def atomic_write(path, text):
 
 
 def _write_json(path, obj):
-    atomic_write(path, json_text(obj) + "\n")
+    atomic_write(path, [json_text(obj) + "\n"])
 
 
 def _write_csv_json(out, stem, lines, obj):
     """Write stem.csv (``lines``, newline-terminated) and stem.json, then print the
     JSON.  It is rendered before the first write, so a failure leaves no lone CSV."""
     payload = json_text(obj)
-    atomic_write(os.path.join(out, stem + ".csv"), "\n".join(lines + [""]))
-    atomic_write(os.path.join(out, stem + ".json"), payload + "\n")
+    atomic_write(os.path.join(out, stem + ".csv"), ["\n".join(lines + [""])])
+    atomic_write(os.path.join(out, stem + ".json"), [payload + "\n"])
     print(payload)
 
 

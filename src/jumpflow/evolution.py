@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -285,19 +285,33 @@ def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# CSV export, 17 significant digits (exact float round trip)
+# CSV export, 17 significant digits (exact float round trip).  The writers yield
+# the text in chunks and the flux reader parses fixed blocks of lines, so the
+# CSV never has to sit in memory whole.
+
+CSV_BLOCK_LINES = 1 << 14  # lines per parse of the flux reader, values per trajectory chunk
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def trajectory_csv_text(traj: Trajectory) -> str:
-    lines = ["t," + ",".join(f"u_{i}" for i in range(traj.n))]
-    for k, t in enumerate(traj.times):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in traj.densities[k]]))
-    lines.append("")  # trailing newline, joined once
-    return "\n".join(lines)
+def trajectory_csv_text(traj: Trajectory) -> Iterator[str]:
+    """The trajectory as a 't,u_0,...' CSV, yielded in chunks of whole rows."""
+    yield "t," + ",".join(f"u_{i}" for i in range(traj.n)) + "\n"
+    row = ",".join(["%.17g"] * (traj.n + 1)) + "\n"
+    rows = max(1, CSV_BLOCK_LINES // (traj.n + 1))
+    for s in range(0, traj.times.size, rows):
+        block = np.column_stack([traj.times[s:s + rows], traj.densities[s:s + rows]])
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
+def _load_rows(fh, max_rows=None) -> np.ndarray:
+    """Up to ``max_rows`` comma-separated rows of an open file as a 2-d float
+    array, with no rows (and no loadtxt warning) at the end of the file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # input contained no data
+        return np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows)
 
 
 def trajectory_from_csv(path) -> Trajectory:
@@ -306,51 +320,38 @@ def trajectory_from_csv(path) -> Trajectory:
         n = len(header) - 1
         if n < 1 or header != ["t"] + [f"u_{i}" for i in range(n)]:
             raise ValueError("trajectory CSV must start with a 't,u_0,...' header")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        data = _load_rows(fh)
     if data.shape[0] == 0 or data.shape[1] != n + 1:
         raise ValueError("trajectory CSV needs at least one row of the header's width")
     return Trajectory(times=data[:, 0], densities=data[:, 1:])
 
 
-
-def flux_csv_text(traj: Trajectory) -> str:
-    """The flux as 't,i,j,w' lines, one per nonzero entry with i < j: the flux
-    is antisymmetric, so `flux_from_csv` restores w_ji = -w_ij by mirroring."""
+def flux_csv_text(traj: Trajectory) -> Iterator[str]:
+    """The flux as 't,i,j,w' lines, one per nonzero entry with i < j, yielded one
+    checkpoint at a time: the flux is antisymmetric, so `flux_from_csv` restores
+    w_ji = -w_ij by mirroring."""
     rows, cols = np.triu_indices(traj.n, 1)
-    edges = [f",{i},{j}," for i, j in zip(rows.tolist(), cols.tolist())]
-    chunks = ["t,i,j,w\n"]
+    edges = [f",{i},{j},%.17g\n" for i, j in zip(rows.tolist(), cols.tolist())]
+    yield "t,i,j,w\n"
     for k, t in enumerate(traj.times.tolist()):
-        w, t_s = traj.edge_flux(k, rows, cols), _fmt(t)
-        nonzero = (w != 0).tolist()
-        chunks.append("".join([f"{t_s}{e}{x:.17g}\n" for e, x in
-                               zip(compress(edges, nonzero), compress(w.tolist(), nonzero))]))
-    return "".join(chunks)
+        w = traj.edge_flux(k, rows, cols)
+        nonzero = w != 0
+        if nonzero.any():
+            t_s = _fmt(t)  # each line is t_s + edge, so t_s joins the edge templates
+            template = t_s + t_s.join(compress(edges, nonzero.tolist()))
+            yield template % tuple(w[nonzero].tolist())
 
 
-def flux_from_csv(path, traj: Trajectory) -> Trajectory:
-    """Attach the flux of a 't,i,j,w' CSV to ``traj`` as a store.  Each entry
-    w_ij also sets its mirror w_ji = -w_ij, so the file may list each pair once
-    (as `flux_csv_text` writes it) or both halves (the legacy layout); pairs
-    not listed are zero.  Raises ValueError for a time off the trajectory grid
-    (exact float match), a state index outside [0, n), a diagonal entry, a
-    non-finite value, a repeated (t, i, j) entry or two listed halves of a pair
-    that are not exact negatives (the store would not be antisymmetric)."""
-    with open(path) as fh:
-        if fh.readline().strip() != "t,i,j,w":
-            raise ValueError("flux CSV must start with the 't,i,j,w' header")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # header only: zero flux
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size and data.shape[1] != 4:
-        raise ValueError("flux CSV rows must have the four fields t,i,j,w")
-    data = data.reshape(-1, 4)
+def _flux_entries(data, times, n):
+    """Check parsed 't,i,j,w' rows against the trajectory grid and [0, n); return
+    each row's checkpoint, its flat index in the (K+1, n, n) store, the flat
+    index of its mirror and its value."""
     t, ij, w = data[:, 0], data[:, 1:3], data[:, 3]
     finite = np.isfinite(w)
     if not np.all(finite):
         raise ValueError(f"flux CSV value {_fmt(w[np.argmin(finite)])} is not finite")
-    K, n = traj.times.size, traj.n
-    k = np.minimum(np.searchsorted(traj.times, t), K - 1)
-    off_grid = traj.times[k] != t
+    k = np.minimum(np.searchsorted(times, t), times.size - 1)
+    off_grid = times[k] != t
     if np.any(off_grid):
         raise ValueError(f"flux CSV time {_fmt(t[np.argmax(off_grid)])} not on the trajectory grid")
     if not np.all((ij == np.round(ij)) & (ij >= 0) & (ij < n)):
@@ -358,12 +359,53 @@ def flux_from_csv(path, traj: Trajectory) -> Trajectory:
     i, j = ij.astype(np.intp).T
     if np.any(i == j):
         raise ValueError("flux CSV lists a diagonal entry")
-    flat = (k * n + i) * n + j
+    return k, (k * n + i) * n + j, (k * n + j) * n + i, w
+
+
+def _scatter_flux(store, entries) -> None:
+    """Write (flat, mirror, w) entries of whole checkpoints into the flat store:
+    w at flat and -w at its mirror, a listed other half overriding the mirror."""
+    flat, mirror, w = (np.concatenate(field) for field in zip(*entries))
     ordered = np.sort(flat)  # np.unique is ~60x slower here (numpy 2.4, 1.5 M entries)
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("flux CSV lists a (t, i, j) entry twice")
-    store = np.zeros(K * n * n)
-    store[(k * n + j) * n + i] = -w  # the mirror; a listed other half overrides it
+    store[mirror] = -w
     store[flat] = w
-    return Trajectory(times=traj.times, densities=traj.densities,
-                      flux_store=store.reshape(K, n, n), meta=dict(traj.meta))
+
+
+def flux_from_csv(path, traj: Trajectory) -> Trajectory:
+    """Attach the flux of a 't,i,j,w' CSV to ``traj`` as a store.  Each entry
+    w_ij also sets its mirror w_ji = -w_ij, so the file may list each pair once
+    (as `flux_csv_text` writes it) or both halves (the legacy layout); pairs
+    not listed are zero.  The file is parsed in blocks of ``CSV_BLOCK_LINES``
+    lines, and a checkpoint goes into the store once all of its lines are read,
+    so the checkpoints must come in time order (as `flux_csv_text` writes
+    them).  Raises ValueError for checkpoints out of time order, a time off
+    the trajectory grid (exact float match), a state index outside [0, n), a
+    diagonal entry, a non-finite value, a repeated (t, i, j) entry or two
+    listed halves of a pair that are not exact negatives (the store would not
+    be antisymmetric)."""
+    times, n = traj.times, traj.n
+    store = np.zeros(times.size * n * n)
+    pending, last = [], 0  # entries of checkpoint `last`, which the next block may continue
+    with open(path) as fh:
+        if fh.readline().strip() != "t,i,j,w":
+            raise ValueError("flux CSV must start with the 't,i,j,w' header")
+        while True:
+            data = _load_rows(fh, CSV_BLOCK_LINES)
+            if data.size and data.shape[1] != 4:
+                raise ValueError("flux CSV rows must have the four fields t,i,j,w")
+            data, end = data.reshape(-1, 4), data.shape[0] < CSV_BLOCK_LINES
+            k, *entries = _flux_entries(data, times, n)
+            if k.size and (k[0] < last or np.any(k[1:] < k[:-1])):
+                raise ValueError("flux CSV must list checkpoints in time order")
+            cut = k.size if end else int(np.searchsorted(k, k[-1]))
+            if cut or end:
+                _scatter_flux(store, pending + [[e[:cut] for e in entries]])
+                pending = []
+            if end:
+                break
+            pending.append([e[cut:] for e in entries])
+            last = k[-1]
+    return Trajectory(times=times, densities=traj.densities,
+                      flux_store=store.reshape(times.size, n, n), meta=dict(traj.meta))

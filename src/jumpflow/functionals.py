@@ -74,6 +74,12 @@ def entropy_series(U, pi, entropy_density) -> np.ndarray:
                            for k in range(0, len(U), 256)])
 
 
+@np.errstate(over="ignore")  # past the float range the ratio is +-inf, and psi(+-inf) = +inf
+def _ratio(w, a, out, where):
+    """The ratio w / alpha of a flux to its mean, into ``out`` where ``where`` holds."""
+    return np.divide(w, a, out=out, where=where)
+
+
 def action_R(u, w, triple: DissipationTriple, theta):
     """Primal action of the flux density w of 2j with respect to theta.
 
@@ -93,7 +99,7 @@ def action_R(u, w, triple: DissipationTriple, theta):
     vals = np.zeros_like(theta)
     if np.any(active):
         ratio = np.zeros_like(theta)
-        np.divide(w, a, out=ratio, where=active)
+        _ratio(w, a, out=ratio, where=active)
         vals[active] = legendre(triple.pair, ratio[active]) * a[active] * theta[active]
     total = 0.5 * float(vals.sum())
     degenerate = bool(np.any(charged_degenerate))
@@ -157,7 +163,7 @@ def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointP
         if np.any((a == 0) & (w != 0)):
             R = np.inf  # the flux charges an edge where alpha vanishes
         else:
-            ratio = np.divide(w, a, out=np.zeros_like(w), where=a > 0)
+            ratio = _ratio(w, a, out=np.zeros_like(w), where=a > 0)
             R = float(np.sum(legendre(triple.pair, ratio) * a * th))
         dv = d_phi(triple, ui, uj)
         D = np.inf if np.any(np.isinf(dv)) else float(np.sum(dv * th))

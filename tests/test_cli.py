@@ -207,6 +207,51 @@ def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
     assert not (tmp_path / "vout").exists()
 
 
+@pytest.mark.parametrize("edit", ["out_of_time_order", "duplicate_across_blocks"])
+def test_verify_rejects_flux_csv_read_across_blocks(tmp_path, capsys, monkeypatch, edit):
+    from jumpflow import evolution
+
+    cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "flux.csv").read_text().splitlines()
+    monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 50)
+    if edit == "out_of_time_order":  # the last checkpoint moved to the front
+        t_last = rows[-1].split(",")[0] + ","
+        last = [r for r in rows if r.startswith(t_last)]
+        rows = last + rows[:-len(last)]
+    else:  # line 50 repeated as line 51, the first of the second block
+        rows = rows[:50] + rows[49:]
+    epath = tmp_path / "flux_edited.csv"
+    epath.write_text("\n".join([header] + rows) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
+    err = capsys.readouterr().err
+    assert "config error at flux" in err
+    assert ("time order" if edit == "out_of_time_order" else "twice") in err
+    assert not (tmp_path / "vout").exists()
+
+
+def test_atomic_write_leaves_nothing_when_a_chunk_raises(tmp_path):
+    from jumpflow.cli import atomic_write
+
+    def chunks():
+        yield "t,u_0\n"
+        yield "0,1\n" * 10000
+        raise RuntimeError("chunk failed")
+
+    target = tmp_path / "trajectory.csv"
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        atomic_write(target, chunks())
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("kept\n")
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        atomic_write(target, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["trajectory.csv"]
+    assert target.read_text() == "kept\n"
+
+
 def test_malformed_config_exit_code_and_path(tmp_path, capsys):
     bad = dict(TWO_POINT)
     bad["space"] = {"type": "grid", "a": -1.0, "b": 1.0}  # n missing

@@ -1,5 +1,8 @@
 """Integrators, flux reconstruction, continuity residuals, trajectory algebra."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,6 +10,7 @@ from scipy.linalg import expm
 from jumpflow.densities import (DissipationTriple, boltzmann_entropy, canonical_triple,
                                 cosh_pair, log_mean_flux)
 from jumpflow import evolution
+from jumpflow.cli import atomic_write
 from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, NumericalError,
                                 Trajectory, concatenate, continuity_residual, evolve, flux_csv_text,
                                 flux_from_csv, generator, trajectory_csv_text,
@@ -329,12 +333,12 @@ def test_csv_round_trip_bit_exact(tmp_path):
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.3, IntegratorConfig(checkpoints=32))
     path = tmp_path / "traj.csv"
-    path.write_text(trajectory_csv_text(traj))
+    path.write_text("".join(trajectory_csv_text(traj)))
     back = trajectory_from_csv(path)
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.densities, traj.densities)
     fpath = tmp_path / "flux.csv"
-    fpath.write_text(flux_csv_text(traj))
+    fpath.write_text("".join(flux_csv_text(traj)))
     withflux = flux_from_csv(fpath, back)
     np.testing.assert_array_equal(withflux.flux_at(3), traj.flux_at(3))
 
@@ -344,7 +348,7 @@ def test_flux_csv_lists_each_nonzero_pair_once(tmp_path):
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, np.where(sp.points < 0.0, 1.5, 0.5), 0.1,
                   IntegratorConfig(checkpoints=8))
-    header, *rows = flux_csv_text(traj).splitlines()
+    header, *rows = "".join(flux_csv_text(traj)).splitlines()
     assert header == "t,i,j,w"
     fields = [r.split(",") for r in rows]
     assert all(int(i) < int(j) for _, i, j, _ in fields)
@@ -353,7 +357,7 @@ def test_flux_csv_lists_each_nonzero_pair_once(tmp_path):
                             for k in range(traj.times.size))
     # the same pairs listed as their j > i halves read to the same store
     fpath, lower = tmp_path / "flux.csv", tmp_path / "flux_lower.csv"
-    fpath.write_text(flux_csv_text(traj))
+    fpath.write_text("".join(flux_csv_text(traj)))
     lower.write_text("\n".join([header] + [f"{t},{j},{i},{-float(w)!r}" for t, i, j, w in fields])
                      + "\n")
     store = flux_from_csv(fpath, traj).flux_store
@@ -370,7 +374,7 @@ def test_flux_csv_values_format_as_17_digit_floats(tmp_path):
     store[1, rows[:len(vals)], cols[:len(vals)]] = vals
     store[1] -= store[1].T
     traj = Trajectory(times=[0.0, 0.25], densities=np.ones((2, n)), flux_store=store)
-    lines = flux_csv_text(traj).splitlines()
+    lines = "".join(flux_csv_text(traj)).splitlines()
     expected = [f"0.25,{i},{j},{format(float(store[1, i, j]), '.17g')}"
                 for i, j in zip(rows, cols) if store[1, i, j] != 0]
     assert lines == ["t,i,j,w"] + expected and len(expected) == len(vals) - 1
@@ -382,7 +386,7 @@ def test_flux_csv_values_format_as_17_digit_floats(tmp_path):
 def test_csv_text_ends_in_one_newline():
     _, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.3, IntegratorConfig(checkpoints=8))
-    for text in (trajectory_csv_text(traj), flux_csv_text(traj)):
+    for text in ("".join(trajectory_csv_text(traj)), "".join(flux_csv_text(traj))):
         assert text.endswith("\n") and not text.endswith("\n\n")
         assert text.count("\n") == len(text.splitlines())
 
@@ -400,3 +404,92 @@ def test_trajectory_from_csv_rejects_malformed(tmp_path):
     header_only.write_text("t,u_0,u_1\n")
     with pytest.raises(ValueError):
         trajectory_from_csv(header_only)
+
+
+def test_header_only_trajectory_csv_raises_without_a_warning(tmp_path):
+    # loadtxt warns on a file with no rows; the reader's own error is the report
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("t,u_0,u_1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at least one row"):
+            trajectory_from_csv(header_only)
+
+
+def stored_flux_trajectory(n=6, checkpoints=8):
+    """A trajectory with a stored flux that is nonzero on every pair."""
+    sp = build_grid(-1.0, 1.0, n)
+    coup = coupling(sp, fractional_kernel(sp, 0.75))
+    traj = evolve(coup, COSH, 1.0 + sp.points ** 2, 0.1,
+                  IntegratorConfig(checkpoints=checkpoints, graded_start=False))
+    store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
+    store[0] = np.triu(np.ones((n, n)), 1) - np.tril(np.ones((n, n)), -1)  # u0 is even
+    return Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
+
+
+def both_halves_lines(traj):
+    """The legacy layout: every nonzero off-diagonal entry, row-major."""
+    return ["t,i,j,w"] + [f"{float(t)!r},{i},{j},{float(traj.flux_at(k)[i, j])!r}"
+                          for k, t in enumerate(traj.times)
+                          for i, j in zip(*np.nonzero(traj.flux_at(k)))]
+
+
+@pytest.mark.parametrize("block", [1, 4, 15, 16, 1000])
+def test_flux_checkpoints_split_across_blocks_read_to_the_same_store(tmp_path, monkeypatch,
+                                                                    block):
+    # 15 pairs per checkpoint: at blocks of 1, 4 and 16 lines checkpoints straddle
+    # block boundaries; in the both-halves file a pair's two halves do too
+    traj = stored_flux_trajectory()
+    edge_only, legacy = tmp_path / "flux.csv", tmp_path / "flux_legacy.csv"
+    edge_only.write_text("".join(flux_csv_text(traj)))
+    legacy.write_text("\n".join(both_halves_lines(traj)) + "\n")
+    monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
+    for path in (edge_only, legacy):
+        np.testing.assert_array_equal(flux_from_csv(path, traj).flux_store, traj.flux_store)
+
+
+def test_flux_csv_checkpoints_out_of_time_order_are_rejected(tmp_path, monkeypatch):
+    traj = stored_flux_trajectory()
+    header, *rows = "".join(flux_csv_text(traj)).splitlines()
+    first = [r for r in rows if r.startswith("0,")]
+    assert len(first) == 15
+    fpath = tmp_path / "flux.csv"
+    fpath.write_text("\n".join([header] + rows[15:] + first) + "\n")
+    for block in (evolution.CSV_BLOCK_LINES, 7):  # within one block and across blocks
+        monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
+        with pytest.raises(ValueError, match="time order"):
+            flux_from_csv(fpath, traj)
+
+
+def test_flux_csv_duplicate_across_a_block_boundary_is_rejected(tmp_path, monkeypatch):
+    traj = stored_flux_trajectory()
+    header, *rows = "".join(flux_csv_text(traj)).splitlines()
+    fpath = tmp_path / "flux.csv"
+    fpath.write_text("\n".join([header] + rows[:20] + rows[19:]) + "\n")
+    monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 20)  # lines 20 and 21 are in two blocks
+    with pytest.raises(ValueError, match="twice"):
+        flux_from_csv(fpath, traj)
+
+
+def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
+    # The writer holds one checkpoint's text, never the file; the reader holds
+    # the (K+1, n, n) store plus one block of parsed lines, never the file's
+    sp = build_grid(-1.0, 1.0, 24)
+    coup = coupling(sp, fractional_kernel(sp, 0.75))
+    traj = evolve(coup, COSH, 1.0 + sp.points ** 2, 0.5,
+                  IntegratorConfig(checkpoints=600, graded_start=False))
+    fpath = tmp_path / "flux.csv"
+    tracemalloc.start()
+    try:
+        atomic_write(fpath, flux_csv_text(traj))
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        store = flux_from_csv(fpath, traj).flux_store
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = fpath.stat().st_size
+    assert size > 5e6  # 601 checkpoints of 276 lines
+    assert write_peak < size / 10
+    block = 8 * (4 * 8 * evolution.CSV_BLOCK_LINES)  # eight (block, 4) float arrays
+    assert read_peak < store.nbytes + block < size

@@ -1,6 +1,7 @@
 """Variational functionals against hand computations and exhaustive oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,13 +61,17 @@ def test_action_recession():
 def test_action_on_a_nearly_vacant_edge_is_inf():
     # alpha = 1e-160 > 0, so the edge is active and w / alpha overflows to inf:
     # psi(inf) is +inf, and so are R and the per-edge R + D, not NaN
+    # past the float range; the overflow is the value, so it raises no warning
     sp, coup = two_point_system()
     u = np.array([1e-160, 1e-160])
     w = np.array([[0.0, 1e150], [-1e150, 0.0]])
-    assert action_R(u, w, COSH, coup.theta) == math.inf
-    traj = Trajectory(times=[0.0, 1.0], densities=np.stack([u, u]), flux_store=np.stack([w, w]))
-    assert not traj.linear_flux
-    assert np.all(_checkpoint_pass(traj, COSH, coup.theta, sp.pi).integrand == math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert action_R(u, w, COSH, coup.theta) == math.inf
+        traj = Trajectory(times=[0.0, 1.0], densities=np.stack([u, u]),
+                          flux_store=np.stack([w, w]))
+        assert not traj.linear_flux
+        assert np.all(_checkpoint_pass(traj, COSH, coup.theta, sp.pi).integrand == math.inf)
 
 
 def test_action_matches_perspective_by_hand():

@@ -53,8 +53,8 @@ def test_tracer_observers_read_real_results(tmp_path):
            evolution.IntegratorConfig(checkpoints=4))
     traj = evolution.evolve(*run)
     tpath, fpath = tmp_path / "trajectory.csv", tmp_path / "flux.csv"
-    tpath.write_text(evolution.trajectory_csv_text(traj))
-    fpath.write_text(evolution.flux_csv_text(traj))
+    tpath.write_text("".join(evolution.trajectory_csv_text(traj)))
+    fpath.write_text("".join(evolution.flux_csv_text(traj)))
     calls = {
         "evolution.evolve": (run, {}),
         "evolution.trajectory_from_csv": ((tpath,), {}),
