@@ -13,7 +13,7 @@ import numpy as np
 
 from .densities import DissipationTriple
 from .evolution import IntegratorConfig, evolve
-from .functionals import entropy_series, jsonify
+from .functionals import jsonify
 from .ledger import edb_report, default_tolerance
 from .spaces import Coupling, Kernel, StateSpace, coupling, cutoff, taming_bound
 
@@ -39,11 +39,8 @@ __all__ = [
 @dataclass
 class SweepResult:
     eps_list: list
-    terminal: np.ndarray            # (len(eps), n) terminal densities
     gaps: np.ndarray                # successive L1(pi) gaps, len(eps) - 1
-    entropy_curves: list            # (times, values) per eps
     edb_residuals: list             # relative max EDB residual per eps
-    times: np.ndarray
 
     def gap_ratios(self) -> np.ndarray:
         g = self.gaps
@@ -72,21 +69,17 @@ def robustness_sweep(space: StateSpace, base_kernel: Kernel, triple: Dissipation
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     u0 = np.asarray(u0, dtype=float)
-    terminal, curves, residuals = [], [], []
-    times = None
+    terminal, residuals = [], []
     for eps in eps_list:
         coup = coupling(space, cutoff(base_kernel, space, eps))
         traj = evolve(coup, triple, u0, T, config)
-        times = traj.times
         terminal.append(traj.densities[-1])
-        curves.append(entropy_series(traj.densities, space.pi, triple.entropy))
         rep = edb_report(traj, triple, coup.theta, space.pi, tol_rel=default_tolerance(eps))
         residuals.append(rep.max_edb_residual() / rep.energy_scale)
     terminal = np.asarray(terminal)
     gaps = np.array([np.sum(np.abs(terminal[k] - terminal[k + 1]) * space.pi)
                      for k in range(len(eps_list) - 1)])
-    return SweepResult(eps_list=eps_list, terminal=terminal, gaps=gaps,
-                       entropy_curves=curves, edb_residuals=residuals, times=times)
+    return SweepResult(eps_list=eps_list, gaps=gaps, edb_residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

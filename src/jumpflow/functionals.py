@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .densities import DissipationTriple, d_phi, legendre
-from .evolution import coupling_edges
+from .evolution import _component_labels, coupling_edges
 from .measures import PosMeasure
 from .quadrature import cumulative_simpson_nonuniform
 
@@ -141,23 +141,25 @@ class _CheckpointPass:
 
 
 def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointPass:
-    """One pass over the checkpoints that reads each flux snapshot once, on the
-    edges i < j with theta_ij > 0: for an antisymmetric flux every ordered-pair
-    summand of ``action_R``, ``fisher_D`` and the chain-rule pairing is symmetric.
+    """One pass over the checkpoints, on the edges i < j with theta_ij > 0: for
+    an antisymmetric flux every ordered-pair summand of ``action_R``,
+    ``fisher_D`` and the chain-rule pairing is symmetric.
+
     On the linear flux (``traj.linear_flux``) of a canonical triple Fenchel-Young
     holds with equality on every edge, so R + D is the pairing (the Fenchel
-    split); otherwise R + D is taken edge by edge."""
+    split), and the pairing of every checkpoint comes from the densities alone
+    through one Laplacian GEMM per block of rows (``_linear_pairings``).
+    Otherwise each flux snapshot is read once and R + D is taken edge by edge."""
     rows, cols, th = coupling_edges(theta)
     U = traj.densities
-    split = traj.linear_flux and triple.name in ("cosh", "quadratic")
     ent = entropy_series(U, pi, triple.entropy)
-    g = np.empty(U.shape[0])
-    b = g if split else np.empty(U.shape[0])
+    if traj.linear_flux and triple.name in ("cosh", "quadratic"):
+        g = _linear_pairings(U, triple.entropy, rows, cols, th)
+        return _CheckpointPass(traj.times, ent, g, g)
+    g, b = np.empty(U.shape[0]), np.empty(U.shape[0])
     for k, u in enumerate(U):
         w = traj.edge_flux(k, rows, cols)
         g[k] = _pairing(triple.entropy.dphi_ext(u), w, rows, cols, th)
-        if split:
-            continue
         ui, uj = u[rows], u[cols]
         a = triple.flux.alpha(ui, uj)
         if np.any((a == 0) & (w != 0)):
@@ -169,6 +171,46 @@ def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointP
         D = np.inf if np.any(np.isinf(dv)) else float(np.sum(dv * th))
         b[k] = R + D
     return _CheckpointPass(traj.times, ent, b, g)
+
+
+PASS_BLOCK = 64  # least rows per Laplacian GEMM (at most twice that): temporaries stay O(128 n)
+
+
+def _linear_pairings(U, entropy_density, rows, cols, th) -> np.ndarray:
+    """The pairing of every row u of U with its linear flux w_ij = u_i - u_j:
+    sum over the edges of (lam_i - lam_j)(u_i - u_j) theta_ij, lam = phi'(u).
+
+    With the Laplacian L = diag(theta 1) - theta it is (lam - phi'(c)) . (L (u - c))
+    for any c constant on each coupling component (L c = 0 and 1^T L = 0 there).
+    Uncentred, lam . (L u) cancels all its digits near equilibrium; c is the
+    mean of u over each component, so both factors are of the size of the
+    differences.  A row with a vacant state (non-finite lam) comes out
+    non-finite and takes the per-edge ``_pairing``, whose +inf and NaN rules
+    it keeps.  No block of rows has one row (numpy hands a one-row product to
+    GEMV, which rounds differently), so no row's value depends on its block."""
+    n = U.shape[1]
+    lap = np.zeros((n, n))
+    lap[rows, cols] = lap[cols, rows] = -th
+    lap[np.diag_indices(n)] = np.bincount(rows, th, n) + np.bincount(cols, th, n)
+    labels = _component_labels(lap != 0)
+    sizes = np.bincount(labels)
+    order, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
+    parts = []
+    for block in np.array_split(U, max(1, U.shape[0] // PASS_BLOCK)):
+        mean = np.add.reduceat(block[:, order], starts, axis=1) / sizes  # (rows, components)
+        centred = mean[:, labels]
+        np.subtract(block, centred, out=centred)  # in place here and below: few temporaries
+        with np.errstate(invalid="ignore"):  # lam = -inf at a vacant state
+            lam = entropy_density.dphi_ext(block)
+            lam -= entropy_density.dphi_ext(mean)[:, labels]
+            flow = centred @ lap
+            flow *= lam
+            parts.append(flow.sum(axis=1))
+    g = np.concatenate(parts)
+    for k in np.flatnonzero(~np.isfinite(g)):
+        u = U[k]
+        g[k] = _pairing(entropy_density.dphi_ext(u), u[rows] - u[cols], rows, cols, th)
+    return g
 
 
 def _pairing(lam, w, rows, cols, th) -> float:

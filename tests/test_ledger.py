@@ -1,19 +1,21 @@
 """Energy-dissipation certificates: balance, chain rule, pointwise form, verdicts."""
 
 import decimal
+import warnings
 
 import numpy as np
 import pytest
 
+from jumpflow import functionals
 from jumpflow.densities import canonical_triple
 from jumpflow.evolution import (IntegratorConfig, Trajectory, continuity_rates,
                                 continuity_residual, coupling_edges, evolve)
-from jumpflow.functionals import _checkpoint_pass, edb_integrand, entropy
+from jumpflow.functionals import _checkpoint_pass, _pairing, edb_integrand, entropy
 from jumpflow.ledger import (VERDICT_BALANCED, VERDICT_DISSIPATIVE, VERDICT_NEITHER,
                              _lipschitz_battery, chain_rule_residual, edb_report,
                              full_report, pointwise_edb, rce_battery, render_table,
                              upgrade_verdict)
-from jumpflow.spaces import (build_graph, build_grid, coupling, fractional_kernel,
+from jumpflow.spaces import (build_graph, build_grid, coupling, cutoff, fractional_kernel,
                              matrix_kernel, punctured_mask)
 
 COSH = canonical_triple("cosh")
@@ -257,6 +259,112 @@ def test_checkpoint_pass_matches_single_snapshot_oracles(name):
             pairing = np.nan if np.any(np.isnan(vals)) else 0.5 * np.sum(vals)
             np.testing.assert_allclose(p[k], pairing, rtol=1e-12, atol=1e-14)
     assert np.isinf(cp.integrand[0]) == np.isinf(edge.integrand[0]) == ("vacuum" in name)
+
+
+def per_edge_pairings(traj, triple, theta):
+    """The chain-rule pairing of every checkpoint, edge by edge: the reference for
+    the pass's Laplacian GEMM on the linear flux."""
+    rows, cols, th = coupling_edges(theta)
+    return np.array([_pairing(triple.entropy.dphi_ext(u), traj.edge_flux(k, rows, cols),
+                              rows, cols, th) for k, u in enumerate(traj.densities)])
+
+
+def vacant_component_case():
+    """A punctured grid whose right component starts and stays vacant: every row
+    has vacant states, yet no edge joins a vacant and an occupied state."""
+    sp, coup = punctured_grid()
+    return sp, coup, COSH, np.where(sp.points < 0.0, 1.5, 0.0)
+
+
+@pytest.mark.parametrize("name", PASS_CASES + ["cosh_vacant_component"])
+def test_centred_pairing_matches_the_per_edge_pairing(name):
+    sp, coup, triple, u0 = (vacant_component_case() if name == "cosh_vacant_component"
+                            else pass_case(name))
+    traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
+    g = _checkpoint_pass(traj, triple, coup.theta, sp.pi).pairing
+    ref = per_edge_pairings(traj, triple, coup.theta)
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(np.isfinite(g), finite)
+    np.testing.assert_array_equal(g[~finite], ref[~finite])
+    np.testing.assert_allclose(g[finite], ref[finite], rtol=1e-13)
+    if name == "cosh_vacant_component":
+        assert finite.all()
+
+
+def test_centred_pairing_with_vacant_states_is_the_per_edge_pairing():
+    # random graphs with vacant states, some of them joined only to vacant states:
+    # there the centred terms are -inf times rounding noise of either sign, so a
+    # row may sum +inf and -inf; it must still give the per-edge value, silently
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        theta = np.triu(rng.random((8, 8)) * (rng.random((8, 8)) < 0.6), 1)
+        theta = theta + theta.T
+        u = np.where(rng.random(8) < 0.5, 0.0, rng.random(8) + 0.5)
+        traj = Trajectory(times=[0.0, 1.0], densities=np.vstack([u, u]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's own frames included
+            g = _checkpoint_pass(traj, COSH, theta, np.full(8, 0.125)).pairing
+        ref = per_edge_pairings(traj, COSH, theta)
+        finite = np.isfinite(ref)
+        np.testing.assert_array_equal(g[~finite], ref[~finite])
+        np.testing.assert_allclose(g[finite], ref[finite], rtol=1e-13)
+
+
+def test_centred_pairing_keeps_its_digits_near_equilibrium():
+    # n=40 cosh run to T=50: from t = 10 on the density is at equilibrium to a few
+    # ulps and the pairing is about 2e-28; both the centred GEMM and the per-edge
+    # sum carry the rounding of log u (about 1e-4 relative), while the uncentred
+    # lam . (L u) cancels every digit
+    sp = build_grid(-1.0, 1.0, 40)
+    coup = coupling(sp, fractional_kernel(sp, 0.6))
+    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 1.8, 0.3), 50.0,
+                  IntegratorConfig(checkpoints=64))
+    g = _checkpoint_pass(traj, COSH, coup.theta, sp.pi).pairing
+    ref = per_edge_pairings(traj, COSH, coup.theta)
+    lap = np.diag(coup.theta.sum(axis=1)) - coup.theta
+    late = np.flatnonzero(traj.times >= 10.0)
+    assert late.size > 10
+    for k in late:
+        u = traj.densities[k]
+        exact = exact_log_pairing(u, coup.theta)
+        assert abs(g[k] - exact) <= 2.0 * abs(ref[k] - exact), traj.times[k]
+        plain = np.log(u) @ (lap @ u)
+        assert abs(plain - exact) > 1e6 * exact, traj.times[k]
+
+
+@pytest.mark.parametrize("name", PASS_CASES)
+def test_centred_pairing_does_not_depend_on_its_block(name, monkeypatch):
+    sp, coup, triple, u0 = pass_case(name)
+    traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
+    g = _checkpoint_pass(traj, triple, coup.theta, sp.pi).pairing
+    assert traj.times.size > 4 * functionals.PASS_BLOCK
+    for drop in (1, 3, 17):
+        tail = Trajectory(times=traj.times[drop:], densities=traj.densities[drop:])
+        np.testing.assert_array_equal(
+            _checkpoint_pass(tail, triple, coup.theta, sp.pi).pairing, g[drop:])
+    for block in (2, 5, 1000):
+        monkeypatch.setattr(functionals, "PASS_BLOCK", block)
+        np.testing.assert_array_equal(
+            _checkpoint_pass(traj, triple, coup.theta, sp.pi).pairing, g)
+
+
+def test_split_pass_takes_the_per_edge_pairing_only_on_vacant_rows(monkeypatch):
+    # the grid-certify config at n=24: a vacuum start on a cut fractional kernel
+    sp = build_grid(-1.0, 1.0, 24)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-3))
+    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.0), 0.5)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _pairing(*args)
+
+    monkeypatch.setattr(functionals, "_pairing", counted)
+    cp = _checkpoint_pass(traj, COSH, coup.theta, sp.pi)
+    vacant = np.any(traj.densities == 0.0, axis=1)
+    assert cp.integrand is cp.pairing and traj.times.size > 1000
+    assert len(calls) == vacant.sum() == 1
+    assert np.isinf(cp.pairing[0]) and np.all(np.isfinite(cp.pairing[1:]))
 
 
 def test_rce_battery_equals_member_by_member_residuals():
