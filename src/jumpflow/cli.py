@@ -210,7 +210,9 @@ def parse_run_config(cfg):
         tol_rel = _number(cfg["tol_rel"], "config.tol_rel")
         if tol_rel <= 0:
             raise SchemaError("config.tol_rel", "must be positive")
-    export_flux = bool(cfg.get("export_flux", False))
+    export_flux = cfg.get("export_flux", False)
+    if not isinstance(export_flux, bool):
+        raise SchemaError("config.export_flux", "expected a boolean")
     return {
         "space": space, "kernel": kernel, "mask_split": mask_split, "triple": triple,
         "u0": u0, "T": T, "integrator": config, "seed": seed, "export_flux": export_flux,
@@ -269,8 +271,7 @@ def _write_csv_json(out, stem, lines, obj):
 # commands
 
 
-def _ledger_for(parsed, traj):
-    coup = spaces.coupling(parsed["space"], parsed["kernel"])
+def _ledger_for(parsed, traj, coup):
     tol_rel = parsed["tol_rel"]
     if tol_rel is None:
         tol_rel = ledger.default_tolerance(parsed["cutoff_eps"])
@@ -294,12 +295,12 @@ def cmd_run(args):
     coup = spaces.coupling(parsed["space"], parsed["kernel"])
     traj = evolution.evolve(coup, parsed["triple"], parsed["u0"], parsed["T"],
                             parsed["integrator"])
-    report = _ledger_for(parsed, traj)
+    report = _ledger_for(parsed, traj, coup)
     out = args.out
     os.makedirs(out, exist_ok=True)
     atomic_write(os.path.join(out, "trajectory.csv"), evolution.trajectory_csv_text(traj))
     if parsed["export_flux"]:
-        atomic_write(os.path.join(out, "flux.csv"), evolution.flux_csv_text(traj))
+        atomic_write(os.path.join(out, "flux.csv"), evolution.flux_csv_text(traj, coup.theta))
     _write_json(os.path.join(out, "ledger.json"), report.to_dict())
     print(ledger.render_table(report))
     return EXIT_OK
@@ -313,12 +314,13 @@ def cmd_verify(args):
         raise SchemaError("trajectory", str(exc))
     if traj.n != parsed["space"].n:
         raise SchemaError("trajectory", "state dimension does not match the config space")
+    coup = spaces.coupling(parsed["space"], parsed["kernel"])
     if args.flux is not None:
         try:
-            traj = evolution.flux_from_csv(args.flux, traj)
+            traj = evolution.flux_from_csv(args.flux, traj, coup.theta)
         except (OSError, ValueError) as exc:
             raise SchemaError("flux", str(exc))
-    report = _ledger_for(parsed, traj)
+    report = _ledger_for(parsed, traj, coup)
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "ledger.json"), report.to_dict())
     print(ledger.render_table(report))

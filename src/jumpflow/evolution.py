@@ -68,20 +68,24 @@ class Trajectory:
     The flux (edge density w of 2j with respect to theta) is declared as
     data: ``flux_store=None`` declares the compatible linear flux
     w_ij = u_i - u_j, the only flux ``evolve`` produces; otherwise the store
-    holds one exactly antisymmetric (n, n) snapshot per checkpoint.
-    ``linear_flux`` records, once, whether the flux is that linear flux on
-    every pair at every checkpoint (exactly; a store one ulp off is not).
+    holds one row of w_ij per checkpoint on the edges i < j ``flux_edges`` =
+    (rows, cols), a coupling's ``coupling_edges``; w_ji = -w_ij, and no other
+    pair carries flux.  ``linear_flux`` records, once, whether the flux is that
+    linear flux on every edge at every checkpoint (a store one ulp off is not).
     """
 
     times: np.ndarray               # (K+1,), starts at 0
     densities: np.ndarray           # (K+1, n)
-    flux_store: Optional[np.ndarray] = None  # (K+1, n, n) when stored
+    flux_store: Optional[np.ndarray] = None  # (K+1, E) when stored
+    flux_edges: Optional[tuple] = None       # (rows, cols) of the store's E edges
     meta: dict = field(default_factory=dict)
     linear_flux: bool = field(default=True, init=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         u = np.asarray(self.densities, dtype=float)
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(u))):
+            raise ValueError("checkpoint times and densities must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("checkpoint times must be strictly increasing")
         if u.shape[0] != t.size:
@@ -95,14 +99,15 @@ class Trajectory:
         self.densities.setflags(write=False)
         if self.flux_store is not None:
             w = np.asarray(self.flux_store, dtype=float)
-            if w.shape != (t.size, u.shape[1], u.shape[1]):
-                raise ValueError("flux store must hold one (n, n) snapshot per checkpoint")
-            linear = True
-            for wk, uk in zip(w, u):  # snapshot by snapshot: no second (K+1, n, n) array
-                if not np.array_equal(wk, -wk.T):
-                    raise ValueError("stored flux snapshots must be exactly antisymmetric")
-                linear = linear and np.array_equal(wk, uk[:, None] - uk[None, :])
+            rows, cols = (np.asarray(e, dtype=np.intp) for e in self.flux_edges)
+            if w.shape != (t.size, rows.size) or cols.shape != rows.shape:
+                raise ValueError("flux store must hold one row of its E edges per checkpoint")
+            if not np.all((0 <= rows) & (rows < cols) & (cols < u.shape[1])):
+                raise ValueError("flux edges must be pairs of states i < j: antisymmetric flux")
+            linear = all(np.array_equal(w[k:k + 256], u[k:k + 256, rows] - u[k:k + 256, cols])
+                         for k in range(0, t.size, 256))  # temporaries O(256 E)
             object.__setattr__(self, "flux_store", w)
+            object.__setattr__(self, "flux_edges", (rows, cols))
             object.__setattr__(self, "linear_flux", linear)
 
     @property
@@ -113,16 +118,14 @@ class Trajectory:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def flux_at(self, k: int) -> np.ndarray:
-        """The (n, n) flux snapshot at checkpoint k."""
-        return self.edge_flux(k, *np.indices((self.n, self.n)))
-
-    def edge_flux(self, k: int, rows, cols) -> np.ndarray:
-        """The flux at checkpoint k on the edges (rows[e], cols[e])."""
-        if self.flux_store is not None:
-            return self.flux_store[k][rows, cols]
-        u = self.densities[k]
-        return u[rows] - u[cols]
+    def stored_flux(self, rows, cols) -> Optional[np.ndarray]:
+        """The (K+1, E) store, which must lie on the edges (rows, cols); None
+        for the linear flux, which is u_i - u_j on any edge."""
+        if self.flux_store is None:
+            return None
+        if not all(np.array_equal(a, b) for a, b in zip(self.flux_edges, (rows, cols))):
+            raise ValueError("the flux store lies on other edges than the coupling's")
+        return self.flux_store
 
     def mass(self, pi) -> np.ndarray:
         return self.densities @ np.asarray(pi, dtype=float)
@@ -239,10 +242,11 @@ def continuity_rates(traj: Trajectory, theta, phis) -> np.ndarray:
     zero for a phi constant on each coupling component.  On the linear flux it is
     -u . (L phi), (L phi)_i = sum_j theta_ij (phi_i - phi_j): one GEMM, no flux read."""
     rows, cols, weights = coupling_edges(theta)
+    store = traj.stored_flux(rows, cols)
     phis = np.asarray(phis, dtype=float)
     d = (phis[rows] - phis[cols]) * weights[:, None]
     if not traj.linear_flux:
-        return -np.array([traj.edge_flux(k, rows, cols) @ d for k in range(traj.times.size)])
+        return -(store @ d)
     lap = np.column_stack([np.bincount(rows, c, traj.n) - np.bincount(cols, c, traj.n)
                            for c in d.T])
     return -(traj.densities @ lap)
@@ -276,11 +280,13 @@ def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:
                          "must equal the initial density of the second")
     times = np.concatenate([t1.times, t1.T + t2.times[1:]])
     densities = np.vstack([t1.densities, t2.densities[1:]])
-    store = None
+    store = edges = None
     if t1.flux_store is not None or t2.flux_store is not None:
-        store = np.stack([t1.flux_at(k) for k in range(t1.times.size)]
-                         + [t2.flux_at(k) for k in range(1, t2.times.size)])
-    return Trajectory(times=times, densities=densities, flux_store=store,
+        rows, cols = edges = (t1 if t1.flux_store is not None else t2).flux_edges
+        w1, w2 = (leg.densities[:, rows] - leg.densities[:, cols] if leg.flux_store is None
+                  else leg.stored_flux(rows, cols) for leg in (t1, t2))
+        store = np.vstack([w1, w2[1:]])
+    return Trajectory(times=times, densities=densities, flux_store=store, flux_edges=edges,
                       meta={"concatenated": True})
 
 
@@ -326,15 +332,17 @@ def trajectory_from_csv(path) -> Trajectory:
     return Trajectory(times=data[:, 0], densities=data[:, 1:])
 
 
-def flux_csv_text(traj: Trajectory) -> Iterator[str]:
-    """The flux as 't,i,j,w' lines, one per nonzero entry with i < j, yielded one
-    checkpoint at a time: the flux is antisymmetric, so `flux_from_csv` restores
-    w_ji = -w_ij by mirroring."""
-    rows, cols = np.triu_indices(traj.n, 1)
+def flux_csv_text(traj: Trajectory, theta) -> Iterator[str]:
+    """The flux as 't,i,j,w' lines, one per nonzero w_ij on the coupling edges
+    i < j of ``theta`` (``coupling_edges``, row-major), yielded one checkpoint
+    at a time.  w_ji = -w_ij is implied and no other pair carries flux, so
+    these lines are all `flux_from_csv` accepts."""
+    rows, cols, _ = coupling_edges(theta)
+    store, U = traj.stored_flux(rows, cols), traj.densities
     edges = [f",{i},{j},%.17g\n" for i, j in zip(rows.tolist(), cols.tolist())]
     yield "t,i,j,w\n"
     for k, t in enumerate(traj.times.tolist()):
-        w = traj.edge_flux(k, rows, cols)
+        w = U[k][rows] - U[k][cols] if store is None else store[k]
         nonzero = w != 0
         if nonzero.any():
             t_s = _fmt(t)  # each line is t_s + edge, so t_s joins the edge templates
@@ -342,10 +350,12 @@ def flux_csv_text(traj: Trajectory) -> Iterator[str]:
             yield template % tuple(w[nonzero].tolist())
 
 
-def _flux_entries(data, times, n):
-    """Check parsed 't,i,j,w' rows against the trajectory grid and [0, n); return
-    each row's checkpoint, its flat index in the (K+1, n, n) store, the flat
-    index of its mirror and its value."""
+def _scatter_flux(data, times, column, store, last) -> int:
+    """Check a block of parsed 't,i,j,w' rows and write it into the flat
+    (K+1, E) store, NaN where no line was read yet.  ``column[i, j]`` is the
+    store column of the coupling edge (i, j), -1 off the edges; the block
+    must follow checkpoint ``last``.  Return the block's latest checkpoint."""
+    n, n_edges = column.shape[0], store.size // times.size
     t, ij, w = data[:, 0], data[:, 1:3], data[:, 3]
     finite = np.isfinite(w)
     if not np.all(finite):
@@ -354,40 +364,38 @@ def _flux_entries(data, times, n):
     off_grid = times[k] != t
     if np.any(off_grid):
         raise ValueError(f"flux CSV time {_fmt(t[np.argmax(off_grid)])} not on the trajectory grid")
+    if k.size and (k[0] < last or np.any(k[1:] < k[:-1])):
+        raise ValueError("flux CSV must list checkpoints in time order")
     if not np.all((ij == np.round(ij)) & (ij >= 0) & (ij < n)):
         raise ValueError(f"flux CSV state indices must be integers in [0, {n})")
     i, j = ij.astype(np.intp).T
-    if np.any(i == j):
-        raise ValueError("flux CSV lists a diagonal entry")
-    return k, (k * n + i) * n + j, (k * n + j) * n + i, w
-
-
-def _scatter_flux(store, entries) -> None:
-    """Write (flat, mirror, w) entries of whole checkpoints into the flat store:
-    w at flat and -w at its mirror, a listed other half overriding the mirror."""
-    flat, mirror, w = (np.concatenate(field) for field in zip(*entries))
+    e = column[i, j]
+    if np.any(e < 0):
+        bad = np.argmin(e)
+        raise ValueError(f"flux CSV pair ({i[bad]}, {j[bad]}) is not a coupling edge i < j")
+    flat = k * n_edges + e
     ordered = np.sort(flat)  # np.unique is ~60x slower here (numpy 2.4, 1.5 M entries)
-    if np.any(ordered[1:] == ordered[:-1]):
+    if np.any(ordered[1:] == ordered[:-1]) or not np.all(np.isnan(store[flat])):
         raise ValueError("flux CSV lists a (t, i, j) entry twice")
-    store[mirror] = -w
     store[flat] = w
+    return int(k[-1]) if k.size else last
 
 
-def flux_from_csv(path, traj: Trajectory) -> Trajectory:
-    """Attach the flux of a 't,i,j,w' CSV to ``traj`` as a store.  Each entry
-    w_ij also sets its mirror w_ji = -w_ij, so the file may list each pair once
-    (as `flux_csv_text` writes it) or both halves (the legacy layout); pairs
-    not listed are zero.  The file is parsed in blocks of ``CSV_BLOCK_LINES``
-    lines, and a checkpoint goes into the store once all of its lines are read,
-    so the checkpoints must come in time order (as `flux_csv_text` writes
-    them).  Raises ValueError for checkpoints out of time order, a time off
-    the trajectory grid (exact float match), a state index outside [0, n), a
-    diagonal entry, a non-finite value, a repeated (t, i, j) entry or two
-    listed halves of a pair that are not exact negatives (the store would not
-    be antisymmetric)."""
-    times, n = traj.times, traj.n
-    store = np.zeros(times.size * n * n)
-    pending, last = [], 0  # entries of checkpoint `last`, which the next block may continue
+def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
+    """Attach the flux of a 't,i,j,w' CSV to ``traj`` as a store on the
+    coupling edges of ``theta``.  Each line gives w_ij on one edge i < j with
+    theta_ij > 0 (as `flux_csv_text` writes it); w_ji = -w_ij is implied, and
+    edges not listed carry zero flux.  The file is parsed in blocks of
+    ``CSV_BLOCK_LINES`` lines straight into the store.  Raises ValueError for
+    checkpoints out of time order, a time off the trajectory grid (exact float
+    match), a state index outside [0, n), a non-finite value, a pair that is
+    not a coupling edge with i < j (a theta = 0 pair, an i > j half or a
+    diagonal) or a repeated (t, i, j) entry."""
+    rows, cols, _ = coupling_edges(theta)
+    column = np.full((traj.n, traj.n), -1)
+    column[rows, cols] = np.arange(rows.size)
+    store = np.full(traj.times.size * rows.size, np.nan)  # NaN until its line is read
+    last = 0  # the latest checkpoint read so far
     with open(path) as fh:
         if fh.readline().strip() != "t,i,j,w":
             raise ValueError("flux CSV must start with the 't,i,j,w' header")
@@ -395,17 +403,9 @@ def flux_from_csv(path, traj: Trajectory) -> Trajectory:
             data = _load_rows(fh, CSV_BLOCK_LINES)
             if data.size and data.shape[1] != 4:
                 raise ValueError("flux CSV rows must have the four fields t,i,j,w")
-            data, end = data.reshape(-1, 4), data.shape[0] < CSV_BLOCK_LINES
-            k, *entries = _flux_entries(data, times, n)
-            if k.size and (k[0] < last or np.any(k[1:] < k[:-1])):
-                raise ValueError("flux CSV must list checkpoints in time order")
-            cut = k.size if end else int(np.searchsorted(k, k[-1]))
-            if cut or end:
-                _scatter_flux(store, pending + [[e[:cut] for e in entries]])
-                pending = []
-            if end:
+            last = _scatter_flux(data.reshape(-1, 4), traj.times, column, store, last)
+            if data.shape[0] < CSV_BLOCK_LINES:
                 break
-            pending.append([e[cut:] for e in entries])
-            last = k[-1]
-    return Trajectory(times=times, densities=traj.densities,
-                      flux_store=store.reshape(times.size, n, n), meta=dict(traj.meta))
+    store[np.isnan(store)] = 0.0
+    return Trajectory(times=traj.times, densities=traj.densities, flux_edges=(rows, cols),
+                      flux_store=store.reshape(traj.times.size, -1), meta=dict(traj.meta))

@@ -149,8 +149,9 @@ def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointP
     holds with equality on every edge, so R + D is the pairing (the Fenchel
     split), and the pairing of every checkpoint comes from the densities alone
     through one Laplacian GEMM per block of rows (``_linear_pairings``).
-    Otherwise each flux snapshot is read once and R + D is taken edge by edge."""
+    Otherwise R + D is taken edge by edge, from each row of the flux store."""
     rows, cols, th = coupling_edges(theta)
+    store = traj.stored_flux(rows, cols)
     U = traj.densities
     ent = entropy_series(U, pi, triple.entropy)
     if traj.linear_flux and triple.name in ("cosh", "quadratic"):
@@ -158,9 +159,9 @@ def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointP
         return _CheckpointPass(traj.times, ent, g, g)
     g, b = np.empty(U.shape[0]), np.empty(U.shape[0])
     for k, u in enumerate(U):
-        w = traj.edge_flux(k, rows, cols)
-        g[k] = _pairing(triple.entropy.dphi_ext(u), w, rows, cols, th)
         ui, uj = u[rows], u[cols]
+        w = ui - uj if store is None else store[k]
+        g[k] = _pairing(triple.entropy.dphi_ext(u), w, rows, cols, th)
         a = triple.flux.alpha(ui, uj)
         if np.any((a == 0) & (w != 0)):
             R = np.inf  # the flux charges an edge where alpha vanishes

@@ -2,11 +2,11 @@
 
 The report checks, on the checkpoint lattice: the energy-dissipation balance
 on every checkpoint pair, the one-sided energy-dissipation inequality, the
-chain rule, the pointwise balance against a difference stencil, the
-continuity equation against a battery of test functions (including the
-component step function when a punctured mask is present), and the hard
-trajectory invariants (mass, maximum principle, entropy monotonicity,
-component masses).
+chain rule, the continuity equation against a battery of test functions
+(including the component step function when a punctured mask is present),
+and the hard trajectory invariants (mass, maximum principle, entropy
+monotonicity, component masses).  ``pointwise_edb`` checks the pointwise
+balance against a difference stencil on its own; the report does not.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class LedgerReport:
     chain_series: Optional[np.ndarray] = None
     chain_ok: Optional[bool] = None
     chain_inconclusive: bool = False
-    pointwise_series: Optional[np.ndarray] = None
     ce_residual: Optional[float] = None     # Lipschitz battery only
     ce_ok: Optional[bool] = None
     rce_residual: Optional[float] = None    # full battery, step functions included
@@ -198,10 +197,7 @@ def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi,
     Stencils narrower than ``min_width_rel`` of the span are skipped (NaN):
     there the difference quotient only amplifies entropy roundoff.
     """
-    return _pointwise_edb(_checkpoint_pass(traj, triple, theta, pi), min_width_rel)
-
-
-def _pointwise_edb(cp, min_width_rel: float) -> np.ndarray:
+    cp = _checkpoint_pass(traj, triple, theta, pi)
     t, ent = cp.times, cp.entropy
     floor = min_width_rel * (t[-1] - t[0])
     out = np.full(max(t.size - 2, 0), np.nan)
@@ -268,15 +264,14 @@ def upgrade_verdict(report: LedgerReport) -> str:
 def full_report(traj: Trajectory, triple: DissipationTriple, space, theta, pi,
                 tol_rel: Optional[float] = None, seed: int = 0, mask=None,
                 rce_tol: float = 1e-8) -> LedgerReport:
-    """Assemble the complete ledger: balance, chain rule, pointwise balance,
-    continuity battery and the final verdict."""
+    """Assemble the complete ledger: balance, chain rule, continuity battery
+    and the final verdict."""
     cp = _checkpoint_pass(traj, triple, theta, pi)
     report = _edb_report(traj, cp, pi, tol_rel, mask)
     report.chain_series, report.chain_inconclusive, chain_spread = _chain_rule(cp)
     if not report.chain_inconclusive:
         report.chain_ok = bool(np.isfinite(chain_spread) and chain_spread <= report.tol_abs)
         report.flags["chain_spread"] = chain_spread
-    report.pointwise_series = _pointwise_edb(cp, min_width_rel=1e-4)
     residuals = rce_battery(traj, space, theta, pi, seed, mask)
     mass_scale = max(float(traj.densities[0] @ np.asarray(pi, float)), 1e-300)
     lipschitz = {k: v for k, v in residuals.items() if k != "component_step"}

@@ -86,35 +86,53 @@ def test_verify_flux_round_trip_byte_identical(tmp_path, base):
     assert (out / "ledger.json").read_bytes() == (vout / "ledger.json").read_bytes()
 
 
-def legacy_flux_csv_text(traj):
-    """The both-halves layout written before flux.csv listed each pair once:
-    one line per nonzero off-diagonal entry, row-major."""
-    lines = ["t,i,j,w"]
-    for k, t in enumerate(traj.times):
-        w, t_s = traj.flux_at(k), format(float(t), ".17g")
-        lines += [f"{t_s},{i},{j},{format(float(w[i, j]), '.17g')}"
-                  for i, j in zip(*np.nonzero(w)) if i != j]
-    lines.append("")
-    return "\n".join(lines)
+def coupling_of(cfg):
+    """The coupling of a config dict, as `run` and `verify` build it."""
+    from jumpflow import spaces
+    from jumpflow.cli import parse_run_config
+
+    parsed = parse_run_config(cfg)
+    return spaces.coupling(parsed["space"], parsed["kernel"])
 
 
-@pytest.mark.parametrize("base", [TWO_POINT, PUNCTURED_GRID], ids=["two_point", "punctured"])
-def test_verify_flux_reads_the_legacy_both_halves_layout(tmp_path, base):
-    from jumpflow.evolution import flux_from_csv, trajectory_from_csv
+def test_punctured_run_writes_flux_on_the_coupling_edges_only(tmp_path):
+    from jumpflow.evolution import coupling_edges, flux_from_csv, trajectory_from_csv
 
-    cfg = write_config(tmp_path, dict(base, export_flux=True))
-    out, vout = tmp_path / "out", tmp_path / "vout"
+    cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
+    out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    theta = coupling_of(PUNCTURED_GRID).theta
+    rows, cols, _ = coupling_edges(theta)
+    edges = set(zip(rows.tolist(), cols.tolist()))
+    lines = [r.split(",") for r in (out / "flux.csv").read_text().splitlines()[1:]]
+    assert lines and all((int(i), int(j)) in edges for _, i, j, _ in lines)
+    # states 0-5 lie left of the split, 6-11 right of it: no line joins the two
+    assert all((int(i) < 6) == (int(j) < 6) for _, i, j, _ in lines)
     traj = trajectory_from_csv(out / "trajectory.csv")
-    legacy = tmp_path / "flux_legacy.csv"
-    legacy.write_text(legacy_flux_csv_text(traj))
-    n_pairs = len((out / "flux.csv").read_text().splitlines()) - 1
-    assert len(legacy.read_text().splitlines()) == 1 + 2 * n_pairs
-    np.testing.assert_array_equal(flux_from_csv(legacy, traj).flux_store,
-                                  flux_from_csv(out / "flux.csv", traj).flux_store)
+    store = flux_from_csv(out / "flux.csv", traj, theta).flux_store
+    assert store.nbytes == traj.times.size * len(edges) * 8
+
+
+@pytest.mark.parametrize("edit", ["cross_component", "reversed_half"])
+def test_verify_flux_rejects_a_line_off_the_coupling_edges(tmp_path, capsys, edit):
+    cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "flux.csv").read_text().splitlines()
+    m = len(rows) // 2
+    t, i, j, w = rows[m].split(",")
+    if edit == "cross_component":  # states 0 and 11 lie on either side of the split
+        rows.insert(m, f"{t},0,11,0.5")
+    else:  # the same flux, listed as its j > i half
+        rows[m] = f"{t},{j},{i},{-float(w)!r}"
+    epath = tmp_path / "flux_edited.csv"
+    epath.write_text("\n".join([header] + rows) + "\n")
+    capsys.readouterr()
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
-                 "--flux", str(legacy), "--out", str(vout)]) == 0
-    assert (out / "ledger.json").read_bytes() == (vout / "ledger.json").read_bytes()
+                 "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
+    err = capsys.readouterr().err
+    assert "config error at flux" in err and "not a coupling edge" in err
+    assert not (tmp_path / "vout").exists()
 
 
 def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
@@ -126,7 +144,7 @@ def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
     text = (out / "flux.csv").read_text()
     header, *rows = text.splitlines()
     # edge {0, 1} at a middle checkpoint, listed once (i < j), one ulp up; the
-    # reader mirrors it, so the store stays antisymmetric
+    # store holds w_01 alone, so it stays antisymmetric
     m = len(rows) // 2
     t, i, j, w = rows[m].split(",")
     assert int(i) < int(j) and f"\n{t},{j},{i}," not in text and float(w) != 0.0
@@ -134,7 +152,8 @@ def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
     rows[m] = f"{t},{i},{j},{w!r}"
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
-    traj = flux_from_csv(epath, trajectory_from_csv(out / "trajectory.csv"))
+    traj = flux_from_csv(epath, trajectory_from_csv(out / "trajectory.csv"),
+                         coupling_of(TWO_POINT).theta)
     assert not traj.linear_flux
     vout = tmp_path / "vout"
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
@@ -193,7 +212,8 @@ def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
         "not_antisymmetric": [first, f"{t},{j},{i},{2.0 * float(w)!r}"],
         # a nan on the one line of its pair
         "nan_value": [f"{t},{i},{j},nan"],
-        # exact negatives, both halves listed (the legacy layout), but not finite
+        # both halves listed as exact negatives, but not finite: the value is
+        # checked before the pair is
         "infinite_pair": [f"{t},{i},{j},inf", f"{t},{j},{i},-inf"],
     }[edit]
     epath = tmp_path / "flux_edited.csv"
@@ -279,6 +299,36 @@ def test_initial_values_rejected_as_schema_errors(tmp_path, capsys, kind, values
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     assert f"config error at initial.{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column,value", [(1, "nan"), (1, "inf"), (0, "nan")],
+                         ids=["nan_density", "inf_density", "nan_time"])
+def test_verify_rejects_a_non_finite_trajectory(tmp_path, capsys, column, value):
+    cfg = write_config(tmp_path, TWO_POINT)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    fields = rows[5].split(",")
+    fields[column] = value
+    rows[5] = ",".join(fields)
+    broken = tmp_path / "broken.csv"
+    broken.write_text("\n".join([header] + rows) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--trajectory", str(broken),
+                 "--out", str(tmp_path / "vout")]) == 2
+    assert "config error at trajectory" in capsys.readouterr().err
+    assert not (tmp_path / "vout").exists()
+
+
+@pytest.mark.parametrize("key,cfg", [
+    ("config.export_flux", dict(TWO_POINT, export_flux="false")),
+    ("integrator.graded_start", dict(TWO_POINT, integrator={"graded_start": "false"})),
+], ids=["export_flux", "graded_start"])
+def test_config_flags_must_be_json_booleans(tmp_path, capsys, key, cfg):
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error at {key}: expected a boolean" in capsys.readouterr().err
     assert not out.exists()
 
 

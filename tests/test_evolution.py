@@ -234,13 +234,28 @@ def test_evolve_clip_on_chain_is_roundoff():
     assert np.all(traj.densities >= 0.0)
 
 
-def test_flux_values():
+def dense_flux(traj, k):
+    """The (n, n) flux of checkpoint k: u_i - u_j on every pair for the linear
+    flux, else the store's row on its edges, mirrored, and zero elsewhere."""
+    u = traj.densities[k]
+    if traj.flux_store is None:
+        return u[:, None] - u[None, :]
+    w, (rows, cols) = np.zeros((traj.n, traj.n)), traj.flux_edges
+    w[rows, cols], w[cols, rows] = traj.flux_store[k], -traj.flux_store[k]
+    return w
+
+
+def test_flux_values(tmp_path):
     u = np.array([2.0, 0.5, 1.0])
     traj = Trajectory(times=[0.0, 1.0], densities=[u, np.full(3, 0.7)])
-    w = traj.flux_at(0)
+    theta = 1.0 - np.eye(3)
+    fpath = tmp_path / "flux.csv"
+    fpath.write_text("".join(flux_csv_text(traj, theta)))
+    back = flux_from_csv(fpath, traj, theta)
+    w = dense_flux(back, 0)
     np.testing.assert_allclose(w, u[:, None] - u[None, :], atol=1e-14)
     np.testing.assert_allclose(w, -w.T, atol=1e-14)
-    assert np.all(traj.flux_at(1) == 0.0)
+    assert np.all(dense_flux(back, 1) == 0.0)
 
 
 def test_evolution_invariants():
@@ -304,7 +319,7 @@ def test_concatenate_requires_matching_endpoint():
     assert joined.times.size == a.times.size + c.times.size - 1
     # any matching endpoint is accepted, including a reversed leg
     reversed_leg = Trajectory(times=a.times, densities=a.densities[::-1].copy(),
-                              flux_store=np.zeros((a.times.size, 2, 2)))
+                              flux_store=np.zeros((a.times.size, 1)), flux_edges=([0], [1]))
     back = concatenate(a, reversed_leg)
     assert back.densities[-1] == pytest.approx(a.densities[0])
 
@@ -314,19 +329,28 @@ def test_concatenate_evolved_legs_keeps_linear_flux():
     a = evolve(coup, COSH, np.array([2.0, 0.0]), 0.5, IntegratorConfig(checkpoints=16))
     c = evolve(coup, COSH, a.densities[-1], 0.5, IntegratorConfig(checkpoints=16))
     joined = concatenate(a, c)
-    assert joined.flux_store is None
-    u = joined.densities[20]
-    np.testing.assert_array_equal(joined.flux_at(20), u[:, None] - u[None, :])
+    assert joined.flux_store is None and joined.linear_flux
+    # a storeless leg joins a stored one as u_i - u_j on the stored leg's edges
+    stored = Trajectory(times=c.times, densities=c.densities, flux_edges=([0], [1]),
+                        flux_store=c.densities[:, :1] - c.densities[:, 1:])
+    mixed = concatenate(a, stored)
+    u = mixed.densities
+    np.testing.assert_array_equal(mixed.flux_store, u[:, :1] - u[:, 1:])
+    assert mixed.linear_flux and mixed.flux_store.shape == (joined.times.size, 1)
 
 
 def test_trajectory_rejects_non_antisymmetric_flux_store():
-    store = np.zeros((2, 2, 2))
-    store[1, 0, 1] = 1.0
-    with pytest.raises(ValueError, match="antisymmetric"):
-        Trajectory(times=[0.0, 1.0], densities=np.ones((2, 2)), flux_store=store)
-    store[1, 1, 0] = -1.0
-    traj = Trajectory(times=[0.0, 1.0], densities=np.ones((2, 2)), flux_store=store)
-    np.testing.assert_array_equal(traj.flux_at(1), store[1])
+    # the store holds w_ij on edges i < j only, so w_ji = -w_ij by construction:
+    # a store that lists a pair's other half (or a diagonal) is refused
+    store = np.zeros((2, 2))
+    store[1, 0] = 1.0
+    for edges in (([0, 1], [1, 0]), ([0, 1], [1, 1])):
+        with pytest.raises(ValueError, match="antisymmetric"):
+            Trajectory(times=[0.0, 1.0], densities=np.ones((2, 2)), flux_store=store,
+                       flux_edges=edges)
+    traj = Trajectory(times=[0.0, 1.0], densities=np.ones((2, 2)), flux_store=store[:, :1],
+                      flux_edges=([0], [1]))
+    np.testing.assert_array_equal(dense_flux(traj, 1), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
@@ -338,9 +362,9 @@ def test_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.densities, traj.densities)
     fpath = tmp_path / "flux.csv"
-    fpath.write_text("".join(flux_csv_text(traj)))
-    withflux = flux_from_csv(fpath, back)
-    np.testing.assert_array_equal(withflux.flux_at(3), traj.flux_at(3))
+    fpath.write_text("".join(flux_csv_text(traj, coup.theta)))
+    withflux = flux_from_csv(fpath, back, coup.theta)
+    np.testing.assert_array_equal(dense_flux(withflux, 3), dense_flux(traj, 3))
 
 
 def test_flux_csv_lists_each_nonzero_pair_once(tmp_path):
@@ -348,45 +372,56 @@ def test_flux_csv_lists_each_nonzero_pair_once(tmp_path):
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, np.where(sp.points < 0.0, 1.5, 0.5), 0.1,
                   IntegratorConfig(checkpoints=8))
-    header, *rows = "".join(flux_csv_text(traj)).splitlines()
+    header, *rows = "".join(flux_csv_text(traj, coup.theta)).splitlines()
     assert header == "t,i,j,w"
     fields = [r.split(",") for r in rows]
     assert all(int(i) < int(j) for _, i, j, _ in fields)
     upper = np.triu(np.ones((traj.n, traj.n), dtype=bool), 1)
-    assert len(rows) == sum(int(np.count_nonzero(traj.flux_at(k)[upper]))
+    assert len(rows) == sum(int(np.count_nonzero(dense_flux(traj, k)[upper]))
                             for k in range(traj.times.size))
-    # the same pairs listed as their j > i halves read to the same store
-    fpath, lower = tmp_path / "flux.csv", tmp_path / "flux_lower.csv"
-    fpath.write_text("".join(flux_csv_text(traj)))
-    lower.write_text("\n".join([header] + [f"{t},{j},{i},{-float(w)!r}" for t, i, j, w in fields])
-                     + "\n")
-    store = flux_from_csv(fpath, traj).flux_store
-    np.testing.assert_array_equal(flux_from_csv(lower, traj).flux_store, store)
-    np.testing.assert_array_equal(store, np.stack([traj.flux_at(k)
+    fpath = tmp_path / "flux.csv"
+    fpath.write_text("".join(flux_csv_text(traj, coup.theta)))
+    store = flux_from_csv(fpath, traj, coup.theta).flux_store
+    np.testing.assert_array_equal(store, np.stack([dense_flux(traj, k)[upper]
                                                    for k in range(traj.times.size)]))
+
+
+def test_a_flux_store_on_other_edges_than_the_coupling_is_refused():
+    sp = build_grid(-1.0, 1.0, 6)
+    coup = coupling(sp, fractional_kernel(sp, 0.75, mask=punctured_mask(sp, 0.0)))
+    traj = evolve(coup, COSH, 1.0 + sp.points ** 2, 0.1, IntegratorConfig(checkpoints=8))
+    rows, cols = np.triu_indices(sp.n, 1)  # every pair, the cross-component ones included
+    stored = Trajectory(times=traj.times, densities=traj.densities, flux_edges=(rows, cols),
+                        flux_store=traj.densities[:, rows] - traj.densities[:, cols])
+    assert stored.linear_flux
+    for read in (lambda: "".join(flux_csv_text(stored, coup.theta)),
+                 lambda: continuity_residual(stored, sp.points, coup.theta, sp.pi)):
+        with pytest.raises(ValueError, match="other edges"):
+            read()
 
 
 def test_flux_csv_values_format_as_17_digit_floats(tmp_path):
     vals = [0.0, 5e-324, 2.2250738585072009e-308, 1e-300, -1e-300, 1.0 / 3.0, -7.5, 1e300]
     n = 5
     rows, cols = np.triu_indices(n, 1)
-    store = np.zeros((2, n, n))
-    store[1, rows[:len(vals)], cols[:len(vals)]] = vals
-    store[1] -= store[1].T
-    traj = Trajectory(times=[0.0, 0.25], densities=np.ones((2, n)), flux_store=store)
-    lines = "".join(flux_csv_text(traj)).splitlines()
-    expected = [f"0.25,{i},{j},{format(float(store[1, i, j]), '.17g')}"
-                for i, j in zip(rows, cols) if store[1, i, j] != 0]
+    theta = 1.0 - np.eye(n)
+    store = np.zeros((2, rows.size))
+    store[1, :len(vals)] = vals
+    traj = Trajectory(times=[0.0, 0.25], densities=np.ones((2, n)), flux_store=store,
+                      flux_edges=(rows, cols))
+    lines = "".join(flux_csv_text(traj, theta)).splitlines()
+    expected = [f"0.25,{i},{j},{format(float(w), '.17g')}"
+                for i, j, w in zip(rows, cols, store[1]) if w != 0]
     assert lines == ["t,i,j,w"] + expected and len(expected) == len(vals) - 1
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join(lines) + "\n")
-    np.testing.assert_array_equal(flux_from_csv(fpath, traj).flux_store, store)
+    np.testing.assert_array_equal(flux_from_csv(fpath, traj, theta).flux_store, store)
 
 
 def test_csv_text_ends_in_one_newline():
     _, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.3, IntegratorConfig(checkpoints=8))
-    for text in ("".join(trajectory_csv_text(traj)), "".join(flux_csv_text(traj))):
+    for text in ("".join(trajectory_csv_text(traj)), "".join(flux_csv_text(traj, coup.theta))):
         assert text.endswith("\n") and not text.endswith("\n\n")
         assert text.count("\n") == len(text.splitlines())
 
@@ -417,40 +452,35 @@ def test_header_only_trajectory_csv_raises_without_a_warning(tmp_path):
 
 
 def stored_flux_trajectory(n=6, checkpoints=8):
-    """A trajectory with a stored flux that is nonzero on every pair."""
+    """A trajectory with a stored flux that is nonzero on every edge, and its
+    coupling, which joins every pair."""
     sp = build_grid(-1.0, 1.0, n)
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, 1.0 + sp.points ** 2, 0.1,
                   IntegratorConfig(checkpoints=checkpoints, graded_start=False))
-    store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
-    store[0] = np.triu(np.ones((n, n)), 1) - np.tril(np.ones((n, n)), -1)  # u0 is even
-    return Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
-
-
-def both_halves_lines(traj):
-    """The legacy layout: every nonzero off-diagonal entry, row-major."""
-    return ["t,i,j,w"] + [f"{float(t)!r},{i},{j},{float(traj.flux_at(k)[i, j])!r}"
-                          for k, t in enumerate(traj.times)
-                          for i, j in zip(*np.nonzero(traj.flux_at(k)))]
+    rows, cols = np.triu_indices(n, 1)
+    store = traj.densities[:, rows] - traj.densities[:, cols]
+    store[0] = 1.0  # u0 is even
+    return Trajectory(times=traj.times, densities=traj.densities, flux_store=store,
+                      flux_edges=(rows, cols)), coup.theta
 
 
 @pytest.mark.parametrize("block", [1, 4, 15, 16, 1000])
 def test_flux_checkpoints_split_across_blocks_read_to_the_same_store(tmp_path, monkeypatch,
                                                                     block):
     # 15 pairs per checkpoint: at blocks of 1, 4 and 16 lines checkpoints straddle
-    # block boundaries; in the both-halves file a pair's two halves do too
-    traj = stored_flux_trajectory()
-    edge_only, legacy = tmp_path / "flux.csv", tmp_path / "flux_legacy.csv"
-    edge_only.write_text("".join(flux_csv_text(traj)))
-    legacy.write_text("\n".join(both_halves_lines(traj)) + "\n")
+    # block boundaries
+    traj, theta = stored_flux_trajectory()
+    fpath = tmp_path / "flux.csv"
+    fpath.write_text("".join(flux_csv_text(traj, theta)))
     monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
-    for path in (edge_only, legacy):
-        np.testing.assert_array_equal(flux_from_csv(path, traj).flux_store, traj.flux_store)
+    np.testing.assert_array_equal(flux_from_csv(fpath, traj, theta).flux_store,
+                                  traj.flux_store)
 
 
 def test_flux_csv_checkpoints_out_of_time_order_are_rejected(tmp_path, monkeypatch):
-    traj = stored_flux_trajectory()
-    header, *rows = "".join(flux_csv_text(traj)).splitlines()
+    traj, theta = stored_flux_trajectory()
+    header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
     first = [r for r in rows if r.startswith("0,")]
     assert len(first) == 15
     fpath = tmp_path / "flux.csv"
@@ -458,22 +488,22 @@ def test_flux_csv_checkpoints_out_of_time_order_are_rejected(tmp_path, monkeypat
     for block in (evolution.CSV_BLOCK_LINES, 7):  # within one block and across blocks
         monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
         with pytest.raises(ValueError, match="time order"):
-            flux_from_csv(fpath, traj)
+            flux_from_csv(fpath, traj, theta)
 
 
 def test_flux_csv_duplicate_across_a_block_boundary_is_rejected(tmp_path, monkeypatch):
-    traj = stored_flux_trajectory()
-    header, *rows = "".join(flux_csv_text(traj)).splitlines()
+    traj, theta = stored_flux_trajectory()
+    header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join([header] + rows[:20] + rows[19:]) + "\n")
     monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 20)  # lines 20 and 21 are in two blocks
     with pytest.raises(ValueError, match="twice"):
-        flux_from_csv(fpath, traj)
+        flux_from_csv(fpath, traj, theta)
 
 
 def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
     # The writer holds one checkpoint's text, never the file; the reader holds
-    # the (K+1, n, n) store plus one block of parsed lines, never the file's
+    # the (K+1, E) store plus one block of parsed lines, never the file's
     sp = build_grid(-1.0, 1.0, 24)
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, 1.0 + sp.points ** 2, 0.5,
@@ -481,10 +511,10 @@ def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
     fpath = tmp_path / "flux.csv"
     tracemalloc.start()
     try:
-        atomic_write(fpath, flux_csv_text(traj))
+        atomic_write(fpath, flux_csv_text(traj, coup.theta))
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        store = flux_from_csv(fpath, traj).flux_store
+        store = flux_from_csv(fpath, traj, coup.theta).flux_store
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -69,7 +69,7 @@ def test_action_on_a_nearly_vacant_edge_is_inf():
         warnings.simplefilter("error")
         assert action_R(u, w, COSH, coup.theta) == math.inf
         traj = Trajectory(times=[0.0, 1.0], densities=np.stack([u, u]),
-                          flux_store=np.stack([w, w]))
+                          flux_store=np.full((2, 1), w[0, 1]), flux_edges=([0], [1]))
         assert not traj.linear_flux
         assert np.all(_checkpoint_pass(traj, COSH, coup.theta, sp.pi).integrand == math.inf)
 

@@ -49,7 +49,7 @@ def test_edb_zeroed_flux_violates_balance():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 2.0, IntegratorConfig(checkpoints=256))
     fabricated = Trajectory(times=traj.times, densities=traj.densities,
-                            flux_store=np.zeros((traj.times.size, 2, 2)))
+                            flux_store=np.zeros((traj.times.size, 1)), flux_edges=([0], [1]))
     rep = edb_report(fabricated, COSH, coup.theta, sp.pi)
     # with no flux the action vanishes but the entropy still drops while D > 0
     assert not rep.edb_ok
@@ -102,8 +102,8 @@ def test_chain_rule_inconclusive_with_vacuum_quadratic():
     sp, coup = two_point()
     times = np.linspace(0.0, 1.0, 9)
     densities = np.tile([2.0, 0.0], (9, 1))
-    flux = np.tile([[0.0, 1.0], [-1.0, 0.0]], (9, 1, 1))
-    fabricated = Trajectory(times=times, densities=densities, flux_store=flux)
+    fabricated = Trajectory(times=times, densities=densities, flux_store=np.ones((9, 1)),
+                            flux_edges=([0], [1]))
     _, inconclusive = chain_rule_residual(fabricated, QUAD, coup.theta, sp.pi)
     assert inconclusive
 
@@ -140,7 +140,7 @@ def test_verdict_neither_for_zeroed_flux():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, IntegratorConfig(checkpoints=256))
     fabricated = Trajectory(times=traj.times, densities=traj.densities,
-                            flux_store=np.zeros((traj.times.size, 2, 2)))
+                            flux_store=np.zeros((traj.times.size, 1)), flux_edges=([0], [1]))
     rep = full_report(fabricated, COSH, sp, coup.theta, sp.pi)
     assert rep.verdict == VERDICT_NEITHER
 
@@ -211,17 +211,33 @@ def exact_log_pairing(u, theta):
     return float(total)
 
 
-def one_ulp_off(traj, theta):
-    """A stored copy of the linear flux with the entry pair of the last checkpoint's
-    largest coupling-edge flux moved one ulp, kept antisymmetric: the data that
-    sends the checkpoint pass down its per-edge R + D branch."""
-    store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
+def stored_linear(traj, theta):
+    """A stored copy of the linear flux on the coupling edges of theta."""
     rows, cols, _ = coupling_edges(theta)
-    e = np.argmax(np.abs(store[-1][rows, cols]))
-    i, j = rows[e], cols[e]
-    store[-1, i, j] = np.nextafter(store[-1, i, j], np.inf)
-    store[-1, j, i] = -store[-1, i, j]
-    return Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
+    return Trajectory(times=traj.times, densities=traj.densities, flux_edges=(rows, cols),
+                      flux_store=traj.densities[:, rows] - traj.densities[:, cols])
+
+
+def one_ulp_off(traj, theta):
+    """A stored copy of the linear flux with the last checkpoint's largest
+    coupling-edge flux moved one ulp: the data that sends the checkpoint pass
+    down its per-edge R + D branch."""
+    store = stored_linear(traj, theta).flux_store
+    e = np.argmax(np.abs(store[-1]))
+    store[-1, e] = np.nextafter(store[-1, e], np.inf)
+    return Trajectory(times=traj.times, densities=traj.densities, flux_store=store,
+                      flux_edges=coupling_edges(theta)[:2])
+
+
+def dense_flux(traj, k):
+    """The (n, n) flux of checkpoint k: u_i - u_j on every pair for the linear
+    flux, else the store's row on its edges, mirrored, and zero elsewhere."""
+    u = traj.densities[k]
+    if traj.flux_store is None:
+        return u[:, None] - u[None, :]
+    w, (rows, cols) = np.zeros((traj.n, traj.n)), traj.flux_edges
+    w[rows, cols], w[cols, rows] = traj.flux_store[k], -traj.flux_store[k]
+    return w
 
 
 @pytest.mark.parametrize("name", PASS_CASES)
@@ -243,12 +259,12 @@ def test_checkpoint_pass_matches_single_snapshot_oracles(name):
         np.testing.assert_allclose(cp.integrand[k], exact, rtol=1e-12)
         np.testing.assert_allclose(edge.integrand[k], exact, rtol=1e-12)
         np.testing.assert_allclose(edge.integrand[k],
-                                   edb_integrand(u, off.flux_at(k), triple, coup.theta),
+                                   edb_integrand(u, dense_flux(off, k), triple, coup.theta),
                                    rtol=1e-12)
         assert cp.entropy[k] == edge.entropy[k] == entropy(u, sp.pi, triple.entropy)
         lam = triple.entropy.dphi_ext(u)
         for t, p, rates in runs:
-            w = t.flux_at(k)
+            w = dense_flux(t, k)
             np.testing.assert_allclose(rates[k], -(w * coup.theta).sum(axis=1) @ phis,
                                        rtol=1e-12, atol=1e-14)
             with np.errstate(invalid="ignore"):
@@ -265,8 +281,8 @@ def per_edge_pairings(traj, triple, theta):
     """The chain-rule pairing of every checkpoint, edge by edge: the reference for
     the pass's Laplacian GEMM on the linear flux."""
     rows, cols, th = coupling_edges(theta)
-    return np.array([_pairing(triple.entropy.dphi_ext(u), traj.edge_flux(k, rows, cols),
-                              rows, cols, th) for k, u in enumerate(traj.densities)])
+    return np.array([_pairing(triple.entropy.dphi_ext(u), u[rows] - u[cols],
+                              rows, cols, th) for u in traj.densities])
 
 
 def vacant_component_case():
@@ -398,8 +414,7 @@ def test_stored_flux_copy_gives_the_same_full_report():
 
     for name, sp, coup, triple, u0 in cases:
         traj = evolve(coup, triple, u0, 0.3, IntegratorConfig(checkpoints=64))
-        store = np.stack([traj.flux_at(k) for k in range(traj.times.size)])
-        stored = Trajectory(times=traj.times, densities=traj.densities, flux_store=store)
+        stored = stored_linear(traj, coup.theta)
         off = one_ulp_off(traj, coup.theta)
         assert stored.linear_flux and not off.linear_flux
         split = _checkpoint_pass(stored, triple, coup.theta, sp.pi)
