@@ -213,10 +213,12 @@ def parse_run_config(cfg):
     export_flux = cfg.get("export_flux", False)
     if not isinstance(export_flux, bool):
         raise SchemaError("config.export_flux", "expected a boolean")
+    if tol_rel is None:
+        tol_rel = ledger.default_tolerance((cfg["kernel"] or {}).get("cutoff"))
     return {
         "space": space, "kernel": kernel, "mask_split": mask_split, "triple": triple,
         "u0": u0, "T": T, "integrator": config, "seed": seed, "export_flux": export_flux,
-        "tol_rel": tol_rel, "cutoff_eps": (cfg["kernel"] or {}).get("cutoff"),
+        "tol_rel": tol_rel,
     }
 
 
@@ -272,13 +274,10 @@ def _write_csv_json(out, stem, lines, obj):
 
 
 def _ledger_for(parsed, traj, coup):
-    tol_rel = parsed["tol_rel"]
-    if tol_rel is None:
-        tol_rel = ledger.default_tolerance(parsed["cutoff_eps"])
     split = parsed["mask_split"]
     mask = None if split is None else parsed["space"].points < split
     return ledger.full_report(traj, parsed["triple"], parsed["space"], coup.theta,
-                              parsed["space"].pi, tol_rel=tol_rel, seed=parsed["seed"],
+                              parsed["space"].pi, tol_rel=parsed["tol_rel"], seed=parsed["seed"],
                               mask=mask)
 
 
@@ -294,7 +293,7 @@ def cmd_run(args):
         parsed["seed"] = _integer(args.seed, "seed", lo=0)
     coup = spaces.coupling(parsed["space"], parsed["kernel"])
     traj = evolution.evolve(coup, parsed["triple"], parsed["u0"], parsed["T"],
-                            parsed["integrator"])
+                            parsed["integrator"], tol_rel=parsed["tol_rel"])
     report = _ledger_for(parsed, traj, coup)
     out = args.out
     os.makedirs(out, exist_ok=True)

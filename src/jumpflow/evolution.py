@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .densities import DissipationTriple, compat_check
-from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform
+from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform, error_controlled_grid
 
 __all__ = [
     "IncompatibleTripleError", "NumericalError", "IntegratorConfig", "Trajectory",
@@ -28,7 +28,15 @@ __all__ = [
     "flux_csv_text", "flux_from_csv",
 ]
 
-DEFAULT_CHECKPOINT_DENSITY = 512  # checkpoint intervals per unit time
+# The gates the default grid is chosen for; the ledger applies the same ones.
+EDB_TOL_REL = 1e-6   # relative EDB tolerance when none is given
+RCE_TOL = 1e-8       # continuity-equation gate, relative to the mass
+# The default grid's error targets, as fractions of those gates.  The continuity
+# estimate is the l1 norm of the error of the rate vector L u: it bounds the
+# defect of every test function with |phi| <= 1, and the battery's Lipschitz
+# members stay 3-5x below it.
+GRID_EDB_FRACTION = 1e-2
+GRID_RCE_FRACTION = 1e-1
 
 
 class IncompatibleTripleError(ValueError):
@@ -54,11 +62,6 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if not (0 < self.cfl_safety <= 1):
             raise ValueError("cfl_safety must lie in (0, 1]")
-
-    def n_checkpoints(self, T: float) -> int:
-        if self.checkpoints is not None:
-            return int(self.checkpoints)
-        return max(2, int(round(DEFAULT_CHECKPOINT_DENSITY * T)))
 
 
 @dataclass(frozen=True)
@@ -167,14 +170,18 @@ def _component_labels(adj) -> np.ndarray:
     return labels
 
 
-def _propagate_spectral(theta, pi, q_diag, u0, times, U) -> None:
-    """U[k] = exp(t_k Q) u0 for k >= 1, via eigh of the symmetric S = Pi^(1/2) Q Pi^(-1/2)
-    on each coupling component; its top eigenvalue is simple and exactly 0 (Q 1 = 0), so
-    it is pinned to 0.  A whole-matrix eigh would mix the components' null eigenvalues."""
+def _spectral_parts(theta, pi, q_diag, u0) -> list:
+    """One eigh of the symmetric S = Pi^(1/2) Q Pi^(-1/2) per coupling component;
+    its top eigenvalue is simple and exactly 0 (Q 1 = 0), so it is pinned to 0.
+    A whole-matrix eigh would mix the components' null eigenvalues.  Returns
+    (states, eigenvalues, coefficients, back) per component: there
+    u(t) = (e^(t lam) coef) @ back and, with the coupling Laplacian
+    L = diag(theta 1) - theta = -Pi Q, L u(t) = -pi (lam e^(t lam) coef) @ back."""
     if not np.array_equal(theta, theta.T):
         raise NumericalError("coupling theta is not symmetric (no detailed balance)")
-    root, block = np.sqrt(pi), 256  # checkpoint rows per GEMM: temporaries stay O(block n)
+    root = np.sqrt(pi)
     labels = _component_labels(theta > 0)
+    parts = []
     for c in range(labels.max() + 1):
         idx = np.flatnonzero(labels == c)
         r = root[idx]
@@ -182,29 +189,89 @@ def _propagate_spectral(theta, pi, q_diag, u0, times, U) -> None:
         S[np.diag_indices_from(S)] = q_diag[idx]
         lam, V = np.linalg.eigh(S)
         lam[-1] = 0.0
-        coef, back = V.T @ (r * u0[idx]), V.T / r
-        for k in range(1, times.size, block):
-            U[k:k + block, idx] = (np.exp(times[k:k + block, None] * lam) * coef) @ back
+        parts.append((idx, lam, V.T @ (r * u0[idx]), V.T / r))
+    return parts
+
+
+def _propagate_spectral(parts, times, U) -> None:
+    """U[k] = exp(t_k Q) u0 for k >= 1, 256 checkpoint rows per GEMM (temporaries O(256 n))."""
+    for idx, lam, coef, back in parts:
+        for k in range(1, times.size, 256):
+            U[k:k + 256, idx] = (np.exp(times[k:k + 256, None] * lam) * coef) @ back
+
+
+def _grid_series(parts, coup, triple, u0):
+    """The sampler of the default grid: at times ts, the dissipation
+    phi'(u) . (L u) (the chain-rule pairing, which the EDB integrates) and the
+    continuity rates L u (each test function's rate is -phi . (L u)).  At
+    t = 0 it takes u0 itself, so a vacant state next to mass gives the
+    dissipation its +inf there."""
+    lu0 = coup.theta.sum(axis=1) * u0 - coup.theta @ u0
+
+    def sample(ts):
+        U, LU = np.empty((ts.size, u0.size)), np.empty((ts.size, u0.size))
+        for idx, lam, coef, back in parts:
+            e = np.exp(ts[:, None] * lam) * coef
+            both = np.concatenate([e, e * lam]) @ back  # one GEMM for u and L u
+            U[:, idx] = both[:ts.size]
+            LU[:, idx] = both[ts.size:] * -coup.pi[idx]
+        U[ts == 0.0], LU[ts == 0.0] = u0, lu0
+        lam = triple.entropy.dphi_ext(U)  # phi'(0) at a roundoff negative, as after the clip
+        with np.errstate(invalid="ignore"):  # +inf and -inf slopes can meet: NaN
+            terms = lam * LU
+            if not np.all(np.isfinite(lam)):  # an infinite slope against no flux pairs to 0
+                terms[LU == 0.0] = 0.0
+            return [terms.sum(axis=1)[:, None], LU]
+
+    return sample
 
 
 def evolve(coup, triple: DissipationTriple, u0, T: float,
-           config: IntegratorConfig = IntegratorConfig()) -> Trajectory:
+           config: IntegratorConfig = IntegratorConfig(),
+           tol_rel: Optional[float] = None) -> Trajectory:
     """Integrate the linear evolution from u0 over [0, T].
 
+    Without ``config.checkpoints`` the grid is chosen after the
+    eigendecomposition by `quadrature.error_controlled_grid`, so that the
+    ledger's quadrature error stays within ``GRID_EDB_FRACTION`` of the EDB
+    tolerance ``tol_rel`` (relative to the initial entropy; ``EDB_TOL_REL``,
+    the ledger's default, when None) and within ``GRID_RCE_FRACTION`` of the
+    continuity gate ``RCE_TOL``; the Euler cross-check runs on the same grid.
+    With it, the grid is `checkpoint_grid` (``graded_start`` applies there).
     'expm' fills every checkpoint from one symmetric eigendecomposition per
     coupling component; 'euler' subdivides every checkpoint interval to
     respect the stability bound dt <= cfl_safety / max_i sum_j theta_ij/pi_i.
     Roundoff negatives are clipped in place; meta['clip_min'] keeps the least.
+    meta['checkpoints'] is K+1; on the default grid meta['grid_error'] holds
+    the final estimates, relative like the gates.
     """
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 < 0) or not np.all(np.isfinite(u0)):
         raise NumericalError("initial density must be finite and nonnegative")
     Q = generator(coup, triple)
-    times = checkpoint_grid(T, config.n_checkpoints(T), config.graded_start)
+    meta = {"method": config.method, "triple": triple.name}
+    parts = None
+    if config.method == "expm" or config.checkpoints is None:
+        parts = _spectral_parts(coup.theta, coup.pi, np.diag(Q), u0)
+    if config.checkpoints is None:
+        pi = np.asarray(coup.pi, dtype=float)
+        mass = float(u0 @ pi)
+        energy = max(float(triple.entropy.phi(u0) @ pi), 1e-12 * (1.0 + mass))
+        budgets = [GRID_EDB_FRACTION * energy * (EDB_TOL_REL if tol_rel is None else tol_rel),
+                   GRID_RCE_FRACTION * max(mass, 1e-300) * RCE_TOL]
+        rate = max(-float(lam[0]) for _, lam, _, _ in parts)
+        times, estimates = error_controlled_grid(
+            _grid_series(parts, coup, triple, u0), T, budgets,
+            first_step=1.0 / rate if rate > 0 else T)
+        meta["grid_error"] = {"edb_rel": float(estimates[0] / energy),
+                              "rce_rel": float(estimates[1] / max(mass, 1e-300))}
+    else:
+        times = checkpoint_grid(T, config.checkpoints, config.graded_start)
+        meta["graded_start"] = config.graded_start
     U = np.empty((times.size, u0.size))
     U[0] = u0
     if config.method == "expm":
-        _propagate_spectral(coup.theta, coup.pi, np.diag(Q), u0, times, U)
+        _propagate_spectral(parts, times, U)
     else:
         rate = float(np.max(-np.diag(Q)))
         dt_max = config.cfl_safety / rate if rate > 0 else np.inf
@@ -221,9 +288,7 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
         raise NumericalError("non-finite state encountered during integration")
     clip_min = min(float(U.min()), 0.0)
     np.maximum(U, 0.0, out=U)  # clip roundoff-level negatives
-    meta = {"method": config.method, "checkpoints": config.n_checkpoints(T),
-            "graded_start": config.graded_start, "triple": triple.name,
-            "clip_min": clip_min}
+    meta.update(checkpoints=int(times.size), clip_min=clip_min)
     return Trajectory(times=times, densities=U, meta=meta)
 
 

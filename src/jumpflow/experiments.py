@@ -72,9 +72,10 @@ def robustness_sweep(space: StateSpace, base_kernel: Kernel, triple: Dissipation
     terminal, residuals = [], []
     for eps in eps_list:
         coup = coupling(space, cutoff(base_kernel, space, eps))
-        traj = evolve(coup, triple, u0, T, config)
+        tol_rel = default_tolerance(eps)
+        traj = evolve(coup, triple, u0, T, config, tol_rel=tol_rel)
         terminal.append(traj.densities[-1])
-        rep = edb_report(traj, triple, coup.theta, space.pi, tol_rel=default_tolerance(eps))
+        rep = edb_report(traj, triple, coup.theta, space.pi, tol_rel=tol_rel)
         residuals.append(rep.max_edb_residual() / rep.energy_scale)
     terminal = np.asarray(terminal)
     gaps = np.array([np.sum(np.abs(terminal[k] - terminal[k + 1]) * space.pi)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .densities import DissipationTriple
-from .evolution import Trajectory, continuity_spreads
+from .evolution import EDB_TOL_REL, RCE_TOL, Trajectory, continuity_spreads
 from .functionals import _checkpoint_pass, json_text, jsonify
 from .quadrature import cumulative_simpson_nonuniform
 
@@ -37,7 +37,7 @@ VERDICT_DISSIPATIVE = "Dissipative"
 VERDICT_NEITHER = "Neither"
 
 # quadrature-limited defaults: smooth problems vs stiff small-cutoff problems
-DEFAULT_TOL_SMOOTH = 1e-6
+DEFAULT_TOL_SMOOTH = EDB_TOL_REL
 DEFAULT_TOL_STIFF = 1e-4
 STIFF_EPS = 1e-3
 
@@ -263,7 +263,7 @@ def upgrade_verdict(report: LedgerReport) -> str:
 
 def full_report(traj: Trajectory, triple: DissipationTriple, space, theta, pi,
                 tol_rel: Optional[float] = None, seed: int = 0, mask=None,
-                rce_tol: float = 1e-8) -> LedgerReport:
+                rce_tol: float = RCE_TOL) -> LedgerReport:
     """Assemble the complete ledger: balance, chain rule, continuity battery
     and the final verdict."""
     cp = _checkpoint_pass(traj, triple, theta, pi)

@@ -1,18 +1,22 @@
 """Checkpoint grids and composite Simpson quadrature on nonuniform grids.
 
-The dissipation integrand can blow up like log(1/t) when the initial density
-touches zero, so the default checkpoint grid prepends a geometric refinement
-of the first uniform interval.  The quadrature pairs adjacent intervals into
-Simpson panels but never pairs intervals of very different widths, and an
-isolated non-finite sample at the first or last checkpoint is handled by a
-one-sided rectangle on its interval (the integrable-singularity convention).
+The quadrature pairs adjacent intervals into Simpson panels but never pairs
+intervals of very different widths, and an isolated non-finite sample at the
+first or last checkpoint is handled by a one-sided rectangle on its interval
+(the integrable-singularity convention).
+
+``error_controlled_grid`` chooses a grid for given series under a global
+error budget, estimating each panel of that rule against the same rule on
+its two halves; ``checkpoint_grid`` is the explicit uniform grid, optionally
+with a geometric prefix for the log(1/t) singularity of a vacuum start.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["checkpoint_grid", "simpson_nonuniform", "cumulative_simpson_nonuniform"]
+__all__ = ["checkpoint_grid", "error_controlled_grid", "simpson_nonuniform",
+           "cumulative_simpson_nonuniform"]
 
 GRADE_RATIO = 1.02
 GRADE_CROSSOVER_DIV = 16.0
@@ -38,8 +42,9 @@ def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True,
     return np.unique(np.concatenate([np.asarray(pre), base]))
 
 
-def _quadratic_piece(x0, x1, x2, f0, f1, f2, a, b):
-    """Integral over [a, b] of the quadratic interpolating the three nodes.
+def _piece_weights(x0, x1, x2, a, b):
+    """Weights of the samples at x0, x1, x2 in the integral over [a, b] of the
+    quadratic interpolating them.
 
     Evaluated in coordinates local to the panel; the cubic antiderivative at
     absolute times would cancel catastrophically for tiny intervals far from
@@ -52,9 +57,14 @@ def _quadratic_piece(x0, x1, x2, f0, f1, f2, a, b):
         F = lambda x: x**3 / 3.0 - (r1 + r2) * x**2 / 2.0 + r1 * r2 * x
         return (F(yb) - F(ya)) / scale
 
-    return (f0 * lag(y1, y2, (y0 - y1) * (y0 - y2))
-            + f1 * lag(y0, y2, (y1 - y0) * (y1 - y2))
-            + f2 * lag(y0, y1, (y2 - y0) * (y2 - y1)))
+    return (lag(y1, y2, (y0 - y1) * (y0 - y2)), lag(y0, y2, (y1 - y0) * (y1 - y2)),
+            lag(y0, y1, (y2 - y0) * (y2 - y1)))
+
+
+def _quadratic_piece(x0, x1, x2, f0, f1, f2, a, b):
+    """Integral over [a, b] of the quadratic interpolating the three nodes."""
+    w0, w1, w2 = _piece_weights(x0, x1, x2, a, b)
+    return f0 * w0 + f1 * w1 + f2 * w2
 
 
 def _interval_pieces(ts, bs):
@@ -133,3 +143,186 @@ def cumulative_simpson_nonuniform(ts, bs):
     pieces, flag = _interval_pieces(ts, bs)
     out = np.concatenate([[0.0], np.cumsum(pieces)])
     return out, flag
+
+
+# ---------------------------------------------------------------------------
+# error-controlled grid
+
+_SEED_RATIO = 8.0         # largest t-ratio of a seed panel
+_LOG_SPLIT_RATIO = 4.0    # a panel [a, b] with b >= 4a > 0 is bisected in log t
+_MAX_PANELS = 1 << 12
+_CHILD_SHARE = 0.125      # assumed error of two halves against their panel, when choosing how many to bisect
+
+
+def _split(a, b):
+    """Where a panel [a, b] is bisected: at sqrt(ab) when b >= 4a > 0, so that
+    panels toward a log(1/t) singularity at 0 shrink geometrically, at the
+    midpoint otherwise.  Either way the halves differ by at most the factor 3
+    below which the quadrature pairs two intervals into one panel."""
+    geometric = (a > 0) & (b >= _LOG_SPLIT_RATIO * a)
+    return np.where(geometric, np.sqrt(a * b), 0.5 * (a + b))
+
+
+def _panel_errors(x, fs):
+    """Estimated errors of the rule on panels (x0, x2, x4), each summed over
+    the components: of the panel, its Simpson value against Simpson on the
+    halves (x0, x1, x2) and (x2, x3, x4); and of the panel's first interval,
+    which ends the cumulative integral at the checkpoint x2, against Simpson on
+    that half.  ``x`` is (P, 5) and each f in ``fs`` is (P, 5, d); returns two
+    (P, len(fs)) arrays.  Both are linear in f, so the weights of the five
+    samples are formed first."""
+    # the six pieces (three nodes, then the interval) and their signs in the two errors
+    w = np.stack(_piece_weights(*x.T[_PIECES.T]), axis=1)  # (6, 3, P)
+    per_node = np.zeros((6, 5, x.shape[0]))
+    per_node[np.arange(6)[:, None], _PIECES[:, :3]] = w
+    weights = np.tensordot(_PIECE_SIGNS, per_node, 1).transpose(2, 0, 1)  # (P, 2, 5)
+    with np.errstate(invalid="ignore"):  # a non-finite sample makes its estimates NaN
+        both = np.stack([np.abs(weights @ f).sum(axis=2) for f in fs], axis=2)  # (P, 2, len(fs))
+    return both[:, 0], both[:, 1]
+
+
+_PIECES = np.array([[0, 2, 4, 0, 2], [0, 2, 4, 2, 4],   # the panel's rule
+                    [0, 1, 2, 0, 1], [0, 1, 2, 1, 2], [2, 3, 4, 2, 3], [2, 3, 4, 3, 4]])
+_PIECE_SIGNS = np.array([[1, 1, -1, -1, -1, -1],         # panel error
+                         [1, 0, -1, -1, 0, 0]])          # first-interval error
+
+
+class _Nodes:
+    """Every time sampled so far with its samples, one row table per series.
+
+    The tables grow by doubling from 4096 rows (rows never written take no
+    memory): appending each round by concatenation would copy the whole
+    table every round and hold it twice at the peak of `evolve`."""
+
+    BLOCK = 128  # times per call of the sampler: its temporaries stay O(BLOCK d)
+
+    def __init__(self, sample):
+        self.sample, self.size, self.t = sample, 0, np.empty(0)
+        self.rows = [np.empty((0,) + v.shape[1:]) for v in sample(self.t)]
+
+    def add(self, ts) -> np.ndarray:
+        """Sample the times ``ts``, append them to the table and return their rows."""
+        first, end = self.size, self.size + len(ts)
+        if end > self.t.size:
+            self.t, *self.rows = (_grown(a, max(2 * end, 4096), first) for a in [self.t, *self.rows])
+        self.t[first:end] = ts
+        for k in range(first, end, self.BLOCK):
+            for r, v in zip(self.rows, self.sample(self.t[k:min(k + self.BLOCK, end)])):
+                r[k:k + v.shape[0]] = v
+        self.size = end
+        return np.arange(first, end)
+
+
+def _grown(a, rows, keep):
+    """``a`` with room for ``rows`` rows, its first ``keep`` rows kept."""
+    out = np.empty((rows,) + a.shape[1:])
+    out[:keep] = a[:keep]
+    return out
+
+
+def error_controlled_grid(sample, T: float, budgets, first_step: float):
+    """A checkpoint grid on [0, T] on which the quadrature of this module
+    integrates every series that ``sample`` returns within its error budget.
+
+    ``sample(ts)`` returns, for the times ``ts``, a list of (ts.size, d)
+    arrays, one per series; ``budgets`` holds one absolute budget per series
+    for the error of its cumulative integral at any checkpoint, summed over
+    its d components.
+
+    The grid is a chain of Simpson panels (x0, x2, x4), each of two comparable
+    intervals, so the quadrature pairs exactly these.  The same rule on the
+    two halves, with the quarter points x1 and x3 sampled, estimates the error
+    of each panel and of its first interval, at whose end x2 the cumulative
+    integral also stops; a series' estimate is the sum over the panels plus
+    the largest first-interval error.  Seed panels run from ``first_step`` to
+    T in t-ratios of at most 8.  Each round bisects, for every series over its
+    budget, the panels whose first-interval error exceeds half the budget and
+    the fewest largest panel errors that hold half their sum, or enough of it
+    to bring the sum under half the budget: panels wherever the error is,
+    under one budget for the whole grid.
+
+    A series whose sample at t = 0 is not finite (the log(1/t) dissipation of
+    a vacuum start) is integrated by the rectangle rule on [0, h],
+    h = T*1e-12, where the graded grid starts too.  The grid then starts 0, h
+    and the panel (h, 4.5h, 8h), whose first interval is wide enough that a
+    finite series takes [0, h] alone too; that interval and panel are
+    estimated but not bisected.  A non-finite estimate does not count toward its series' budget
+    (bisection cannot mend it) and makes the series' estimate infinite.
+
+    Returns the times and the estimate of every series.
+    """
+    B = np.asarray(budgets, dtype=float)
+    nodes = _Nodes(sample)
+    nodes.add([0.0])
+    singular = not all(np.all(np.isfinite(r[0])) for r in nodes.rows)
+    if singular:
+        h = T * GRADE_TMIN_REL
+        start, head = 8.0 * h, (h, 4.5 * h, 8.0 * h)
+    else:
+        start = min(first_step, T)
+        head = (0.0, 0.5 * start, start)
+    count = int(np.ceil(np.log(T / start) / np.log(_SEED_RATIO) - 1e-9)) if start < T else 0
+    bounds = start * (T / start) ** (np.arange(count + 1) / max(count, 1))
+    bounds[-1] = T
+    x0, x4 = np.append(head[0], bounds[:-1]), np.append(head[2], bounds[1:])
+    x2 = np.append(head[1], _split(bounds[:-1], bounds[1:]))
+    X = np.column_stack([x0, _split(x0, x2), x2, _split(x2, x4), x4])
+    fresh = np.unique(X[:, 1:])  # x0 of the first panel is 0 or h; every x4 is an x0 or T
+    rows = nodes.add(np.append(h, fresh) if singular else fresh)
+    at = dict(zip(nodes.t[:nodes.size].tolist(), range(nodes.size)))
+    idx = np.array([[at[t] for t in panel] for panel in X.tolist()], dtype=np.intp)
+
+    def errors(ix):  # 64 panels at a time: the gathered samples stay O(320 d)
+        parts = [_panel_errors(nodes.t[b], [r[b] for r in nodes.rows])
+                 for b in np.split(ix, np.arange(64, len(ix), 64))]
+        return np.concatenate([e for e, _ in parts]), np.concatenate([m for _, m in parts])
+
+    E, H = errors(idx)
+    fixed = np.zeros(len(idx), dtype=bool)
+    if singular:  # [0, h]: the rectangle, or the trapezoid, against the slope to the next node
+        fixed[0] = True
+        t, k1 = nodes.t, idx[0, 1]
+        for c, f in enumerate(nodes.rows):
+            if np.all(np.isfinite(f[0])):
+                lone = _quadratic_piece(0.0, h, t[k1], f[0], f[rows[0]], f[k1], 0.0, h)
+                E[0, c] += np.abs(0.5 * h * (f[0] + f[rows[0]]) - lone).sum()
+            else:  # f ~ a log(1/t) + b on [0, h] leaves the error a h
+                E[0, c] += h * np.abs(f[rows[0]] - f[k1]).sum() / np.log(t[k1] / h)
+    while len(idx) < _MAX_PANELS:
+        E_ok, H_ok = (np.where(np.isfinite(a), a, 0.0) for a in (E, H))
+        total, worst = E_ok.sum(axis=0), H_ok.max(axis=0)
+        over = np.flatnonzero(total + worst > B)
+        if over.size == 0:
+            break
+        X = nodes.t[idx]
+        free = ~fixed & (X[:, 4] - X[:, 0] > 1e-9 * X[:, 4])
+        pick = np.zeros(len(idx), dtype=bool)
+        for c in over:
+            pick |= H_ok[:, c] > 0.5 * B[c]
+            if total[c] > 0.5 * B[c]:
+                e = np.where(free, E_ok[:, c], 0.0)
+                order = np.argsort(-e, kind="stable")
+                held = np.cumsum(e[order])
+                enough = min(np.searchsorted(held, 0.5 * total[c]),
+                             np.searchsorted(held * (1.0 - _CHILD_SHARE), total[c] - 0.5 * B[c]))
+                pick[order[:enough + 1]] = True
+        pick &= free
+        pick[np.flatnonzero(pick)[_MAX_PANELS - len(idx):]] = False
+        if not pick.any():
+            break
+        p = idx[pick]
+        new = nodes.add(_split(nodes.t[p[:, :-1]], nodes.t[p[:, 1:]]).ravel()).reshape(-1, 4)
+        left = np.column_stack([p[:, 0], new[:, 0], p[:, 1], new[:, 1], p[:, 2]])
+        right = np.column_stack([p[:, 2], new[:, 2], p[:, 3], new[:, 3], p[:, 4]])
+        reps = 1 + pick
+        first = (np.cumsum(reps) - reps)[pick]
+        idx, E, H, fixed = (np.repeat(a, reps, axis=0) for a in (idx, E, H, fixed))
+        idx[first], idx[first + 1] = left, right
+        halves = np.concatenate([first, first + 1])
+        E[halves], H[halves] = errors(idx[halves])
+    keep = np.append(idx[:, [0, 2]].ravel(), idx[-1, 4])
+    if singular:
+        keep = np.append(0, keep)
+    estimates = E.sum(axis=0) + H.max(axis=0)
+    estimates[~(np.isfinite(E).all(axis=0) & np.isfinite(H).all(axis=0))] = np.inf
+    return nodes.t[keep], estimates

@@ -1,5 +1,6 @@
 """CLI contract: schemas, exit codes, determinism, verify round trip."""
 
+import hashlib
 import json
 import os
 import stat
@@ -7,6 +8,7 @@ import stat
 import numpy as np
 import pytest
 from jumpflow.cli import main
+from jumpflow.quadrature import checkpoint_grid
 
 TWO_POINT = {
     "schema": 1,
@@ -74,6 +76,52 @@ PUNCTURED_GRID = {
     "integrator": {"checkpoints": 64},
     "seed": 3,
 }
+
+
+# trajectory.csv of TWO_POINT on the explicit graded grid of 256 uniform intervals,
+# as the fixed default grid of earlier versions wrote it
+TWO_POINT_GRADED_SHA256 = "fae7a44fd74eee2459b01241ad97603e3b808bdf3a8dca93f502f3d72ca9dc51"
+
+
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_explicit_checkpoints_write_the_graded_grid(tmp_path, how):
+    cfg = dict(TWO_POINT)
+    argv = []
+    if how == "flag":
+        del cfg["integrator"]
+        argv = ["--checkpoints", "256"]
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)] + argv) == 0
+    text = (out / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == TWO_POINT_GRADED_SHA256
+    times = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 0]
+    assert np.array_equal(times, checkpoint_grid(2.0, 256))
+
+
+DEFAULT_GRID = {
+    "vacuum": dict(TWO_POINT, integrator=None),
+    "punctured": dict(PUNCTURED_GRID, integrator=None),
+    "uncut": {"schema": 1, "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 10},
+              "kernel": {"type": "fractional", "s": 0.75}, "triple": "cosh",
+              "initial": {"type": "step", "left": 1.8, "right": 0.3, "split": -0.5},
+              "T": 0.5, "seed": 2},
+}
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_GRID))
+def test_default_grid_run_is_deterministic_and_verified_byte_for_byte(tmp_path, name):
+    cfg = write_config(tmp_path, dict(DEFAULT_GRID[name], export_flux=True))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (runs[0] / "trajectory.csv").read_bytes() == (runs[1] / "trajectory.csv").read_bytes()
+    traj = ["--trajectory", str(runs[0] / "trajectory.csv")]
+    for extra in ([], ["--flux", str(runs[0] / "flux.csv")]):
+        vout = tmp_path / f"verify{len(extra)}"
+        assert main(["verify", "--config", cfg, *traj, *extra, "--out", str(vout)]) == 0
+        assert (vout / "ledger.json").read_bytes() == (runs[0] / "ledger.json").read_bytes()
+    ledger = json.loads((runs[0] / "ledger.json").read_text())
+    assert ledger["verdict"] == "Balanced/Reflecting" and ledger["n_checkpoints"] < 1000
 
 
 @pytest.mark.parametrize("base", [TWO_POINT, PUNCTURED_GRID], ids=["two_point", "punctured"])

@@ -365,10 +365,12 @@ def test_centred_pairing_does_not_depend_on_its_block(name, monkeypatch):
 
 
 def test_split_pass_takes_the_per_edge_pairing_only_on_vacant_rows(monkeypatch):
-    # the grid-certify config at n=24: a vacuum start on a cut fractional kernel
+    # the grid-certify config at n=24: a vacuum start on a cut fractional kernel,
+    # on the graded grid of 1512 rows, many blocks of the pass
     sp = build_grid(-1.0, 1.0, 24)
     coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-3))
-    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.0), 0.5)
+    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.0), 0.5,
+                  IntegratorConfig(checkpoints=256))
     calls = []
 
     def counted(*args):
