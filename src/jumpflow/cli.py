@@ -21,7 +21,7 @@ import numpy as np
 from . import evolution, experiments, ledger, spaces
 from .densities import canonical_triple
 from .evolution import IntegratorConfig, NumericalError
-from .functionals import json_text, jsonify
+from .functionals import json_text
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -163,7 +163,7 @@ def build_initial(cfg, space, path="initial"):
 def build_integrator(cfg, path="integrator"):
     if cfg is None:
         return IntegratorConfig()
-    _require_keys(cfg, path, [], ["method", "checkpoints", "dt", "cfl_safety", "graded_start"])
+    _require_keys(cfg, path, [], ["method", "checkpoints", "dt", "graded_start"])
     method = cfg.get("method", "expm")
     aliases = {"explicit_euler": "euler", "matrix_exponential": "expm"}
     method = aliases.get(method, method)
@@ -177,8 +177,6 @@ def build_integrator(cfg, path="integrator"):
         kwargs["dt"] = _number(cfg["dt"], f"{path}.dt")
         if kwargs["dt"] <= 0:
             raise SchemaError(f"{path}.dt", "must be positive")
-    if "cfl_safety" in cfg:
-        kwargs["cfl_safety"] = _number(cfg["cfl_safety"], f"{path}.cfl_safety")
     if "graded_start" in cfg:
         if not isinstance(cfg["graded_start"], bool):
             raise SchemaError(f"{path}.graded_start", "expected a boolean")
@@ -400,7 +398,7 @@ def cmd_lift(args):
         "N": args.N,
         "configs": lifted.n_configs,
         "pi_total": float(lifted.space.pi.sum()),
-        "verdict": {k: jsonify(v) for k, v in verdict.items()},
+        "verdict": verdict,
     })
     return EXIT_OK if verdict["ok"] else EXIT_NUMERICAL
 

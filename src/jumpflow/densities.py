@@ -228,13 +228,8 @@ def _numeric_conjugate(fn, dfn, w, tol=1e-10):
 
 
 def legendre(pair: DissipationPair, w):
-    """Primal dissipation psi(w) = sup_xi (w xi - psi*(xi))."""
-    if pair.name == "quadratic":
-        w = np.asarray(w, dtype=float)
-        out = 0.5 * w**2
-        return out if out.ndim else float(out)
-    if pair.name == "cosh":
-        return _psi_cosh(w)
+    """Primal dissipation psi(w) = sup_xi (w xi - psi*(xi)): the pair's closed
+    form when it has one, else a numeric conjugate."""
     if pair.psi is not None:
         return pair.psi(w)
     w = np.asarray(w, dtype=float)

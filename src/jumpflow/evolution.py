@@ -31,6 +31,8 @@ __all__ = [
 # The gates the default grid is chosen for; the ledger applies the same ones.
 EDB_TOL_REL = 1e-6   # relative EDB tolerance when none is given
 RCE_TOL = 1e-8       # continuity-equation gate, relative to the mass
+COMPAT_TOL = 1e-9    # largest compatibility residual `generator` accepts
+CFL_SAFETY = 0.9     # Euler steps stay within this fraction of the stability bound
 # The default grid's error targets, as fractions of those gates.  The continuity
 # estimate is the l1 norm of the error of the rate vector L u: it bounds the
 # defect of every test function with |phi| <= 1, and the battery's Lipschitz
@@ -52,7 +54,6 @@ class IntegratorConfig:
     method: str = "expm"            # 'expm' or 'euler'
     checkpoints: Optional[int] = None
     dt: Optional[float] = None      # Euler step cap
-    cfl_safety: float = 0.9
     graded_start: bool = True
 
     def __post_init__(self):
@@ -60,8 +61,6 @@ class IntegratorConfig:
             raise ValueError("method must be 'expm' or 'euler'")
         if self.dt is not None and self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not (0 < self.cfl_safety <= 1):
-            raise ValueError("cfl_safety must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ class Trajectory:
         return self.densities @ np.asarray(pi, dtype=float)
 
 
-def generator(coup, triple: DissipationTriple, compat_tol: float = 1e-9) -> np.ndarray:
+def generator(coup, triple: DissipationTriple) -> np.ndarray:
     """Generator matrix of the linear evolution, Q_ij = theta_ij / pi_i.
 
     Refuses triples that fail the compatibility identity; the nonlinear flux
@@ -143,7 +142,7 @@ def generator(coup, triple: DissipationTriple, compat_tol: float = 1e-9) -> np.n
     if not triple.compatible:
         raise IncompatibleTripleError(f"triple '{triple.name}' is not declared compatible")
     residual = compat_check(triple, samples=256, seed=1)
-    if residual > compat_tol:
+    if residual > COMPAT_TOL:
         raise IncompatibleTripleError(
             f"triple '{triple.name}' fails the compatibility identity (residual {residual:.2e})")
     Q = coup.theta / coup.pi[:, None]
@@ -240,7 +239,7 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
     With it, the grid is `checkpoint_grid` (``graded_start`` applies there).
     'expm' fills every checkpoint from one symmetric eigendecomposition per
     coupling component; 'euler' subdivides every checkpoint interval to
-    respect the stability bound dt <= cfl_safety / max_i sum_j theta_ij/pi_i.
+    respect the stability bound dt <= CFL_SAFETY / max_i sum_j theta_ij/pi_i.
     Roundoff negatives are clipped in place; meta['clip_min'] keeps the least.
     meta['checkpoints'] is K+1; on the default grid meta['grid_error'] holds
     the final estimates, relative like the gates.
@@ -274,7 +273,7 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
         _propagate_spectral(parts, times, U)
     else:
         rate = float(np.max(-np.diag(Q)))
-        dt_max = config.cfl_safety / rate if rate > 0 else np.inf
+        dt_max = CFL_SAFETY / rate if rate > 0 else np.inf
         if config.dt is not None:
             dt_max = min(dt_max, config.dt)
         for k, dt in enumerate(np.diff(times)):

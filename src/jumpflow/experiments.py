@@ -13,7 +13,6 @@ import numpy as np
 
 from .densities import DissipationTriple
 from .evolution import IntegratorConfig, evolve
-from .functionals import jsonify
 from .ledger import edb_report, default_tolerance
 from .spaces import Coupling, Kernel, StateSpace, coupling, cutoff, taming_bound
 
@@ -49,10 +48,10 @@ class SweepResult:
     def to_dict(self) -> dict:
         return {
             "schema": 1,
-            "eps": [float(e) for e in self.eps_list],
-            "gaps": [jsonify(g) for g in self.gaps],
-            "gap_ratios": [jsonify(r) for r in self.gap_ratios()],
-            "edb_residuals": [jsonify(r) for r in self.edb_residuals],
+            "eps": self.eps_list,
+            "gaps": self.gaps,
+            "gap_ratios": self.gap_ratios(),
+            "edb_residuals": self.edb_residuals,
             "strictly_decreasing": bool(np.all(np.diff(self.gaps) < 0)),
         }
 
@@ -100,12 +99,11 @@ class ProbeResult:
         return {
             "schema": 1,
             "s": self.s,
-            "deltas": [float(d) for d in self.deltas],
-            "seminorms": [jsonify(v) for v in self.seminorms],
-            "slope": None if self.slope is None else jsonify(self.slope),
-            "target_slope": None if self.target_slope is None else jsonify(self.target_slope),
-            "tail_relative_change": None if self.tail_relative_change is None
-            else jsonify(self.tail_relative_change),
+            "deltas": self.deltas,
+            "seminorms": self.seminorms,
+            "slope": self.slope,
+            "target_slope": self.target_slope,
+            "tail_relative_change": self.tail_relative_change,
         }
 
 

@@ -21,7 +21,6 @@ from .measures import PosMeasure
 from .quadrature import cumulative_simpson_nonuniform
 
 __all__ = [
-    "jsonify",
     "json_text",
     "Upsilon",
     "entropy",
@@ -34,8 +33,14 @@ __all__ = [
 ]
 
 
-def jsonify(v):
-    """JSON-safe scalar: non-finite floats become the strings 'nan', 'inf', '-inf'."""
+def _json_value(v):
+    """The JSON value of v at any depth: dicts, lists, tuples and numpy arrays
+    walked, numpy scalars made Python ones, and a non-finite float written as
+    the string 'nan', 'inf' or '-inf' (JSON has no NaN or infinity)."""
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_json_value(x) for x in v]
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
@@ -51,8 +56,9 @@ def jsonify(v):
 
 
 def json_text(obj, indent: int = 2) -> str:
-    """The JSON encoding of every report: sorted keys, no bare NaN or inf."""
-    return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
+    """The JSON encoding of every report: sorted keys, and `_json_value` applied
+    at every depth, so no bare NaN or inf."""
+    return json.dumps(_json_value(obj), indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _offdiag(n):

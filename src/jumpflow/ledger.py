@@ -18,7 +18,7 @@ import numpy as np
 
 from .densities import DissipationTriple
 from .evolution import EDB_TOL_REL, RCE_TOL, Trajectory, continuity_spreads
-from .functionals import _checkpoint_pass, json_text, jsonify
+from .functionals import _checkpoint_pass, json_text
 from .quadrature import cumulative_simpson_nonuniform
 
 __all__ = [
@@ -36,28 +36,28 @@ VERDICT_BALANCED = "Balanced/Reflecting"
 VERDICT_DISSIPATIVE = "Dissipative"
 VERDICT_NEITHER = "Neither"
 
-# quadrature-limited defaults: smooth problems vs stiff small-cutoff problems
-DEFAULT_TOL_SMOOTH = EDB_TOL_REL
+# quadrature-limited defaults: smooth problems (EDB_TOL_REL) vs stiff small-cutoff problems
 DEFAULT_TOL_STIFF = 1e-4
 STIFF_EPS = 1e-3
+POINTWISE_MIN_WIDTH_REL = 1e-4  # narrowest stencil `pointwise_edb` reads, relative to the span
+RANDOM_LIPSCHITZ = 4            # random Lipschitz members of the continuity battery
 
 
 def default_tolerance(cutoff_eps: Optional[float]) -> float:
     if cutoff_eps is not None and cutoff_eps <= STIFF_EPS:
         return DEFAULT_TOL_STIFF
-    return DEFAULT_TOL_SMOOTH
+    return EDB_TOL_REL
 
 
 @dataclass
 class LedgerReport:
     times: np.ndarray
     ledger_series: np.ndarray           # L_t at every checkpoint
-    interval_residuals: np.ndarray      # EDB residual per consecutive interval
     edi_ok: bool
     edb_ok: bool
     tol_abs: float
     energy_scale: float
-    chain_series: Optional[np.ndarray] = None
+    max_chain_residual: Optional[float] = None  # largest per-interval chain-rule residual
     chain_ok: Optional[bool] = None
     chain_inconclusive: bool = False
     ce_residual: Optional[float] = None     # Lipschitz battery only
@@ -79,22 +79,21 @@ class LedgerReport:
         return {
             "schema": 1,
             "verdict": self.verdict,
-            "tol_abs": jsonify(self.tol_abs),
-            "energy_scale": jsonify(self.energy_scale),
+            "tol_abs": self.tol_abs,
+            "energy_scale": self.energy_scale,
             "edb_ok": self.edb_ok,
             "edi_ok": self.edi_ok,
-            "max_edb_residual": jsonify(self.max_edb_residual()),
-            "final_ledger": jsonify(float(self.ledger_series[-1])),
+            "max_edb_residual": self.max_edb_residual(),
+            "final_ledger": float(self.ledger_series[-1]),
             "chain_ok": self.chain_ok,
             "chain_inconclusive": self.chain_inconclusive,
-            "max_chain_residual": None if self.chain_series is None
-            else jsonify(float(np.max(self.chain_series))),
-            "ce_residual": None if self.ce_residual is None else jsonify(self.ce_residual),
+            "max_chain_residual": self.max_chain_residual,
+            "ce_residual": self.ce_residual,
             "ce_ok": self.ce_ok,
-            "rce_residual": None if self.rce_residual is None else jsonify(self.rce_residual),
+            "rce_residual": self.rce_residual,
             "rce_ok": self.rce_ok,
-            "invariants": {k: jsonify(v) for k, v in self.invariants.items()},
-            "flags": {k: jsonify(v) for k, v in self.flags.items()},
+            "invariants": self.invariants,
+            "flags": self.flags,
             "n_checkpoints": int(self.times.size),
         }
 
@@ -145,7 +144,7 @@ def _edb_report(traj, cp, pi, tol_rel, mask) -> LedgerReport:
     series, _, singular = cp.ledger()
     mass = float(traj.densities[0] @ pi)
     scale = max(float(cp.entropy[0]), 1e-12 * (1.0 + mass))
-    tol = (tol_rel if tol_rel is not None else DEFAULT_TOL_SMOOTH) * scale
+    tol = (tol_rel if tol_rel is not None else EDB_TOL_REL) * scale
     finite = np.all(np.isfinite(series))
     edb_ok = bool(finite and np.max(np.abs(series)) <= tol
                   and float(np.max(series) - np.min(series)) <= tol)
@@ -153,7 +152,6 @@ def _edb_report(traj, cp, pi, tol_rel, mask) -> LedgerReport:
     return LedgerReport(
         times=traj.times,
         ledger_series=series,
-        interval_residuals=np.diff(series),
         edi_ok=edi_ok,
         edb_ok=edb_ok,
         tol_abs=tol,
@@ -182,24 +180,23 @@ def _chain_rule(cp):
     g, ent = cp.pairing, cp.entropy
     if np.any(~np.isfinite(g[1:-1])):
         return np.full(g.size - 1, np.nan), True, float("nan")
-    g = np.where(np.isnan(g), np.inf, g)
+    # the quadrature reads an endpoint sample only through isfinite: NaN and inf alike
     integral, _ = cumulative_simpson_nonuniform(cp.times, g)
     # the pairing equals -dE/dt along the curve, so the defect is dE + integral
     defect = (ent - ent[0]) + integral
     return np.abs(np.diff(ent) + np.diff(integral)), False, float(np.max(defect) - np.min(defect))
 
 
-def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi,
-                  min_width_rel: float = 1e-4) -> np.ndarray:
+def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi) -> np.ndarray:
     """At interior checkpoints, |R + D + dE/dt| with a three-point difference
     stencil for the entropy derivative (nonuniform-grid form).
 
-    Stencils narrower than ``min_width_rel`` of the span are skipped (NaN):
+    Stencils narrower than ``POINTWISE_MIN_WIDTH_REL`` of the span are skipped (NaN):
     there the difference quotient only amplifies entropy roundoff.
     """
     cp = _checkpoint_pass(traj, triple, theta, pi)
     t, ent = cp.times, cp.entropy
-    floor = min_width_rel * (t[-1] - t[0])
+    floor = POINTWISE_MIN_WIDTH_REL * (t[-1] - t[0])
     out = np.full(max(t.size - 2, 0), np.nan)
     for k in range(1, t.size - 1):
         x0, x1, x2 = t[k - 1], t[k], t[k + 1]
@@ -213,13 +210,13 @@ def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi,
     return out
 
 
-def _lipschitz_battery(points, dist, seed: int, count: int = 4):
+def _lipschitz_battery(points, dist, seed: int):
     """Bounded test functions: constants, clamped coordinates, random Lipschitz."""
     rng = np.random.default_rng(seed)
     battery = [("constant", np.ones_like(points)),
                ("coordinate", np.clip(points, -1.0, 1.0))]
     n = points.size
-    for k in range(count):
+    for k in range(RANDOM_LIPSCHITZ):
         anchors = rng.choice(n, size=min(3, n), replace=False)
         coeffs = rng.uniform(-1.0, 1.0, anchors.size)
         # min of shifted distance cones is automatically 1-Lipschitz in the metric
@@ -262,13 +259,13 @@ def upgrade_verdict(report: LedgerReport) -> str:
 
 
 def full_report(traj: Trajectory, triple: DissipationTriple, space, theta, pi,
-                tol_rel: Optional[float] = None, seed: int = 0, mask=None,
-                rce_tol: float = RCE_TOL) -> LedgerReport:
+                tol_rel: Optional[float] = None, seed: int = 0, mask=None) -> LedgerReport:
     """Assemble the complete ledger: balance, chain rule, continuity battery
     and the final verdict."""
     cp = _checkpoint_pass(traj, triple, theta, pi)
     report = _edb_report(traj, cp, pi, tol_rel, mask)
-    report.chain_series, report.chain_inconclusive, chain_spread = _chain_rule(cp)
+    chain, report.chain_inconclusive, chain_spread = _chain_rule(cp)
+    report.max_chain_residual = float(np.max(chain))
     if not report.chain_inconclusive:
         report.chain_ok = bool(np.isfinite(chain_spread) and chain_spread <= report.tol_abs)
         report.flags["chain_spread"] = chain_spread
@@ -276,9 +273,9 @@ def full_report(traj: Trajectory, triple: DissipationTriple, space, theta, pi,
     mass_scale = max(float(traj.densities[0] @ np.asarray(pi, float)), 1e-300)
     lipschitz = {k: v for k, v in residuals.items() if k != "component_step"}
     report.ce_residual = max(lipschitz.values()) / mass_scale
-    report.ce_ok = report.ce_residual <= rce_tol
+    report.ce_ok = report.ce_residual <= RCE_TOL
     report.rce_residual = max(residuals.values()) / mass_scale
-    report.rce_ok = report.rce_residual <= rce_tol
+    report.rce_ok = report.rce_residual <= RCE_TOL
     report.flags["rce_battery"] = {k: v / mass_scale for k, v in residuals.items()}
     report.verdict = upgrade_verdict(report)
     return report

@@ -24,8 +24,7 @@ GRADE_TMIN_REL = 1e-12
 _PAIR_WIDTH_RATIO = 3.0
 
 
-def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True,
-                    ratio: float = GRADE_RATIO) -> np.ndarray:
+def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True) -> np.ndarray:
     """Uniform grid of `checkpoints` intervals on [0, T], optionally with a
     geometric prefix refining [0, T/16] down to T*1e-12."""
     if T <= 0 or checkpoints < 1:
@@ -38,7 +37,7 @@ def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True,
     pre = [0.0]
     while t < t_cross:
         pre.append(t)
-        t *= ratio
+        t *= GRADE_RATIO
     return np.unique(np.concatenate([np.asarray(pre), base]))
 
 

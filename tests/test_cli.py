@@ -369,6 +369,49 @@ def test_verify_rejects_a_non_finite_trajectory(tmp_path, capsys, column, value)
     assert not (tmp_path / "vout").exists()
 
 
+OVERFLOW = {
+    "schema": 1,
+    "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 4},
+    "kernel": {"type": "fractional", "s": 0.6},
+    "triple": "cosh",
+    "initial": {"type": "step", "left": 1.7e308, "right": 1.0, "split": 0.0},
+    "T": 1.0,
+}
+
+
+def assert_neither_with_string_battery(path):
+    # JSON has no NaN or infinity: a non-finite battery entry, nested two deep,
+    # is written as a string like the top-level values
+    doc = json.loads(path.read_text())
+    assert doc["verdict"] == "Neither"
+    battery = doc["flags"]["rce_battery"]
+    strings = [v for v in battery.values() if isinstance(v, str)]
+    assert strings and set(strings) <= {"nan", "inf", "-inf"}
+    assert all(isinstance(v, (str, float)) for v in battery.values())
+
+
+def test_run_reports_a_non_finite_battery_entry_near_the_float_range(tmp_path):
+    cfg = write_config(tmp_path, OVERFLOW)
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["ledger.json", "trajectory.csv"]
+    assert_neither_with_string_battery(out / "ledger.json")
+
+
+def test_verify_reports_a_non_finite_battery_entry_near_the_float_range(tmp_path):
+    cfg = write_config(tmp_path, OVERFLOW)
+    traj = tmp_path / "trajectory.csv"
+    traj.write_text("t,u_0,u_1,u_2,u_3\n"
+                    + "".join(f"{t},1.7e308,1.7e308,1.7e308,1.7e308\n" for t in (0.0, 0.5, 1.0)))
+    out = tmp_path / "vout"
+    with pytest.warns(RuntimeWarning):
+        assert main(["verify", "--config", cfg, "--trajectory", str(traj),
+                     "--out", str(out)]) == 0
+    assert os.listdir(out) == ["ledger.json"]
+    assert_neither_with_string_battery(out / "ledger.json")
+
+
 @pytest.mark.parametrize("key,cfg", [
     ("config.export_flux", dict(TWO_POINT, export_flux="false")),
     ("integrator.graded_start", dict(TWO_POINT, integrator={"graded_start": "false"})),

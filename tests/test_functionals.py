@@ -1,5 +1,6 @@
 """Variational functionals against hand computations and exhaustive oracles."""
 
+import json
 import math
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from jumpflow.densities import canonical_triple, legendre
 from jumpflow.evolution import IntegratorConfig, Trajectory, concatenate, evolve
 from jumpflow.functionals import (Upsilon, _checkpoint_pass, action_R, entropy, f_upsilon,
-                                  fisher_D, trajectory_L)
+                                  fisher_D, json_text, trajectory_L)
 from jumpflow.measures import PosMeasure, jordan_from_setfunction
 from jumpflow.spaces import build_grid, coupling, fractional_kernel, matrix_kernel
 
@@ -247,3 +248,27 @@ def test_f_upsilon_jointly_convex():
         lhs = f_upsilon(mid_mu, mid_nu, quadratic)
         rhs = 0.5 * (f_upsilon(mu1, nu1, quadratic) + f_upsilon(mu2, nu2, quadratic))
         assert lhs <= rhs + 1e-12
+
+
+def test_json_text_writes_non_finite_and_numpy_values_at_every_depth():
+    # each leaf as the scalar rule gives it: a non-finite float is the string
+    # 'nan', 'inf' or '-inf', a numpy scalar is the Python one
+    nan, inf = float("nan"), float("inf")
+    report = {
+        "top": nan,
+        "flags": {"battery": {"a": inf, "b": np.float64(-inf), "c": np.float64(0.25)},
+                  "ok": np.bool_(True), "count": np.int64(7)},
+        "series": [1.5, nan, [np.float64(inf), np.int64(-3)], (np.bool_(False), -inf)],
+        "array": np.array([0.5, nan, -inf]),
+        "none": None,
+    }
+    leaf_by_leaf = {
+        "top": "nan",
+        "flags": {"battery": {"a": "inf", "b": "-inf", "c": 0.25}, "ok": True, "count": 7},
+        "series": [1.5, "nan", ["inf", -3], [False, "-inf"]],
+        "array": [0.5, "nan", "-inf"],
+        "none": None,
+    }
+    text = json_text(report)
+    assert text == json.dumps(leaf_by_leaf, indent=2, sort_keys=True, allow_nan=False)
+    assert json_text(report, indent=None) == json.dumps(leaf_by_leaf, sort_keys=True)
