@@ -326,8 +326,12 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
+    # robustness_sweep takes no tolerance and writes no flux, and each eps is the
+    # kernel's cutoff: those keys would change nothing, so they are refused
     _require_keys(cfg, "config", ["schema", "space", "kernel", "triple", "initial", "T", "sweep"],
-                  ["integrator", "seed", "export_flux", "tol_rel"])
+                  ["integrator", "seed"])
+    if isinstance(cfg["kernel"], dict) and "cutoff" in cfg["kernel"]:
+        raise SchemaError("config.kernel.cutoff", "unknown key: sweep.eps_list sets the cutoffs")
     sweep_cfg = cfg["sweep"]
     _require_keys(sweep_cfg, "config.sweep", ["eps_list"])
     eps_list = sweep_cfg["eps_list"]
@@ -338,9 +342,6 @@ def cmd_sweep(args):
         raise SchemaError("config.sweep.eps_list", "must be positive and strictly decreasing")
     base_cfg = dict(cfg)
     del base_cfg["sweep"]
-    # the sweep applies its own cutoffs to the raw kernel
-    base_cfg["kernel"] = dict(cfg["kernel"])
-    base_cfg["kernel"].pop("cutoff", None)
     parsed = parse_run_config(base_cfg)
     result = experiments.robustness_sweep(parsed["space"], parsed["kernel"], parsed["triple"],
                                           eps_list, parsed["u0"], parsed["T"],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Iterator, Optional
 
 import numpy as np
@@ -397,69 +396,35 @@ def trajectory_from_csv(path) -> Trajectory:
 
 
 def flux_csv_text(traj: Trajectory, theta) -> Iterator[str]:
-    """The flux as 't,i,j,w' lines, one per nonzero w_ij on the coupling edges
-    i < j of ``theta`` (``coupling_edges``, row-major), yielded one checkpoint
-    at a time.  w_ji = -w_ij is implied and no other pair carries flux, so
-    these lines are all `flux_from_csv` accepts."""
+    """The flux as 't,i,j,w' lines, the (K+1, E) store in row-major order: per
+    checkpoint one line per coupling edge i < j of ``theta`` (``coupling_edges``,
+    row-major), zeros included, yielded one checkpoint at a time.  So line L
+    after the header is checkpoint L // E, edge L % E; w_ji = -w_ij is implied
+    and no other pair carries flux."""
     rows, cols, _ = coupling_edges(theta)
     store, U = traj.stored_flux(rows, cols), traj.densities
-    edges = [f",{i},{j},%.17g\n" for i, j in zip(rows.tolist(), cols.tolist())]
+    # each line is t + edge, so t joins the edge templates; the leading "" puts
+    # t before the first one and leaves no line at all when there is no edge
+    edges = [""] + [f",{i},{j},%.17g\n" for i, j in zip(rows.tolist(), cols.tolist())]
     yield "t,i,j,w\n"
     for k, t in enumerate(traj.times.tolist()):
         w = U[k][rows] - U[k][cols] if store is None else store[k]
-        nonzero = w != 0
-        if nonzero.any():
-            t_s = _fmt(t)  # each line is t_s + edge, so t_s joins the edge templates
-            template = t_s + t_s.join(compress(edges, nonzero.tolist()))
-            yield template % tuple(w[nonzero].tolist())
-
-
-def _scatter_flux(data, times, column, store, last) -> int:
-    """Check a block of parsed 't,i,j,w' rows and write it into the flat
-    (K+1, E) store, NaN where no line was read yet.  ``column[i, j]`` is the
-    store column of the coupling edge (i, j), -1 off the edges; the block
-    must follow checkpoint ``last``.  Return the block's latest checkpoint."""
-    n, n_edges = column.shape[0], store.size // times.size
-    t, ij, w = data[:, 0], data[:, 1:3], data[:, 3]
-    finite = np.isfinite(w)
-    if not np.all(finite):
-        raise ValueError(f"flux CSV value {_fmt(w[np.argmin(finite)])} is not finite")
-    k = np.minimum(np.searchsorted(times, t), times.size - 1)
-    off_grid = times[k] != t
-    if np.any(off_grid):
-        raise ValueError(f"flux CSV time {_fmt(t[np.argmax(off_grid)])} not on the trajectory grid")
-    if k.size and (k[0] < last or np.any(k[1:] < k[:-1])):
-        raise ValueError("flux CSV must list checkpoints in time order")
-    if not np.all((ij == np.round(ij)) & (ij >= 0) & (ij < n)):
-        raise ValueError(f"flux CSV state indices must be integers in [0, {n})")
-    i, j = ij.astype(np.intp).T
-    e = column[i, j]
-    if np.any(e < 0):
-        bad = np.argmin(e)
-        raise ValueError(f"flux CSV pair ({i[bad]}, {j[bad]}) is not a coupling edge i < j")
-    flat = k * n_edges + e
-    ordered = np.sort(flat)  # np.unique is ~60x slower here (numpy 2.4, 1.5 M entries)
-    if np.any(ordered[1:] == ordered[:-1]) or not np.all(np.isnan(store[flat])):
-        raise ValueError("flux CSV lists a (t, i, j) entry twice")
-    store[flat] = w
-    return int(k[-1]) if k.size else last
+        yield _fmt(t).join(edges) % tuple(w.tolist())
 
 
 def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
     """Attach the flux of a 't,i,j,w' CSV to ``traj`` as a store on the
-    coupling edges of ``theta``.  Each line gives w_ij on one edge i < j with
-    theta_ij > 0 (as `flux_csv_text` writes it); w_ji = -w_ij is implied, and
-    edges not listed carry zero flux.  The file is parsed in blocks of
-    ``CSV_BLOCK_LINES`` lines straight into the store.  Raises ValueError for
-    checkpoints out of time order, a time off the trajectory grid (exact float
-    match), a state index outside [0, n), a non-finite value, a pair that is
-    not a coupling edge with i < j (a theta = 0 pair, an i > j half or a
-    diagonal) or a repeated (t, i, j) entry."""
+    coupling edges of ``theta``.  The file must be the store as `flux_csv_text`
+    writes it: line L after the header gives w_ij at checkpoint L // E on
+    coupling edge L % E, (K+1)*E lines in all.  It is parsed in blocks of
+    ``CSV_BLOCK_LINES`` lines, each checked and copied into the store.  Raises
+    ValueError, in this order, for a wrong header, a line without four fields,
+    a non-finite value, a line whose t, i or j is not the one of its position
+    (exact float match) and a line count other than (K+1)*E."""
     rows, cols, _ = coupling_edges(theta)
-    column = np.full((traj.n, traj.n), -1)
-    column[rows, cols] = np.arange(rows.size)
-    store = np.full(traj.times.size * rows.size, np.nan)  # NaN until its line is read
-    last = 0  # the latest checkpoint read so far
+    times = traj.times
+    store = np.empty(times.size * rows.size)
+    read = 0  # lines read after the header
     with open(path) as fh:
         if fh.readline().strip() != "t,i,j,w":
             raise ValueError("flux CSV must start with the 't,i,j,w' header")
@@ -467,9 +432,24 @@ def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
             data = _load_rows(fh, CSV_BLOCK_LINES)
             if data.size and data.shape[1] != 4:
                 raise ValueError("flux CSV rows must have the four fields t,i,j,w")
-            last = _scatter_flux(data.reshape(-1, 4), traj.times, column, store, last)
+            data = data.reshape(-1, 4)
+            finite = np.isfinite(data[:, 3])
+            if not np.all(finite):
+                raise ValueError(f"flux CSV value {_fmt(data[np.argmin(finite), 3])} is not finite")
+            fit = data[:max(store.size - read, 0)]  # lines past the store fail the count
+            k, e = np.divmod(np.arange(read, read + len(fit)), rows.size)
+            wrong = (fit[:, 0] != times[k]) | (fit[:, 1] != rows[e]) | (fit[:, 2] != cols[e])
+            if np.any(wrong):
+                b = np.argmax(wrong)
+                raise ValueError(f"flux CSV line {read + b + 2} must be t={_fmt(times[k[b]])}, "
+                                 f"coupling edge ({rows[e[b]]}, {cols[e[b]]})")
+            store[read:read + len(fit)] = fit[:, 3]
+            read += len(data)
             if data.shape[0] < CSV_BLOCK_LINES:
                 break
-    store[np.isnan(store)] = 0.0
-    return Trajectory(times=traj.times, densities=traj.densities, flux_edges=(rows, cols),
-                      flux_store=store.reshape(traj.times.size, -1), meta=dict(traj.meta))
+    if read != store.size:
+        raise ValueError("flux CSV must have one line per coupling edge per checkpoint, "
+                         f"(K+1)*E = {times.size}*{rows.size} = {store.size} lines after its "
+                         f"header; it has {read}")
+    return Trajectory(times=times, densities=traj.densities, flux_edges=(rows, cols),
+                      flux_store=store.reshape(times.size, rows.size), meta=dict(traj.meta))

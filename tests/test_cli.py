@@ -179,7 +179,9 @@ def test_verify_flux_rejects_a_line_off_the_coupling_edges(tmp_path, capsys, edi
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
                  "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
     err = capsys.readouterr().err
-    assert "config error at flux" in err and "not a coupling edge" in err
+    # file line m + 2 holds the edge (i, j) of its checkpoint, whatever else is listed
+    assert f"config error at flux: flux CSV line {m + 2} must be t={t}, coupling edge ({i}, {j})" \
+        in err
     assert not (tmp_path / "vout").exists()
 
 
@@ -287,8 +289,10 @@ def test_verify_rejects_flux_csv_read_across_blocks(tmp_path, capsys, monkeypatc
     if edit == "out_of_time_order":  # the last checkpoint moved to the front
         t_last = rows[-1].split(",")[0] + ","
         last = [r for r in rows if r.startswith(t_last)]
+        at, (t, i, j, _) = 2, rows[0].split(",")
         rows = last + rows[:-len(last)]
     else:  # line 50 repeated as line 51, the first of the second block
+        at, (t, i, j, _) = 52, rows[50].split(",")
         rows = rows[:50] + rows[49:]
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
@@ -297,8 +301,61 @@ def test_verify_rejects_flux_csv_read_across_blocks(tmp_path, capsys, monkeypatc
                  "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
     err = capsys.readouterr().err
     assert "config error at flux" in err
-    assert ("time order" if edit == "out_of_time_order" else "twice") in err
+    assert f"flux CSV line {at} must be t={t}, coupling edge ({i}, {j})" in err
     assert not (tmp_path / "vout").exists()
+
+
+@pytest.mark.parametrize("edit", ["middle_line_deleted", "last_checkpoint_deleted"])
+def test_verify_flux_rejects_an_incomplete_file(tmp_path, capsys, edit):
+    # a missing line is not zero flux: the file must list every coupling edge
+    # at every checkpoint
+    from jumpflow.evolution import coupling_edges
+
+    cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "flux.csv").read_text().splitlines()
+    n_edges = coupling_edges(coupling_of(PUNCTURED_GRID).theta)[0].size
+    n_times = len((out / "trajectory.csv").read_text().splitlines()) - 1
+    if edit == "middle_line_deleted":
+        m = len(rows) // 2
+        t, i, j, _ = rows[m].split(",")  # expected there, where rows[m + 1] now stands
+        expected = f"flux CSV line {m + 2} must be t={t}, coupling edge ({i}, {j})"
+        del rows[m]
+    else:
+        expected = (f"(K+1)*E = {n_times}*{n_edges} = {n_times * n_edges} lines after its "
+                    f"header; it has {len(rows) - n_edges}")
+        rows = rows[:-n_edges]
+    epath = tmp_path / "flux_edited.csv"
+    epath.write_text("\n".join([header] + rows) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
+    err = capsys.readouterr().err
+    assert "config error at flux" in err and expected in err
+    assert not (tmp_path / "vout").exists()
+
+
+def test_edgeless_coupling_writes_and_verifies_a_header_only_flux(tmp_path):
+    # E = 0: no edge carries flux, so the file is its header alone
+    cfg = write_config(tmp_path, {
+        "schema": 1,
+        "space": {"type": "graph", "points": [0.0, 1.0, 2.0],
+                  "dist": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+                  "pi": [0.25, 0.5, 0.25]},
+        "kernel": {"type": "matrix", "rates": [[0.0] * 3] * 3},
+        "triple": "cosh",
+        "initial": {"type": "vector", "values": [2.0, 0.5, 1.0]},
+        "T": 1.0,
+        "integrator": {"checkpoints": 8},
+        "export_flux": True,
+    })
+    out, vout = tmp_path / "out", tmp_path / "vout"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "flux.csv").read_text() == "t,i,j,w\n"
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(out / "flux.csv"), "--out", str(vout)]) == 0
+    assert (vout / "ledger.json").read_bytes() == (out / "ledger.json").read_bytes()
 
 
 def test_atomic_write_leaves_nothing_when_a_chunk_raises(tmp_path):
@@ -522,6 +579,34 @@ def test_sweep_rejects_bad_eps_list(tmp_path, capsys, eps_list):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert "config error at config.sweep.eps_list:" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("path,edit", [
+    ("config.tol_rel", {"tol_rel": 1e-12}),
+    ("config.export_flux", {"export_flux": True}),
+    ("config.kernel.cutoff", {"kernel": {"type": "fractional", "s": 0.75, "cutoff": 0.5}}),
+], ids=["tol_rel", "export_flux", "cutoff"])
+def test_sweep_refuses_the_keys_it_would_drop(tmp_path, capsys, path, edit):
+    # the sweep sets each cutoff from eps_list, and robustness_sweep takes no
+    # tolerance and writes no flux: these keys would change nothing
+    cfg = {
+        "schema": 1,
+        "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 8},
+        "kernel": {"type": "fractional", "s": 0.75},
+        "triple": "cosh",
+        "initial": {"type": "step", "left": 1.5, "right": 0.5, "split": 0.0},
+        "T": 0.1,
+        "integrator": {"checkpoints": 16},
+        "seed": 4,
+        "sweep": {"eps_list": [1e-1, 1e-2]},
+    }
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    out = tmp_path / "refused"
+    assert main(["sweep", "--config", write_config(tmp_path, dict(cfg, **edit)),
+                 "--out", str(out)]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outputs_have_the_umask_mode(tmp_path):

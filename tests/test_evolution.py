@@ -12,8 +12,9 @@ from jumpflow.densities import (DissipationTriple, boltzmann_entropy, canonical_
 from jumpflow import evolution
 from jumpflow.cli import atomic_write
 from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, NumericalError,
-                                Trajectory, concatenate, continuity_residual, evolve, flux_csv_text,
-                                flux_from_csv, generator, trajectory_csv_text,
+                                Trajectory, concatenate, continuity_residual, coupling_edges,
+                                evolve, flux_csv_text, flux_from_csv, generator,
+                                trajectory_csv_text,
                                 trajectory_from_csv)
 from jumpflow.experiments import build_lift
 from jumpflow.functionals import entropy
@@ -367,23 +368,28 @@ def test_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(dense_flux(withflux, 3), dense_flux(traj, 3))
 
 
-def test_flux_csv_lists_each_nonzero_pair_once(tmp_path):
+def test_flux_csv_is_the_store_in_row_major_order(tmp_path):
     sp = build_grid(-1.0, 1.0, 8)
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, np.where(sp.points < 0.0, 1.5, 0.5), 0.1,
                   IntegratorConfig(checkpoints=8))
-    header, *rows = "".join(flux_csv_text(traj, coup.theta)).splitlines()
+    header, *lines = "".join(flux_csv_text(traj, coup.theta)).splitlines()
     assert header == "t,i,j,w"
-    fields = [r.split(",") for r in rows]
-    assert all(int(i) < int(j) for _, i, j, _ in fields)
-    upper = np.triu(np.ones((traj.n, traj.n), dtype=bool), 1)
-    assert len(rows) == sum(int(np.count_nonzero(dense_flux(traj, k)[upper]))
-                            for k in range(traj.times.size))
+    rows, cols, _ = coupling_edges(coup.theta)
+    # line L is checkpoint L // E, edge L % E, the zeros of the even-split start included
+    assert len(lines) == traj.times.size * rows.size
+    fields = np.array([[float(v) for v in r.split(",")] for r in lines])
+    k, e = np.divmod(np.arange(len(lines)), rows.size)
+    np.testing.assert_array_equal(fields[:, :3], np.column_stack([traj.times[k], rows[e],
+                                                                  cols[e]]))
+    assert np.count_nonzero(fields[:, 3] == 0.0) > 0
     fpath = tmp_path / "flux.csv"
     fpath.write_text("".join(flux_csv_text(traj, coup.theta)))
     store = flux_from_csv(fpath, traj, coup.theta).flux_store
+    upper = np.triu(np.ones((traj.n, traj.n), dtype=bool), 1)
     np.testing.assert_array_equal(store, np.stack([dense_flux(traj, k)[upper]
                                                    for k in range(traj.times.size)]))
+    np.testing.assert_array_equal(store.ravel(), fields[:, 3])
 
 
 def test_a_flux_store_on_other_edges_than_the_coupling_is_refused():
@@ -410,9 +416,10 @@ def test_flux_csv_values_format_as_17_digit_floats(tmp_path):
     traj = Trajectory(times=[0.0, 0.25], densities=np.ones((2, n)), flux_store=store,
                       flux_edges=(rows, cols))
     lines = "".join(flux_csv_text(traj, theta)).splitlines()
-    expected = [f"0.25,{i},{j},{format(float(w), '.17g')}"
-                for i, j, w in zip(rows, cols, store[1]) if w != 0]
-    assert lines == ["t,i,j,w"] + expected and len(expected) == len(vals) - 1
+    expected = [f"{t},{i},{j},{format(float(w), '.17g')}"
+                for t, ws in zip(("0", "0.25"), store) for i, j, w in zip(rows, cols, ws)]
+    assert lines == ["t,i,j,w"] + expected and len(expected) == 2 * rows.size
+    assert lines[1] == "0,0,1,0" and lines[1 + rows.size] == "0.25,0,1,0"  # zeros as 0
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join(lines) + "\n")
     np.testing.assert_array_equal(flux_from_csv(fpath, traj, theta).flux_store, store)
@@ -487,7 +494,7 @@ def test_flux_csv_checkpoints_out_of_time_order_are_rejected(tmp_path, monkeypat
     fpath.write_text("\n".join([header] + rows[15:] + first) + "\n")
     for block in (evolution.CSV_BLOCK_LINES, 7):  # within one block and across blocks
         monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
-        with pytest.raises(ValueError, match="time order"):
+        with pytest.raises(ValueError, match=r"line 2 must be t=0, coupling edge \(0, 1\)"):
             flux_from_csv(fpath, traj, theta)
 
 
@@ -497,8 +504,27 @@ def test_flux_csv_duplicate_across_a_block_boundary_is_rejected(tmp_path, monkey
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join([header] + rows[:20] + rows[19:]) + "\n")
     monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 20)  # lines 20 and 21 are in two blocks
-    with pytest.raises(ValueError, match="twice"):
+    t1 = format(traj.times[1], ".17g")  # line 22 is checkpoint 1's edge 5 of 15
+    with pytest.raises(ValueError, match=rf"line 22 must be t={t1}, coupling edge \(1, 2\)"):
         flux_from_csv(fpath, traj, theta)
+
+
+@pytest.mark.parametrize("edit", ["last_line_missing", "last_checkpoint_missing",
+                                  "one_line_more", "header_only"])
+def test_flux_csv_of_another_line_count_is_rejected(tmp_path, monkeypatch, edit):
+    traj, theta = stored_flux_trajectory()
+    header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
+    rows, count = {"last_line_missing": (rows[:-1], 134),
+                   "last_checkpoint_missing": (rows[:-15], 120),
+                   "one_line_more": (rows + rows[-1:], 136),
+                   "header_only": ([], 0)}[edit]
+    fpath = tmp_path / "flux.csv"
+    fpath.write_text("\n".join([header] + rows) + "\n")
+    for block in (evolution.CSV_BLOCK_LINES, 15, 7):
+        monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
+        with pytest.raises(ValueError, match=rf"\(K\+1\)\*E = 9\*15 = 135 lines after its "
+                                             rf"header; it has {count}$"):
+            flux_from_csv(fpath, traj, theta)
 
 
 def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
