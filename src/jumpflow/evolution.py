@@ -10,6 +10,7 @@ component of the coupling graph; explicit Euler is the cheap cross-check.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -105,8 +106,9 @@ class Trajectory:
                 raise ValueError("flux store must hold one row of its E edges per checkpoint")
             if not np.all((0 <= rows) & (rows < cols) & (cols < u.shape[1])):
                 raise ValueError("flux edges must be pairs of states i < j: antisymmetric flux")
-            linear = all(np.array_equal(w[k:k + 256], u[k:k + 256, rows] - u[k:k + 256, cols])
-                         for k in range(0, t.size, 256))  # temporaries O(256 E)
+            step = max(1, CSV_BLOCK_LINES // max(rows.size, 1))  # temporaries O(CSV_BLOCK_LINES)
+            linear = all(np.array_equal(w[k:k + step], u[k:k + step, rows] - u[k:k + step, cols])
+                         for k in range(0, t.size, step))
             object.__setattr__(self, "flux_store", w)
             object.__setattr__(self, "flux_edges", (rows, cols))
             object.__setattr__(self, "linear_flux", linear)
@@ -354,25 +356,35 @@ def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# CSV export, 17 significant digits (exact float round trip).  The writers yield
-# the text in chunks and the flux reader parses fixed blocks of lines, so the
-# CSV never has to sit in memory whole.
+# CSV export, 17 significant digits (exact float round trip).  Both CSVs are a
+# header and one 't,...' row per checkpoint; the writers yield the text in blocks
+# of whole rows and the flux reader parses blocks of rows, so the CSV never has to
+# sit in memory whole.
 
-CSV_BLOCK_LINES = 1 << 14  # lines per parse of the flux reader, values per trajectory chunk
+# Values per block of rows (at least one row): the CSV writers' chunks, the flux
+# reader's parses and the blocks of `Trajectory`'s linear-flux check.
+CSV_BLOCK_LINES = 1 << 12
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(times, values, width: int) -> Iterator[str]:
+    """One 't,v_0,...' row of width + 1 values per checkpoint, yielded in blocks of
+    max(1, CSV_BLOCK_LINES // (width + 1)) rows; ``values(s, e)`` is the
+    (e - s, width) block of the checkpoints s:e."""
+    row = ",".join(["%.17g"] * (width + 1)) + "\n"
+    step = max(1, CSV_BLOCK_LINES // (width + 1))
+    for s in range(0, times.size, step):
+        block = np.column_stack([times[s:s + step], values(s, s + step)])
+        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+
+
 def trajectory_csv_text(traj: Trajectory) -> Iterator[str]:
     """The trajectory as a 't,u_0,...' CSV, yielded in chunks of whole rows."""
     yield "t," + ",".join(f"u_{i}" for i in range(traj.n)) + "\n"
-    row = ",".join(["%.17g"] * (traj.n + 1)) + "\n"
-    rows = max(1, CSV_BLOCK_LINES // (traj.n + 1))
-    for s in range(0, traj.times.size, rows):
-        block = np.column_stack([traj.times[s:s + rows], traj.densities[s:s + rows]])
-        yield (row * block.shape[0]) % tuple(block.ravel().tolist())
+    yield from _csv_rows(traj.times, lambda s, e: traj.densities[s:e], traj.n)
 
 
 def _load_rows(fh, max_rows=None) -> np.ndarray:
@@ -395,61 +407,101 @@ def trajectory_from_csv(path) -> Trajectory:
     return Trajectory(times=data[:, 0], densities=data[:, 1:])
 
 
+def _flux_columns(rows, cols) -> list:
+    return ["t"] + [f"w_{i}_{j}" for i, j in zip(rows.tolist(), cols.tolist())]
+
+
 def flux_csv_text(traj: Trajectory, theta) -> Iterator[str]:
-    """The flux as 't,i,j,w' lines, the (K+1, E) store in row-major order: per
-    checkpoint one line per coupling edge i < j of ``theta`` (``coupling_edges``,
-    row-major), zeros included, yielded one checkpoint at a time.  So line L
-    after the header is checkpoint L // E, edge L % E; w_ji = -w_ij is implied
-    and no other pair carries flux."""
+    """The flux as a 't,w_i_j,...' CSV: one w_i_j column per coupling edge i < j
+    of ``theta`` (``coupling_edges``, row-major) and one row per checkpoint, its
+    t and then its row of the (K+1, E) store, yielded in blocks of whole rows.
+    w_ji = -w_ij is implied and no other pair carries flux.  The linear flux
+    u_i - u_j is formed one block of rows at a time."""
     rows, cols, _ = coupling_edges(theta)
     store, U = traj.stored_flux(rows, cols), traj.densities
-    # each line is t + edge, so t joins the edge templates; the leading "" puts
-    # t before the first one and leaves no line at all when there is no edge
-    edges = [""] + [f",{i},{j},%.17g\n" for i, j in zip(rows.tolist(), cols.tolist())]
-    yield "t,i,j,w\n"
-    for k, t in enumerate(traj.times.tolist()):
-        w = U[k][rows] - U[k][cols] if store is None else store[k]
-        yield _fmt(t).join(edges) % tuple(w.tolist())
+    yield ",".join(_flux_columns(rows, cols)) + "\n"
+    values = ((lambda s, e: U[s:e, rows] - U[s:e, cols]) if store is None
+              else (lambda s, e: store[s:e]))
+    yield from _csv_rows(traj.times, values, rows.size)
+
+
+def _check_flux_header(header, rows, cols) -> None:
+    columns = _flux_columns(rows, cols)
+    if header == columns:
+        return
+    if header == ["t", "i", "j", "w"]:
+        raise ValueError("flux CSV has the 't,i,j,w' layout of earlier versions, a line per "
+                         "coupling edge per checkpoint; `jumpflow run` with export_flux "
+                         "rewrites it in the current layout, a 't,w_i_j,...' row per checkpoint")
+    c = next(c for c, (a, b) in enumerate(itertools.zip_longest(header, columns)) if a != b)
+    if c == len(columns):
+        raise ValueError(f"flux CSV header must end after column {c}, t and the E = {rows.size} "
+                         f"coupling edges; column {c + 1} is '{header[c]}'")
+    edge = f", for coupling edge ({rows[c - 1]}, {cols[c - 1]})" if c else ""
+    found = f"'{header[c]}'" if c < len(header) else "missing"
+    raise ValueError(f"flux CSV header column {c + 1} must be '{columns[c]}'{edge}; it is {found}")
 
 
 def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
-    """Attach the flux of a 't,i,j,w' CSV to ``traj`` as a store on the
+    """Attach the flux of a 't,w_i_j,...' CSV to ``traj`` as a store on the
     coupling edges of ``theta``.  The file must be the store as `flux_csv_text`
-    writes it: line L after the header gives w_ij at checkpoint L // E on
-    coupling edge L % E, (K+1)*E lines in all.  It is parsed in blocks of
-    ``CSV_BLOCK_LINES`` lines, each checked and copied into the store.  Raises
-    ValueError, in this order, for a wrong header, a line without four fields,
-    a non-finite value, a line whose t, i or j is not the one of its position
-    (exact float match) and a line count other than (K+1)*E."""
+    writes it: the header names the coupling edges' columns, and row k after it
+    is checkpoint k's t and its E values.  It is parsed in blocks of
+    max(1, CSV_BLOCK_LINES // (E + 1)) rows, each checked and copied into the store.
+    Raises ValueError, in this order, for a header other than those columns
+    (naming the first wrong column), a row without E + 1 fields, a non-finite
+    value, a row whose t is not its checkpoint's (exact float match) and a row
+    count other than K+1; a rejected row is named by its file line and the t
+    expected there."""
     rows, cols, _ = coupling_edges(theta)
     times = traj.times
-    store = np.empty(times.size * rows.size)
-    read = 0  # lines read after the header
+    width = rows.size + 1
+    step = max(1, CSV_BLOCK_LINES // width)
+    store = np.empty((times.size, rows.size))
+
+    def line(k):  # file line of row k and the t expected there
+        at = (f"expected t={_fmt(times[k])}" if k < times.size
+              else f"past the K+1 = {times.size} checkpoints")
+        return f"flux CSV line {k + 2} ({at})"
+
+    def unparsed(start, reason):  # the first row from row start on that is not E+1 numbers
+        with open(path) as fh:
+            for k, text in enumerate(itertools.islice(fh, start + 1, None), start):
+                fields = text.rstrip("\n").split(",")
+                if len(fields) != width:
+                    return ValueError(f"{line(k)} has {len(fields)} fields, not E+1 = {width}")
+                try:
+                    [float(f) for f in fields]
+                except ValueError as exc:
+                    return ValueError(f"{line(k)}: {exc}")
+        return ValueError(f"flux CSV rows from line {start + 2} on: {reason}")
+
+    read = 0  # rows read after the header
     with open(path) as fh:
-        if fh.readline().strip() != "t,i,j,w":
-            raise ValueError("flux CSV must start with the 't,i,j,w' header")
+        _check_flux_header(fh.readline().strip().split(","), rows, cols)
         while True:
-            data = _load_rows(fh, CSV_BLOCK_LINES)
-            if data.size and data.shape[1] != 4:
-                raise ValueError("flux CSV rows must have the four fields t,i,j,w")
-            data = data.reshape(-1, 4)
-            finite = np.isfinite(data[:, 3])
+            try:
+                data = _load_rows(fh, step)
+            except ValueError as exc:  # a row of another width, or a field that is no number
+                raise unparsed(read, exc) from None
+            if not len(data):
+                break
+            if data.shape[1] != width:
+                raise unparsed(read, f"{data.shape[1]} fields each")
+            finite = np.isfinite(data)
             if not np.all(finite):
-                raise ValueError(f"flux CSV value {_fmt(data[np.argmin(finite), 3])} is not finite")
-            fit = data[:max(store.size - read, 0)]  # lines past the store fail the count
-            k, e = np.divmod(np.arange(read, read + len(fit)), rows.size)
-            wrong = (fit[:, 0] != times[k]) | (fit[:, 1] != rows[e]) | (fit[:, 2] != cols[e])
+                b, c = np.unravel_index(np.argmin(finite), data.shape)
+                raise ValueError(f"{line(read + b)}: value {_fmt(data[b, c])} in column {c + 1} "
+                                 "is not finite")
+            fit = data[:max(times.size - read, 0)]  # rows past the last checkpoint fail the count
+            wrong = fit[:, 0] != times[read:read + len(fit)]
             if np.any(wrong):
                 b = np.argmax(wrong)
-                raise ValueError(f"flux CSV line {read + b + 2} must be t={_fmt(times[k[b]])}, "
-                                 f"coupling edge ({rows[e[b]]}, {cols[e[b]]})")
-            store[read:read + len(fit)] = fit[:, 3]
+                raise ValueError(f"{line(read + b)} has t={_fmt(fit[b, 0])}")
+            store[read:read + len(fit)] = fit[:, 1:]
             read += len(data)
-            if data.shape[0] < CSV_BLOCK_LINES:
-                break
-    if read != store.size:
-        raise ValueError("flux CSV must have one line per coupling edge per checkpoint, "
-                         f"(K+1)*E = {times.size}*{rows.size} = {store.size} lines after its "
-                         f"header; it has {read}")
+    if read != times.size:
+        raise ValueError(f"flux CSV must have one row per checkpoint, K+1 = {times.size} rows "
+                         f"after its header; it has {read}")
     return Trajectory(times=times, densities=traj.densities, flux_edges=(rows, cols),
-                      flux_store=store.reshape(times.size, rows.size), meta=dict(traj.meta))
+                      flux_store=store, meta=dict(traj.meta))

@@ -151,14 +151,23 @@ def test_punctured_run_writes_flux_on_the_coupling_edges_only(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     theta = coupling_of(PUNCTURED_GRID).theta
     rows, cols, _ = coupling_edges(theta)
-    edges = set(zip(rows.tolist(), cols.tolist()))
-    lines = [r.split(",") for r in (out / "flux.csv").read_text().splitlines()[1:]]
-    assert lines and all((int(i), int(j)) in edges for _, i, j, _ in lines)
-    # states 0-5 lie left of the split, 6-11 right of it: no line joins the two
-    assert all((int(i) < 6) == (int(j) < 6) for _, i, j, _ in lines)
+    edges = list(zip(rows.tolist(), cols.tolist()))
+    header, *lines = (out / "flux.csv").read_text().splitlines()
+    columns = header.split(",")
+    assert columns[0] == "t" and all(c.startswith("w_") for c in columns[1:])
+    listed = [tuple(int(x) for x in c.split("_")[1:]) for c in columns[1:]]
+    assert listed == edges  # every coupling edge, once, in coupling_edges order
+    # states 0-5 lie left of the split, 6-11 right of it: no column joins the two
+    assert all((i < 6) == (j < 6) for i, j in listed)
+    assert lines and all(r.count(",") == len(edges) for r in lines)
     traj = trajectory_from_csv(out / "trajectory.csv")
     store = flux_from_csv(out / "flux.csv", traj, theta).flux_store
     assert store.nbytes == traj.times.size * len(edges) * 8
+
+
+def with_column(rows, m, values):
+    """CSV rows with one value inserted before field m of each row."""
+    return [",".join(r.split(",")[:m] + [v] + r.split(",")[m:]) for r, v in zip(rows, values)]
 
 
 @pytest.mark.parametrize("edit", ["cross_component", "reversed_half"])
@@ -167,21 +176,25 @@ def test_verify_flux_rejects_a_line_off_the_coupling_edges(tmp_path, capsys, edi
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     header, *rows = (out / "flux.csv").read_text().splitlines()
-    m = len(rows) // 2
-    t, i, j, w = rows[m].split(",")
+    columns = header.split(",")
+    m = len(columns) // 2
+    i, j = columns[m].split("_")[1:]
     if edit == "cross_component":  # states 0 and 11 lie on either side of the split
-        rows.insert(m, f"{t},0,11,0.5")
+        columns.insert(m, "w_0_11")
+        rows = with_column(rows, m, ["0.5"] * len(rows))
     else:  # the same flux, listed as its j > i half
-        rows[m] = f"{t},{j},{i},{-float(w)!r}"
+        columns[m] = f"w_{j}_{i}"
+        rows = with_column([",".join(r.split(",")[:m] + r.split(",")[m + 1:]) for r in rows], m,
+                           [repr(-float(r.split(",")[m])) for r in rows])
     epath = tmp_path / "flux_edited.csv"
-    epath.write_text("\n".join([header] + rows) + "\n")
+    epath.write_text("\n".join([",".join(columns)] + rows) + "\n")
     capsys.readouterr()
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
                  "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
     err = capsys.readouterr().err
-    # file line m + 2 holds the edge (i, j) of its checkpoint, whatever else is listed
-    assert f"config error at flux: flux CSV line {m + 2} must be t={t}, coupling edge ({i}, {j})" \
-        in err
+    # header column m + 1 names the edge (i, j) of the coupling, whatever else is listed
+    assert (f"config error at flux: flux CSV header column {m + 1} must be 'w_{i}_{j}', for "
+            f"coupling edge ({i}, {j}); it is '{columns[m]}'") in err
     assert not (tmp_path / "vout").exists()
 
 
@@ -191,15 +204,14 @@ def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
     cfg = write_config(tmp_path, dict(TWO_POINT, export_flux=True))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    text = (out / "flux.csv").read_text()
-    header, *rows = text.splitlines()
-    # edge {0, 1} at a middle checkpoint, listed once (i < j), one ulp up; the
-    # store holds w_01 alone, so it stays antisymmetric
+    header, *rows = (out / "flux.csv").read_text().splitlines()
+    # edge {0, 1} is one column, listed once (i < j), and a middle checkpoint's
+    # value goes one ulp up; the store holds w_01 alone, so it stays antisymmetric
+    assert header == "t,w_0_1"
     m = len(rows) // 2
-    t, i, j, w = rows[m].split(",")
-    assert int(i) < int(j) and f"\n{t},{j},{i}," not in text and float(w) != 0.0
-    w = float(np.nextafter(float(w), np.inf))
-    rows[m] = f"{t},{i},{j},{w!r}"
+    t, w = rows[m].split(",")
+    assert float(w) != 0.0
+    rows[m] = f"{t},{float(np.nextafter(float(w), np.inf))!r}"
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
     traj = flux_from_csv(epath, trajectory_from_csv(out / "trajectory.csv"),
@@ -231,8 +243,8 @@ def test_verify_edited_flux_degrades_verdict(tmp_path):
     out = tmp_path / "out"
     main(["run", "--config", cfg, "--out", str(out)])
     flux_lines = (out / "flux.csv").read_text().strip().splitlines()
-    # zero out every flux entry
-    edited = [flux_lines[0]] + [",".join(r.split(",")[:3]) + ",0" for r in flux_lines[1:]]
+    # zero out every flux entry, keeping each row's t
+    edited = [flux_lines[0]] + [r.split(",")[0] + ",0" * r.count(",") for r in flux_lines[1:]]
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join(edited) + "\n")
     vout = tmp_path / "vout"
@@ -244,35 +256,47 @@ def test_verify_edited_flux_degrades_verdict(tmp_path):
 
 @pytest.mark.parametrize("edit", ["index_too_large", "negative_index", "diagonal",
                                   "duplicate", "time_off_grid", "not_antisymmetric",
-                                  "nan_value", "infinite_pair"])
+                                  "nan_value", "infinite_pair", "not_a_number"])
 def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
     cfg_dict = dict(TWO_POINT, export_flux=True, integrator={"checkpoints": 16})
     cfg = write_config(tmp_path, cfg_dict)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    header, first, *rest = (out / "flux.csv").read_text().splitlines()
-    t, i, j, w = first.split(",")
-    rows = {
-        "index_too_large": [first, f"{t},0,2,1.0"],
-        "negative_index": [first, f"{t},-1,0,1.0"],
-        "diagonal": [first, f"{t},1,1,0.5"],
-        "duplicate": [first, first],
-        "time_off_grid": [first, f"0.123456789,{i},{j},{w}"],
+    header, *rows = (out / "flux.csv").read_text().splitlines()
+    assert header == "t,w_0_1"  # the one coupling edge
+    (t0, w0), (t1, w1) = (r.split(",") for r in rows[:2])
+    ws = [r.split(",")[1] for r in rows]
+    last = "flux CSV header must end after column 2, t and the E = 1 coupling edges; column 3 is"
+    header, rows, message = {
+        # a column on a pair that is not a coupling edge, or not once as i < j
+        "index_too_large": ("t,w_0_1,w_0_2", with_column(rows, 2, ["1.0"] * len(rows)),
+                            f"{last} 'w_0_2'"),
+        "negative_index": ("t,w_-1_0,w_0_1", with_column(rows, 1, ["1.0"] * len(rows)),
+                           "column 2 must be 'w_0_1', for coupling edge (0, 1); it is 'w_-1_0'"),
+        "diagonal": ("t,w_1_1,w_0_1", with_column(rows, 1, ["0.5"] * len(rows)),
+                     "column 2 must be 'w_0_1', for coupling edge (0, 1); it is 'w_1_1'"),
+        "duplicate": ("t,w_0_1,w_0_1", with_column(rows, 2, ws), f"{last} 'w_0_1'"),
         # a second half that is not the exact negative of the listed one
-        "not_antisymmetric": [first, f"{t},{j},{i},{2.0 * float(w)!r}"],
-        # a nan on the one line of its pair
-        "nan_value": [f"{t},{i},{j},nan"],
-        # both halves listed as exact negatives, but not finite: the value is
-        # checked before the pair is
-        "infinite_pair": [f"{t},{i},{j},inf", f"{t},{j},{i},-inf"],
+        "not_antisymmetric": ("t,w_0_1,w_1_0",
+                              with_column(rows, 2, [repr(2.0 * float(w)) for w in ws]),
+                              f"{last} 'w_1_0'"),
+        "time_off_grid": (header, [rows[0], f"0.123456789,{w1}"] + rows[2:],
+                          f"line 3 (expected t={t1}) has t=0.123456789"),
+        "nan_value": (header, [f"{t0},nan"] + rows[1:],
+                      "line 2 (expected t=0): value nan in column 2 is not finite"),
+        # two infinite cells, of opposite sign: the values are checked before the t
+        "infinite_pair": (header, [f"{t0},inf", f"{t1},-inf"] + rows[2:],
+                          "line 2 (expected t=0): value inf in column 2 is not finite"),
+        "not_a_number": (header, [rows[0], f"{t1},abc"] + rows[2:],
+                         f"line 3 (expected t={t1}): could not convert string to float: 'abc'"),
     }[edit]
     epath = tmp_path / "flux_edited.csv"
-    epath.write_text("\n".join([header] + rows + rest) + "\n")
+    epath.write_text("\n".join([header] + rows) + "\n")
     capsys.readouterr()
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
                  "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
     err = capsys.readouterr().err
-    assert "config error at flux" in err
+    assert "config error at flux" in err and message in err
     assert ("not finite" in err) == (edit in ("nan_value", "infinite_pair"))
     assert not (tmp_path / "vout").exists()
 
@@ -285,15 +309,14 @@ def test_verify_rejects_flux_csv_read_across_blocks(tmp_path, capsys, monkeypatc
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     header, *rows = (out / "flux.csv").read_text().splitlines()
-    monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 50)
+    monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 4 * (header.count(",") + 1))  # 4 rows
+    times = [r.split(",")[0] for r in rows]
     if edit == "out_of_time_order":  # the last checkpoint moved to the front
-        t_last = rows[-1].split(",")[0] + ","
-        last = [r for r in rows if r.startswith(t_last)]
-        at, (t, i, j, _) = 2, rows[0].split(",")
-        rows = last + rows[:-len(last)]
-    else:  # line 50 repeated as line 51, the first of the second block
-        at, (t, i, j, _) = 52, rows[50].split(",")
-        rows = rows[:50] + rows[49:]
+        at, t, found = 2, times[0], times[-1]
+        rows = rows[-1:] + rows[:-1]
+    else:  # row 3 repeated as row 4, the first of the second block
+        at, t, found = 6, times[4], times[3]
+        rows = rows[:4] + rows[3:]
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
     capsys.readouterr()
@@ -301,13 +324,14 @@ def test_verify_rejects_flux_csv_read_across_blocks(tmp_path, capsys, monkeypatc
                  "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
     err = capsys.readouterr().err
     assert "config error at flux" in err
-    assert f"flux CSV line {at} must be t={t}, coupling edge ({i}, {j})" in err
+    assert f"flux CSV line {at} (expected t={t}) has t={found}" in err
     assert not (tmp_path / "vout").exists()
 
 
-@pytest.mark.parametrize("edit", ["middle_line_deleted", "last_checkpoint_deleted"])
+@pytest.mark.parametrize("edit", ["middle_line_deleted", "last_checkpoint_deleted",
+                                  "last_column_deleted"])
 def test_verify_flux_rejects_an_incomplete_file(tmp_path, capsys, edit):
-    # a missing line is not zero flux: the file must list every coupling edge
+    # a missing value is not zero flux: the file must hold every coupling edge
     # at every checkpoint
     from jumpflow.evolution import coupling_edges
 
@@ -317,15 +341,19 @@ def test_verify_flux_rejects_an_incomplete_file(tmp_path, capsys, edit):
     header, *rows = (out / "flux.csv").read_text().splitlines()
     n_edges = coupling_edges(coupling_of(PUNCTURED_GRID).theta)[0].size
     n_times = len((out / "trajectory.csv").read_text().splitlines()) - 1
-    if edit == "middle_line_deleted":
+    assert len(rows) == n_times
+    if edit == "middle_line_deleted":  # one cell of the middle row
         m = len(rows) // 2
-        t, i, j, _ = rows[m].split(",")  # expected there, where rows[m + 1] now stands
-        expected = f"flux CSV line {m + 2} must be t={t}, coupling edge ({i}, {j})"
-        del rows[m]
-    else:
-        expected = (f"(K+1)*E = {n_times}*{n_edges} = {n_times * n_edges} lines after its "
-                    f"header; it has {len(rows) - n_edges}")
-        rows = rows[:-n_edges]
+        fields = rows[m].split(",")
+        expected = (f"flux CSV line {m + 2} (expected t={fields[0]}) has {n_edges} fields, "
+                    f"not E+1 = {n_edges + 1}")
+        rows[m] = ",".join(fields[:n_edges // 2] + fields[n_edges // 2 + 1:])
+    elif edit == "last_checkpoint_deleted":
+        expected = f"K+1 = {n_times} rows after its header; it has {n_times - 1}"
+        rows = rows[:-1]
+    else:  # every row one value short: each parsed block has the one, wrong width
+        expected = f"flux CSV line 2 (expected t=0) has {n_edges} fields, not E+1 = {n_edges + 1}"
+        rows = [r.rsplit(",", 1)[0] for r in rows]
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
     capsys.readouterr()
@@ -336,8 +364,26 @@ def test_verify_flux_rejects_an_incomplete_file(tmp_path, capsys, edit):
     assert not (tmp_path / "vout").exists()
 
 
+def test_verify_flux_rejects_the_earlier_line_per_edge_layout(tmp_path, capsys):
+    # flux.csv of earlier versions: a 't,i,j,w' line per coupling edge per checkpoint
+    cfg = write_config(tmp_path, dict(TWO_POINT, export_flux=True))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "flux.csv").read_text().splitlines()[1:]]
+    epath = tmp_path / "flux_old.csv"
+    epath.write_text("t,i,j,w\n" + "".join(f"{t},0,1,{w}\n" for t, w in rows))
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
+    err = capsys.readouterr().err
+    assert "config error at flux: flux CSV has the 't,i,j,w' layout of earlier versions" in err
+    assert "`jumpflow run` with export_flux rewrites it in the current layout" in err
+    assert not (tmp_path / "vout").exists()
+
+
 def test_edgeless_coupling_writes_and_verifies_a_header_only_flux(tmp_path):
-    # E = 0: no edge carries flux, so the file is its header alone
+    # E = 0: no edge carries flux, so the file is the t header and each
+    # checkpoint's t alone
     cfg = write_config(tmp_path, {
         "schema": 1,
         "space": {"type": "graph", "points": [0.0, 1.0, 2.0],
@@ -352,7 +398,8 @@ def test_edgeless_coupling_writes_and_verifies_a_header_only_flux(tmp_path):
     })
     out, vout = tmp_path / "out", tmp_path / "vout"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "flux.csv").read_text() == "t,i,j,w\n"
+    times = [r.split(",")[0] for r in (out / "trajectory.csv").read_text().splitlines()[1:]]
+    assert (out / "flux.csv").read_text() == "t\n" + "".join(t + "\n" for t in times)
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
                  "--flux", str(out / "flux.csv"), "--out", str(vout)]) == 0
     assert (vout / "ledger.json").read_bytes() == (out / "ledger.json").read_bytes()

@@ -55,6 +55,24 @@ def test_alpha_near_diagonal_stability():
         assert LOGMEAN(u + off, u) == pytest.approx(exact, rel=1e-10)
 
 
+def test_log_mean_is_exact_to_roundoff_where_the_log_difference_cancels():
+    # 40-digit references for pairs with |z| = |u - v|/(u + v) in [1e-8, 0.3],
+    # where (u - v)/(log u - log v) loses digits to the log difference
+    import mpmath
+
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(11)
+    z = np.exp(rng.uniform(np.log(1e-8), np.log(0.3), 20000)) * rng.choice([-1.0, 1.0], 20000)
+    s = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), 20000))
+    u = np.append(s * (1.0 + z) / 2.0, 2.0)
+    v = np.append(s * (1.0 - z) / 2.0, 2.00001)
+    exact = np.array([float((mpmath.mpf(a) - mpmath.mpf(b))
+                            / (mpmath.log(mpmath.mpf(a)) - mpmath.log(mpmath.mpf(b))))
+                      for a, b in zip(u.tolist(), v.tolist())])
+    np.testing.assert_allclose(LOGMEAN(u, v), exact, rtol=1e-15, atol=0.0)
+    assert LOGMEAN(2.0, 2.00001) == pytest.approx(exact[-1], rel=1e-15, abs=0.0)
+
+
 def test_alpha_one_homogeneous():
     rng = np.random.default_rng(0)
     u, v = rng.uniform(0.01, 5.0, (2, 200))

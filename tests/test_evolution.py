@@ -1,5 +1,6 @@
 """Integrators, flux reconstruction, continuity residuals, trajectory algebra."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -373,22 +374,22 @@ def test_flux_csv_is_the_store_in_row_major_order(tmp_path):
     traj = evolve(coup, COSH, np.where(sp.points < 0.0, 1.5, 0.5), 0.1,
                   IntegratorConfig(checkpoints=8))
     header, *lines = "".join(flux_csv_text(traj, coup.theta)).splitlines()
-    assert header == "t,i,j,w"
     rows, cols, _ = coupling_edges(coup.theta)
-    # line L is checkpoint L // E, edge L % E, the zeros of the even-split start included
-    assert len(lines) == traj.times.size * rows.size
+    # one w_i_j column per coupling edge, row-major; row k is checkpoint k, its t
+    # first, the zeros of the even-split start included
+    assert header == "t," + ",".join(f"w_{i}_{j}" for i, j in zip(rows, cols))
+    assert rows.size == 28 and len(lines) == traj.times.size
     fields = np.array([[float(v) for v in r.split(",")] for r in lines])
-    k, e = np.divmod(np.arange(len(lines)), rows.size)
-    np.testing.assert_array_equal(fields[:, :3], np.column_stack([traj.times[k], rows[e],
-                                                                  cols[e]]))
-    assert np.count_nonzero(fields[:, 3] == 0.0) > 0
+    assert fields.shape == (traj.times.size, rows.size + 1)
+    np.testing.assert_array_equal(fields[:, 0], traj.times)
+    assert np.count_nonzero(fields[:, 1:] == 0.0) > 0
     fpath = tmp_path / "flux.csv"
     fpath.write_text("".join(flux_csv_text(traj, coup.theta)))
     store = flux_from_csv(fpath, traj, coup.theta).flux_store
     upper = np.triu(np.ones((traj.n, traj.n), dtype=bool), 1)
     np.testing.assert_array_equal(store, np.stack([dense_flux(traj, k)[upper]
                                                    for k in range(traj.times.size)]))
-    np.testing.assert_array_equal(store.ravel(), fields[:, 3])
+    np.testing.assert_array_equal(store, fields[:, 1:])
 
 
 def test_a_flux_store_on_other_edges_than_the_coupling_is_refused():
@@ -415,10 +416,12 @@ def test_flux_csv_values_format_as_17_digit_floats(tmp_path):
     traj = Trajectory(times=[0.0, 0.25], densities=np.ones((2, n)), flux_store=store,
                       flux_edges=(rows, cols))
     lines = "".join(flux_csv_text(traj, theta)).splitlines()
-    expected = [f"{t},{i},{j},{format(float(w), '.17g')}"
-                for t, ws in zip(("0", "0.25"), store) for i, j, w in zip(rows, cols, ws)]
-    assert lines == ["t,i,j,w"] + expected and len(expected) == 2 * rows.size
-    assert lines[1] == "0,0,1,0" and lines[1 + rows.size] == "0.25,0,1,0"  # zeros as 0
+    expected = [t + "".join("," + format(float(w), ".17g") for w in ws)
+                for t, ws in zip(("0", "0.25"), store)]
+    assert lines == ["t," + ",".join(f"w_{i}_{j}" for i, j in zip(rows, cols))] + expected
+    assert lines[1] == "0" + ",0" * rows.size  # zeros as 0
+    assert lines[2] == ("0.25,0,4.9406564584124654e-324,2.2250738585072009e-308,1e-300,-1e-300,"
+                        "0.33333333333333331,-7.5,1.0000000000000001e+300,0,0")
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join(lines) + "\n")
     np.testing.assert_array_equal(flux_from_csv(fpath, traj, theta).flux_store, store)
@@ -430,6 +433,18 @@ def test_csv_text_ends_in_one_newline():
     for text in ("".join(trajectory_csv_text(traj)), "".join(flux_csv_text(traj, coup.theta))):
         assert text.endswith("\n") and not text.endswith("\n\n")
         assert text.count("\n") == len(text.splitlines())
+
+
+def test_trajectory_csv_text_is_pinned():
+    # the block-of-rows writer behind both CSVs: the header, then each
+    # checkpoint's t and values as %.17g
+    traj = Trajectory(times=[0.0, 0.1, 1.0],
+                      densities=[[1.0, 0.5, 1.0 / 3.0], [0.1, 2.0, 1e-300], [0.0, 5e-324, 3.0]])
+    assert "".join(trajectory_csv_text(traj)) == (
+        "t,u_0,u_1,u_2\n"
+        "0,1,0.5,0.33333333333333331\n"
+        "0.10000000000000001,0.10000000000000001,2,1e-300\n"
+        "1,0,4.9406564584124654e-324,3\n")
 
 
 def test_trajectory_from_csv_rejects_malformed(tmp_path):
@@ -471,29 +486,34 @@ def stored_flux_trajectory(n=6, checkpoints=8):
                       flux_edges=(rows, cols)), coup.theta
 
 
-@pytest.mark.parametrize("block", [1, 4, 15, 16, 1000])
+@pytest.mark.parametrize("block", [1, 4, 15, 16, 32, 48, 1000])
 def test_flux_checkpoints_split_across_blocks_read_to_the_same_store(tmp_path, monkeypatch,
                                                                     block):
-    # 15 pairs per checkpoint: at blocks of 1, 4 and 16 lines checkpoints straddle
-    # block boundaries
+    # E + 1 = 16 values a row, so each parse holds max(1, block // 16) of the 9 rows:
+    # a single row for blocks below a row, a partial last block at 2 rows, whole
+    # blocks at 3
     traj, theta = stored_flux_trajectory()
     fpath = tmp_path / "flux.csv"
     fpath.write_text("".join(flux_csv_text(traj, theta)))
     monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
+    load, parsed = evolution._load_rows, []
+    monkeypatch.setattr(evolution, "_load_rows",
+                        lambda fh, max_rows=None: parsed.append(load(fh, max_rows)) or parsed[-1])
     np.testing.assert_array_equal(flux_from_csv(fpath, traj, theta).flux_store,
                                   traj.flux_store)
+    assert max(len(p) for p in parsed) == min(max(1, block // 16), 9)
 
 
 def test_flux_csv_checkpoints_out_of_time_order_are_rejected(tmp_path, monkeypatch):
     traj, theta = stored_flux_trajectory()
     header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
-    first = [r for r in rows if r.startswith("0,")]
-    assert len(first) == 15
+    assert len(rows) == 9 and rows[0].startswith("0,")
     fpath = tmp_path / "flux.csv"
-    fpath.write_text("\n".join([header] + rows[15:] + first) + "\n")
-    for block in (evolution.CSV_BLOCK_LINES, 7):  # within one block and across blocks
+    fpath.write_text("\n".join([header] + rows[1:] + rows[:1]) + "\n")
+    t1 = re.escape(format(traj.times[1], ".17g"))
+    for block in (evolution.CSV_BLOCK_LINES, 7):  # within one block and a row per block
         monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
-        with pytest.raises(ValueError, match=r"line 2 must be t=0, coupling edge \(0, 1\)"):
+        with pytest.raises(ValueError, match=rf"^flux CSV line 2 \(expected t=0\) has t={t1}$"):
             flux_from_csv(fpath, traj, theta)
 
 
@@ -501,33 +521,32 @@ def test_flux_csv_duplicate_across_a_block_boundary_is_rejected(tmp_path, monkey
     traj, theta = stored_flux_trajectory()
     header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
     fpath = tmp_path / "flux.csv"
-    fpath.write_text("\n".join([header] + rows[:20] + rows[19:]) + "\n")
-    monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 20)  # lines 20 and 21 are in two blocks
-    t1 = format(traj.times[1], ".17g")  # line 22 is checkpoint 1's edge 5 of 15
-    with pytest.raises(ValueError, match=rf"line 22 must be t={t1}, coupling edge \(1, 2\)"):
+    fpath.write_text("\n".join([header] + rows[:3] + rows[2:]) + "\n")
+    monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 48)  # 3 rows of 16: lines 4, 5 in two blocks
+    t2, t3 = (re.escape(format(t, ".17g")) for t in traj.times[2:4])
+    with pytest.raises(ValueError, match=rf"^flux CSV line 5 \(expected t={t3}\) has t={t2}$"):
         flux_from_csv(fpath, traj, theta)
 
 
 @pytest.mark.parametrize("edit", ["last_line_missing", "one_line_more", "header_only"])
 def test_flux_csv_of_another_line_count_is_rejected(tmp_path, monkeypatch, edit):
-    # every line present sits where it should; only the count is wrong
+    # every row present sits where it should; only the count is wrong
     traj, theta = stored_flux_trajectory()
     header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
-    rows, count = {"last_line_missing": (rows[:-1], 134),
-                   "one_line_more": (rows + rows[-1:], 136),
+    rows, count = {"last_line_missing": (rows[:-1], 8),
+                   "one_line_more": (rows + rows[-1:], 10),
                    "header_only": ([], 0)}[edit]
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join([header] + rows) + "\n")
-    for block in (evolution.CSV_BLOCK_LINES, 15, 7):
+    for block in (evolution.CSV_BLOCK_LINES, 48, 7):  # all rows in one block, 3 a block, 1
         monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
-        with pytest.raises(ValueError, match=rf"\(K\+1\)\*E = 9\*15 = 135 lines after its "
-                                             rf"header; it has {count}$"):
+        with pytest.raises(ValueError, match=rf"K\+1 = 9 rows after its header; it has {count}$"):
             flux_from_csv(fpath, traj, theta)
 
 
 def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
-    # The writer holds one checkpoint's text, never the file; the reader holds
-    # the (K+1, E) store plus one block of parsed lines, never the file's
+    # The writer holds one block of rows' text, never the file; the reader holds
+    # the (K+1, E) store plus one block of parsed rows, never the file's
     sp = build_grid(-1.0, 1.0, 24)
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, 1.0 + sp.points ** 2, 0.5,
@@ -543,7 +562,7 @@ def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
     finally:
         tracemalloc.stop()
     size = fpath.stat().st_size
-    assert size > 5e6  # 601 checkpoints of 276 lines
+    assert store.shape == (601, 276) and size > 3e6  # 601 rows of 277 values
     assert write_peak < size / 10
-    block = 8 * (4 * 8 * evolution.CSV_BLOCK_LINES)  # eight (block, 4) float arrays
+    block = 8 * 8 * max(evolution.CSV_BLOCK_LINES, 277)  # eight arrays of a block's floats
     assert read_peak < store.nbytes + block < size
