@@ -12,16 +12,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
 
 import numpy as np
 
-from . import evolution, experiments, ledger, spaces
-from .densities import canonical_triple
-from .evolution import IntegratorConfig, NumericalError
-from .functionals import json_text
+# module attributes, not `from .x import name`: the package loads its modules
+# lazily, and a command executes only the ones it reaches
+from . import densities, evolution, experiments, ledger, spaces
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -162,7 +162,7 @@ def build_initial(cfg, space, path="initial"):
 
 def build_integrator(cfg, path="integrator"):
     if cfg is None:
-        return IntegratorConfig()
+        return evolution.IntegratorConfig()
     _require_keys(cfg, path, [], ["method", "checkpoints", "dt", "graded_start"])
     method = cfg.get("method", "expm")
     aliases = {"explicit_euler": "euler", "matrix_exponential": "expm"}
@@ -182,7 +182,7 @@ def build_integrator(cfg, path="integrator"):
             raise SchemaError(f"{path}.graded_start", "expected a boolean")
         kwargs["graded_start"] = cfg["graded_start"]
     try:
-        return IntegratorConfig(**kwargs)
+        return evolution.IntegratorConfig(**kwargs)
     except ValueError as exc:
         raise SchemaError(path, str(exc))
 
@@ -196,7 +196,7 @@ def parse_run_config(cfg):
     kernel, mask_split = build_kernel(cfg["kernel"], space)
     if cfg["triple"] not in ("cosh", "quadratic"):
         raise SchemaError("config.triple", "must be 'cosh' or 'quadratic'")
-    triple = canonical_triple(cfg["triple"])
+    triple = densities.canonical_triple(cfg["triple"])
     u0 = build_initial(cfg["initial"], space)
     T = _number(cfg["T"], "config.T")
     if T <= 0:
@@ -231,7 +231,35 @@ def load_config(path):
 
 
 # ---------------------------------------------------------------------------
-# atomic output
+# output
+
+
+def _json_value(v):
+    """The JSON value of v at any depth: dicts, lists, tuples and numpy arrays
+    walked, numpy scalars made Python ones, and a non-finite float written as
+    the string 'nan', 'inf' or '-inf' (JSON has no NaN or infinity)."""
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_json_value(x) for x in v]
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        if math.isnan(f):
+            return "nan"
+        if math.isinf(f):
+            return "inf" if f > 0 else "-inf"
+        return f
+    return v
+
+
+def json_text(obj, indent: int = 2) -> str:
+    """The JSON encoding of every report: sorted keys, and `_json_value` applied
+    at every depth, so no bare NaN or inf."""
+    return json.dumps(_json_value(obj), indent=indent, sort_keys=True, allow_nan=False)
 
 
 def atomic_write(path, chunks):
@@ -449,7 +477,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
-    except (NumericalError, FloatingPointError, RuntimeError) as exc:
+    except (FloatingPointError, RuntimeError) as exc:  # NumericalError is a RuntimeError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -8,20 +8,19 @@ exception.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .densities import DissipationTriple, d_phi, legendre
 from .evolution import _component_labels, coupling_edges
-from .measures import PosMeasure
 from .quadrature import cumulative_simpson_nonuniform
 
+if TYPE_CHECKING:  # annotations only: run and verify never execute measures
+    from .measures import PosMeasure
+
 __all__ = [
-    "json_text",
     "Upsilon",
     "entropy",
     "entropy_series",
@@ -31,34 +30,6 @@ __all__ = [
     "trajectory_L",
     "f_upsilon",
 ]
-
-
-def _json_value(v):
-    """The JSON value of v at any depth: dicts, lists, tuples and numpy arrays
-    walked, numpy scalars made Python ones, and a non-finite float written as
-    the string 'nan', 'inf' or '-inf' (JSON has no NaN or infinity)."""
-    if isinstance(v, dict):
-        return {k: _json_value(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return [_json_value(x) for x in v]
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    return v
-
-
-def json_text(obj, indent: int = 2) -> str:
-    """The JSON encoding of every report: sorted keys, and `_json_value` applied
-    at every depth, so no bare NaN or inf."""
-    return json.dumps(_json_value(obj), indent=indent, sort_keys=True, allow_nan=False)
 
 
 def _offdiag(n):

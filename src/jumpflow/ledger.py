@@ -18,7 +18,7 @@ import numpy as np
 
 from .densities import DissipationTriple
 from .evolution import EDB_TOL_REL, RCE_TOL, Trajectory, continuity_spreads
-from .functionals import _checkpoint_pass, json_text
+from .functionals import _checkpoint_pass
 from .quadrature import cumulative_simpson_nonuniform
 
 __all__ = [
@@ -96,9 +96,6 @@ class LedgerReport:
             "flags": self.flags,
             "n_checkpoints": int(self.times.size),
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json_text(self.to_dict(), indent)
 
 
 def _invariant_checks(traj: Trajectory, ent, pi, mask=None) -> dict:

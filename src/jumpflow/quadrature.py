@@ -24,6 +24,13 @@ GRADE_TMIN_REL = 1e-12
 _PAIR_WIDTH_RATIO = 3.0
 
 
+def _sorted_distinct(x) -> np.ndarray:
+    """The distinct values of x, ascending: np.unique's sort and neighbour
+    comparison, without the numpy.ma import np.unique brings."""
+    x = np.sort(x, axis=None)
+    return x[np.append(True, x[1:] != x[:-1])]
+
+
 def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True) -> np.ndarray:
     """Uniform grid of `checkpoints` intervals on [0, T], optionally with a
     geometric prefix refining [0, T/16] down to T*1e-12."""
@@ -38,7 +45,7 @@ def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True) -> np
     while t < t_cross:
         pre.append(t)
         t *= GRADE_RATIO
-    return np.unique(np.concatenate([np.asarray(pre), base]))
+    return _sorted_distinct(np.concatenate([np.asarray(pre), base]))
 
 
 def _piece_weights(x0, x1, x2, a, b):
@@ -266,7 +273,7 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
     x0, x4 = np.append(head[0], bounds[:-1]), np.append(head[2], bounds[1:])
     x2 = np.append(head[1], _split(bounds[:-1], bounds[1:]))
     X = np.column_stack([x0, _split(x0, x2), x2, _split(x2, x4), x4])
-    fresh = np.unique(X[:, 1:])  # x0 of the first panel is 0 or h; every x4 is an x0 or T
+    fresh = _sorted_distinct(X[:, 1:])  # x0 of the first panel is 0 or h; every x4 is an x0 or T
     rows = nodes.add(np.append(h, fresh) if singular else fresh)
     at = dict(zip(nodes.t[:nodes.size].tolist(), range(nodes.size)))
     idx = np.array([[at[t] for t in panel] for panel in X.tolist()], dtype=np.intp)

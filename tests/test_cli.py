@@ -705,6 +705,78 @@ def test_probe_and_lift_reject_bad_arguments(tmp_path, capsys, argv, name):
     assert not out.exists()
 
 
+def test_probe_rejects_equal_widths(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["probe", "--s", "0.6", "--deltas", "0.1,0.1", "--out", str(out)]) == 2
+    assert ("config error at deltas: deltas must hold at least two distinct"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    from jumpflow import evolution
+
+    def fail(*args, **kwargs):
+        raise evolution.NumericalError("propagation produced NaN")
+
+    monkeypatch.setattr(evolution, "evolve", fail)
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, TWO_POINT), "--out", str(out)]) == 3
+    assert "numerical failure: propagation produced NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the jumpflow modules each command may execute, and those it must not: the
+# package loads its modules lazily, so a command pays only for what it runs
+EXECUTES = {
+    "run": (None, {"experiments", "measures"}),
+    "verify": (None, {"experiments", "measures"}),
+    "sweep": (None, {"measures"}),
+    "probe": ({"cli", "experiments", "spaces"}, set()),
+    "lift": ({"cli", "experiments", "spaces"}, set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTES))
+def test_each_command_executes_only_the_modules_it_uses(tmp_path, command):
+    # a lazily registered module is a LazyLoader subclass of ModuleType until
+    # its body runs; numpy.ma is what np.unique would import
+    import subprocess
+    import sys
+
+    import jumpflow
+
+    cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
+    run = tmp_path / "run"
+    if command == "verify":
+        assert main(["run", "--config", cfg, "--out", str(run)]) == 0
+    argv = {
+        "run": ["run", "--config", cfg],
+        "verify": ["verify", "--config", cfg, "--trajectory", str(run / "trajectory.csv"),
+                   "--flux", str(run / "flux.csv")],
+        "sweep": ["sweep", "--config", write_config(tmp_path, dict(
+            PUNCTURED_GRID, integrator={"checkpoints": 16}, sweep={"eps_list": [1e-1, 1e-2]}))],
+        "probe": ["probe", "--s", "0.75"],
+        "lift": ["lift", "--m", "4", "--N", "4"],
+    }[command] + ["--out", str(tmp_path / "out")]
+    script = (
+        "import contextlib, io, json, sys, types\n"
+        "from jumpflow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print(json.dumps([[k.split('.')[1] for k, m in sys.modules.items()\n"
+        "                   if k.startswith('jumpflow.') and type(m) is types.ModuleType],\n"
+        "                  'numpy.ma' in sys.modules]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpflow.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    executed, numpy_ma = json.loads(done.stdout)
+    only, never = EXECUTES[command]
+    assert "cli" in executed and set(executed) <= (only or set(executed)), executed
+    assert set(executed).isdisjoint(never), executed
+    assert not numpy_ma
+
+
 def test_cli_commands_do_not_import_scipy(tmp_path):
     # scipy is only for the transport LP on non-line lift bases; the tests
     # themselves import it, so the commands run in a fresh interpreter

@@ -144,6 +144,12 @@ def test_probe_rejects_bad_arguments(bad):
         density_gap_probe(**args)
 
 
+def test_probe_rejects_equal_widths():
+    # the widths are sorted, so equal end widths mean no two distinct ones
+    with pytest.raises(ValueError, match="deltas must hold at least two distinct"):
+        density_gap_probe(0.6, deltas=[0.1, 0.1])
+
+
 def test_probe_rejects_coarse_grid():
     with pytest.raises(ValueError):
         density_gap_probe(0.75, deltas=[1e-3], n=64)

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
+from jumpflow.cli import json_text
 from jumpflow.densities import canonical_triple, legendre
 from jumpflow.evolution import IntegratorConfig, Trajectory, concatenate, evolve
 from jumpflow.functionals import (Upsilon, _checkpoint_pass, action_R, entropy, f_upsilon,
-                                  fisher_D, json_text, trajectory_L)
+                                  fisher_D, trajectory_L)
 from jumpflow.measures import PosMeasure, jordan_from_setfunction
 from jumpflow.spaces import build_grid, coupling, fractional_kernel, matrix_kernel
 

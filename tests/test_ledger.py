@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jumpflow import functionals
+from jumpflow.cli import json_text
 from jumpflow.densities import canonical_triple
 from jumpflow.evolution import (IntegratorConfig, Trajectory, continuity_rates,
                                 continuity_residual, coupling_edges, evolve)
@@ -165,7 +166,7 @@ def test_report_json_and_table():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.5, IntegratorConfig(checkpoints=64))
     rep = full_report(traj, COSH, sp, coup.theta, sp.pi)
-    payload = rep.to_json()
+    payload = json_text(rep.to_dict())
     assert '"schema": 1' in payload
     table = render_table(rep)
     assert "verdict" in table and "mass" in table

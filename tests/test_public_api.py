@@ -22,6 +22,23 @@ def test_all_names_resolve(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
+def test_import_cli_registers_every_module():
+    # Recorder.install looks up sys.modules["jumpflow.<module>"] right after
+    # `import jumpflow.cli`, before any command has run; a module registered
+    # only on first use would fail every `perfbench/run.py --trace 1` run
+    import os
+    import subprocess
+    import sys
+
+    script = ("import sys, jumpflow.cli\n"
+              "print([m for m in jumpflow.__all__ if m != '__version__'\n"
+              "       and 'jumpflow.' + m not in sys.modules])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(jumpflow.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)

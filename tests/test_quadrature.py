@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from jumpflow.quadrature import (_interval_pieces, _quadratic_piece, checkpoint_grid,
-                                 cumulative_simpson_nonuniform, simpson_nonuniform)
+from jumpflow import quadrature
+from jumpflow.quadrature import (_interval_pieces, _quadratic_piece, _sorted_distinct,
+                                 checkpoint_grid, cumulative_simpson_nonuniform,
+                                 error_controlled_grid, simpson_nonuniform)
 
 RATIO = 3.0
 
@@ -91,3 +93,32 @@ def test_single_interval_and_empty_grid():
     assert simpson_nonuniform([0.0, 2.0], [1.0, 3.0]) == 4.0
     pieces, flag = _interval_pieces([0.0], [1.0])
     assert pieces.size == 0 and not flag
+
+
+def test_sorted_distinct_is_np_unique():
+    rng = np.random.default_rng(3)
+    for x in [rng.integers(0, 5, 40) / 4.0, rng.standard_normal((6, 5)),
+              np.array([0.0, -0.0, 1.0, -0.0, 0.0]), np.array([2.5])]:
+        got, want = _sorted_distinct(x), np.unique(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("T,first_step", [(1.0, 1.0 / 40.0), (0.5, 1e-3), (2.0, 3.0),
+                                          (1e-3, 1e-7)])
+def test_grids_equal_the_np_unique_grids(monkeypatch, T, first_step):
+    # both grids drop repeated nodes with _sorted_distinct; with np.unique in
+    # its place they must come out bit for bit the same
+    def sample(ts):
+        return [np.column_stack([np.exp(-40.0 * ts), np.exp(-3.0 * ts)]),
+                np.sqrt(ts)[:, None]]
+
+    def grids():
+        return (checkpoint_grid(T, 64), error_controlled_grid(sample, T, [1e-9, 1e-6],
+                                                              first_step))
+
+    graded, (times, estimates) = grids()
+    monkeypatch.setattr(quadrature, "_sorted_distinct", np.unique)
+    graded_u, (times_u, estimates_u) = grids()
+    assert graded.tobytes() == graded_u.tobytes()
+    assert times.tobytes() == times_u.tobytes()
+    assert np.asarray(estimates).tobytes() == np.asarray(estimates_u).tobytes()
