@@ -71,24 +71,39 @@ def _integer(obj, path, lo=None):
     return obj
 
 
+def _addressable(rows, cols, path):
+    """Refuse a size whose (rows, cols) float array numpy could not index."""
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise SchemaError(path, f"too large: a {rows} x {cols} float array exceeds "
+                                "the largest array numpy can index")
+
+
+def _state_count(obj, path):
+    n = _integer(obj, path, lo=2)
+    _addressable(n, n, path)
+    return n
+
+
 def build_space(cfg, path="space"):
     _require_keys(cfg, path, ["type"], ["a", "b", "n", "points", "dist", "pi"])
     kind = cfg["type"]
     if kind == "grid":
         _require_keys(cfg, path, ["type", "a", "b", "n"])
-        return spaces.build_grid(_number(cfg["a"], f"{path}.a"),
-                                 _number(cfg["b"], f"{path}.b"),
-                                 _integer(cfg["n"], f"{path}.n", lo=2))
-    if kind == "torus":
+        build, args = spaces.build_grid, (_number(cfg["a"], f"{path}.a"),
+                                          _number(cfg["b"], f"{path}.b"),
+                                          _state_count(cfg["n"], f"{path}.n"))
+    elif kind == "torus":
         _require_keys(cfg, path, ["type", "n"])
-        return spaces.build_torus(_integer(cfg["n"], f"{path}.n", lo=2))
-    if kind == "graph":
+        build, args = spaces.build_torus, (_state_count(cfg["n"], f"{path}.n"),)
+    elif kind == "graph":
         _require_keys(cfg, path, ["type", "points", "dist", "pi"])
-        try:
-            return spaces.build_graph(cfg["points"], cfg["dist"], cfg["pi"])
-        except ValueError as exc:
-            raise SchemaError(path, str(exc))
-    raise SchemaError(f"{path}.type", f"unknown space type '{kind}'")
+        build, args = spaces.build_graph, (cfg["points"], cfg["dist"], cfg["pi"])
+    else:
+        raise SchemaError(f"{path}.type", f"unknown space type '{kind}'")
+    try:
+        return build(*args)
+    except (TypeError, ValueError) as exc:  # TypeError: a non-number inside a list
+        raise SchemaError(path, str(exc))
 
 
 def build_kernel(cfg, space, path="kernel"):
@@ -118,7 +133,7 @@ def build_kernel(cfg, space, path="kernel"):
         _require_keys(cfg, path, ["type", "rates"], ["cutoff"])
         try:
             kernel = spaces.matrix_kernel(cfg["rates"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}.rates", str(exc))
         if kernel.n != space.n:
             raise SchemaError(f"{path}.rates", "rate matrix size does not match the space")
@@ -202,6 +217,8 @@ def parse_run_config(cfg):
     if T <= 0:
         raise SchemaError("config.T", "must be positive")
     config = build_integrator(cfg.get("integrator"))
+    if config.checkpoints is not None:
+        _addressable(config.checkpoints + 1, space.n, "integrator.checkpoints")
     seed = _integer(cfg.get("seed", 0), "config.seed", lo=0)
     tol_rel = None
     if "tol_rel" in cfg and cfg["tol_rel"] is not None:
@@ -313,6 +330,7 @@ def cmd_run(args):
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if "checkpoints" in overrides:  # the bounds of build_integrator and parse_run_config
         _integer(args.checkpoints, "checkpoints", lo=1)
+        _addressable(args.checkpoints + 1, parsed["space"].n, "checkpoints")
     if overrides:
         parsed["integrator"] = dataclasses.replace(parsed["integrator"], **overrides)
     if args.seed is not None:

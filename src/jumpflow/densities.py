@@ -271,12 +271,13 @@ def f_map(triple: DissipationTriple, u, v):
     return out if out.ndim else float(out)
 
 
-def compat_check(triple: DissipationTriple, samples: int = 10_000, seed: int = 0,
+def compat_check(triple: DissipationTriple, samples: int = 10_000,
                  lo: float = 1e-6, hi: float = 10.0) -> float:
-    """Max |F(u, v) - (v - u)| over seeded samples of the open quadrant."""
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(lo, hi, samples)
-    v = rng.uniform(lo, hi, samples)
+    """Max |F(u, v) - (v - u)| over the k x k grid geomspace(lo, hi, k)^2 of the
+    open quadrant, k = isqrt(samples); the grid holds its four corners."""
+    axis = np.geomspace(lo, hi, math.isqrt(samples))
+    u = np.repeat(axis, axis.size)
+    v = np.tile(axis, axis.size)
     f = f_map(triple, u, v)
     return float(np.max(np.abs(f - (v - u))))
 

@@ -142,7 +142,7 @@ def generator(coup, triple: DissipationTriple) -> np.ndarray:
     """
     if not triple.compatible:
         raise IncompatibleTripleError(f"triple '{triple.name}' is not declared compatible")
-    residual = compat_check(triple, samples=256, seed=1)
+    residual = compat_check(triple, samples=256)
     if residual > COMPAT_TOL:
         raise IncompatibleTripleError(
             f"triple '{triple.name}' fails the compatibility identity (residual {residual:.2e})")

@@ -11,6 +11,7 @@ balance against a difference stencil on its own; the report does not.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -209,13 +210,13 @@ def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi) -> np.
 
 def _lipschitz_battery(points, dist, seed: int):
     """Bounded test functions: constants, clamped coordinates, random Lipschitz."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)  # the stdlib generator: numpy.random loads libcrypto
     battery = [("constant", np.ones_like(points)),
                ("coordinate", np.clip(points, -1.0, 1.0))]
     n = points.size
     for k in range(RANDOM_LIPSCHITZ):
-        anchors = rng.choice(n, size=min(3, n), replace=False)
-        coeffs = rng.uniform(-1.0, 1.0, anchors.size)
+        anchors = rng.sample(range(n), min(3, n))
+        coeffs = np.array([rng.uniform(-1.0, 1.0) for _ in anchors])
         # min of shifted distance cones is automatically 1-Lipschitz in the metric
         vals = np.min(dist[:, anchors] + coeffs[None, :], axis=1)
         battery.append((f"random_lipschitz_{k}", np.clip(vals, -2.0, 2.0)))

@@ -42,6 +42,8 @@ class StateSpace:
         pts = np.asarray(self.points, dtype=float)
         d = np.asarray(self.dist, dtype=float)
         p = np.asarray(self.pi, dtype=float)
+        if pts.ndim != 1:
+            raise ValueError("points must be a one-dimensional array")
         n = pts.shape[0]
         if d.shape != (n, n):
             raise ValueError("metric table shape mismatch")

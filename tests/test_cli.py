@@ -516,6 +516,48 @@ def test_verify_reports_a_non_finite_battery_entry_near_the_float_range(tmp_path
     assert_neither_with_string_battery(out / "ledger.json")
 
 
+GRID8 = {
+    "schema": 1,
+    "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 8},
+    "kernel": {"type": "fractional", "s": 0.6},
+    "triple": "cosh",
+    "initial": {"type": "constant", "value": 1.0},
+    "T": 0.5,
+}
+HUGE = 10**30  # no n x n or (K+1) x n float array of this size can be indexed
+
+
+def with_leaf(cfg, keys, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("cfg,path", [
+    (with_leaf(GRID8, ["space", "b"], -2.0), "space"),
+    (with_leaf(GRID8, ["space", "b"], -1.0), "space"),
+    (with_leaf(TWO_POINT, ["space", "dist"], [[0.0, {}], [1.0, 0.0]]), "space"),
+    (with_leaf(TWO_POINT, ["space", "pi"], [0.5, {}]), "space"),
+    (with_leaf(TWO_POINT, ["kernel", "rates"], [[0.0, {}], [1.0, 0.0]]), "kernel.rates"),
+    (with_leaf(TWO_POINT, ["space", "points"], float("nan")), "space"),
+    (with_leaf(GRID8, ["space", "n"], HUGE), "space.n"),
+    (with_leaf(GRID8, ["space"], {"type": "torus", "n": HUGE}), "space.n"),
+    (with_leaf(GRID8, ["integrator"], {"checkpoints": HUGE}), "integrator.checkpoints"),
+], ids=["grid_a_above_b", "grid_a_equals_b", "graph_dist_object", "graph_pi_object",
+        "matrix_rates_object", "graph_scalar_points", "grid_n_huge", "torus_n_huge",
+        "checkpoints_huge"])
+def test_malformed_space_kernel_and_sizes_exit_2(tmp_path, capsys, cfg, path):
+    # each of these exited 1 with a traceback: build_grid's ValueError, float()'s
+    # TypeError, an IndexError on 0-d points, and numpy's "Maximum allowed size"
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,cfg", [
     ("config.export_flux", dict(TWO_POINT, export_flux="false")),
     ("integrator.graded_start", dict(TWO_POINT, integrator={"graded_start": "false"})),
@@ -529,6 +571,7 @@ def test_config_flags_must_be_json_booleans(tmp_path, capsys, key, cfg):
 
 @pytest.mark.parametrize("flag,value,name", [("--checkpoints", "0", "checkpoints"),
                                              ("--checkpoints", "-3", "checkpoints"),
+                                             ("--checkpoints", str(HUGE), "checkpoints"),
                                              ("--seed", "-1", "seed")])
 def test_run_overrides_rejected_as_schema_errors(tmp_path, capsys, flag, value, name):
     cfg = write_config(tmp_path, TWO_POINT)
@@ -737,10 +780,15 @@ EXECUTES = {
 }
 
 
+# numpy.ma is what np.unique would import; numpy.random loads OpenSSL's libcrypto
+# through secrets -> hmac -> hashlib -> _hashlib
+UNUSED_IMPORTS = ("numpy.ma", "numpy.random", "_hashlib")
+
+
 @pytest.mark.parametrize("command", sorted(EXECUTES))
 def test_each_command_executes_only_the_modules_it_uses(tmp_path, command):
     # a lazily registered module is a LazyLoader subclass of ModuleType until
-    # its body runs; numpy.ma is what np.unique would import
+    # its body runs
     import subprocess
     import sys
 
@@ -766,15 +814,15 @@ def test_each_command_executes_only_the_modules_it_uses(tmp_path, command):
         f"    assert main({argv!r}) == 0\n"
         "print(json.dumps([[k.split('.')[1] for k, m in sys.modules.items()\n"
         "                   if k.startswith('jumpflow.') and type(m) is types.ModuleType],\n"
-        "                  'numpy.ma' in sys.modules]))\n")
+        f"                  [m for m in {UNUSED_IMPORTS!r} if m in sys.modules]]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpflow.__file__)))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
-    executed, numpy_ma = json.loads(done.stdout)
+    executed, imported = json.loads(done.stdout)
     only, never = EXECUTES[command]
     assert "cli" in executed and set(executed) <= (only or set(executed)), executed
     assert set(executed).isdisjoint(never), executed
-    assert not numpy_ma
+    assert imported == [], imported
 
 
 def test_cli_commands_do_not_import_scipy(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jumpflow import densities
 from jumpflow.densities import (DissipationTriple, boltzmann_entropy, canonical_triple,
                                 compat_check, cosh_pair, d_phi, f_map, geometric_mean_flux,
                                 lambda_phi, legendre, log_mean_flux, phi_boltzmann,
@@ -193,8 +194,24 @@ def test_f_map_antisymmetry():
 
 
 def test_compat_check():
-    assert compat_check(COSH, 10_000, seed=0) <= 1e-12
-    assert compat_check(QUAD, 10_000, seed=0) <= 1e-12
+    assert compat_check(COSH, 10_000) <= 1e-12
+    assert compat_check(QUAD, 10_000) <= 1e-12
+
+
+def test_compat_check_grid_holds_the_corners(monkeypatch):
+    # uniform samples on [1e-6, 10] almost never reach below 1e-3; the geometric
+    # grid has every u / v ratio from 1e-7 to 1e7, the corners included
+    seen = []
+
+    def spy(triple, u, v):
+        seen.append(set(zip(u.tolist(), v.tolist())))
+        return f_map(triple, u, v)
+
+    monkeypatch.setattr(densities, "f_map", spy)
+    assert compat_check(COSH, 256) <= 1e-12
+    (points,) = seen
+    assert len(points) == 256
+    assert {(1e-6, 1e-6), (1e-6, 10.0), (10.0, 1e-6)} <= points
 
 
 def test_compat_check_mismatched_triple():
@@ -204,7 +221,7 @@ def test_compat_check_mismatched_triple():
     # residual at (1, 4): 2 sinh(log 2) logmean(1, 4) vs 3
     expected = 2.0 * math.sinh(math.log(2.0)) * (3.0 / math.log(4.0)) - 3.0
     assert abs(f_map(wrong, 1.0, 4.0) - 3.0) == pytest.approx(abs(expected), rel=1e-12)
-    assert compat_check(wrong, 2000, seed=0) > 1e-2
+    assert compat_check(wrong, 2000) > 1e-2
 
 
 def test_d_phi_closed_forms():

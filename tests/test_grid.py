@@ -64,7 +64,7 @@ def test_grid_certify_config_is_certified_on_at_most_650_checkpoints(grid_certif
     assert traj.times.size <= 650
     for seed in SEEDS:
         rep = full_report(traj, COSH, sp, coup.theta, sp.pi, tol_rel=tol, seed=seed)
-        assert rep.verdict == VERDICT_BALANCED, seed
+        assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
         assert all(v for k, v in rep.invariants.items() if k.endswith("_ok")), seed
 
 

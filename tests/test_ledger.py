@@ -12,12 +12,12 @@ from jumpflow.densities import canonical_triple
 from jumpflow.evolution import (IntegratorConfig, Trajectory, continuity_rates,
                                 continuity_residual, coupling_edges, evolve)
 from jumpflow.functionals import _checkpoint_pass, _pairing, edb_integrand, entropy
-from jumpflow.ledger import (VERDICT_BALANCED, VERDICT_DISSIPATIVE, VERDICT_NEITHER,
-                             _lipschitz_battery, chain_rule_residual, edb_report,
+from jumpflow.ledger import (RANDOM_LIPSCHITZ, VERDICT_BALANCED, VERDICT_DISSIPATIVE,
+                             VERDICT_NEITHER, _lipschitz_battery, chain_rule_residual, edb_report,
                              full_report, pointwise_edb, rce_battery, render_table,
                              upgrade_verdict)
-from jumpflow.spaces import (build_graph, build_grid, coupling, cutoff, fractional_kernel,
-                             matrix_kernel, punctured_mask)
+from jumpflow.spaces import (build_graph, build_grid, build_torus, coupling, cutoff,
+                             fractional_kernel, matrix_kernel, punctured_mask)
 
 COSH = canonical_triple("cosh")
 QUAD = canonical_triple("quadratic")
@@ -396,6 +396,28 @@ def test_rce_battery_equals_member_by_member_residuals():
     for name, phi in members:
         single = continuity_residual(traj, phi, coup.theta, sp.pi)
         assert battery[name] == pytest.approx(single, rel=1e-12, abs=1e-14), name
+
+
+def path_graph(n):
+    pts = np.arange(n, dtype=float)
+    return build_graph(pts, np.abs(pts[:, None] - pts[None, :]), np.full(n, 1.0 / n))
+
+
+@pytest.mark.parametrize("sp", [build_grid(-1.0, 1.0, 40), build_torus(30), path_graph(2)],
+                         ids=["grid", "torus", "two_point_graph"])
+def test_lipschitz_battery_members_are_seeded_bounded_and_1_lipschitz(sp):
+    def randoms(seed):
+        members = _lipschitz_battery(sp.points, sp.dist, seed)
+        assert [name for name, _ in members] == ["constant", "coordinate"] + [
+            f"random_lipschitz_{k}" for k in range(RANDOM_LIPSCHITZ)]
+        return np.column_stack([phi for name, phi in members if name.startswith("random")])
+
+    assert np.array_equal(randoms(0), randoms(0))
+    assert not np.array_equal(randoms(0), randoms(1))
+    for seed in range(20):
+        for phi in randoms(seed).T:
+            assert np.all(np.abs(phi) <= 2.0)
+            assert np.all(np.abs(phi[:, None] - phi[None, :]) <= sp.dist + 1e-15), seed
 
 
 def test_stored_flux_copy_gives_the_same_full_report():
