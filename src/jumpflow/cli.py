@@ -359,8 +359,9 @@ def cmd_verify(args):
         raise SchemaError("trajectory", "state dimension does not match the config space")
     coup = spaces.coupling(parsed["space"], parsed["kernel"])
     if args.flux is not None:
-        try:
-            traj = evolution.flux_from_csv(args.flux, traj, coup.theta)
+        try:  # a linear file holds the flux that verify assumes without --flux: no store
+            if not evolution.flux_csv_is_linear(args.flux, traj, coup.theta):
+                traj = evolution.flux_from_csv(args.flux, traj, coup.theta)
         except (OSError, ValueError) as exc:
             raise SchemaError("flux", str(exc))
     report = _ledger_for(parsed, traj, coup)

@@ -25,7 +25,7 @@ __all__ = [
     "generator", "evolve", "coupling_edges", "continuity_rates",
     "continuity_spreads", "continuity_residual", "concatenate",
     "trajectory_csv_text", "trajectory_from_csv",
-    "flux_csv_text", "flux_from_csv",
+    "flux_csv_text", "flux_csv_is_linear", "flux_from_csv",
 ]
 
 # The gates the default grid is chosen for; the ledger applies the same ones.
@@ -362,7 +362,8 @@ def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:
 # sit in memory whole.
 
 # Values per block of rows (at least one row): the CSV writers' chunks, the flux
-# reader's parses and the blocks of `Trajectory`'s linear-flux check.
+# reader's parses and the blocks of `Trajectory`'s linear-flux check; also the
+# columns per part of the flux header.
 CSV_BLOCK_LINES = 1 << 12
 
 
@@ -407,8 +408,13 @@ def trajectory_from_csv(path) -> Trajectory:
     return Trajectory(times=data[:, 0], densities=data[:, 1:])
 
 
-def _flux_columns(rows, cols) -> list:
-    return ["t"] + [f"w_{i}_{j}" for i, j in zip(rows.tolist(), cols.tolist())]
+def _flux_header(rows, cols) -> Iterator[str]:
+    """The flux CSV header without its newline: 't', then ',w_i_j' for each edge
+    (rows, cols), in parts of at most CSV_BLOCK_LINES columns."""
+    yield "t"
+    for s in range(0, rows.size, CSV_BLOCK_LINES):
+        edges = zip(rows[s:s + CSV_BLOCK_LINES].tolist(), cols[s:s + CSV_BLOCK_LINES].tolist())
+        yield "".join(f",w_{i}_{j}" for i, j in edges)
 
 
 def flux_csv_text(traj: Trajectory, theta) -> Iterator[str]:
@@ -419,16 +425,20 @@ def flux_csv_text(traj: Trajectory, theta) -> Iterator[str]:
     u_i - u_j is formed one block of rows at a time."""
     rows, cols, _ = coupling_edges(theta)
     store, U = traj.stored_flux(rows, cols), traj.densities
-    yield ",".join(_flux_columns(rows, cols)) + "\n"
+    yield from _flux_header(rows, cols)
+    yield "\n"
     values = ((lambda s, e: U[s:e, rows] - U[s:e, cols]) if store is None
               else (lambda s, e: store[s:e]))
     yield from _csv_rows(traj.times, values, rows.size)
 
 
-def _check_flux_header(header, rows, cols) -> None:
-    columns = _flux_columns(rows, cols)
-    if header == columns:
+def _check_flux_header(line, rows, cols) -> None:
+    """Refuse a header line other than `_flux_header`'s.  The columns, of the
+    line and expected, are listed only to name the first wrong one."""
+    expected = "".join(_flux_header(rows, cols))
+    if line == expected:
         return
+    header, columns = line.split(","), expected.split(",")
     if header == ["t", "i", "j", "w"]:
         raise ValueError("flux CSV has the 't,i,j,w' layout of earlier versions, a line per "
                          "coupling edge per checkpoint; `jumpflow run` with export_flux "
@@ -442,22 +452,19 @@ def _check_flux_header(header, rows, cols) -> None:
     raise ValueError(f"flux CSV header column {c + 1} must be '{columns[c]}'{edge}; it is {found}")
 
 
-def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
-    """Attach the flux of a 't,w_i_j,...' CSV to ``traj`` as a store on the
-    coupling edges of ``theta``.  The file must be the store as `flux_csv_text`
-    writes it: the header names the coupling edges' columns, and row k after it
-    is checkpoint k's t and its E values.  It is parsed in blocks of
-    max(1, CSV_BLOCK_LINES // (E + 1)) rows, each checked and copied into the store.
-    Raises ValueError, in this order, for a header other than those columns
-    (naming the first wrong column), a row without E + 1 fields, a non-finite
-    value, a row whose t is not its checkpoint's (exact float match) and a row
-    count other than K+1; a rejected row is named by its file line and the t
-    expected there."""
-    rows, cols, _ = coupling_edges(theta)
-    times = traj.times
+def _flux_csv_blocks(path, times, rows, cols) -> Iterator[tuple]:
+    """The checked rows of a 't,w_i_j,...' flux CSV on the edges (rows, cols):
+    (s, w) for each block of max(1, CSV_BLOCK_LINES // (E + 1)) rows, w the
+    (e - s, E) values of the checkpoints s:e of ``times``.  The file must be a
+    store as `flux_csv_text` writes it: the header names the edges' columns,
+    and row k after it is checkpoint k's t and its E values.  Raises
+    ValueError, in this order, for a header other than those columns (naming
+    the first wrong column), a row without E + 1 fields, a non-finite value, a
+    row whose t is not its checkpoint's (exact float match) and, once the file
+    is read to its end, a row count other than K+1; a rejected row is named by
+    its file line and the t expected there."""
     width = rows.size + 1
     step = max(1, CSV_BLOCK_LINES // width)
-    store = np.empty((times.size, rows.size))
 
     def line(k):  # file line of row k and the t expected there
         at = (f"expected t={_fmt(times[k])}" if k < times.size
@@ -478,7 +485,7 @@ def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
 
     read = 0  # rows read after the header
     with open(path) as fh:
-        _check_flux_header(fh.readline().strip().split(","), rows, cols)
+        _check_flux_header(fh.readline().strip(), rows, cols)
         while True:
             try:
                 data = _load_rows(fh, step)
@@ -498,10 +505,33 @@ def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
             if np.any(wrong):
                 b = np.argmax(wrong)
                 raise ValueError(f"{line(read + b)} has t={_fmt(fit[b, 0])}")
-            store[read:read + len(fit)] = fit[:, 1:]
+            yield read, fit[:, 1:]
             read += len(data)
     if read != times.size:
         raise ValueError(f"flux CSV must have one row per checkpoint, K+1 = {times.size} rows "
                          f"after its header; it has {read}")
-    return Trajectory(times=times, densities=traj.densities, flux_edges=(rows, cols),
+
+
+def flux_csv_is_linear(path, traj: Trajectory, theta) -> bool:
+    """Whether a 't,w_i_j,...' flux CSV holds the linear flux of ``traj`` on the
+    coupling edges of ``theta``: every value w_ij equal to u_i - u_j exactly.
+    The file is checked as `flux_from_csv` checks it, with the same ValueErrors,
+    one block of rows at a time and with no store.  It stops at the first block
+    that is not linear, so a malformed row after it is refused only by
+    `flux_from_csv`."""
+    rows, cols, _ = coupling_edges(theta)
+    U = traj.densities
+    return all(np.array_equal(w, U[s:s + len(w), rows] - U[s:s + len(w), cols])
+               for s, w in _flux_csv_blocks(path, traj.times, rows, cols))
+
+
+def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
+    """Attach the flux of a 't,w_i_j,...' CSV to ``traj`` as a store on the
+    coupling edges of ``theta``: the checked blocks of `_flux_csv_blocks`, each
+    copied into the (K+1, E) store as it is parsed, with its ValueErrors."""
+    rows, cols, _ = coupling_edges(theta)
+    store = np.empty((traj.times.size, rows.size))
+    for s, w in _flux_csv_blocks(path, traj.times, rows, cols):
+        store[s:s + len(w)] = w
+    return Trajectory(times=traj.times, densities=traj.densities, flux_edges=(rows, cols),
                       flux_store=store, meta=dict(traj.meta))

@@ -1,12 +1,19 @@
 """CLI contract: schemas, exit codes, determinism, verify round trip."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import re
 import stat
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jumpflow.cli import main
 from jumpflow.quadrature import checkpoint_grid
 
@@ -171,7 +178,10 @@ def with_column(rows, m, values):
 
 
 @pytest.mark.parametrize("edit", ["cross_component", "reversed_half"])
-def test_verify_flux_rejects_a_line_off_the_coupling_edges(tmp_path, capsys, edit):
+def test_verify_flux_rejects_a_line_off_the_coupling_edges(tmp_path, capsys, flux_read_error,
+                                                          edit):
+    from jumpflow.evolution import trajectory_from_csv
+
     cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
@@ -193,9 +203,12 @@ def test_verify_flux_rejects_a_line_off_the_coupling_edges(tmp_path, capsys, edi
                  "--flux", str(epath), "--out", str(tmp_path / "vout")]) == 2
     err = capsys.readouterr().err
     # header column m + 1 names the edge (i, j) of the coupling, whatever else is listed
-    assert (f"config error at flux: flux CSV header column {m + 1} must be 'w_{i}_{j}', for "
-            f"coupling edge ({i}, {j}); it is '{columns[m]}'") in err
+    message = (f"flux CSV header column {m + 1} must be 'w_{i}_{j}', for "
+               f"coupling edge ({i}, {j}); it is '{columns[m]}'")
+    assert f"config error at flux: {message}" in err
     assert not (tmp_path / "vout").exists()
+    assert flux_read_error(epath, trajectory_from_csv(out / "trajectory.csv"),
+                           coupling_of(PUNCTURED_GRID).theta) == message
 
 
 def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
@@ -256,15 +269,19 @@ def test_verify_edited_flux_degrades_verdict(tmp_path):
 
 @pytest.mark.parametrize("edit", ["index_too_large", "negative_index", "diagonal",
                                   "duplicate", "time_off_grid", "not_antisymmetric",
-                                  "nan_value", "infinite_pair", "not_a_number"])
-def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
+                                  "nan_value", "infinite_pair", "not_a_number",
+                                  "non_linear_then_not_a_number"])
+def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, monkeypatch, flux_read_error, edit):
+    from jumpflow import evolution
+    from jumpflow.evolution import flux_csv_is_linear, flux_from_csv, trajectory_from_csv
+
     cfg_dict = dict(TWO_POINT, export_flux=True, integrator={"checkpoints": 16})
     cfg = write_config(tmp_path, cfg_dict)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     header, *rows = (out / "flux.csv").read_text().splitlines()
     assert header == "t,w_0_1"  # the one coupling edge
-    (t0, w0), (t1, w1) = (r.split(",") for r in rows[:2])
+    (t0, w0), (t1, w1), (tk, _) = (r.split(",") for r in rows[:2] + rows[-1:])
     ws = [r.split(",")[1] for r in rows]
     last = "flux CSV header must end after column 2, t and the E = 1 coupling edges; column 3 is"
     header, rows, message = {
@@ -289,6 +306,11 @@ def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
                           "line 2 (expected t=0): value inf in column 2 is not finite"),
         "not_a_number": (header, [rows[0], f"{t1},abc"] + rows[2:],
                          f"line 3 (expected t={t1}): could not convert string to float: 'abc'"),
+        # the linearity check stops at the first row (w = 2 at t = 0) when it is a
+        # block of its own; the store, read from row 0, reaches the last one
+        "non_linear_then_not_a_number": (
+            header, [f"{t0},1.5"] + rows[1:-1] + [f"{tk},abc"],
+            f"line {len(rows) + 1} (expected t={tk}): could not convert string to float: 'abc'"),
     }[edit]
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
@@ -299,6 +321,15 @@ def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, edit):
     assert "config error at flux" in err and message in err
     assert ("not finite" in err) == (edit in ("nan_value", "infinite_pair"))
     assert not (tmp_path / "vout").exists()
+    traj, theta = trajectory_from_csv(out / "trajectory.csv"), coupling_of(cfg_dict).theta
+    if edit != "non_linear_then_not_a_number":
+        assert message in flux_read_error(epath, traj, theta)
+        return
+    monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 7)  # 3 rows a block
+    assert not flux_csv_is_linear(epath, traj, theta)
+    with pytest.raises(ValueError) as info:
+        flux_from_csv(epath, traj, theta)
+    assert message in str(info.value)
 
 
 @pytest.mark.parametrize("edit", ["out_of_time_order", "duplicate_across_blocks"])
@@ -364,7 +395,9 @@ def test_verify_flux_rejects_an_incomplete_file(tmp_path, capsys, edit):
     assert not (tmp_path / "vout").exists()
 
 
-def test_verify_flux_rejects_the_earlier_line_per_edge_layout(tmp_path, capsys):
+def test_verify_flux_rejects_the_earlier_line_per_edge_layout(tmp_path, capsys, flux_read_error):
+    from jumpflow.evolution import trajectory_from_csv
+
     # flux.csv of earlier versions: a 't,i,j,w' line per coupling edge per checkpoint
     cfg = write_config(tmp_path, dict(TWO_POINT, export_flux=True))
     out = tmp_path / "out"
@@ -379,6 +412,103 @@ def test_verify_flux_rejects_the_earlier_line_per_edge_layout(tmp_path, capsys):
     assert "config error at flux: flux CSV has the 't,i,j,w' layout of earlier versions" in err
     assert "`jumpflow run` with export_flux rewrites it in the current layout" in err
     assert not (tmp_path / "vout").exists()
+    message = flux_read_error(epath, trajectory_from_csv(out / "trajectory.csv"),
+                              coupling_of(TWO_POINT).theta)
+    assert message in err and message.startswith("flux CSV has the 't,i,j,w' layout")
+
+
+def test_verify_flux_of_a_linear_export_builds_no_store(tmp_path, monkeypatch):
+    # a linear flux file is checked block by block and certified as the
+    # trajectory alone; flux_from_csv, which builds the (K+1, E) store, is not called
+    from jumpflow import evolution
+
+    def no_store(*args):
+        raise AssertionError("flux_from_csv called on a linear flux file")
+
+    cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.setattr(evolution, "flux_from_csv", no_store)
+    traj = ["--trajectory", str(out / "trajectory.csv")]
+    for extra in (["--flux", str(out / "flux.csv")], []):
+        vout = tmp_path / f"verify{len(extra)}"
+        assert main(["verify", "--config", cfg, *traj, *extra, "--out", str(vout)]) == 0
+        assert (vout / "ledger.json").read_bytes() == (out / "ledger.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_export(tmp_path_factory):
+    """A directory with config.json and run/, the config's run with flux export."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(root, dict(DEFAULT_GRID["vacuum"], export_flux=True))
+    assert main(["run", "--config", cfg, "--out", str(root / "run")]) == 0
+    return root
+
+
+# each value replaces one field: no number, non-finite, near the float range,
+# subnormal and a negative zero
+FUZZ_VALUES = ["abc", "", "0x1p3", "nan", "inf", "-inf", "1e308", "-1e308", "1e-320", "-0"]
+FUZZ_EDITS = ["empty", "truncated", "short_row", "long_row", "duplicated", "missing", "extra",
+              "header_renamed", "header_dropped"] + FUZZ_VALUES
+
+
+def mutated(text, edit, row, col):
+    """``text``, a CSV of a header and rows, with one of FUZZ_EDITS at row
+    ``row`` and field ``col`` (each taken modulo the count)."""
+    if edit == "empty":
+        return ""
+    header, *rows = text.splitlines()
+    r = row % len(rows)
+    fields = rows[r].split(",")
+    c = col % len(fields)
+    if edit == "truncated":  # the file ends inside row r
+        return "\n".join([header] + rows[:r] + [rows[r][:1 + c % (len(rows[r]) - 1)]])
+    if edit in ("header_renamed", "header_dropped"):
+        names = header.split(",")
+        names[c:c + 1] = ["x"] if edit == "header_renamed" else []
+        header = ",".join(names)
+    elif edit == "duplicated":
+        rows.insert(r, rows[r])
+    elif edit == "missing":
+        del rows[r]
+    elif edit == "extra":
+        rows.append(rows[r])
+    else:
+        fields[c:c + 1] = {"short_row": [], "long_row": [fields[c], "0"]}.get(edit, [edit])
+        rows[r] = ",".join(fields)
+    return "\n".join([header] + rows) + "\n"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(target=st.sampled_from(["trajectory", "flux"]), edit=st.sampled_from(FUZZ_EDITS),
+       row=st.integers(0, 1000), col=st.integers(0, 10), with_flux=st.booleans())
+def test_verify_fuzzed_input_files_exit_0_2_or_3(fuzz_export, target, edit, row, col, with_flux):
+    # a malformed or extreme trajectory.csv or flux.csv exits 0, 2 or 3 and never
+    # raises; exit 2 names the file at fault and writes no ledger.json.  Values
+    # near the float range overflow with a RuntimeWarning, as they do in `run`
+    with tempfile.TemporaryDirectory(dir=fuzz_export) as d:
+        paths = {}
+        for name in ("trajectory", "flux"):
+            text = (fuzz_export / "run" / f"{name}.csv").read_text()
+            paths[name] = os.path.join(d, f"{name}.csv")
+            with open(paths[name], "w") as fh:
+                fh.write(mutated(text, edit, row, col) if name == target else text)
+        argv = ["verify", "--config", str(fuzz_export / "config.json"),
+                "--trajectory", paths["trajectory"], "--out", os.path.join(d, "vout")]
+        if with_flux or target == "flux":
+            argv[-2:-2] = ["--flux", paths["flux"]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 2, 3)
+        assert not caught or (edit in ("1e308", "-1e308")
+                              and all(w.category is RuntimeWarning for w in caught))
+        if code == 2:
+            assert re.match("config error at (trajectory|flux): ", err.getvalue())
+            assert target == "trajectory" or "at flux" in err.getvalue()
+            assert not os.path.exists(os.path.join(d, "vout", "ledger.json"))
 
 
 def test_edgeless_coupling_writes_and_verifies_a_header_only_flux(tmp_path):

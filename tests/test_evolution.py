@@ -14,8 +14,8 @@ from jumpflow import evolution
 from jumpflow.cli import atomic_write
 from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, NumericalError,
                                 Trajectory, concatenate, continuity_residual, coupling_edges,
-                                evolve, flux_csv_text, flux_from_csv, generator,
-                                trajectory_csv_text, trajectory_from_csv)
+                                evolve, flux_csv_is_linear, flux_csv_text, flux_from_csv,
+                                generator, trajectory_csv_text, trajectory_from_csv)
 from jumpflow.experiments import build_lift
 from jumpflow.functionals import entropy
 from jumpflow.spaces import (Coupling, build_graph, build_grid, coupling, cutoff,
@@ -529,24 +529,26 @@ def test_flux_csv_duplicate_across_a_block_boundary_is_rejected(tmp_path, monkey
 
 
 @pytest.mark.parametrize("edit", ["last_line_missing", "one_line_more", "header_only"])
-def test_flux_csv_of_another_line_count_is_rejected(tmp_path, monkeypatch, edit):
-    # every row present sits where it should; only the count is wrong
+def test_flux_csv_of_another_line_count_is_rejected(tmp_path, flux_read_error, edit):
+    # every row present sits where it should; only the count is wrong.  The flux
+    # is the linear one, so the linearity check reads on to the count too
     traj, theta = stored_flux_trajectory()
+    traj = Trajectory(times=traj.times, densities=traj.densities)
     header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
     rows, count = {"last_line_missing": (rows[:-1], 8),
                    "one_line_more": (rows + rows[-1:], 10),
                    "header_only": ([], 0)}[edit]
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join([header] + rows) + "\n")
-    for block in (evolution.CSV_BLOCK_LINES, 48, 7):  # all rows in one block, 3 a block, 1
-        monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
-        with pytest.raises(ValueError, match=rf"K\+1 = 9 rows after its header; it has {count}$"):
-            flux_from_csv(fpath, traj, theta)
+    # all rows in one block, 3 a block, 1
+    assert flux_read_error(fpath, traj, theta).endswith(
+        f"K+1 = 9 rows after its header; it has {count}")
 
 
 def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
     # The writer holds one block of rows' text, never the file; the reader holds
-    # the (K+1, E) store plus one block of parsed rows, never the file's
+    # the (K+1, E) store plus one block of parsed rows, never the file's; the
+    # linearity check holds one block of parsed rows and no store
     sp = build_grid(-1.0, 1.0, 24)
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, 1.0 + sp.points ** 2, 0.5,
@@ -557,6 +559,9 @@ def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
         atomic_write(fpath, flux_csv_text(traj, coup.theta))
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
+        assert flux_csv_is_linear(fpath, traj, coup.theta)
+        linear_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         store = flux_from_csv(fpath, traj, coup.theta).flux_store
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -566,3 +571,4 @@ def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
     assert write_peak < size / 10
     block = 8 * 8 * max(evolution.CSV_BLOCK_LINES, 277)  # eight arrays of a block's floats
     assert read_peak < store.nbytes + block < size
+    assert linear_peak < block
