@@ -181,7 +181,7 @@ def build_integrator(cfg, path="integrator"):
     _require_keys(cfg, path, [], ["method", "checkpoints", "dt", "graded_start"])
     method = cfg.get("method", "expm")
     aliases = {"explicit_euler": "euler", "matrix_exponential": "expm"}
-    method = aliases.get(method, method)
+    method = aliases.get(method, method) if isinstance(method, str) else None
     if method not in ("expm", "euler"):
         raise SchemaError(f"{path}.method", "must be 'expm' or 'euler' "
                           "(aliases: explicit_euler, matrix_exponential)")
@@ -213,9 +213,9 @@ def parse_run_config(cfg):
         raise SchemaError("config.triple", "must be 'cosh' or 'quadratic'")
     triple = densities.canonical_triple(cfg["triple"])
     u0 = build_initial(cfg["initial"], space)
-    T = _number(cfg["T"], "config.T")
-    if T <= 0:
-        raise SchemaError("config.T", "must be positive")
+    # the time quadrature cubes widths and multiplies times (down to 1e-12 T): past
+    # this range they overflow or underflow
+    T = _number(cfg["T"], "config.T", 1e-100, 1e100)
     config = build_integrator(cfg.get("integrator"))
     if config.checkpoints is not None:
         _addressable(config.checkpoints + 1, space.n, "integrator.checkpoints")
@@ -319,9 +319,8 @@ def _write_csv_json(out, stem, lines, obj):
 def _ledger_for(parsed, traj, coup):
     split = parsed["mask_split"]
     mask = None if split is None else parsed["space"].points < split
-    return ledger.full_report(traj, parsed["triple"], parsed["space"], coup.theta,
-                              parsed["space"].pi, tol_rel=parsed["tol_rel"], seed=parsed["seed"],
-                              mask=mask)
+    return ledger.full_report(traj, parsed["triple"], parsed["space"], coup,
+                              tol_rel=parsed["tol_rel"], seed=parsed["seed"], mask=mask)
 
 
 def cmd_run(args):
@@ -343,7 +342,7 @@ def cmd_run(args):
     os.makedirs(out, exist_ok=True)
     atomic_write(os.path.join(out, "trajectory.csv"), evolution.trajectory_csv_text(traj))
     if parsed["export_flux"]:
-        atomic_write(os.path.join(out, "flux.csv"), evolution.flux_csv_text(traj, coup.theta))
+        atomic_write(os.path.join(out, "flux.csv"), evolution.flux_csv_text(traj, coup))
     _write_json(os.path.join(out, "ledger.json"), report.to_dict())
     print(ledger.render_table(report))
     return EXIT_OK
@@ -357,11 +356,14 @@ def cmd_verify(args):
         raise SchemaError("trajectory", str(exc))
     if traj.n != parsed["space"].n:
         raise SchemaError("trajectory", "state dimension does not match the config space")
+    if traj.times[0] != 0.0 or traj.T != parsed["T"]:
+        raise SchemaError("trajectory", f"times must run from 0 to the config's T = "
+                          f"{parsed['T']:.17g}, not from {traj.times[0]:.17g} to {traj.T:.17g}")
     coup = spaces.coupling(parsed["space"], parsed["kernel"])
     if args.flux is not None:
         try:  # a linear file holds the flux that verify assumes without --flux: no store
-            if not evolution.flux_csv_is_linear(args.flux, traj, coup.theta):
-                traj = evolution.flux_from_csv(args.flux, traj, coup.theta)
+            if not evolution.flux_csv_is_linear(args.flux, traj, coup):
+                traj = evolution.flux_from_csv(args.flux, traj, coup)
         except (OSError, ValueError) as exc:
             raise SchemaError("flux", str(exc))
     report = _ledger_for(parsed, traj, coup)

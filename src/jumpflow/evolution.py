@@ -22,7 +22,7 @@ from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform, error_co
 
 __all__ = [
     "IncompatibleTripleError", "NumericalError", "IntegratorConfig", "Trajectory",
-    "generator", "evolve", "coupling_edges", "continuity_rates",
+    "generator", "evolve", "continuity_rates",
     "continuity_spreads", "continuity_residual", "concatenate",
     "trajectory_csv_text", "trajectory_from_csv",
     "flux_csv_text", "flux_csv_is_linear", "flux_from_csv",
@@ -71,7 +71,7 @@ class Trajectory:
     data: ``flux_store=None`` declares the compatible linear flux
     w_ij = u_i - u_j, the only flux ``evolve`` produces; otherwise the store
     holds one row of w_ij per checkpoint on the edges i < j ``flux_edges`` =
-    (rows, cols), a coupling's ``coupling_edges``; w_ji = -w_ij, and no other
+    (rows, cols), those of a coupling's ``edges``; w_ji = -w_ij, and no other
     pair carries flux.  ``linear_flux`` records, once, whether the flux is that
     linear flux on every edge at every checkpoint (a store one ulp off is not).
     """
@@ -121,12 +121,13 @@ class Trajectory:
     def T(self) -> float:
         return float(self.times[-1])
 
-    def stored_flux(self, rows, cols) -> Optional[np.ndarray]:
-        """The (K+1, E) store, which must lie on the edges (rows, cols); None
-        for the linear flux, which is u_i - u_j on any edge."""
+    def stored_flux(self, edges) -> Optional[np.ndarray]:
+        """The (K+1, E) store, which must lie on the edges (rows, cols, ...), such
+        as a coupling's ``edges``; None for the linear flux, which is u_i - u_j on
+        any edge."""
         if self.flux_store is None:
             return None
-        if not all(np.array_equal(a, b) for a, b in zip(self.flux_edges, (rows, cols))):
+        if not all(np.array_equal(a, b) for a, b in zip(self.flux_edges, edges)):
             raise ValueError("the flux store lies on other edges than the coupling's")
         return self.flux_store
 
@@ -152,40 +153,19 @@ def generator(coup, triple: DissipationTriple) -> np.ndarray:
     return Q
 
 
-def _component_labels(adj) -> np.ndarray:
-    """Connected components of a symmetric boolean adjacency, numbered in the
-    order of their smallest state: a breadth-first search from each state not
-    yet reached, so every row of adj is read once."""
-    n = adj.shape[0]
-    labels = np.full(n, -1)
-    c = 0
-    for seed in range(n):
-        if labels[seed] >= 0:
-            continue
-        frontier = np.array([seed])
-        while frontier.size:
-            labels[frontier] = c
-            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (labels < 0))
-        c += 1
-    return labels
-
-
-def _spectral_parts(theta, pi, q_diag, u0) -> list:
+def _spectral_parts(coup, q_diag, u0) -> list:
     """One eigh of the symmetric S = Pi^(1/2) Q Pi^(-1/2) per coupling component;
     its top eigenvalue is simple and exactly 0 (Q 1 = 0), so it is pinned to 0.
     A whole-matrix eigh would mix the components' null eigenvalues.  Returns
     (states, eigenvalues, coefficients, back) per component: there
     u(t) = (e^(t lam) coef) @ back and, with the coupling Laplacian
     L = diag(theta 1) - theta = -Pi Q, L u(t) = -pi (lam e^(t lam) coef) @ back."""
-    if not np.array_equal(theta, theta.T):
-        raise NumericalError("coupling theta is not symmetric (no detailed balance)")
-    root = np.sqrt(pi)
-    labels = _component_labels(theta > 0)
+    root, labels = np.sqrt(coup.pi), coup.labels
     parts = []
     for c in range(labels.max() + 1):
         idx = np.flatnonzero(labels == c)
         r = root[idx]
-        S = theta[np.ix_(idx, idx)] / np.outer(r, r)
+        S = coup.theta[np.ix_(idx, idx)] / np.outer(r, r)
         S[np.diag_indices_from(S)] = q_diag[idx]
         lam, V = np.linalg.eigh(S)
         lam[-1] = 0.0
@@ -252,11 +232,10 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
     meta = {"method": config.method, "triple": triple.name}
     parts = None
     if config.method == "expm" or config.checkpoints is None:
-        parts = _spectral_parts(coup.theta, coup.pi, np.diag(Q), u0)
+        parts = _spectral_parts(coup, np.diag(Q), u0)
     if config.checkpoints is None:
-        pi = np.asarray(coup.pi, dtype=float)
-        mass = float(u0 @ pi)
-        energy = max(float(triple.entropy.phi(u0) @ pi), 1e-12 * (1.0 + mass))
+        mass = float(u0 @ coup.pi)
+        energy = max(float(triple.entropy.phi(u0) @ coup.pi), 1e-12 * (1.0 + mass))
         budgets = [GRID_EDB_FRACTION * energy * (EDB_TOL_REL if tol_rel is None else tol_rel),
                    GRID_RCE_FRACTION * max(mass, 1e-300) * RCE_TOL]
         rate = max(-float(lam[0]) for _, lam, _, _ in parts)
@@ -292,22 +271,12 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
     return Trajectory(times=times, densities=U, meta=meta)
 
 
-def coupling_edges(theta):
-    """The edges i < j with theta_ij > 0 of a symmetric coupling, and their weights."""
-    theta = np.asarray(theta, dtype=float)
-    if not np.array_equal(theta, theta.T):
-        raise ValueError("coupling theta must be symmetric")
-    rows, cols = np.nonzero(np.triu(theta > 0, 1))
-    return rows, cols, theta[rows, cols]
-
-
-def continuity_rates(traj: Trajectory, theta, phis) -> np.ndarray:
+def continuity_rates(traj: Trajectory, coup, phis) -> np.ndarray:
     """Rate of sum_i phi_i u_i pi_i, (K+1, m) for the columns of ``phis`` (n, m):
     -sum over the edges i < j of w_ij d_ij, d_ij = (phi_i - phi_j) theta_ij, exactly
     zero for a phi constant on each coupling component.  On the linear flux it is
     -u . (L phi), (L phi)_i = sum_j theta_ij (phi_i - phi_j): one GEMM, no flux read."""
-    rows, cols, weights = coupling_edges(theta)
-    store = traj.stored_flux(rows, cols)
+    (rows, cols, weights), store = coup.edges, traj.stored_flux(coup.edges)
     phis = np.asarray(phis, dtype=float)
     d = (phis[rows] - phis[cols]) * weights[:, None]
     if not traj.linear_flux:
@@ -317,23 +286,22 @@ def continuity_rates(traj: Trajectory, theta, phis) -> np.ndarray:
     return -(traj.densities @ lap)
 
 
-def continuity_spreads(traj: Trajectory, theta, phis, pi) -> np.ndarray:
+def continuity_spreads(traj: Trajectory, coup, phis) -> np.ndarray:
     """Continuity-equation defect spread for each column of ``phis`` (n, m): the
     increment of sum_i phi_i u_i pi_i minus its time-quadratured rate
     (``continuity_rates``) on [s, t], spread over all checkpoint pairs."""
     phis = np.asarray(phis, dtype=float)
-    obs = traj.densities @ (phis * np.asarray(pi, dtype=float)[:, None])
-    rates = continuity_rates(traj, theta, phis)
+    obs = traj.densities @ (phis * coup.pi[:, None])
+    rates = continuity_rates(traj, coup, phis)
     integrals = [cumulative_simpson_nonuniform(traj.times, rate)[0] for rate in rates.T]
     defect = (obs - obs[0]) - np.column_stack(integrals)
     return defect.max(axis=0) - defect.min(axis=0)
 
 
-def continuity_residual(traj: Trajectory, phi_vals, theta, pi) -> float:
+def continuity_residual(traj: Trajectory, phi_vals, coup) -> float:
     """Largest continuity-equation defect over all checkpoint pairs [s, t]
     (see ``continuity_spreads``) for one test function."""
-    return float(continuity_spreads(traj, theta, np.asarray(phi_vals, dtype=float)[:, None],
-                                    pi)[0])
+    return float(continuity_spreads(traj, coup, np.asarray(phi_vals, dtype=float)[:, None])[0])
 
 
 def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:
@@ -349,7 +317,7 @@ def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:
     if t1.flux_store is not None or t2.flux_store is not None:
         rows, cols = edges = (t1 if t1.flux_store is not None else t2).flux_edges
         w1, w2 = (leg.densities[:, rows] - leg.densities[:, cols] if leg.flux_store is None
-                  else leg.stored_flux(rows, cols) for leg in (t1, t2))
+                  else leg.stored_flux(edges) for leg in (t1, t2))
         store = np.vstack([w1, w2[1:]])
     return Trajectory(times=times, densities=densities, flux_store=store, flux_edges=edges,
                       meta={"concatenated": True})
@@ -417,14 +385,13 @@ def _flux_header(rows, cols) -> Iterator[str]:
         yield "".join(f",w_{i}_{j}" for i, j in edges)
 
 
-def flux_csv_text(traj: Trajectory, theta) -> Iterator[str]:
+def flux_csv_text(traj: Trajectory, coup) -> Iterator[str]:
     """The flux as a 't,w_i_j,...' CSV: one w_i_j column per coupling edge i < j
-    of ``theta`` (``coupling_edges``, row-major) and one row per checkpoint, its
+    (``coup.edges``, row-major) and one row per checkpoint, its
     t and then its row of the (K+1, E) store, yielded in blocks of whole rows.
     w_ji = -w_ij is implied and no other pair carries flux.  The linear flux
     u_i - u_j is formed one block of rows at a time."""
-    rows, cols, _ = coupling_edges(theta)
-    store, U = traj.stored_flux(rows, cols), traj.densities
+    (rows, cols, _), store, U = coup.edges, traj.stored_flux(coup.edges), traj.densities
     yield from _flux_header(rows, cols)
     yield "\n"
     values = ((lambda s, e: U[s:e, rows] - U[s:e, cols]) if store is None
@@ -512,24 +479,24 @@ def _flux_csv_blocks(path, times, rows, cols) -> Iterator[tuple]:
                          f"after its header; it has {read}")
 
 
-def flux_csv_is_linear(path, traj: Trajectory, theta) -> bool:
+def flux_csv_is_linear(path, traj: Trajectory, coup) -> bool:
     """Whether a 't,w_i_j,...' flux CSV holds the linear flux of ``traj`` on the
-    coupling edges of ``theta``: every value w_ij equal to u_i - u_j exactly.
+    coupling's edges: every value w_ij equal to u_i - u_j exactly.
     The file is checked as `flux_from_csv` checks it, with the same ValueErrors,
     one block of rows at a time and with no store.  It stops at the first block
     that is not linear, so a malformed row after it is refused only by
     `flux_from_csv`."""
-    rows, cols, _ = coupling_edges(theta)
+    rows, cols, _ = coup.edges
     U = traj.densities
     return all(np.array_equal(w, U[s:s + len(w), rows] - U[s:s + len(w), cols])
                for s, w in _flux_csv_blocks(path, traj.times, rows, cols))
 
 
-def flux_from_csv(path, traj: Trajectory, theta) -> Trajectory:
+def flux_from_csv(path, traj: Trajectory, coup) -> Trajectory:
     """Attach the flux of a 't,w_i_j,...' CSV to ``traj`` as a store on the
-    coupling edges of ``theta``: the checked blocks of `_flux_csv_blocks`, each
-    copied into the (K+1, E) store as it is parsed, with its ValueErrors."""
-    rows, cols, _ = coupling_edges(theta)
+    coupling's edges: the checked blocks of `_flux_csv_blocks`, each copied
+    into the (K+1, E) store as it is parsed, with its ValueErrors."""
+    rows, cols, _ = coup.edges
     store = np.empty((traj.times.size, rows.size))
     for s, w in _flux_csv_blocks(path, traj.times, rows, cols):
         store[s:s + len(w)] = w

@@ -80,7 +80,7 @@ def robustness_sweep(space: StateSpace, base_kernel: Kernel, triple: Dissipation
         tol_rel = ledger.default_tolerance(eps)
         traj = evolution.evolve(coup, triple, u0, T, config, tol_rel=tol_rel)
         terminal.append(traj.densities[-1])
-        rep = ledger.edb_report(traj, triple, coup.theta, space.pi, tol_rel=tol_rel)
+        rep = ledger.edb_report(traj, triple, coup, tol_rel=tol_rel)
         residuals.append(rep.max_edb_residual() / rep.energy_scale)
     terminal = np.asarray(terminal)
     gaps = np.array([np.sum(np.abs(terminal[k] - terminal[k + 1]) * space.pi)

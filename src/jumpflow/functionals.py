@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .densities import DissipationTriple, d_phi, legendre
-from .evolution import _component_labels, coupling_edges
 from .quadrature import cumulative_simpson_nonuniform
 
 if TYPE_CHECKING:  # annotations only: run and verify never execute measures
@@ -30,10 +29,6 @@ __all__ = [
     "trajectory_L",
     "f_upsilon",
 ]
-
-
-def _offdiag(n):
-    return ~np.eye(n, dtype=bool)
 
 
 def entropy(u, pi, entropy_density) -> float:
@@ -69,7 +64,7 @@ def action_R(u, w, triple: DissipationTriple, theta):
     w = np.asarray(w, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n = u.size
-    off = _offdiag(n)
+    off = ~np.eye(n, dtype=bool)
     a = triple.flux.alpha(u[:, None], u[None, :])
     active = off & (theta > 0) & (a > 0)
     charged_degenerate = off & (theta > 0) & (a == 0) & (w != 0)
@@ -89,7 +84,7 @@ def fisher_D(u, triple: DissipationTriple, theta) -> float:
     """Fisher information sum D_phi(u_i, u_j) theta_ij / 2."""
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    off = _offdiag(u.size)
+    off = ~np.eye(u.size, dtype=bool)
     dv = d_phi(triple, u[:, None], u[None, :])
     active = off & (theta > 0)
     if np.any(np.isinf(dv[active])):
@@ -117,7 +112,7 @@ class _CheckpointPass:
         return self.entropy - self.entropy[0] + integral, integral, singular
 
 
-def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointPass:
+def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
     """One pass over the checkpoints, on the edges i < j with theta_ij > 0: for
     an antisymmetric flux every ordered-pair summand of ``action_R``,
     ``fisher_D`` and the chain-rule pairing is symmetric.
@@ -127,12 +122,10 @@ def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointP
     split), and the pairing of every checkpoint comes from the densities alone
     through one Laplacian GEMM per block of rows (``_linear_pairings``).
     Otherwise R + D is taken edge by edge, from each row of the flux store."""
-    rows, cols, th = coupling_edges(theta)
-    store = traj.stored_flux(rows, cols)
-    U = traj.densities
-    ent = entropy_series(U, pi, triple.entropy)
+    (rows, cols, th), store, U = coup.edges, traj.stored_flux(coup.edges), traj.densities
+    ent = entropy_series(U, coup.pi, triple.entropy)
     if traj.linear_flux and triple.name in ("cosh", "quadratic"):
-        g = _linear_pairings(U, triple.entropy, rows, cols, th)
+        g = _linear_pairings(U, triple.entropy, coup)
         return _CheckpointPass(traj.times, ent, g, g)
     g, b = np.empty(U.shape[0]), np.empty(U.shape[0])
     for k, u in enumerate(U):
@@ -154,7 +147,7 @@ def _checkpoint_pass(traj, triple: DissipationTriple, theta, pi) -> _CheckpointP
 PASS_BLOCK = 64  # least rows per Laplacian GEMM (at most twice that): temporaries stay O(128 n)
 
 
-def _linear_pairings(U, entropy_density, rows, cols, th) -> np.ndarray:
+def _linear_pairings(U, entropy_density, coup) -> np.ndarray:
     """The pairing of every row u of U with its linear flux w_ij = u_i - u_j:
     sum over the edges of (lam_i - lam_j)(u_i - u_j) theta_ij, lam = phi'(u).
 
@@ -166,11 +159,10 @@ def _linear_pairings(U, entropy_density, rows, cols, th) -> np.ndarray:
     non-finite and takes the per-edge ``_pairing``, whose +inf and NaN rules
     it keeps.  No block of rows has one row (numpy hands a one-row product to
     GEMV, which rounds differently), so no row's value depends on its block."""
-    n = U.shape[1]
+    n, (rows, cols, th), labels = U.shape[1], coup.edges, coup.labels
     lap = np.zeros((n, n))
     lap[rows, cols] = lap[cols, rows] = -th
     lap[np.diag_indices(n)] = np.bincount(rows, th, n) + np.bincount(cols, th, n)
-    labels = _component_labels(lap != 0)
     sizes = np.bincount(labels)
     order, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
     parts = []
@@ -200,7 +192,7 @@ def _pairing(lam, w, rows, cols, th) -> float:
     return float(vals @ th)
 
 
-def trajectory_L(traj, triple: DissipationTriple, theta, pi, report: bool = False):
+def trajectory_L(traj, triple: DissipationTriple, coup, report: bool = False):
     """Energy-dissipation ledger series L_t along a trajectory.
 
     L at checkpoint t is E(u_t) - E(u_0) + integral of (R + D) over [0, t],
@@ -209,7 +201,7 @@ def trajectory_L(traj, triple: DissipationTriple, theta, pi, report: bool = Fals
     start under a superlinear dissipation) is integrated by the one-sided
     rectangle rule and flagged.
     """
-    cp = _checkpoint_pass(traj, triple, theta, pi)
+    cp = _checkpoint_pass(traj, triple, coup)
     series, integral, singular = cp.ledger()
     if not report:
         return series

@@ -125,7 +125,7 @@ def _invariant_checks(traj: Trajectory, ent, pi, mask=None) -> dict:
     return inv
 
 
-def edb_report(traj: Trajectory, triple: DissipationTriple, theta, pi,
+def edb_report(traj: Trajectory, triple: DissipationTriple, coup,
                tol_rel: Optional[float] = None, mask=None) -> LedgerReport:
     """Energy-dissipation report: ledger series, per-interval residuals,
     balance and inequality verdicts, and the invariant checklist.
@@ -134,13 +134,12 @@ def edb_report(traj: Trajectory, triple: DissipationTriple, theta, pi,
     entropy minimum a roundoff-level floor tied to the total mass keeps the
     relative test meaningful.
     """
-    return _edb_report(traj, _checkpoint_pass(traj, triple, theta, pi), pi, tol_rel, mask)
+    return _edb_report(traj, _checkpoint_pass(traj, triple, coup), coup, tol_rel, mask)
 
 
-def _edb_report(traj, cp, pi, tol_rel, mask) -> LedgerReport:
-    pi = np.asarray(pi, dtype=float)
+def _edb_report(traj, cp, coup, tol_rel, mask) -> LedgerReport:
     series, _, singular = cp.ledger()
-    mass = float(traj.densities[0] @ pi)
+    mass = float(traj.densities[0] @ coup.pi)
     scale = max(float(cp.entropy[0]), 1e-12 * (1.0 + mass))
     tol = (tol_rel if tol_rel is not None else EDB_TOL_REL) * scale
     finite = np.all(np.isfinite(series))
@@ -154,12 +153,12 @@ def _edb_report(traj, cp, pi, tol_rel, mask) -> LedgerReport:
         edb_ok=edb_ok,
         tol_abs=tol,
         energy_scale=scale,
-        invariants=_invariant_checks(traj, cp.entropy, pi, mask=mask),
+        invariants=_invariant_checks(traj, cp.entropy, coup.pi, mask=mask),
         flags={"initial_singular": singular},
     )
 
 
-def chain_rule_residual(traj: Trajectory, triple: DissipationTriple, theta, pi,
+def chain_rule_residual(traj: Trajectory, triple: DissipationTriple, coup,
                         detail: bool = False):
     """Per-interval residual |dE - integral of the entropy-gradient flux pairing|.
 
@@ -169,7 +168,7 @@ def chain_rule_residual(traj: Trajectory, triple: DissipationTriple, theta, pi,
     With ``detail`` the residual spread over all checkpoint pairs is appended,
     which is the quantity compared against the ledger tolerance.
     """
-    result = _chain_rule(_checkpoint_pass(traj, triple, theta, pi))
+    result = _chain_rule(_checkpoint_pass(traj, triple, coup))
     return result if detail else result[:2]
 
 
@@ -185,14 +184,14 @@ def _chain_rule(cp):
     return np.abs(np.diff(ent) + np.diff(integral)), False, float(np.max(defect) - np.min(defect))
 
 
-def pointwise_edb(traj: Trajectory, triple: DissipationTriple, theta, pi) -> np.ndarray:
+def pointwise_edb(traj: Trajectory, triple: DissipationTriple, coup) -> np.ndarray:
     """At interior checkpoints, |R + D + dE/dt| with a three-point difference
     stencil for the entropy derivative (nonuniform-grid form).
 
     Stencils narrower than ``POINTWISE_MIN_WIDTH_REL`` of the span are skipped (NaN):
     there the difference quotient only amplifies entropy roundoff.
     """
-    cp = _checkpoint_pass(traj, triple, theta, pi)
+    cp = _checkpoint_pass(traj, triple, coup)
     t, ent = cp.times, cp.entropy
     floor = POINTWISE_MIN_WIDTH_REL * (t[-1] - t[0])
     out = np.full(max(t.size - 2, 0), np.nan)
@@ -223,7 +222,7 @@ def _lipschitz_battery(points, dist, seed: int):
     return battery
 
 
-def rce_battery(traj: Trajectory, space, theta, pi, seed: int = 0, mask=None) -> dict:
+def rce_battery(traj: Trajectory, space, coup, seed: int = 0, mask=None) -> dict:
     """Continuity-equation residuals over the test-function battery.
 
     With a punctured mask present the battery includes the component step
@@ -235,7 +234,7 @@ def rce_battery(traj: Trajectory, space, theta, pi, seed: int = 0, mask=None) ->
         step = np.where(np.asarray(mask, dtype=bool), 1.0, 0.0)
         battery.append(("component_step", step))
     phis = np.column_stack([phi_vals for _, phi_vals in battery])
-    spreads = continuity_spreads(traj, theta, phis, pi)
+    spreads = continuity_spreads(traj, coup, phis)
     return {name: float(r) for (name, _), r in zip(battery, spreads)}
 
 
@@ -256,19 +255,19 @@ def upgrade_verdict(report: LedgerReport) -> str:
     return VERDICT_NEITHER
 
 
-def full_report(traj: Trajectory, triple: DissipationTriple, space, theta, pi,
+def full_report(traj: Trajectory, triple: DissipationTriple, space, coup,
                 tol_rel: Optional[float] = None, seed: int = 0, mask=None) -> LedgerReport:
     """Assemble the complete ledger: balance, chain rule, continuity battery
     and the final verdict."""
-    cp = _checkpoint_pass(traj, triple, theta, pi)
-    report = _edb_report(traj, cp, pi, tol_rel, mask)
+    cp = _checkpoint_pass(traj, triple, coup)
+    report = _edb_report(traj, cp, coup, tol_rel, mask)
     chain, report.chain_inconclusive, chain_spread = _chain_rule(cp)
     report.max_chain_residual = float(np.max(chain))
     if not report.chain_inconclusive:
         report.chain_ok = bool(np.isfinite(chain_spread) and chain_spread <= report.tol_abs)
         report.flags["chain_spread"] = chain_spread
-    residuals = rce_battery(traj, space, theta, pi, seed, mask)
-    mass_scale = max(float(traj.densities[0] @ np.asarray(pi, float)), 1e-300)
+    residuals = rce_battery(traj, space, coup, seed, mask)
+    mass_scale = max(float(traj.densities[0] @ coup.pi), 1e-300)
     lipschitz = {k: v for k, v in residuals.items() if k != "component_step"}
     report.ce_residual = max(lipschitz.values()) / mass_scale
     report.ce_ok = report.ce_residual <= RCE_TOL

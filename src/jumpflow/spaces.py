@@ -9,6 +9,7 @@ never by touching the raw rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +43,8 @@ class StateSpace:
         pts = np.asarray(self.points, dtype=float)
         d = np.asarray(self.dist, dtype=float)
         p = np.asarray(self.pi, dtype=float)
-        if pts.ndim != 1:
-            raise ValueError("points must be a one-dimensional array")
+        if pts.ndim != 1 or not np.all(np.isfinite(pts)):
+            raise ValueError("points must be a one-dimensional array of finite values")
         n = pts.shape[0]
         if d.shape != (n, n):
             raise ValueError("metric table shape mismatch")
@@ -94,15 +95,50 @@ class Kernel:
 
 @dataclass(frozen=True)
 class Coupling:
-    """Symmetrized edge coupling theta_ij = pi_i kappa_ij."""
+    """Symmetrized edge coupling theta_ij = pi_i kappa_ij.
+
+    Its graph {theta > 0} is built on first use and kept: ``edges`` for the
+    flux and the certificates, ``labels`` for the component-wise ones."""
 
     theta: np.ndarray
     detailed_balance_residual: float
     pi: np.ndarray
 
+    def __post_init__(self):
+        if not np.array_equal(self.theta, self.theta.T):
+            raise ValueError("coupling theta must be symmetric (detailed balance)")
+        self.theta.setflags(write=False)  # the cached graph is read off it
+
     @property
     def n(self) -> int:
         return self.theta.shape[0]
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(rows, cols, weights) of the edges i < j with theta_ij > 0, row-major."""
+        rows, cols = np.nonzero(np.triu(self.theta > 0, 1))
+        edges = rows, cols, self.theta[rows, cols]
+        for a in edges:
+            a.setflags(write=False)
+        return edges
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Connected components, numbered in the order of their smallest state: a
+        breadth-first search from each state not yet reached reads each row once."""
+        adj = self.theta > 0
+        labels = np.full(self.n, -1)
+        c = 0
+        for seed in range(self.n):
+            if labels[seed] >= 0:
+                continue
+            frontier = np.array([seed])
+            while frontier.size:
+                labels[frontier] = c
+                frontier = np.flatnonzero(adj[frontier].any(axis=0) & (labels < 0))
+            c += 1
+        labels.setflags(write=False)
+        return labels
 
 
 def build_grid(a: float, b: float, n: int) -> StateSpace:

@@ -13,13 +13,13 @@ def flux_read_error(monkeypatch):
     reading raises that one message."""
     default = evolution.CSV_BLOCK_LINES
 
-    def read_error(path, traj, theta):
+    def read_error(path, traj, coup):
         messages = set()
         for block in (default, 48, 7):
             monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
             for read in (evolution.flux_csv_is_linear, evolution.flux_from_csv):
                 with pytest.raises(ValueError) as info:
-                    read(path, traj, theta)
+                    read(path, traj, coup)
                 messages.add(str(info.value))
         monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", default)
         assert len(messages) == 1, messages

@@ -39,7 +39,7 @@ def two_point_run():
     coup = coupling(sp, matrix_kernel([[0.0, 1.0], [1.0, 0.0]]))
     t0 = time.perf_counter()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 2.0, IntegratorConfig(checkpoints=1024))
-    series = trajectory_L(traj, COSH, coup.theta, sp.pi)
+    series = trajectory_L(traj, COSH, coup)
     elapsed = time.perf_counter() - t0
     return {"space": sp, "coupling": coup, "traj": traj, "series": series,
             "elapsed": elapsed}
@@ -53,7 +53,7 @@ def grid_run():
     u0 = np.where(sp.points < 0.0, 2.0, 0.0)
     t0 = time.perf_counter()
     traj = evolve(coup, COSH, u0, 0.5)
-    series = trajectory_L(traj, COSH, coup.theta, sp.pi)
+    series = trajectory_L(traj, COSH, coup)
     elapsed = time.perf_counter() - t0
     return {"space": sp, "coupling": coup, "traj": traj, "series": series,
             "elapsed": elapsed}
@@ -66,7 +66,7 @@ def punctured_run():
     coup = coupling(sp, fractional_kernel(sp, 0.75, mask=mask))
     u0 = 1.0 + 0.8 * np.sin(np.pi * sp.points) * (sp.points < 0) + 0.3 * (sp.points > 0)
     traj = evolve(coup, COSH, u0, 0.5)
-    rep = full_report(traj, COSH, sp, coup.theta, sp.pi, mask=sp.points < 0)
+    rep = full_report(traj, COSH, sp, coup, mask=sp.points < 0)
     return {"space": sp, "coupling": coup, "traj": traj, "report": rep}
 
 
@@ -204,7 +204,7 @@ def test_criterion_10_configuration_space_lift():
     rng = np.random.default_rng(0)
     u0 = rng.uniform(0.2, 2.0, lifted.n_configs)
     traj = evolve(coup, COSH, u0, 0.5)
-    rep = edb_report(traj, COSH, coup.theta, lifted.space.pi, tol_rel=1e-6)
+    rep = edb_report(traj, COSH, coup, tol_rel=1e-6)
     rel = rep.max_edb_residual() / rep.energy_scale
     assert rep.invariants["mass_ok"]
     assert rel <= 1e-6

@@ -151,24 +151,24 @@ def coupling_of(cfg):
 
 
 def test_punctured_run_writes_flux_on_the_coupling_edges_only(tmp_path):
-    from jumpflow.evolution import coupling_edges, flux_from_csv, trajectory_from_csv
+    from jumpflow.evolution import flux_from_csv, trajectory_from_csv
 
     cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    theta = coupling_of(PUNCTURED_GRID).theta
-    rows, cols, _ = coupling_edges(theta)
+    coup = coupling_of(PUNCTURED_GRID)
+    rows, cols, _ = coup.edges
     edges = list(zip(rows.tolist(), cols.tolist()))
     header, *lines = (out / "flux.csv").read_text().splitlines()
     columns = header.split(",")
     assert columns[0] == "t" and all(c.startswith("w_") for c in columns[1:])
     listed = [tuple(int(x) for x in c.split("_")[1:]) for c in columns[1:]]
-    assert listed == edges  # every coupling edge, once, in coupling_edges order
+    assert listed == edges  # every coupling edge, once, in coup.edges order
     # states 0-5 lie left of the split, 6-11 right of it: no column joins the two
     assert all((i < 6) == (j < 6) for i, j in listed)
     assert lines and all(r.count(",") == len(edges) for r in lines)
     traj = trajectory_from_csv(out / "trajectory.csv")
-    store = flux_from_csv(out / "flux.csv", traj, theta).flux_store
+    store = flux_from_csv(out / "flux.csv", traj, coup).flux_store
     assert store.nbytes == traj.times.size * len(edges) * 8
 
 
@@ -208,7 +208,7 @@ def test_verify_flux_rejects_a_line_off_the_coupling_edges(tmp_path, capsys, flu
     assert f"config error at flux: {message}" in err
     assert not (tmp_path / "vout").exists()
     assert flux_read_error(epath, trajectory_from_csv(out / "trajectory.csv"),
-                           coupling_of(PUNCTURED_GRID).theta) == message
+                           coupling_of(PUNCTURED_GRID)) == message
 
 
 def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
@@ -228,7 +228,7 @@ def test_verify_flux_one_ulp_off_takes_the_per_edge_pass(tmp_path):
     epath = tmp_path / "flux_edited.csv"
     epath.write_text("\n".join([header] + rows) + "\n")
     traj = flux_from_csv(epath, trajectory_from_csv(out / "trajectory.csv"),
-                         coupling_of(TWO_POINT).theta)
+                         coupling_of(TWO_POINT))
     assert not traj.linear_flux
     vout = tmp_path / "vout"
     assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
@@ -321,14 +321,14 @@ def test_verify_rejects_malformed_flux_csv(tmp_path, capsys, monkeypatch, flux_r
     assert "config error at flux" in err and message in err
     assert ("not finite" in err) == (edit in ("nan_value", "infinite_pair"))
     assert not (tmp_path / "vout").exists()
-    traj, theta = trajectory_from_csv(out / "trajectory.csv"), coupling_of(cfg_dict).theta
+    traj, coup = trajectory_from_csv(out / "trajectory.csv"), coupling_of(cfg_dict)
     if edit != "non_linear_then_not_a_number":
-        assert message in flux_read_error(epath, traj, theta)
+        assert message in flux_read_error(epath, traj, coup)
         return
     monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 7)  # 3 rows a block
-    assert not flux_csv_is_linear(epath, traj, theta)
+    assert not flux_csv_is_linear(epath, traj, coup)
     with pytest.raises(ValueError) as info:
-        flux_from_csv(epath, traj, theta)
+        flux_from_csv(epath, traj, coup)
     assert message in str(info.value)
 
 
@@ -364,13 +364,11 @@ def test_verify_rejects_flux_csv_read_across_blocks(tmp_path, capsys, monkeypatc
 def test_verify_flux_rejects_an_incomplete_file(tmp_path, capsys, edit):
     # a missing value is not zero flux: the file must hold every coupling edge
     # at every checkpoint
-    from jumpflow.evolution import coupling_edges
-
     cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True))
     out = tmp_path / "out"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
     header, *rows = (out / "flux.csv").read_text().splitlines()
-    n_edges = coupling_edges(coupling_of(PUNCTURED_GRID).theta)[0].size
+    n_edges = coupling_of(PUNCTURED_GRID).edges[0].size
     n_times = len((out / "trajectory.csv").read_text().splitlines()) - 1
     assert len(rows) == n_times
     if edit == "middle_line_deleted":  # one cell of the middle row
@@ -413,8 +411,40 @@ def test_verify_flux_rejects_the_earlier_line_per_edge_layout(tmp_path, capsys, 
     assert "`jumpflow run` with export_flux rewrites it in the current layout" in err
     assert not (tmp_path / "vout").exists()
     message = flux_read_error(epath, trajectory_from_csv(out / "trajectory.csv"),
-                              coupling_of(TWO_POINT).theta)
+                              coupling_of(TWO_POINT))
     assert message in err and message.startswith("flux CSV has the 't,i,j,w' layout")
+
+
+def test_run_and_verify_flux_build_the_coupling_graph_once(tmp_path, monkeypatch):
+    # the edges and the component labels belong to the coupling: each is built
+    # on first use and then read by evolve, the certificates and the flux I/O
+    import functools
+
+    from jumpflow import spaces
+
+    builds = dict.fromkeys(["coupling", "edges", "labels"], 0)
+    made = spaces.coupling
+
+    def coupling(*args):
+        builds["coupling"] += 1
+        return made(*args)
+
+    monkeypatch.setattr(spaces, "coupling", coupling)
+    for name in ("edges", "labels"):
+        def counted(self, build=getattr(spaces.Coupling, name).func, name=name):
+            builds[name] += 1
+            return build(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(spaces.Coupling, name)
+        monkeypatch.setattr(spaces.Coupling, name, prop)
+    cfg = write_config(tmp_path, dict(PUNCTURED_GRID, export_flux=True, integrator=None))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert builds == {"coupling": 1, "edges": 1, "labels": 1}
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(out / "flux.csv"), "--out", str(tmp_path / "vout")]) == 0
+    assert builds == {"coupling": 2, "edges": 2, "labels": 2}
 
 
 def test_verify_flux_of_a_linear_export_builds_no_store(tmp_path, monkeypatch):
@@ -603,6 +633,42 @@ def test_verify_rejects_a_non_finite_trajectory(tmp_path, capsys, column, value)
     assert not (tmp_path / "vout").exists()
 
 
+@pytest.mark.parametrize("shift", ["plus_7", "first_minus_1e308"])
+def test_verify_rejects_times_that_do_not_run_from_0_to_T(tmp_path, capsys, shift):
+    # each verified Balanced/Reflecting or Neither with exit 0: the times were
+    # checked against each other but not against the config
+    cfg = write_config(tmp_path, TWO_POINT)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    rows = [r.split(",", 1) for r in rows]
+    if shift == "plus_7":
+        rows = [(repr(float(t) + 7.0), u) for t, u in rows]
+    else:
+        rows[0][0] = "-1e308"
+    broken = tmp_path / "shifted.csv"
+    broken.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--trajectory", str(broken),
+                 "--out", str(tmp_path / "vout")]) == 2
+    first = "7" if shift == "plus_7" else "-1e+308"
+    last = "9" if shift == "plus_7" else "2"
+    assert (f"config error at trajectory: times must run from 0 to the config's T = 2, "
+            f"not from {first} to {last}") in capsys.readouterr().err
+    assert not (tmp_path / "vout").exists()
+
+
+@pytest.mark.parametrize("T,bound", [(1e308, "<= 1e+100"), (1e-300, ">= 1e-100")])
+def test_run_refuses_a_T_the_time_quadrature_cannot_take(tmp_path, capsys, T, bound):
+    # 1e308 raised OverflowError in the quadrature's cubes, 1e-300 a ValueError
+    # from a time grid whose log-midpoints underflowed to 0: exit 1, a traceback
+    out = tmp_path / "o"
+    assert main(["run", "--config", write_config(tmp_path, dict(TWO_POINT, T=T, integrator=None)),
+                 "--out", str(out)]) == 2
+    assert f"config error at config.T: must be {bound}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 OVERFLOW = {
     "schema": 1,
     "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 4},
@@ -673,15 +739,18 @@ def with_leaf(cfg, keys, value):
     (with_leaf(TWO_POINT, ["space", "pi"], [0.5, {}]), "space"),
     (with_leaf(TWO_POINT, ["kernel", "rates"], [[0.0, {}], [1.0, 0.0]]), "kernel.rates"),
     (with_leaf(TWO_POINT, ["space", "points"], float("nan")), "space"),
+    (with_leaf(TWO_POINT, ["space", "points"], [0.0, float("nan")]), "space"),
     (with_leaf(GRID8, ["space", "n"], HUGE), "space.n"),
     (with_leaf(GRID8, ["space"], {"type": "torus", "n": HUGE}), "space.n"),
     (with_leaf(GRID8, ["integrator"], {"checkpoints": HUGE}), "integrator.checkpoints"),
 ], ids=["grid_a_above_b", "grid_a_equals_b", "graph_dist_object", "graph_pi_object",
-        "matrix_rates_object", "graph_scalar_points", "grid_n_huge", "torus_n_huge",
+        "matrix_rates_object", "graph_scalar_points", "graph_nan_point", "grid_n_huge",
+        "torus_n_huge",
         "checkpoints_huge"])
 def test_malformed_space_kernel_and_sizes_exit_2(tmp_path, capsys, cfg, path):
     # each of these exited 1 with a traceback: build_grid's ValueError, float()'s
-    # TypeError, an IndexError on 0-d points, and numpy's "Maximum allowed size"
+    # TypeError, an IndexError on 0-d points, and numpy's "Maximum allowed size";
+    # a NaN graph point was taken, and gave a NaN battery member and exit 0
     out = tmp_path / "o"
     assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert f"config error at {path}:" in capsys.readouterr().err
@@ -709,6 +778,89 @@ def test_run_overrides_rejected_as_schema_errors(tmp_path, capsys, flag, value, 
     assert main(["run", "--config", cfg, "--out", str(out), flag, value]) == 2
     assert f"config error at {name}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# small configs of each kind the validator reads: a cut grid, a sweep, a flux
+# export, a graph with a matrix kernel.  Euler is left out: its step count,
+# T over the smaller of dt and the stability bound, has no cap, so a tiny dt or
+# a huge T or rate is a valid config that takes arbitrarily long
+FUZZ_CONFIGS = {
+    "grid": dict(GRID8, kernel={"type": "fractional", "s": 0.6, "cutoff": 0.1}, seed=1,
+                 tol_rel=1e-4),
+    "sweep": {"schema": 1, "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 6},
+              "kernel": {"type": "fractional", "s": 0.75,
+                         "mask": {"type": "punctured", "split": 0.0}},
+              "triple": "cosh", "initial": {"type": "step", "left": 1.5, "right": 0.5},
+              "T": 0.1, "integrator": {"method": "expm", "checkpoints": 8},
+              "sweep": {"eps_list": [0.1, 0.01]}},
+    "flux": dict(PUNCTURED_GRID, space={"type": "grid", "a": -1.0, "b": 1.0, "n": 6},
+                 initial={"type": "vector", "values": [2.0, 2.0, 1.0, 0.5, 0.5, 0.0]},
+                 integrator={"checkpoints": 8, "graded_start": False}, export_flux=True),
+    "matrix": {"schema": 1,
+               "space": {"type": "graph", "points": [0.0, 1.0, 2.0],
+                         "dist": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+                         "pi": [0.25, 0.5, 0.25]},
+               "kernel": {"type": "matrix", "rates": [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5],
+                                                      [0.0, 1.0, 0.0]]},
+               "triple": "quadratic", "initial": {"type": "vector", "values": [2.0, 0.5, 1.0]},
+               "T": 1.0, "integrator": {"method": "expm", "checkpoints": 4}},
+}
+# a leaf becomes each of these: another type, non-finite, near the float range,
+# a negative or unindexably large integer; a list is emptied, shortened or made ragged
+FUZZ_LEAVES = ["abc", True, None, {}, [], float("nan"), float("inf"), float("-inf"),
+               1e308, -1e308, -3, HUGE]
+FUZZ_LISTS = ["empty", "short", "ragged"]
+
+
+def config_paths(node, path=()):
+    """The key paths of every leaf and every list under ``node``."""
+    if not isinstance(node, (dict, list)):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    paths = [path] if isinstance(node, list) else []
+    return paths + [p for k, v in items for p in config_paths(v, path + (k,))]
+
+
+def node_at(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(FUZZ_CONFIGS)),
+       edit=st.sampled_from(FUZZ_LEAVES + FUZZ_LISTS), pick=st.integers(0, 1000))
+def test_run_and_sweep_fuzzed_configs_exit_0_2_or_3(tmp_path_factory, name, edit, pick):
+    # a mutated config exits 0, 2 or 3 and never raises; exit 2 names a config
+    # path.  Values near the float range overflow with a RuntimeWarning
+    cfg = FUZZ_CONFIGS[name]
+    lists = isinstance(edit, str) and edit in FUZZ_LISTS
+    paths = [p for p in config_paths(cfg) if p]
+    if lists:  # a config without lists has each leaf made a list of itself
+        paths = [p for p in paths if isinstance(node_at(cfg, p), list)] or paths
+    path = paths[pick % len(paths)]
+    value = edit
+    if lists:
+        old = node_at(cfg, path)
+        old = old if isinstance(old, list) else [old]
+        last = old[-1] + [0.0] if isinstance(old[-1], list) else [old[-1]]
+        value = {"empty": [], "short": old[:-1], "ragged": old[:-1] + [last]}[edit]
+    cfg = with_leaf(cfg, path, value)
+    d = tmp_path_factory.mktemp("config_fuzz")
+    argv = ["sweep" if name == "sweep" else "run", "--config", write_config(d, cfg),
+            "--out", str(d / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3), (path, value, err.getvalue())
+    assert not caught or (edit in (1e308, -1e308)
+                          and all(w.category is RuntimeWarning for w in caught)), \
+        (path, value, [str(w.message) for w in caught])
+    if code == 2:
+        assert re.match(r"config error at (config|space|kernel|initial|integrator)\b",
+                        err.getvalue()), (path, value, err.getvalue())
 
 
 def test_unknown_key_rejected(tmp_path, capsys):

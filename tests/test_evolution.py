@@ -13,7 +13,7 @@ from jumpflow.densities import (DissipationTriple, boltzmann_entropy, canonical_
 from jumpflow import evolution
 from jumpflow.cli import atomic_write
 from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, NumericalError,
-                                Trajectory, concatenate, continuity_residual, coupling_edges,
+                                Trajectory, concatenate, continuity_residual,
                                 evolve, flux_csv_is_linear, flux_csv_text, flux_from_csv,
                                 generator, trajectory_csv_text, trajectory_from_csv)
 from jumpflow.experiments import build_lift
@@ -103,7 +103,7 @@ def test_evolve_on_torus_balanced():
     coup = coupling(sp, fractional_kernel(sp, 0.6))
     u0 = 1.0 + 0.5 * np.cos(2.0 * np.pi * sp.points)
     traj = evolve(coup, COSH, u0, 0.2, IntegratorConfig(checkpoints=128))
-    rep = edb_report(traj, COSH, coup.theta, sp.pi)
+    rep = edb_report(traj, COSH, coup)
     assert rep.edb_ok
     assert rep.invariants["mass_ok"] and rep.invariants["entropy_monotone_ok"]
 
@@ -177,7 +177,8 @@ def test_component_labels_match_scipy():
         cases.append(upper | upper.T)
     for adj in cases:
         want = connected_components(adj, directed=False)[1]
-        np.testing.assert_array_equal(evolution._component_labels(adj), want)
+        coup = Coupling(theta=adj.astype(float), detailed_balance_residual=0.0, pi=np.ones(n))
+        np.testing.assert_array_equal(coup.labels, want)
 
 
 def test_propagator_matches_expm_lift_multinomial_weights():
@@ -196,14 +197,6 @@ def test_propagator_component_masses_long_horizon():
     for part in (left, ~left):
         mass = traj.densities[:, part] @ sp.pi[part]
         assert np.max(np.abs(mass - mass[0])) <= 1e-12 * mass[0]
-
-
-def test_propagator_refuses_nonsymmetric_theta():
-    sp, coup = two_point()
-    skewed = Coupling(theta=np.array([[0.0, 0.5], [0.25, 0.0]]),
-                      detailed_balance_residual=0.25, pi=coup.pi)
-    with pytest.raises(NumericalError, match="symmetric"):
-        evolve(skewed, COSH, np.array([2.0, 0.0]), 1.0)
 
 
 def test_evolve_records_clip_in_meta(monkeypatch):
@@ -249,10 +242,10 @@ def dense_flux(traj, k):
 def test_flux_values(tmp_path):
     u = np.array([2.0, 0.5, 1.0])
     traj = Trajectory(times=[0.0, 1.0], densities=[u, np.full(3, 0.7)])
-    theta = 1.0 - np.eye(3)
+    coup = Coupling(theta=1.0 - np.eye(3), detailed_balance_residual=0.0, pi=np.full(3, 1 / 3))
     fpath = tmp_path / "flux.csv"
-    fpath.write_text("".join(flux_csv_text(traj, theta)))
-    back = flux_from_csv(fpath, traj, theta)
+    fpath.write_text("".join(flux_csv_text(traj, coup)))
+    back = flux_from_csv(fpath, traj, coup)
     w = dense_flux(back, 0)
     np.testing.assert_allclose(w, u[:, None] - u[None, :], atol=1e-14)
     np.testing.assert_allclose(w, -w.T, atol=1e-14)
@@ -288,14 +281,14 @@ def test_component_mass_conservation_punctured():
 def test_continuity_residual_constant_test_function():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1.0)
-    assert continuity_residual(traj, np.full(2, 3.0), coup.theta, sp.pi) <= 1e-12
+    assert continuity_residual(traj, np.full(2, 3.0), coup) <= 1e-12
 
 
 def test_continuity_residual_two_point():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 2.0, IntegratorConfig(checkpoints=1024))
     phi = sp.points.astype(float)
-    assert continuity_residual(traj, phi, coup.theta, sp.pi) <= 1e-8
+    assert continuity_residual(traj, phi, coup) <= 1e-8
 
 
 def test_continuity_residual_step_under_punctured():
@@ -305,7 +298,7 @@ def test_continuity_residual_step_under_punctured():
     u0 = 1.0 + 0.5 * np.sin(np.pi * sp.points)
     traj = evolve(coup, COSH, u0, 0.5)
     step = (sp.points > 0).astype(float)
-    assert continuity_residual(traj, step, coup.theta, sp.pi) <= 1e-8
+    assert continuity_residual(traj, step, coup) <= 1e-8
 
 
 def test_concatenate_requires_matching_endpoint():
@@ -363,8 +356,8 @@ def test_csv_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.times, traj.times)
     np.testing.assert_array_equal(back.densities, traj.densities)
     fpath = tmp_path / "flux.csv"
-    fpath.write_text("".join(flux_csv_text(traj, coup.theta)))
-    withflux = flux_from_csv(fpath, back, coup.theta)
+    fpath.write_text("".join(flux_csv_text(traj, coup)))
+    withflux = flux_from_csv(fpath, back, coup)
     np.testing.assert_array_equal(dense_flux(withflux, 3), dense_flux(traj, 3))
 
 
@@ -373,8 +366,8 @@ def test_flux_csv_is_the_store_in_row_major_order(tmp_path):
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, np.where(sp.points < 0.0, 1.5, 0.5), 0.1,
                   IntegratorConfig(checkpoints=8))
-    header, *lines = "".join(flux_csv_text(traj, coup.theta)).splitlines()
-    rows, cols, _ = coupling_edges(coup.theta)
+    header, *lines = "".join(flux_csv_text(traj, coup)).splitlines()
+    rows, cols, _ = coup.edges
     # one w_i_j column per coupling edge, row-major; row k is checkpoint k, its t
     # first, the zeros of the even-split start included
     assert header == "t," + ",".join(f"w_{i}_{j}" for i, j in zip(rows, cols))
@@ -384,8 +377,8 @@ def test_flux_csv_is_the_store_in_row_major_order(tmp_path):
     np.testing.assert_array_equal(fields[:, 0], traj.times)
     assert np.count_nonzero(fields[:, 1:] == 0.0) > 0
     fpath = tmp_path / "flux.csv"
-    fpath.write_text("".join(flux_csv_text(traj, coup.theta)))
-    store = flux_from_csv(fpath, traj, coup.theta).flux_store
+    fpath.write_text("".join(flux_csv_text(traj, coup)))
+    store = flux_from_csv(fpath, traj, coup).flux_store
     upper = np.triu(np.ones((traj.n, traj.n), dtype=bool), 1)
     np.testing.assert_array_equal(store, np.stack([dense_flux(traj, k)[upper]
                                                    for k in range(traj.times.size)]))
@@ -400,8 +393,8 @@ def test_a_flux_store_on_other_edges_than_the_coupling_is_refused():
     stored = Trajectory(times=traj.times, densities=traj.densities, flux_edges=(rows, cols),
                         flux_store=traj.densities[:, rows] - traj.densities[:, cols])
     assert stored.linear_flux
-    for read in (lambda: "".join(flux_csv_text(stored, coup.theta)),
-                 lambda: continuity_residual(stored, sp.points, coup.theta, sp.pi)):
+    for read in (lambda: "".join(flux_csv_text(stored, coup)),
+                 lambda: continuity_residual(stored, sp.points, coup)):
         with pytest.raises(ValueError, match="other edges"):
             read()
 
@@ -410,12 +403,12 @@ def test_flux_csv_values_format_as_17_digit_floats(tmp_path):
     vals = [0.0, 5e-324, 2.2250738585072009e-308, 1e-300, -1e-300, 1.0 / 3.0, -7.5, 1e300]
     n = 5
     rows, cols = np.triu_indices(n, 1)
-    theta = 1.0 - np.eye(n)
+    coup = Coupling(theta=1.0 - np.eye(n), detailed_balance_residual=0.0, pi=np.full(n, 1 / n))
     store = np.zeros((2, rows.size))
     store[1, :len(vals)] = vals
     traj = Trajectory(times=[0.0, 0.25], densities=np.ones((2, n)), flux_store=store,
                       flux_edges=(rows, cols))
-    lines = "".join(flux_csv_text(traj, theta)).splitlines()
+    lines = "".join(flux_csv_text(traj, coup)).splitlines()
     expected = [t + "".join("," + format(float(w), ".17g") for w in ws)
                 for t, ws in zip(("0", "0.25"), store)]
     assert lines == ["t," + ",".join(f"w_{i}_{j}" for i, j in zip(rows, cols))] + expected
@@ -424,13 +417,13 @@ def test_flux_csv_values_format_as_17_digit_floats(tmp_path):
                         "0.33333333333333331,-7.5,1.0000000000000001e+300,0,0")
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join(lines) + "\n")
-    np.testing.assert_array_equal(flux_from_csv(fpath, traj, theta).flux_store, store)
+    np.testing.assert_array_equal(flux_from_csv(fpath, traj, coup).flux_store, store)
 
 
 def test_csv_text_ends_in_one_newline():
     _, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.3, IntegratorConfig(checkpoints=8))
-    for text in ("".join(trajectory_csv_text(traj)), "".join(flux_csv_text(traj, coup.theta))):
+    for text in ("".join(trajectory_csv_text(traj)), "".join(flux_csv_text(traj, coup))):
         assert text.endswith("\n") and not text.endswith("\n\n")
         assert text.count("\n") == len(text.splitlines())
 
@@ -483,7 +476,7 @@ def stored_flux_trajectory(n=6, checkpoints=8):
     store = traj.densities[:, rows] - traj.densities[:, cols]
     store[0] = 1.0  # u0 is even
     return Trajectory(times=traj.times, densities=traj.densities, flux_store=store,
-                      flux_edges=(rows, cols)), coup.theta
+                      flux_edges=(rows, cols)), coup
 
 
 @pytest.mark.parametrize("block", [1, 4, 15, 16, 32, 48, 1000])
@@ -492,21 +485,21 @@ def test_flux_checkpoints_split_across_blocks_read_to_the_same_store(tmp_path, m
     # E + 1 = 16 values a row, so each parse holds max(1, block // 16) of the 9 rows:
     # a single row for blocks below a row, a partial last block at 2 rows, whole
     # blocks at 3
-    traj, theta = stored_flux_trajectory()
+    traj, coup = stored_flux_trajectory()
     fpath = tmp_path / "flux.csv"
-    fpath.write_text("".join(flux_csv_text(traj, theta)))
+    fpath.write_text("".join(flux_csv_text(traj, coup)))
     monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
     load, parsed = evolution._load_rows, []
     monkeypatch.setattr(evolution, "_load_rows",
                         lambda fh, max_rows=None: parsed.append(load(fh, max_rows)) or parsed[-1])
-    np.testing.assert_array_equal(flux_from_csv(fpath, traj, theta).flux_store,
+    np.testing.assert_array_equal(flux_from_csv(fpath, traj, coup).flux_store,
                                   traj.flux_store)
     assert max(len(p) for p in parsed) == min(max(1, block // 16), 9)
 
 
 def test_flux_csv_checkpoints_out_of_time_order_are_rejected(tmp_path, monkeypatch):
-    traj, theta = stored_flux_trajectory()
-    header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
+    traj, coup = stored_flux_trajectory()
+    header, *rows = "".join(flux_csv_text(traj, coup)).splitlines()
     assert len(rows) == 9 and rows[0].startswith("0,")
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join([header] + rows[1:] + rows[:1]) + "\n")
@@ -514,34 +507,34 @@ def test_flux_csv_checkpoints_out_of_time_order_are_rejected(tmp_path, monkeypat
     for block in (evolution.CSV_BLOCK_LINES, 7):  # within one block and a row per block
         monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", block)
         with pytest.raises(ValueError, match=rf"^flux CSV line 2 \(expected t=0\) has t={t1}$"):
-            flux_from_csv(fpath, traj, theta)
+            flux_from_csv(fpath, traj, coup)
 
 
 def test_flux_csv_duplicate_across_a_block_boundary_is_rejected(tmp_path, monkeypatch):
-    traj, theta = stored_flux_trajectory()
-    header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
+    traj, coup = stored_flux_trajectory()
+    header, *rows = "".join(flux_csv_text(traj, coup)).splitlines()
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join([header] + rows[:3] + rows[2:]) + "\n")
     monkeypatch.setattr(evolution, "CSV_BLOCK_LINES", 48)  # 3 rows of 16: lines 4, 5 in two blocks
     t2, t3 = (re.escape(format(t, ".17g")) for t in traj.times[2:4])
     with pytest.raises(ValueError, match=rf"^flux CSV line 5 \(expected t={t3}\) has t={t2}$"):
-        flux_from_csv(fpath, traj, theta)
+        flux_from_csv(fpath, traj, coup)
 
 
 @pytest.mark.parametrize("edit", ["last_line_missing", "one_line_more", "header_only"])
 def test_flux_csv_of_another_line_count_is_rejected(tmp_path, flux_read_error, edit):
     # every row present sits where it should; only the count is wrong.  The flux
     # is the linear one, so the linearity check reads on to the count too
-    traj, theta = stored_flux_trajectory()
+    traj, coup = stored_flux_trajectory()
     traj = Trajectory(times=traj.times, densities=traj.densities)
-    header, *rows = "".join(flux_csv_text(traj, theta)).splitlines()
+    header, *rows = "".join(flux_csv_text(traj, coup)).splitlines()
     rows, count = {"last_line_missing": (rows[:-1], 8),
                    "one_line_more": (rows + rows[-1:], 10),
                    "header_only": ([], 0)}[edit]
     fpath = tmp_path / "flux.csv"
     fpath.write_text("\n".join([header] + rows) + "\n")
     # all rows in one block, 3 a block, 1
-    assert flux_read_error(fpath, traj, theta).endswith(
+    assert flux_read_error(fpath, traj, coup).endswith(
         f"K+1 = 9 rows after its header; it has {count}")
 
 
@@ -556,13 +549,13 @@ def test_flux_csv_write_and_read_memory_is_bounded_by_a_block(tmp_path):
     fpath = tmp_path / "flux.csv"
     tracemalloc.start()
     try:
-        atomic_write(fpath, flux_csv_text(traj, coup.theta))
+        atomic_write(fpath, flux_csv_text(traj, coup))
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        assert flux_csv_is_linear(fpath, traj, coup.theta)
+        assert flux_csv_is_linear(fpath, traj, coup)
         linear_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        store = flux_from_csv(fpath, traj, coup.theta).flux_store
+        store = flux_from_csv(fpath, traj, coup).flux_store
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -297,7 +297,7 @@ def test_lifted_system_evolves_with_balance():
     coup = coupling(lifted.space, lifted.kernel)
     u0 = np.array([2.0, 0.5, 0.5])
     traj = evolve(coup, COSH, u0, 0.5, IntegratorConfig(checkpoints=256))
-    rep = edb_report(traj, COSH, coup.theta, lifted.space.pi, tol_rel=1e-6)
+    rep = edb_report(traj, COSH, coup, tol_rel=1e-6)
     assert rep.edb_ok
     assert rep.invariants["mass_ok"]
 

@@ -73,7 +73,7 @@ def test_action_on_a_nearly_vacant_edge_is_inf():
         traj = Trajectory(times=[0.0, 1.0], densities=np.stack([u, u]),
                           flux_store=np.full((2, 1), w[0, 1]), flux_edges=([0], [1]))
         assert not traj.linear_flux
-        assert np.all(_checkpoint_pass(traj, COSH, coup.theta, sp.pi).integrand == math.inf)
+        assert np.all(_checkpoint_pass(traj, COSH, coup).integrand == math.inf)
 
 
 def test_action_matches_perspective_by_hand():
@@ -143,7 +143,7 @@ def test_young_duality_between_action_and_dual():
 def test_trajectory_ledger_stationary():
     sp, coup = two_point_system()
     traj = evolve(coup, COSH, np.full(2, 1.7), 1.0, IntegratorConfig(checkpoints=32))
-    series = trajectory_L(traj, COSH, coup.theta, sp.pi)
+    series = trajectory_L(traj, COSH, coup)
     # constants are exact fixed points of the flux formula; the integrator
     # leaves only machine-level entropy jitter
     assert np.max(np.abs(series)) <= 1e-14
@@ -152,7 +152,7 @@ def test_trajectory_ledger_stationary():
 def test_trajectory_ledger_two_point_closed_form():
     sp, coup = two_point_system(rate=1.0)
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 2.0, IntegratorConfig(checkpoints=1024))
-    series, detail = trajectory_L(traj, COSH, coup.theta, sp.pi, report=True)
+    series, detail = trajectory_L(traj, COSH, coup, report=True)
     scale = entropy(np.array([2.0, 0.0]), sp.pi, COSH.entropy)
     assert np.max(np.abs(series)) <= 1e-8 * scale
     assert detail["initial_singular"]
@@ -166,9 +166,9 @@ def test_trajectory_ledger_additive_under_concatenation():
     first = evolve(coup, COSH, np.array([1.5, 0.5]), 0.5, cfg)
     second = evolve(coup, COSH, first.densities[-1], 0.7, cfg)
     joined = concatenate(first, second)
-    s1 = trajectory_L(first, COSH, coup.theta, sp.pi)
-    s2 = trajectory_L(second, COSH, coup.theta, sp.pi)
-    sj = trajectory_L(joined, COSH, coup.theta, sp.pi)
+    s1 = trajectory_L(first, COSH, coup)
+    s2 = trajectory_L(second, COSH, coup)
+    sj = trajectory_L(joined, COSH, coup)
     assert sj[-1] == pytest.approx(s1[-1] + s2[-1], abs=1e-12)
 
 

@@ -41,7 +41,7 @@ def test_two_point_estimate_bounds_the_realized_ledger():
     g = np.exp(-2.0 * traj.times)
     assert np.max(np.abs(traj.densities - np.stack([1.0 + g, 1.0 - g], axis=1))) <= 1e-12
     scale = entropy(traj.densities[0], sp.pi, COSH.entropy)
-    realized = np.max(np.abs(trajectory_L(traj, COSH, coup.theta, sp.pi))) / scale
+    realized = np.max(np.abs(trajectory_L(traj, COSH, coup))) / scale
     target = GRID_EDB_FRACTION * EDB_TOL_REL
     assert realized <= traj.meta["grid_error"]["edb_rel"] <= target
     assert traj.meta["checkpoints"] == traj.times.size
@@ -54,7 +54,7 @@ def test_flux_config_meets_the_rce_gate_at_every_battery_seed():
     coup = coupling(sp, fractional_kernel(sp, 0.75))
     traj = evolve(coup, COSH, np.where(sp.points < -0.5, 1.8, 0.3), 0.5)
     for seed in SEEDS:
-        rep = full_report(traj, COSH, sp, coup.theta, sp.pi, seed=seed)
+        rep = full_report(traj, COSH, sp, coup, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
     assert traj.times.size <= 760
 
@@ -63,7 +63,7 @@ def test_grid_certify_config_is_certified_on_at_most_650_checkpoints(grid_certif
     sp, coup, traj, tol = grid_certify
     assert traj.times.size <= 650
     for seed in SEEDS:
-        rep = full_report(traj, COSH, sp, coup.theta, sp.pi, tol_rel=tol, seed=seed)
+        rep = full_report(traj, COSH, sp, coup, tol_rel=tol, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
         assert all(v for k, v in rep.invariants.items() if k.endswith("_ok")), seed
 

@@ -10,13 +10,13 @@ from jumpflow import functionals
 from jumpflow.cli import json_text
 from jumpflow.densities import canonical_triple
 from jumpflow.evolution import (IntegratorConfig, Trajectory, continuity_rates,
-                                continuity_residual, coupling_edges, evolve)
+                                continuity_residual, evolve)
 from jumpflow.functionals import _checkpoint_pass, _pairing, edb_integrand, entropy
 from jumpflow.ledger import (RANDOM_LIPSCHITZ, VERDICT_BALANCED, VERDICT_DISSIPATIVE,
                              VERDICT_NEITHER, _lipschitz_battery, chain_rule_residual, edb_report,
                              full_report, pointwise_edb, rce_battery, render_table,
                              upgrade_verdict)
-from jumpflow.spaces import (build_graph, build_grid, build_torus, coupling, cutoff,
+from jumpflow.spaces import (Coupling, build_graph, build_grid, build_torus, coupling, cutoff,
                              fractional_kernel, matrix_kernel, punctured_mask)
 
 COSH = canonical_triple("cosh")
@@ -32,7 +32,7 @@ def two_point(rate=1.0):
 def test_edb_stationary():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.full(2, 1.2), 1.0, IntegratorConfig(checkpoints=64))
-    rep = edb_report(traj, COSH, coup.theta, sp.pi)
+    rep = edb_report(traj, COSH, coup)
     assert rep.max_edb_residual() <= 1e-13
     assert rep.edb_ok and rep.edi_ok
 
@@ -40,7 +40,7 @@ def test_edb_stationary():
 def test_edb_two_point_closed_form():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 2.0, IntegratorConfig(checkpoints=1024))
-    rep = edb_report(traj, COSH, coup.theta, sp.pi, tol_rel=1e-8)
+    rep = edb_report(traj, COSH, coup, tol_rel=1e-8)
     assert rep.max_edb_residual() <= 1e-8 * rep.energy_scale
     assert rep.edb_ok
     assert rep.flags["initial_singular"]
@@ -51,7 +51,7 @@ def test_edb_zeroed_flux_violates_balance():
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 2.0, IntegratorConfig(checkpoints=256))
     fabricated = Trajectory(times=traj.times, densities=traj.densities,
                             flux_store=np.zeros((traj.times.size, 1)), flux_edges=([0], [1]))
-    rep = edb_report(fabricated, COSH, coup.theta, sp.pi)
+    rep = edb_report(fabricated, COSH, coup)
     # with no flux the action vanishes but the entropy still drops while D > 0
     assert not rep.edb_ok
     assert rep.max_edb_residual() > 0.1 * rep.energy_scale
@@ -60,7 +60,7 @@ def test_edb_zeroed_flux_violates_balance():
 def test_edb_residual_additivity():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([1.5, 0.5]), 1.0, IntegratorConfig(checkpoints=128))
-    rep = edb_report(traj, COSH, coup.theta, sp.pi)
+    rep = edb_report(traj, COSH, coup)
     K = rep.times.size - 1
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -77,7 +77,7 @@ def test_edb_simpson_order_on_smooth_case():
     residuals = []
     for ck in (32, 64):
         traj = evolve(coup, COSH, u0, 2.0, IntegratorConfig(checkpoints=ck))
-        rep = edb_report(traj, COSH, coup.theta, sp.pi)
+        rep = edb_report(traj, COSH, coup)
         residuals.append(rep.max_edb_residual())
     assert residuals[0] / residuals[1] >= 8.0
 
@@ -85,12 +85,12 @@ def test_edb_simpson_order_on_smooth_case():
 def test_chain_rule_stationary_and_closed_form():
     sp, coup = two_point()
     flat = evolve(coup, COSH, np.full(2, 0.9), 1.0, IntegratorConfig(checkpoints=64))
-    series, inconclusive, spread = chain_rule_residual(flat, COSH, coup.theta, sp.pi,
+    series, inconclusive, spread = chain_rule_residual(flat, COSH, coup,
                                                        detail=True)
     assert not inconclusive and spread <= 1e-13
 
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 2.0, IntegratorConfig(checkpoints=1024))
-    _, inconclusive, spread = chain_rule_residual(traj, COSH, coup.theta, sp.pi, detail=True)
+    _, inconclusive, spread = chain_rule_residual(traj, COSH, coup, detail=True)
     scale = entropy(np.array([2.0, 0.0]), sp.pi, COSH.entropy)
     assert not inconclusive
     assert spread <= 1e-8 * scale
@@ -105,21 +105,21 @@ def test_chain_rule_inconclusive_with_vacuum_quadratic():
     densities = np.tile([2.0, 0.0], (9, 1))
     fabricated = Trajectory(times=times, densities=densities, flux_store=np.ones((9, 1)),
                             flux_edges=([0], [1]))
-    _, inconclusive = chain_rule_residual(fabricated, QUAD, coup.theta, sp.pi)
+    _, inconclusive = chain_rule_residual(fabricated, QUAD, coup)
     assert inconclusive
 
 
 def test_pointwise_edb():
     sp, coup = two_point()
     flat = evolve(coup, COSH, np.full(2, 1.1), 1.0, IntegratorConfig(checkpoints=64))
-    assert np.nanmax(pointwise_edb(flat, COSH, coup.theta, sp.pi)) <= 1e-12
+    assert np.nanmax(pointwise_edb(flat, COSH, coup)) <= 1e-12
 
     u0 = np.array([1.5, 0.5])
     mism = []
     for ck in (64, 128):
         traj = evolve(coup, COSH, u0, 1.0,
                       IntegratorConfig(checkpoints=ck, graded_start=False))
-        series = pointwise_edb(traj, COSH, coup.theta, sp.pi)
+        series = pointwise_edb(traj, COSH, coup)
         mism.append(np.nanmax(series))
     # second-order stencil: halving the step cuts the mismatch about 4x
     assert mism[0] / mism[1] >= 3.0
@@ -131,7 +131,7 @@ def test_verdict_balanced_on_punctured_exact_flow():
     coup = coupling(sp, fractional_kernel(sp, 0.75, mask=mask))
     u0 = np.where(sp.points < 0.0, 2.0, 0.0)
     traj = evolve(coup, COSH, u0, 0.5)
-    rep = full_report(traj, COSH, sp, coup.theta, sp.pi, mask=sp.points < 0)
+    rep = full_report(traj, COSH, sp, coup, mask=sp.points < 0)
     assert rep.verdict == VERDICT_BALANCED
     assert rep.invariants["component_mass_ok"]
     assert rep.rce_residual <= 1e-8
@@ -142,21 +142,21 @@ def test_verdict_neither_for_zeroed_flux():
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, IntegratorConfig(checkpoints=256))
     fabricated = Trajectory(times=traj.times, densities=traj.densities,
                             flux_store=np.zeros((traj.times.size, 1)), flux_edges=([0], [1]))
-    rep = full_report(fabricated, COSH, sp, coup.theta, sp.pi)
+    rep = full_report(fabricated, COSH, sp, coup)
     assert rep.verdict == VERDICT_NEITHER
 
 
 def test_verdict_stationary():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.full(2, 2.2), 1.0, IntegratorConfig(checkpoints=64))
-    rep = full_report(traj, COSH, sp, coup.theta, sp.pi)
+    rep = full_report(traj, COSH, sp, coup)
     assert rep.verdict == VERDICT_BALANCED
 
 
 def test_verdict_dissipative_when_rce_fails():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, IntegratorConfig(checkpoints=256))
-    rep = full_report(traj, COSH, sp, coup.theta, sp.pi)
+    rep = full_report(traj, COSH, sp, coup)
     assert rep.verdict == VERDICT_BALANCED
     rep.rce_ok = False
     assert upgrade_verdict(rep) == VERDICT_DISSIPATIVE
@@ -165,7 +165,7 @@ def test_verdict_dissipative_when_rce_fails():
 def test_report_json_and_table():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.5, IntegratorConfig(checkpoints=64))
-    rep = full_report(traj, COSH, sp, coup.theta, sp.pi)
+    rep = full_report(traj, COSH, sp, coup)
     payload = json_text(rep.to_dict())
     assert '"schema": 1' in payload
     table = render_table(rep)
@@ -194,7 +194,7 @@ def pass_case(name):
     return sp, coup, QUAD, np.where(sp.points < 0.0, 1.5, right)
 
 
-def exact_log_pairing(u, theta):
+def exact_log_pairing(u, coup):
     """Sum over the edges i < j of theta (ln u_i - ln u_j)(u_i - u_j) to 40 digits
     (+inf when an edge joins a vacant and an occupied state): R + D of either
     canonical triple on the linear flux."""
@@ -203,31 +203,31 @@ def exact_log_pairing(u, theta):
     with decimal.localcontext(decimal.Context(prec=40)):
         x = [D(float(v)) for v in u]  # exact
         ln = [v.ln() if v > 0 else None for v in x]
-        for i, j in zip(*coupling_edges(theta)[:2]):
+        for i, j, th in zip(*coup.edges):
             if x[i] == x[j]:
                 continue
             if x[i] == 0 or x[j] == 0:
                 return np.inf
-            total += D(float(theta[i, j])) * (ln[i] - ln[j]) * (x[i] - x[j])
+            total += D(float(th)) * (ln[i] - ln[j]) * (x[i] - x[j])
     return float(total)
 
 
-def stored_linear(traj, theta):
-    """A stored copy of the linear flux on the coupling edges of theta."""
-    rows, cols, _ = coupling_edges(theta)
+def stored_linear(traj, coup):
+    """A stored copy of the linear flux on the coupling's edges."""
+    rows, cols, _ = coup.edges
     return Trajectory(times=traj.times, densities=traj.densities, flux_edges=(rows, cols),
                       flux_store=traj.densities[:, rows] - traj.densities[:, cols])
 
 
-def one_ulp_off(traj, theta):
+def one_ulp_off(traj, coup):
     """A stored copy of the linear flux with the last checkpoint's largest
     coupling-edge flux moved one ulp: the data that sends the checkpoint pass
     down its per-edge R + D branch."""
-    store = stored_linear(traj, theta).flux_store
+    store = stored_linear(traj, coup).flux_store
     e = np.argmax(np.abs(store[-1]))
     store[-1, e] = np.nextafter(store[-1, e], np.inf)
     return Trajectory(times=traj.times, densities=traj.densities, flux_store=store,
-                      flux_edges=coupling_edges(theta)[:2])
+                      flux_edges=coup.edges[:2])
 
 
 def dense_flux(traj, k):
@@ -245,18 +245,18 @@ def dense_flux(traj, k):
 def test_checkpoint_pass_matches_single_snapshot_oracles(name):
     sp, coup, triple, u0 = pass_case(name)
     traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
-    off = one_ulp_off(traj, coup.theta)
+    off = one_ulp_off(traj, coup)
     assert traj.linear_flux and not off.linear_flux
-    cp = _checkpoint_pass(traj, triple, coup.theta, sp.pi)  # Fenchel split
-    edge = _checkpoint_pass(off, triple, coup.theta, sp.pi)  # per-edge R + D
+    cp = _checkpoint_pass(traj, triple, coup)  # Fenchel split
+    edge = _checkpoint_pass(off, triple, coup)  # per-edge R + D
     assert cp.integrand is cp.pairing and edge.integrand is not edge.pairing
     # minus the net flux is the rate of the indicator of each state
     phis = np.column_stack([np.eye(sp.n)] + [phi for _, phi in
                                             _lipschitz_battery(sp.points, sp.dist, 0)])
-    runs = [(t, p, continuity_rates(t, coup.theta, phis))
+    runs = [(t, p, continuity_rates(t, coup, phis))
             for t, p in ((traj, cp.pairing), (off, edge.pairing))]
     for k, u in enumerate(traj.densities):
-        exact = exact_log_pairing(u, coup.theta)
+        exact = exact_log_pairing(u, coup)
         np.testing.assert_allclose(cp.integrand[k], exact, rtol=1e-12)
         np.testing.assert_allclose(edge.integrand[k], exact, rtol=1e-12)
         np.testing.assert_allclose(edge.integrand[k],
@@ -278,10 +278,10 @@ def test_checkpoint_pass_matches_single_snapshot_oracles(name):
     assert np.isinf(cp.integrand[0]) == np.isinf(edge.integrand[0]) == ("vacuum" in name)
 
 
-def per_edge_pairings(traj, triple, theta):
+def per_edge_pairings(traj, triple, coup):
     """The chain-rule pairing of every checkpoint, edge by edge: the reference for
     the pass's Laplacian GEMM on the linear flux."""
-    rows, cols, th = coupling_edges(theta)
+    rows, cols, th = coup.edges
     return np.array([_pairing(triple.entropy.dphi_ext(u), u[rows] - u[cols],
                               rows, cols, th) for u in traj.densities])
 
@@ -298,8 +298,8 @@ def test_centred_pairing_matches_the_per_edge_pairing(name):
     sp, coup, triple, u0 = (vacant_component_case() if name == "cosh_vacant_component"
                             else pass_case(name))
     traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
-    g = _checkpoint_pass(traj, triple, coup.theta, sp.pi).pairing
-    ref = per_edge_pairings(traj, triple, coup.theta)
+    g = _checkpoint_pass(traj, triple, coup).pairing
+    ref = per_edge_pairings(traj, triple, coup)
     finite = np.isfinite(ref)
     np.testing.assert_array_equal(np.isfinite(g), finite)
     np.testing.assert_array_equal(g[~finite], ref[~finite])
@@ -315,13 +315,13 @@ def test_centred_pairing_with_vacant_states_is_the_per_edge_pairing():
     rng = np.random.default_rng(1)
     for _ in range(200):
         theta = np.triu(rng.random((8, 8)) * (rng.random((8, 8)) < 0.6), 1)
-        theta = theta + theta.T
+        coup = Coupling(theta=theta + theta.T, detailed_balance_residual=0.0, pi=np.full(8, 0.125))
         u = np.where(rng.random(8) < 0.5, 0.0, rng.random(8) + 0.5)
         traj = Trajectory(times=[0.0, 1.0], densities=np.vstack([u, u]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # numpy's own frames included
-            g = _checkpoint_pass(traj, COSH, theta, np.full(8, 0.125)).pairing
-        ref = per_edge_pairings(traj, COSH, theta)
+            g = _checkpoint_pass(traj, COSH, coup).pairing
+        ref = per_edge_pairings(traj, COSH, coup)
         finite = np.isfinite(ref)
         np.testing.assert_array_equal(g[~finite], ref[~finite])
         np.testing.assert_allclose(g[finite], ref[finite], rtol=1e-13)
@@ -336,14 +336,14 @@ def test_centred_pairing_keeps_its_digits_near_equilibrium():
     coup = coupling(sp, fractional_kernel(sp, 0.6))
     traj = evolve(coup, COSH, np.where(sp.points < 0.0, 1.8, 0.3), 50.0,
                   IntegratorConfig(checkpoints=64))
-    g = _checkpoint_pass(traj, COSH, coup.theta, sp.pi).pairing
-    ref = per_edge_pairings(traj, COSH, coup.theta)
+    g = _checkpoint_pass(traj, COSH, coup).pairing
+    ref = per_edge_pairings(traj, COSH, coup)
     lap = np.diag(coup.theta.sum(axis=1)) - coup.theta
     late = np.flatnonzero(traj.times >= 10.0)
     assert late.size > 10
     for k in late:
         u = traj.densities[k]
-        exact = exact_log_pairing(u, coup.theta)
+        exact = exact_log_pairing(u, coup)
         assert abs(g[k] - exact) <= 2.0 * abs(ref[k] - exact), traj.times[k]
         plain = np.log(u) @ (lap @ u)
         assert abs(plain - exact) > 1e6 * exact, traj.times[k]
@@ -353,16 +353,16 @@ def test_centred_pairing_keeps_its_digits_near_equilibrium():
 def test_centred_pairing_does_not_depend_on_its_block(name, monkeypatch):
     sp, coup, triple, u0 = pass_case(name)
     traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
-    g = _checkpoint_pass(traj, triple, coup.theta, sp.pi).pairing
+    g = _checkpoint_pass(traj, triple, coup).pairing
     assert traj.times.size > 4 * functionals.PASS_BLOCK
     for drop in (1, 3, 17):
         tail = Trajectory(times=traj.times[drop:], densities=traj.densities[drop:])
         np.testing.assert_array_equal(
-            _checkpoint_pass(tail, triple, coup.theta, sp.pi).pairing, g[drop:])
+            _checkpoint_pass(tail, triple, coup).pairing, g[drop:])
     for block in (2, 5, 1000):
         monkeypatch.setattr(functionals, "PASS_BLOCK", block)
         np.testing.assert_array_equal(
-            _checkpoint_pass(traj, triple, coup.theta, sp.pi).pairing, g)
+            _checkpoint_pass(traj, triple, coup).pairing, g)
 
 
 def test_split_pass_takes_the_per_edge_pairing_only_on_vacant_rows(monkeypatch):
@@ -379,7 +379,7 @@ def test_split_pass_takes_the_per_edge_pairing_only_on_vacant_rows(monkeypatch):
         return _pairing(*args)
 
     monkeypatch.setattr(functionals, "_pairing", counted)
-    cp = _checkpoint_pass(traj, COSH, coup.theta, sp.pi)
+    cp = _checkpoint_pass(traj, COSH, coup)
     vacant = np.any(traj.densities == 0.0, axis=1)
     assert cp.integrand is cp.pairing and traj.times.size > 1000
     assert len(calls) == vacant.sum() == 1
@@ -390,11 +390,11 @@ def test_rce_battery_equals_member_by_member_residuals():
     sp, coup = punctured_grid(20)
     traj = evolve(coup, COSH, 1.0 + 0.5 * np.sin(np.pi * sp.points), 0.3)
     mask = sp.points < 0.0
-    battery = rce_battery(traj, sp, coup.theta, sp.pi, seed=3, mask=mask)
+    battery = rce_battery(traj, sp, coup, seed=3, mask=mask)
     members = _lipschitz_battery(sp.points, sp.dist, 3) + [("component_step", mask * 1.0)]
     assert list(battery) == [name for name, _ in members]
     for name, phi in members:
-        single = continuity_residual(traj, phi, coup.theta, sp.pi)
+        single = continuity_residual(traj, phi, coup)
         assert battery[name] == pytest.approx(single, rel=1e-12, abs=1e-14), name
 
 
@@ -439,13 +439,13 @@ def test_stored_flux_copy_gives_the_same_full_report():
 
     for name, sp, coup, triple, u0 in cases:
         traj = evolve(coup, triple, u0, 0.3, IntegratorConfig(checkpoints=64))
-        stored = stored_linear(traj, coup.theta)
-        off = one_ulp_off(traj, coup.theta)
+        stored = stored_linear(traj, coup)
+        off = one_ulp_off(traj, coup)
         assert stored.linear_flux and not off.linear_flux
-        split = _checkpoint_pass(stored, triple, coup.theta, sp.pi)
+        split = _checkpoint_pass(stored, triple, coup)
         assert split.integrand is split.pairing
         mask = sp.points < 0.0 if "punctured" in name else None
-        args = (triple, sp, coup.theta, sp.pi)
+        args = (triple, sp, coup)
         a = full_report(traj, *args, mask=mask).to_dict()
         assert full_report(stored, *args, mask=mask).to_dict() == a, name
         assert close(full_report(off, *args, mask=mask).to_dict(), a), name

@@ -71,11 +71,11 @@ def test_tracer_observers_read_real_results(tmp_path):
     traj = evolution.evolve(*run)
     tpath, fpath = tmp_path / "trajectory.csv", tmp_path / "flux.csv"
     tpath.write_text("".join(evolution.trajectory_csv_text(traj)))
-    fpath.write_text("".join(evolution.flux_csv_text(traj, coup.theta)))
+    fpath.write_text("".join(evolution.flux_csv_text(traj, coup)))
     calls = {
         "evolution.evolve": (run, {}),
         "evolution.trajectory_from_csv": ((tpath,), {}),
-        "evolution.flux_from_csv": ((fpath, traj, coup.theta), {}),
+        "evolution.flux_from_csv": ((fpath, traj, coup), {}),
         "spaces.build_grid": ((-1.0, 1.0, 6), {}),
         "spaces.build_torus": ((6,), {}),
         "spaces.build_graph": ((sp.points, sp.dist, sp.pi), {}),

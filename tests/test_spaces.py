@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jumpflow.spaces import (build_graph, build_grid, build_torus, coupling, cutoff,
+from jumpflow.spaces import (Coupling, build_graph, build_grid, build_torus, coupling, cutoff,
                              fractional_kernel, matrix_kernel, punctured_mask, taming_bound)
 
 
@@ -157,3 +157,10 @@ def test_punctured_coupling_blocks_cross_edges():
     left = sp.points < 0
     assert np.all(coup.theta[np.ix_(left, ~left)] == 0.0)
     assert np.all(coup.theta[np.ix_(~left, left)] == 0.0)
+
+
+def test_coupling_refuses_nonsymmetric_theta():
+    # detailed balance: theta is checked where the coupling is made, once
+    with pytest.raises(ValueError, match="symmetric"):
+        Coupling(theta=np.array([[0.0, 0.5], [0.25, 0.0]]), detailed_balance_residual=0.25,
+                 pi=np.full(2, 0.5))
