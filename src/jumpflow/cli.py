@@ -498,6 +498,9 @@ def main(argv=None):
     except SchemaError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_SCHEMA
+    except evolution.StepLimitError as exc:  # the count follows from the integrator config
+        print(str(SchemaError("config.integrator", str(exc))), file=sys.stderr)
+        return EXIT_SCHEMA
     except (FloatingPointError, RuntimeError) as exc:  # NumericalError is a RuntimeError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

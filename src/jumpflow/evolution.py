@@ -21,7 +21,8 @@ from .densities import DissipationTriple, compat_check
 from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform, error_controlled_grid
 
 __all__ = [
-    "IncompatibleTripleError", "NumericalError", "IntegratorConfig", "Trajectory",
+    "IncompatibleTripleError", "NumericalError", "StepLimitError", "IntegratorConfig",
+    "Trajectory",
     "generator", "evolve", "continuity_rates",
     "continuity_spreads", "continuity_residual", "concatenate",
     "trajectory_csv_text", "trajectory_from_csv",
@@ -33,6 +34,7 @@ EDB_TOL_REL = 1e-6   # relative EDB tolerance when none is given
 RCE_TOL = 1e-8       # continuity-equation gate, relative to the mass
 COMPAT_TOL = 1e-9    # largest compatibility residual `generator` accepts
 CFL_SAFETY = 0.9     # Euler steps stay within this fraction of the stability bound
+EULER_MAX_STEPS = 10**7  # most Euler steps one `evolve` takes, over all checkpoint intervals
 # The default grid's error targets, as fractions of those gates.  The continuity
 # estimate is the l1 norm of the error of the rate vector L u: it bounds the
 # defect of every test function with |phi| <= 1, and the battery's Lipschitz
@@ -47,6 +49,10 @@ class IncompatibleTripleError(ValueError):
 
 class NumericalError(RuntimeError):
     pass
+
+
+class StepLimitError(ValueError):
+    """The integrator config asks explicit Euler for more than EULER_MAX_STEPS steps."""
 
 
 @dataclass(frozen=True)
@@ -180,50 +186,56 @@ def _propagate_spectral(parts, times, U) -> None:
             U[k:k + 256, idx] = (np.exp(times[k:k + 256, None] * lam) * coef) @ back
 
 
-def _grid_series(parts, coup, triple, u0):
+def _grid_series(parts, coup, triple, u0, rates: bool):
     """The sampler of the default grid: at times ts, the dissipation
-    phi'(u) . (L u) (the chain-rule pairing, which the EDB integrates) and the
-    continuity rates L u (each test function's rate is -phi . (L u)).  At
-    t = 0 it takes u0 itself, so a vacant state next to mass gives the
-    dissipation its +inf there."""
+    phi'(u) . (L u) (the chain-rule pairing, which the EDB integrates) and,
+    with ``rates``, the continuity rates L u (each test function's rate is
+    -phi . (L u)).  At t = 0 it takes u0 itself, so a vacant state next to mass
+    gives the dissipation its +inf there."""
     lu0 = coup.theta.sum(axis=1) * u0 - coup.theta @ u0
 
     def sample(ts):
         U, LU = np.empty((ts.size, u0.size)), np.empty((ts.size, u0.size))
         for idx, lam, coef, back in parts:
             e = np.exp(ts[:, None] * lam) * coef
-            both = np.concatenate([e, e * lam]) @ back  # one GEMM for u and L u
-            U[:, idx] = both[:ts.size]
-            LU[:, idx] = both[ts.size:] * -coup.pi[idx]
+            U[:, idx] = e @ back
+            LU[:, idx] = ((e * lam) @ back) * -coup.pi[idx]
         U[ts == 0.0], LU[ts == 0.0] = u0, lu0
         lam = triple.entropy.dphi_ext(U)  # phi'(0) at a roundoff negative, as after the clip
         with np.errstate(invalid="ignore"):  # +inf and -inf slopes can meet: NaN
             terms = lam * LU
             if not np.all(np.isfinite(lam)):  # an infinite slope against no flux pairs to 0
                 terms[LU == 0.0] = 0.0
-            return [terms.sum(axis=1)[:, None], LU]
+            dissipation = terms.sum(axis=1)[:, None]
+        return [dissipation, LU] if rates else [dissipation]
 
     return sample
 
 
 def evolve(coup, triple: DissipationTriple, u0, T: float,
            config: IntegratorConfig = IntegratorConfig(),
-           tol_rel: Optional[float] = None) -> Trajectory:
+           tol_rel: Optional[float] = None, *, continuity_grid: bool = True) -> Trajectory:
     """Integrate the linear evolution from u0 over [0, T].
 
     Without ``config.checkpoints`` the grid is chosen after the
     eigendecomposition by `quadrature.error_controlled_grid`, so that the
     ledger's quadrature error stays within ``GRID_EDB_FRACTION`` of the EDB
     tolerance ``tol_rel`` (relative to the initial entropy; ``EDB_TOL_REL``,
-    the ledger's default, when None) and within ``GRID_RCE_FRACTION`` of the
-    continuity gate ``RCE_TOL``; the Euler cross-check runs on the same grid.
-    With it, the grid is `checkpoint_grid` (``graded_start`` applies there).
+    the ledger's default, when None) and, with ``continuity_grid``, within
+    ``GRID_RCE_FRACTION`` of the continuity gate ``RCE_TOL``.  Without it the
+    grid is sized for the EDB alone: for a caller that computes no continuity
+    certificate, such as the cutoff sweep.  The Euler cross-check runs on the
+    same grid.  With ``config.checkpoints``, the grid is `checkpoint_grid`
+    (``graded_start`` applies there).
     'expm' fills every checkpoint from one symmetric eigendecomposition per
     coupling component; 'euler' subdivides every checkpoint interval to
-    respect the stability bound dt <= CFL_SAFETY / max_i sum_j theta_ij/pi_i.
+    respect the stability bound dt <= CFL_SAFETY / max_i sum_j theta_ij/pi_i,
+    and raises StepLimitError, before any step, when that takes more than
+    EULER_MAX_STEPS steps in all.
     Roundoff negatives are clipped in place; meta['clip_min'] keeps the least.
     meta['checkpoints'] is K+1; on the default grid meta['grid_error'] holds
-    the final estimates, relative like the gates.
+    the final estimates, relative like the gates: 'edb_rel' and, with
+    ``continuity_grid``, 'rce_rel'.
     """
     u0 = np.asarray(u0, dtype=float)
     if np.any(u0 < 0) or not np.all(np.isfinite(u0)):
@@ -234,16 +246,17 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
     if config.method == "expm" or config.checkpoints is None:
         parts = _spectral_parts(coup, np.diag(Q), u0)
     if config.checkpoints is None:
-        mass = float(u0 @ coup.pi)
+        mass = max(float(u0 @ coup.pi), 1e-300)
         energy = max(float(triple.entropy.phi(u0) @ coup.pi), 1e-12 * (1.0 + mass))
-        budgets = [GRID_EDB_FRACTION * energy * (EDB_TOL_REL if tol_rel is None else tol_rel),
-                   GRID_RCE_FRACTION * max(mass, 1e-300) * RCE_TOL]
+        budgets = [GRID_EDB_FRACTION * energy * (EDB_TOL_REL if tol_rel is None else tol_rel)]
+        if continuity_grid:
+            budgets.append(GRID_RCE_FRACTION * mass * RCE_TOL)
         rate = max(-float(lam[0]) for _, lam, _, _ in parts)
         times, estimates = error_controlled_grid(
-            _grid_series(parts, coup, triple, u0), T, budgets,
+            _grid_series(parts, coup, triple, u0, continuity_grid), T, budgets,
             first_step=1.0 / rate if rate > 0 else T)
-        meta["grid_error"] = {"edb_rel": float(estimates[0] / energy),
-                              "rce_rel": float(estimates[1] / max(mass, 1e-300))}
+        meta["grid_error"] = {key: float(e / scale) for key, e, scale
+                              in zip(("edb_rel", "rce_rel"), estimates, (energy, mass))}
     else:
         times = checkpoint_grid(T, config.checkpoints, config.graded_start)
         meta["graded_start"] = config.graded_start
@@ -256,11 +269,19 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
         dt_max = CFL_SAFETY / rate if rate > 0 else np.inf
         if config.dt is not None:
             dt_max = min(dt_max, config.dt)
-        for k, dt in enumerate(np.diff(times)):
-            steps = max(1, int(np.ceil(dt / dt_max)))
-            h = dt / steps
+        dts = np.diff(times)
+        with np.errstate(divide="ignore", over="ignore"):  # an infinite rate or a tiny dt: inf
+            steps = np.maximum(1.0, np.ceil(dts / dt_max))
+        total = float(steps.sum())
+        if not total <= EULER_MAX_STEPS:
+            raise StepLimitError(
+                f"explicit Euler would take {total:.4g} steps over the {times.size - 1} "
+                f"checkpoint intervals (T, dt and the largest rate set the count), more than "
+                f"EULER_MAX_STEPS = {EULER_MAX_STEPS}; method 'expm' takes no steps")
+        for k, (dt, m) in enumerate(zip(dts, steps.astype(np.int64))):
+            h = dt / m
             u = U[k]
-            for _ in range(steps):
+            for _ in range(m):
                 u = u + h * (Q @ u)
             U[k + 1] = u
     if not np.all(np.isfinite(U)):

@@ -9,12 +9,13 @@ import time
 import numpy as np
 import pytest
 
+from jumpflow import evolution
 from jumpflow.densities import canonical_triple, compat_check
-from jumpflow.evolution import IntegratorConfig, evolve
+from jumpflow.evolution import GRID_EDB_FRACTION, IntegratorConfig, evolve
 from jumpflow.experiments import (build_lift, density_gap_probe, key_estimate_check,
                                   robustness_sweep, uniqueness_probe)
 from jumpflow.functionals import Upsilon, entropy, f_upsilon, trajectory_L
-from jumpflow.ledger import edb_report, full_report
+from jumpflow.ledger import default_tolerance, edb_report, full_report
 from jumpflow.measures import (PosMeasure, add, jordan_from_setfunction, restrict,
                                scale_by_function)
 from jumpflow.spaces import (build_graph, build_grid, coupling, cutoff, fractional_kernel,
@@ -75,10 +76,19 @@ def sweep_run():
     sp = build_grid(-1.0, 1.0, 200)
     kern = fractional_kernel(sp, 0.75, mask=punctured_mask(sp, 0.0))
     u0 = 1.0 + 0.8 * np.sin(np.pi * sp.points) * (sp.points < 0) + 0.3 * (sp.points > 0)
-    t0 = time.perf_counter()
-    result = robustness_sweep(sp, kern, COSH, [1e-1, 1e-2, 1e-3, 1e-4], u0, 0.5)
-    elapsed = time.perf_counter() - t0
-    return {"result": result, "elapsed": elapsed, "space": sp}
+    trajs = []  # the sweep's trajectories, one per eps
+
+    def recorded(*args, **kwargs):
+        trajs.append(evolve(*args, **kwargs))
+        return trajs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "evolve", recorded)
+        t0 = time.perf_counter()
+        result = robustness_sweep(sp, kern, COSH, [1e-1, 1e-2, 1e-3, 1e-4], u0, 0.5)
+        elapsed = time.perf_counter() - t0
+    return {"result": result, "elapsed": elapsed, "space": sp, "kernel": kern, "u0": u0,
+            "trajs": trajs}
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +166,26 @@ def test_criterion_07_robustness_sweep(sweep_run):
     assert sweep_run["elapsed"] < 300.0
     report(7, "sweep gaps " + ", ".join(f"{g:.2e}" for g in res.gaps)
            + f"; ratios {np.min(ratios):.1f}+; {sweep_run['elapsed']:.1f}s")
+
+
+def test_sweep_grids_are_sized_for_the_edb_alone(sweep_run):
+    # the sweep computes no continuity certificate: its grids carry the EDB
+    # budget only, and the gaps, from the spectral densities at T, are those of
+    # the grids that also carry the continuity budget
+    res, sp, trajs = sweep_run["result"], sweep_run["space"], sweep_run["trajs"]
+    assert len(trajs) == len(res.eps_list)
+    assert sum(traj.times.size for traj in trajs) <= 700
+    terminal = []
+    for eps, traj, residual in zip(res.eps_list, trajs, res.edb_residuals):
+        target = GRID_EDB_FRACTION * default_tolerance(eps)
+        assert set(traj.meta["grid_error"]) == {"edb_rel"}
+        assert traj.meta["grid_error"]["edb_rel"] <= target and residual <= target, eps
+        coup = coupling(sp, cutoff(sweep_run["kernel"], sp, eps))
+        full = evolve(coup, COSH, sweep_run["u0"], 0.5, tol_rel=default_tolerance(eps))
+        assert "rce_rel" in full.meta["grid_error"] and full.times.size > traj.times.size
+        terminal.append(full.densities[-1])
+    gaps = [np.sum(np.abs(a - b) * sp.pi) for a, b in zip(terminal, terminal[1:])]
+    np.testing.assert_allclose(res.gaps, gaps, rtol=1e-15, atol=0.0)
 
 
 def test_criterion_08_component_masses(punctured_run):

@@ -8,6 +8,7 @@ import os
 import re
 import stat
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -757,6 +758,37 @@ def test_malformed_space_kernel_and_sizes_exit_2(tmp_path, capsys, cfg, path):
     assert not out.exists()
 
 
+# a 3-state graph with a matrix kernel, the fuzz test's matrix config on Euler
+EULER3 = {"schema": 1,
+          "space": {"type": "graph", "points": [0.0, 1.0, 2.0],
+                    "dist": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]],
+                    "pi": [0.25, 0.5, 0.25]},
+          "kernel": {"type": "matrix", "rates": [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5],
+                                                 [0.0, 1.0, 0.0]]},
+          "triple": "quadratic", "initial": {"type": "vector", "values": [2.0, 0.5, 1.0]},
+          "T": 1.0, "integrator": {"method": "euler"}}
+
+
+@pytest.mark.parametrize("cfg,count", [
+    (with_leaf(EULER3, ["integrator", "dt"], 1e-300), "1e+300"),
+    (with_leaf(EULER3, ["T"], 1e30), "1.111e+30"),
+    # on a fixed grid: the default grid's eigendecomposition of a 1e308 rate
+    # warns before Euler's count is reached, as with method expm
+    (with_leaf(with_leaf(EULER3, ["kernel", "rates", 0, 1], 1e308),
+               ["integrator", "checkpoints"], 4), "5.556e+307"),
+], ids=["dt_1e-300", "T_1e30", "rate_1e308"])
+def test_euler_step_count_past_the_cap_exits_2(tmp_path, capsys, cfg, count):
+    # defect: each of these ran Euler's step loop for 1e30 steps or more
+    out = tmp_path / "o"
+    t0 = time.perf_counter()
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at config.integrator: explicit Euler would take "
+                          f"{count} steps"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,cfg", [
     ("config.export_flux", dict(TWO_POINT, export_flux="false")),
     ("integrator.graded_start", dict(TWO_POINT, integrator={"graded_start": "false"})),
@@ -781,9 +813,8 @@ def test_run_overrides_rejected_as_schema_errors(tmp_path, capsys, flag, value, 
 
 
 # small configs of each kind the validator reads: a cut grid, a sweep, a flux
-# export, a graph with a matrix kernel.  Euler is left out: its step count,
-# T over the smaller of dt and the stability bound, has no cap, so a tiny dt or
-# a huge T or rate is a valid config that takes arbitrarily long
+# export, a graph with a matrix kernel.  Each is drawn with either integrator
+# method; a huge T or rate makes Euler's step count exceed its cap (exit 2)
 FUZZ_CONFIGS = {
     "grid": dict(GRID8, kernel={"type": "fractional", "s": 0.6, "cutoff": 0.1}, seed=1,
                  tol_rel=1e-4),
@@ -828,12 +859,13 @@ def node_at(cfg, path):
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(name=st.sampled_from(sorted(FUZZ_CONFIGS)),
+@given(name=st.sampled_from(sorted(FUZZ_CONFIGS)), method=st.sampled_from(["expm", "euler"]),
        edit=st.sampled_from(FUZZ_LEAVES + FUZZ_LISTS), pick=st.integers(0, 1000))
-def test_run_and_sweep_fuzzed_configs_exit_0_2_or_3(tmp_path_factory, name, edit, pick):
+def test_run_and_sweep_fuzzed_configs_exit_0_2_or_3(tmp_path_factory, name, method, edit, pick):
     # a mutated config exits 0, 2 or 3 and never raises; exit 2 names a config
     # path.  Values near the float range overflow with a RuntimeWarning
     cfg = FUZZ_CONFIGS[name]
+    cfg = dict(cfg, integrator=dict(cfg.get("integrator", {}), method=method))
     lists = isinstance(edit, str) and edit in FUZZ_LISTS
     paths = [p for p in config_paths(cfg) if p]
     if lists:  # a config without lists has each leaf made a list of itself

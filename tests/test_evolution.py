@@ -13,7 +13,7 @@ from jumpflow.densities import (DissipationTriple, boltzmann_entropy, canonical_
 from jumpflow import evolution
 from jumpflow.cli import atomic_write
 from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, NumericalError,
-                                Trajectory, concatenate, continuity_residual,
+                                StepLimitError, Trajectory, concatenate, continuity_residual,
                                 evolve, flux_csv_is_linear, flux_csv_text, flux_from_csv,
                                 generator, trajectory_csv_text, trajectory_from_csv)
 from jumpflow.experiments import build_lift
@@ -93,6 +93,18 @@ def test_evolve_cross_method_agreement():
     a = evolve(coup, COSH, u0, 0.1, cfg_expm)
     b = evolve(coup, COSH, u0, 0.1, cfg_euler)
     assert np.max(np.abs(a.densities - b.densities)) <= 1e-6
+
+
+def test_euler_step_cap_counts_every_interval_before_stepping(monkeypatch):
+    # 4 uniform intervals of 0.25 at dt 0.125: 8 steps in all, taken at a cap of
+    # 8 and refused at 7 with the count
+    _, coup = two_point()
+    cfg = IntegratorConfig(method="euler", checkpoints=4, dt=0.125, graded_start=False)
+    monkeypatch.setattr(evolution, "EULER_MAX_STEPS", 8)
+    assert evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, cfg).times.size == 5
+    monkeypatch.setattr(evolution, "EULER_MAX_STEPS", 7)
+    with pytest.raises(StepLimitError, match=r"explicit Euler would take 8 steps over the 4 "):
+        evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, cfg)
 
 
 def test_evolve_on_torus_balanced():
