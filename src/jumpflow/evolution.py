@@ -35,10 +35,11 @@ RCE_TOL = 1e-8       # continuity-equation gate, relative to the mass
 COMPAT_TOL = 1e-9    # largest compatibility residual `generator` accepts
 CFL_SAFETY = 0.9     # Euler steps stay within this fraction of the stability bound
 EULER_MAX_STEPS = 10**7  # most Euler steps one `evolve` takes, over all checkpoint intervals
-# The default grid's error targets, as fractions of those gates.  The continuity
-# estimate is the l1 norm of the error of the rate vector L u: it bounds the
-# defect of every test function with |phi| <= 1, and the battery's Lipschitz
-# members stay 3-5x below it.
+# The default grid's error targets, as fractions of those gates.  On grid and
+# torus spaces the continuity estimate is the W1 norm, per coupling component,
+# of the error of the rate vector L u: it bounds the defect of every test
+# function that is 1-Lipschitz, or constant, on each component, the whole
+# battery.  Elsewhere it is the l1 norm, which bounds every |phi| <= 1.
 GRID_EDB_FRACTION = 1e-2
 GRID_RCE_FRACTION = 1e-1
 
@@ -170,6 +171,8 @@ def _spectral_parts(coup, q_diag, u0) -> list:
     parts = []
     for c in range(labels.max() + 1):
         idx = np.flatnonzero(labels == c)
+        if coup.points is not None:  # the states in metric order, for the grid's W1 sums
+            idx = idx[np.argsort(coup.points[idx], kind="stable")]
         r = root[idx]
         S = coup.theta[np.ix_(idx, idx)] / np.outer(r, r)
         S[np.diag_indices_from(S)] = q_diag[idx]
@@ -180,34 +183,61 @@ def _spectral_parts(coup, q_diag, u0) -> list:
 
 
 def _propagate_spectral(parts, times, U) -> None:
-    """U[k] = exp(t_k Q) u0 for k >= 1, 256 checkpoint rows per GEMM (temporaries O(256 n))."""
-    for idx, lam, coef, back in parts:
-        for k in range(1, times.size, 256):
-            U[k:k + 256, idx] = (np.exp(times[k:k + 256, None] * lam) * coef) @ back
+    """U[k] = exp(t_k Q) u0 for k >= 1, 256 checkpoint rows per GEMM (temporaries O(256 n)).
+    The tail block is padded with t = 0 to 256 rows: BLAS rounds a row by the
+    height of its block, and a checkpoint's bits must not depend on K+1."""
+    ts = np.zeros(256)
+    for k in range(1, times.size, 256):
+        rows = min(256, times.size - k)
+        ts[:rows] = times[k:k + rows]
+        ts[rows:] = 0.0
+        for idx, lam, coef, back in parts:
+            U[k:k + rows, idx] = ((np.exp(ts[:, None] * lam) * coef) @ back)[:rows]
 
 
 def _grid_series(parts, coup, triple, u0, rates: bool):
     """The sampler of the default grid: at times ts, the dissipation
     phi'(u) . (L u) (the chain-rule pairing, which the EDB integrates) and,
-    with ``rates``, the continuity rates L u (each test function's rate is
-    -phi . (L u)).  At t = 0 it takes u0 itself, so a vacant state next to mass
-    gives the dissipation its +inf there."""
+    with ``rates``, the continuity series, whose quadrature error the grid
+    sums in absolute value.  Each test function's rate is -phi . (L u), and
+    L u sums to 0 on each coupling component.  With the coupling's ``points``
+    (grid and torus spaces) the series is, per component, the cumulative sums
+    C of L u in metric order times the gaps dx to the next state: sum |C| dx
+    is the W1 norm, the most any function 1-Lipschitz in the path distance
+    pairs with, and a function constant on the component pairs with 0.
+    Elsewhere it is L u itself, whose l1 norm bounds every |phi| <= 1.
+    At t = 0 it takes u0 itself, so a vacant state next to mass gives the
+    dissipation its +inf there."""
     lu0 = coup.theta.sum(axis=1) * u0 - coup.theta @ u0
+    gaps = [None if coup.points is None else np.diff(coup.points[idx]) for idx, *_ in parts]
+    w1 = rates and coup.points is not None
 
     def sample(ts):
         U, LU = np.empty((ts.size, u0.size)), np.empty((ts.size, u0.size))
-        for idx, lam, coef, back in parts:
+        W = np.empty((ts.size, u0.size - len(parts))) if w1 else LU
+        at0, col = ts == 0.0, 0
+        for (idx, lam, coef, back), dx in zip(parts, gaps):
             e = np.exp(ts[:, None] * lam) * coef
             U[:, idx] = e @ back
-            LU[:, idx] = ((e * lam) @ back) * -coup.pi[idx]
-        U[ts == 0.0], LU[ts == 0.0] = u0, lu0
+            e *= lam  # in place, here and below: the block holds few temporaries
+            e = e @ back
+            e *= -coup.pi[idx]  # L u on the component
+            e[at0] = lu0[idx]
+            LU[:, idx] = e
+            if w1:  # the last sum is the component's net rate, 0 up to roundoff: dropped
+                sums = W[:, col:col + dx.size]
+                np.cumsum(e[:, :-1], axis=1, out=sums)
+                sums *= dx
+                col += dx.size
+        del e
+        U[at0] = u0
         lam = triple.entropy.dphi_ext(U)  # phi'(0) at a roundoff negative, as after the clip
         with np.errstate(invalid="ignore"):  # +inf and -inf slopes can meet: NaN
             terms = lam * LU
             if not np.all(np.isfinite(lam)):  # an infinite slope against no flux pairs to 0
                 terms[LU == 0.0] = 0.0
             dissipation = terms.sum(axis=1)[:, None]
-        return [dissipation, LU] if rates else [dissipation]
+        return [dissipation, W] if rates else [dissipation]
 
     return sample
 
@@ -222,7 +252,9 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
     ledger's quadrature error stays within ``GRID_EDB_FRACTION`` of the EDB
     tolerance ``tol_rel`` (relative to the initial entropy; ``EDB_TOL_REL``,
     the ledger's default, when None) and, with ``continuity_grid``, within
-    ``GRID_RCE_FRACTION`` of the continuity gate ``RCE_TOL``.  Without it the
+    ``GRID_RCE_FRACTION`` of the continuity gate ``RCE_TOL``: in the W1 norm
+    per component when the coupling has ``points`` (grid and torus spaces),
+    in the l1 norm otherwise (see `_grid_series`).  Without it the
     grid is sized for the EDB alone: for a caller that computes no continuity
     certificate, such as the cutoff sweep.  The Euler cross-check runs on the
     same grid.  With ``config.checkpoints``, the grid is `checkpoint_grid`

@@ -287,6 +287,7 @@ def render_table(report: LedgerReport) -> str:
         ("tolerance (abs)", f"{report.tol_abs:.3e}"),
         ("EDI holds", str(report.edi_ok)),
         ("chain rule", "inconclusive" if report.chain_inconclusive else str(report.chain_ok)),
+        ("CE residual (Lipschitz)", "-" if report.ce_residual is None else f"{report.ce_residual:.3e}"),
         ("RCE residual", "-" if report.rce_residual is None else f"{report.rce_residual:.3e}"),
     ]
     for k, v in report.invariants.items():

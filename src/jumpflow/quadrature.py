@@ -293,7 +293,8 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
                 lone = _quadratic_piece(0.0, h, t[k1], f[0], f[rows[0]], f[k1], 0.0, h)
                 E[0, c] += np.abs(0.5 * h * (f[0] + f[rows[0]]) - lone).sum()
             else:  # f ~ a log(1/t) + b on [0, h] leaves the error a h
-                E[0, c] += h * np.abs(f[rows[0]] - f[k1]).sum() / np.log(t[k1] / h)
+                with np.errstate(invalid="ignore"):  # inf at h too: the estimate is NaN
+                    E[0, c] += h * np.abs(f[rows[0]] - f[k1]).sum() / np.log(t[k1] / h)
     while len(idx) < _MAX_PANELS:
         E_ok, H_ok = (np.where(np.isfinite(a), a, 0.0) for a in (E, H))
         total, worst = E_ok.sum(axis=0), H_ok.max(axis=0)

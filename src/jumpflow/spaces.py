@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -98,11 +99,16 @@ class Coupling:
     """Symmetrized edge coupling theta_ij = pi_i kappa_ij.
 
     Its graph {theta > 0} is built on first use and kept: ``edges`` for the
-    flux and the certificates, ``labels`` for the component-wise ones."""
+    flux and the certificates, ``labels`` for the component-wise ones.
+    ``points`` are the coordinates of a line or a circle cut at 0 (grid and
+    torus spaces), whose path distance |x_i - x_j| is at least the metric:
+    the default grid sizes its continuity budget in the W1 norm of that
+    line.  None (graph and lift spaces) leaves it the l1 norm."""
 
     theta: np.ndarray
     detailed_balance_residual: float
     pi: np.ndarray
+    points: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not np.array_equal(self.theta, self.theta.T):
@@ -210,12 +216,16 @@ def coupling(space: StateSpace, kernel: Kernel) -> Coupling:
     """Edge coupling theta = pi_i kappa_ij, symmetrized to enforce detailed balance.
 
     The residual max |theta - theta^T| is reported before symmetrization.
+    Grid and torus spaces pass their points on (see ``Coupling``); graph and
+    lift spaces do not, since their metric is no path distance of a line.
     """
     theta = space.pi[:, None] * kernel.rates
     residual = float(np.max(np.abs(theta - theta.T)))
     theta = 0.5 * (theta + theta.T)
     np.fill_diagonal(theta, 0.0)
-    return Coupling(theta=theta, detailed_balance_residual=residual, pi=space.pi.copy())
+    points = space.points if space.kind in ("grid", "torus") else None
+    return Coupling(theta=theta, detailed_balance_residual=residual, pi=space.pi.copy(),
+                    points=points)
 
 
 def taming_bound(space: StateSpace, kernel: Kernel) -> float:

@@ -18,6 +18,7 @@ from jumpflow.evolution import (IncompatibleTripleError, IntegratorConfig, Numer
                                 generator, trajectory_csv_text, trajectory_from_csv)
 from jumpflow.experiments import build_lift
 from jumpflow.functionals import entropy
+from jumpflow.quadrature import checkpoint_grid
 from jumpflow.spaces import (Coupling, build_graph, build_grid, coupling, cutoff,
                              fractional_kernel, matrix_kernel, punctured_mask)
 
@@ -157,6 +158,26 @@ def test_propagator_matches_expm_stiff_cutoff():
     coup = coupling(sp, cutoff(fractional_kernel(sp, 0.75), sp, 1e-4))
     assert np.max(-np.diag(generator(coup, COSH))) > 1.5e3
     assert_matches_dense_expm(coup, np.where(sp.points < 0.0, 1.5, 0.25), 0.5)
+
+
+@pytest.mark.parametrize("n", [32, 200])
+def test_propagated_row_does_not_depend_on_the_checkpoint_count(n):
+    # the tail block of checkpoint rows is padded to the full GEMM height:
+    # unpadded, the row at T was rounded by the height of its block, K+1 mod 256
+    sp = build_grid(-1.0, 1.0, n)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-3))
+    u0 = np.where(sp.points < 0.0, 2.0, 0.0)
+    parts = evolution._spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
+    ends = []
+    for count in range(1, 301):
+        times = checkpoint_grid(0.5, count, graded_start=False)
+        U = np.empty((times.size, n))
+        evolution._propagate_spectral(parts, times, U)
+        ends.append(U[-1])
+    assert all(np.array_equal(end, ends[0]) for end in ends)
+    for count in (1, 255, 256, 300):
+        traj = evolve(coup, COSH, u0, 0.5, IntegratorConfig(checkpoints=count, graded_start=False))
+        assert np.array_equal(traj.densities[-1], ends[0])
 
 
 def test_propagator_isolated_state():

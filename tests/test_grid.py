@@ -1,18 +1,22 @@
 """The error-controlled default grid: its estimate against the realized
 quadrature error, the certificates it is chosen for, and its panel layout."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.stats import wasserstein_distance
 
 from jumpflow.densities import canonical_triple
-from jumpflow.evolution import (EDB_TOL_REL, GRID_EDB_FRACTION, IntegratorConfig, RCE_TOL,
-                                evolve)
+from jumpflow.evolution import (EDB_TOL_REL, GRID_EDB_FRACTION, GRID_RCE_FRACTION,
+                                IntegratorConfig, RCE_TOL, _grid_series, _spectral_parts,
+                                continuity_rates, evolve, generator)
 from jumpflow.functionals import entropy, trajectory_L
-from jumpflow.ledger import VERDICT_BALANCED, default_tolerance, full_report
+from jumpflow.ledger import VERDICT_BALANCED, default_tolerance, full_report, rce_battery
 from jumpflow.quadrature import (_interval_pieces, cumulative_simpson_nonuniform,
                                  error_controlled_grid)
-from jumpflow.spaces import (build_graph, build_grid, coupling, cutoff, fractional_kernel,
-                             matrix_kernel)
+from jumpflow.spaces import (Coupling, build_graph, build_grid, build_torus, coupling, cutoff,
+                             fractional_kernel, matrix_kernel, punctured_mask)
 
 COSH = canonical_triple("cosh")
 SEEDS = range(40)
@@ -32,6 +36,25 @@ def grid_certify():
     tol = default_tolerance(1e-3)
     traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.0), 0.5, tol_rel=tol)
     return sp, coup, traj, tol
+
+
+@pytest.fixture(scope="module")
+def torus_certify():
+    # n=256, s=0.6, cutoff 1e-3, a step start: the circle cut at 0 for the W1 sums
+    sp = build_torus(256)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-3))
+    tol = default_tolerance(1e-3)
+    traj = evolve(coup, COSH, np.where(sp.points < 0.5, 2.0, 0.2), 0.5, tol_rel=tol)
+    return sp, coup, traj, tol
+
+
+def punctured_config(n=200):
+    # criterion 7's profile on the punctured grid, cutoff 1e-4: two components
+    sp = build_grid(-1.0, 1.0, n)
+    mask = punctured_mask(sp, 0.0)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.75, mask=mask), sp, 1e-4))
+    x = sp.points
+    return sp, coup, 1.0 + 0.8 * np.sin(np.pi * x) * (x < 0) + 0.3 * (x > 0)
 
 
 def test_two_point_estimate_bounds_the_realized_ledger():
@@ -56,12 +79,12 @@ def test_flux_config_meets_the_rce_gate_at_every_battery_seed():
     for seed in SEEDS:
         rep = full_report(traj, COSH, sp, coup, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
-    assert traj.times.size <= 760
+    assert traj.times.size <= 480
 
 
-def test_grid_certify_config_is_certified_on_at_most_650_checkpoints(grid_certify):
+def test_grid_certify_config_is_certified_on_at_most_400_checkpoints(grid_certify):
     sp, coup, traj, tol = grid_certify
-    assert traj.times.size <= 650
+    assert traj.times.size <= 400
     for seed in SEEDS:
         rep = full_report(traj, COSH, sp, coup, tol_rel=tol, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
@@ -74,6 +97,100 @@ def test_grid_estimates_are_within_their_targets(grid_certify):
     assert err["edb_rel"] <= GRID_EDB_FRACTION * tol
     assert err["rce_rel"] <= 0.1 * RCE_TOL
     assert traj.meta["checkpoints"] == traj.times.size and "graded_start" not in traj.meta
+
+
+def test_every_battery_member_meets_the_gate_on_the_torus(torus_certify):
+    # each member is 1-Lipschitz in the path distance of the circle cut at 0,
+    # so the W1 estimate bounds its defect; seeds 0-39 draw the random members
+    # (grid-certify: the two tests above)
+    sp, coup, traj, _ = torus_certify
+    assert coup.points is not None
+    assert traj.meta["grid_error"]["rce_rel"] <= GRID_RCE_FRACTION * RCE_TOL
+    mass = float(traj.densities[0] @ coup.pi)
+    for seed in SEEDS:
+        for name, spread in rce_battery(traj, sp, coup, seed).items():
+            assert spread / mass <= RCE_TOL, (seed, name)
+
+
+def line_w1(x, f):
+    """W1 of the zero-mass vector f on the points x of a line, from scipy: the
+    distance between its positive and negative parts, times their mass."""
+    pos, neg = np.maximum(f, 0.0), np.maximum(-f, 0.0)
+    return pos.sum() * wasserstein_distance(x, x, pos, neg)
+
+
+def circle_w1(x, f):
+    """W1 of the zero-mass vector f on the unit circle at the uniform points x:
+    the minimum over c of sum |C_k - c| dx of the cumulative sums C, taken at
+    their median."""
+    C = np.cumsum(f)
+    return float(np.sum(np.abs(C - np.median(C))) * (x[1] - x[0]))
+
+
+@pytest.mark.parametrize("space", ["grid", "punctured", "torus"])
+def test_grid_sampler_series_is_the_w1_norm_of_the_rates(space):
+    # the continuity series at t: per component, the cumulative sums of L u(t)
+    # times the gaps; its l1 norm is the W1 norm of the signed, zero-mass L u(t),
+    # which the sampler returns itself on the same coupling without points
+    if space == "grid":
+        sp = build_grid(-1.0, 1.0, 40)
+        coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-2))
+    elif space == "punctured":
+        sp, coup, _ = punctured_config(40)
+    else:
+        sp = build_torus(48)
+        coup = coupling(sp, fractional_kernel(sp, 0.6))
+    plain = Coupling(theta=coup.theta, detailed_balance_residual=0.0, pi=coup.pi)
+    labels, ts = coup.labels, np.array([0.0, 1e-3, 0.05, 0.3])
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        u0 = rng.uniform(0.0, 2.0, sp.n)
+        parts = _spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
+        _, sums = _grid_series(parts, coup, COSH, u0, True)(ts)
+        _, rates = _grid_series(parts, plain, COSH, u0, True)(ts)
+        assert sums.shape == (ts.size, sp.n - labels.max() - 1)
+        for f, row in zip(rates, sums):
+            col = 0
+            for c in range(labels.max() + 1):
+                idx = np.flatnonzero(labels == c)
+                w1 = np.abs(row[col:col + idx.size - 1]).sum()
+                col += idx.size - 1
+                assert w1 == pytest.approx(line_w1(sp.points[idx], f[idx]), rel=1e-12, abs=0.0)
+            if space == "torus":
+                assert w1 >= circle_w1(sp.points, f) * (1.0 - 1e-12)
+
+
+def test_component_step_rate_is_exactly_zero_on_the_punctured_grid():
+    # the step is constant on each component: its rate needs no budget
+    sp, coup, u0 = punctured_config()
+    traj = evolve(coup, COSH, u0, 0.5, tol_rel=default_tolerance(1e-4))
+    assert coup.labels.max() == 1
+    step = np.where(sp.points < 0.0, 1.0, 0.0)
+    assert np.all(continuity_rates(traj, coup, step[:, None]) == 0.0)
+    assert traj.meta["grid_error"]["rce_rel"] <= GRID_RCE_FRACTION * RCE_TOL
+    rep = full_report(traj, COSH, sp, coup, tol_rel=default_tolerance(1e-4),
+                      mask=sp.points < 0.0)
+    assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL
+
+
+def test_graph_spaces_keep_the_l1_estimate():
+    # a graph's metric is no path distance of a line: the sampler returns L u
+    sp, coup = two_point()
+    assert coup.points is None
+    u0 = np.array([2.0, 0.5])
+    parts = _spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
+    _, lu = _grid_series(parts, coup, COSH, u0, True)(np.array([0.0]))
+    np.testing.assert_array_equal(lu[0], [0.75, -0.75])
+
+
+def test_vacuum_start_on_a_short_horizon_warns_nothing():
+    # the [0, h] estimate of a dissipation infinite at h too is inf - inf: it
+    # stays non-finite, and no RuntimeWarning escapes (the verdict is not pinned)
+    sp, coup = two_point()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1e-5)
+    assert not np.isfinite(traj.meta["grid_error"]["edb_rel"])
 
 
 def test_euler_runs_on_the_expm_grid():

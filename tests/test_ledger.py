@@ -170,6 +170,12 @@ def test_report_json_and_table():
     assert '"schema": 1' in payload
     table = render_table(rep)
     assert "verdict" in table and "mass" in table
+    # the plain continuity residual (Lipschitz members), on which the
+    # Dissipative verdict rests, next to the reflecting one; the JSON is unchanged
+    rows = dict(line.split("  ", 1) for line in table.splitlines())
+    assert rows["CE residual (Lipschitz)"].strip() == f"{rep.ce_residual:.3e}"
+    assert rows["RCE residual"].strip() == f"{rep.rce_residual:.3e}"
+    assert payload.count("ce_residual") == 2  # ce_residual and rce_residual, as before
 
 
 def punctured_grid(n=16):
