@@ -1,14 +1,16 @@
 """Checkpoint grids and composite Simpson quadrature on nonuniform grids.
 
 The quadrature pairs adjacent intervals into Simpson panels but never pairs
-intervals of very different widths, and an isolated non-finite sample at the
-first or last checkpoint is handled by a one-sided rectangle on its interval
-(the integrable-singularity convention).
+intervals of very different widths, splits each panel's total between its
+two intervals by the cubic through one neighbouring node, and handles an
+isolated non-finite sample at the first or last checkpoint by a one-sided
+rectangle on its interval (the integrable-singularity convention).
 
 ``error_controlled_grid`` chooses a grid for given series under a global
 error budget, estimating each panel of that rule against the same rule on
-its two halves; ``checkpoint_grid`` is the explicit uniform grid, optionally
-with a geometric prefix for the log(1/t) singularity of a vacuum start.
+its two halves, and each panel's split against the quartic through its five
+samples; ``checkpoint_grid`` is the explicit uniform grid, optionally with a
+geometric prefix for the log(1/t) singularity of a vacuum start.
 """
 
 from __future__ import annotations
@@ -48,29 +50,47 @@ def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True) -> np
     return _sorted_distinct(np.concatenate([np.asarray(pre), base]))
 
 
-def _piece_weights(x0, x1, x2, a, b):
-    """Weights of the samples at x0, x1, x2 in the integral over [a, b] of the
-    quadratic interpolating them.
+def _piece_weights(x, a, b):
+    """Weights of the samples at the nodes x[0], ..., x[m-1] in the integral
+    over [a, b] of the polynomial interpolating them, for m <= 6: the
+    three-point Gauss-Legendre rule, exact to degree 5, on each Lagrange basis
+    polynomial.  The nodes may be arrays (m, ...) of panels.
 
-    Evaluated in coordinates local to the panel; the cubic antiderivative at
-    absolute times would cancel catastrophically for tiny intervals far from
-    the origin.
+    Evaluated in coordinates local to a: differences of absolute times would
+    cancel catastrophically for tiny intervals far from the origin.
     """
-    c = a
-    y0, y1, y2, ya, yb = x0 - c, x1 - c, x2 - c, 0.0, b - c
-
-    def lag(r1, r2, scale):
-        F = lambda x: x**3 / 3.0 - (r1 + r2) * x**2 / 2.0 + r1 * r2 * x
-        return (F(yb) - F(ya)) / scale
-
-    return (lag(y1, y2, (y0 - y1) * (y0 - y2)), lag(y0, y2, (y1 - y0) * (y1 - y2)),
-            lag(y0, y1, (y2 - y0) * (y2 - y1)))
+    y = np.asarray(x, dtype=float) - a
+    B = b - a
+    others = _OTHERS[len(y)]  # (m, m - 1): the roots of each basis polynomial
+    d = np.multiply.outer(_GAUSS_AT, B)[:, None] - y  # (3, m, ...): Gauss points less nodes
+    num = np.multiply.reduce(d[:, others], axis=2)
+    den = np.multiply.reduce(y[:, None] - y[others], axis=1)
+    return ((num[0] + num[2]) * (5.0 / 18.0) + num[1] * (8.0 / 18.0)) * B / den
 
 
-def _quadratic_piece(x0, x1, x2, f0, f1, f2, a, b):
-    """Integral over [a, b] of the quadratic interpolating the three nodes."""
-    w0, w1, w2 = _piece_weights(x0, x1, x2, a, b)
-    return f0 * w0 + f1 * w1 + f2 * w2
+_GAUSS_AT = 0.5 + np.array([-0.5, 0.0, 0.5]) * np.sqrt(0.6)  # on [0, 1], weights 5, 8, 5 / 18
+_OTHERS = {m: np.array([[k for k in range(m) if k != i] for i in range(m)]) for m in range(2, 7)}
+
+
+def _poly_piece(x, f, a, b):
+    """Integral over [a, b] of the polynomial interpolating the samples f at
+    the nodes x."""
+    w = _piece_weights(x, a, b)
+    out = f[0] * w[0]
+    for fi, wi in zip(f[1:], w[1:]):
+        out = out + fi * wi
+    return out
+
+
+def _fourth_nodes(w, fin, j):
+    """For the panels opened by intervals j (intervals j and j + 1 of widths
+    w), the node whose sample the cubic split adds: j + 3, or else j - 1, where
+    its sample is finite and its interval at most _PAIR_WIDTH_RATIO times the
+    panel's wider one; -1 where neither is."""
+    wide = _PAIR_WIDTH_RATIO * np.maximum(w[j], w[j + 1])
+    after = np.append(fin, False)[j + 3] & (np.append(w, np.inf)[j + 2] <= wide)
+    before = (j >= 1) & fin[j - 1] & (w[j - 1] <= wide)
+    return np.where(after, j + 3, np.where(before, j - 1, -1))
 
 
 def _interval_pieces(ts, bs):
@@ -83,6 +103,12 @@ def _interval_pieces(ts, bs):
     opener exactly when it lies an even number of steps into its run of
     possible openers, so the plan is a few index arrays and every piece of
     one kind is evaluated in one array operation.
+
+    A panel's two pieces sum to its Simpson total.  The first takes the
+    integral of the cubic through the panel's three nodes and a fourth
+    (`_fourth_nodes`), and the second the rest of the total, so that the
+    cumulative integral is of the panel's order at its middle node too; a
+    panel without a fourth node keeps its quadratic's pieces.
     """
     ts = np.asarray(ts, dtype=float)
     bs = np.asarray(bs, dtype=float)
@@ -116,9 +142,15 @@ def _interval_pieces(ts, bs):
 
     pieces[k[bad]] = np.inf
     j = k[opens]
-    nodes = (ts[j], ts[j + 1], ts[j + 2], bs[j], bs[j + 1], bs[j + 2])
-    pieces[j] = _quadratic_piece(*nodes, ts[j], ts[j + 1])
-    pieces[j + 1] = _quadratic_piece(*nodes, ts[j + 1], ts[j + 2])
+    three = j + np.arange(3)[:, None]
+    pieces[j] = _poly_piece(ts[three], bs[three], ts[j], ts[j + 1])
+    pieces[j + 1] = _poly_piece(ts[three], bs[three], ts[j + 1], ts[j + 2])
+    nb = _fourth_nodes(w, fin, j)
+    j, nb = j[nb >= 0], nb[nb >= 0]
+    four = np.vstack([j + np.arange(3)[:, None], nb])
+    total = pieces[j] + pieces[j + 1]
+    pieces[j] = _poly_piece(ts[four], bs[four], ts[j], ts[j + 1])
+    pieces[j + 1] = total - pieces[j]
     # lone interval: quadratic through the better-conditioned neighbor triple
     j = k[lone]
     fin_next, w_next = np.append(fin, False), np.append(w, 0.0)  # j + 2 may pass the end
@@ -126,8 +158,8 @@ def _interval_pieces(ts, bs):
     right = ~left & fin_next[j + 2] & (w_next[j + 1] <= _PAIR_WIDTH_RATIO * w[j])
     trap = ~(left | right)
     for sel, i in ((left, j[left] - 1), (right, j[right])):
-        pieces[j[sel]] = _quadratic_piece(ts[i], ts[i + 1], ts[i + 2], bs[i], bs[i + 1], bs[i + 2],
-                                          ts[j[sel]], ts[j[sel] + 1])
+        three = i + np.arange(3)[:, None]
+        pieces[j[sel]] = _poly_piece(ts[three], bs[three], ts[j[sel]], ts[j[sel] + 1])
     j = j[trap]
     pieces[j] = 0.5 * (bs[j] + bs[j + 1]) * (ts[j + 1] - ts[j])
     return pieces, endpoint_singular
@@ -169,28 +201,43 @@ def _split(a, b):
     return np.where(geometric, np.sqrt(a * b), 0.5 * (a + b))
 
 
-def _panel_errors(x, fs):
+def _panel_errors(x, xn, has, fs, gs):
     """Estimated errors of the rule on panels (x0, x2, x4), each summed over
-    the components: of the panel, its Simpson value against Simpson on the
-    halves (x0, x1, x2) and (x2, x3, x4); and of the panel's first interval,
-    which ends the cumulative integral at the checkpoint x2, against Simpson on
-    that half.  ``x`` is (P, 5) and each f in ``fs`` is (P, 5, d); returns two
-    (P, len(fs)) arrays.  Both are linear in f, so the weights of the five
-    samples are formed first."""
-    # the six pieces (three nodes, then the interval) and their signs in the two errors
-    w = np.stack(_piece_weights(*x.T[_PIECES.T]), axis=1)  # (6, 3, P)
-    per_node = np.zeros((6, 5, x.shape[0]))
-    per_node[np.arange(6)[:, None], _PIECES[:, :3]] = w
-    weights = np.tensordot(_PIECE_SIGNS, per_node, 1).transpose(2, 0, 1)  # (P, 2, 5)
+    the components.  Of the panel: 16/15 of its Simpson value against Simpson
+    on the halves (x0, x1, x2) and (x2, x3, x4), Richardson's estimate of the
+    Simpson error (on a uniform panel, the panel against Boole's rule).  Of the
+    panel's first interval, which ends the cumulative integral at the
+    checkpoint x2: its piece against the integral of the quartic through the
+    five samples.  As in `_interval_pieces`, the piece is the cubic's through
+    x0, x2, x4 and the fourth node xn where the panel has one (``has``) and
+    the sample there is finite, and the quadratic's otherwise.
+
+    ``x`` is (P, 5), ``xn`` and ``has`` (P,), each f in ``fs`` (P, 5, d) and
+    each g in ``gs`` (P, d), its samples at xn (any node distinct from x0, x2
+    and x4 where there is no fourth).  Returns two (P, len(fs)) arrays.  Both
+    are linear in the samples, so their weights are formed first."""
+    X = x.T[_SIMPSON.T]  # three nodes, then the interval
+    per_node = np.zeros((4, 5, x.shape[0]))
+    per_node[np.arange(4)[:, None], _SIMPSON[:, :3]] = np.swapaxes(
+        _piece_weights(X[:3], X[3], X[4]), 0, 1)
+    quartic = _piece_weights(x.T, x[:, 0], x[:, 2])
+    cubic = _piece_weights(np.vstack([x.T[::2], xn]), x[:, 0], x[:, 2])
+    weights = np.stack([16.0 / 15.0 * (per_node[0] - per_node[1] - per_node[2]),
+                        per_node[3] - quartic, -quartic]).transpose(2, 0, 1)  # (P, 3, 5)
+    weights[:, 2, ::2] += cubic[:3].T
+    E, H = [], []
     with np.errstate(invalid="ignore"):  # a non-finite sample makes its estimates NaN
-        both = np.stack([np.abs(weights @ f).sum(axis=2) for f in fs], axis=2)  # (P, 2, len(fs))
-    return both[:, 0], both[:, 1]
+        for f, g in zip(fs, gs):
+            r = weights @ f
+            cubic_ok = has[:, None] & np.isfinite(g)
+            first = np.where(cubic_ok, r[:, 2] + cubic[3][:, None] * g, r[:, 1])
+            E.append(np.abs(r[:, 0]).sum(axis=1))
+            H.append(np.abs(first).sum(axis=1))
+    return np.stack(E, axis=1), np.stack(H, axis=1)
 
 
-_PIECES = np.array([[0, 2, 4, 0, 2], [0, 2, 4, 2, 4],   # the panel's rule
-                    [0, 1, 2, 0, 1], [0, 1, 2, 1, 2], [2, 3, 4, 2, 3], [2, 3, 4, 3, 4]])
-_PIECE_SIGNS = np.array([[1, 1, -1, -1, -1, -1],         # panel error
-                         [1, 0, -1, -1, 0, 0]])          # first-interval error
+# Simpson on the panel and on its halves, and the panel's quadratic on its first interval
+_SIMPSON = np.array([[0, 2, 4, 0, 4], [0, 1, 2, 0, 2], [2, 3, 4, 2, 4], [0, 2, 4, 0, 2]])
 
 
 class _Nodes:
@@ -236,11 +283,14 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
     its d components.
 
     The grid is a chain of Simpson panels (x0, x2, x4), each of two comparable
-    intervals, so the quadrature pairs exactly these.  The same rule on the
-    two halves, with the quarter points x1 and x3 sampled, estimates the error
-    of each panel and of its first interval, at whose end x2 the cumulative
-    integral also stops; a series' estimate is the sum over the panels plus
-    the largest first-interval error.  Seed panels run from ``first_step`` to
+    intervals, so the quadrature pairs exactly these.  With the quarter points
+    x1 and x3 sampled, Simpson on the two halves estimates the error of each
+    panel, and the quartic through the five samples that of its first
+    interval, at whose end x2 the cumulative integral also stops (the cubic
+    split, through the x2 of a neighbouring panel: `_panel_errors`); a series'
+    estimate is the sum over the panels plus the largest first-interval error.
+    A bisection moves the fourth node of the panels next to the halves, so
+    their estimates are taken anew too.  Seed panels run from ``first_step`` to
     T in t-ratios of at most 8.  Each round bisects, for every series over its
     budget, the panels whose first-interval error exceeds half the budget and
     the fewest largest panel errors that hold half their sum, or enough of it
@@ -278,26 +328,38 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
     at = dict(zip(nodes.t[:nodes.size].tolist(), range(nodes.size)))
     idx = np.array([[at[t] for t in panel] for panel in X.tolist()], dtype=np.intp)
 
-    def errors(ix):  # 64 panels at a time: the gathered samples stay O(320 d)
-        parts = [_panel_errors(nodes.t[b], [r[b] for r in nodes.rows])
-                 for b in np.split(ix, np.arange(64, len(ix), 64))]
+    def grid():  # the node rows of the checkpoint grid the panels make
+        keep = np.append(idx[:, [0, 2]].ravel(), idx[-1, 4])
+        return np.append(0, keep) if singular else keep
+
+    def errors(pos):  # 64 panels at a time: the gathered samples stay O(384 d)
+        g = grid()  # the fourth node of each panel's cubic split; x1 stands in where there is none
+        fourth = _fourth_nodes(np.diff(nodes.t[g]), np.ones(g.size, dtype=bool),
+                               2 * pos + singular)
+        has = fourth >= 0
+        nb, parts = np.where(has, g[fourth], idx[pos, 1]), []
+        for b in np.split(np.arange(len(pos)), np.arange(64, len(pos), 64)):
+            ix, n = idx[pos[b]], nb[b]
+            parts.append(_panel_errors(nodes.t[ix], nodes.t[n], has[b], [r[ix] for r in nodes.rows],
+                                       [r[n] for r in nodes.rows]))
         return np.concatenate([e for e, _ in parts]), np.concatenate([m for _, m in parts])
 
-    E, H = errors(idx)
+    E, H = errors(np.arange(len(idx)))
     fixed = np.zeros(len(idx), dtype=bool)
+    lead = np.zeros(B.size)  # the error on [0, h] before the first panel
     if singular:  # [0, h]: the rectangle, or the trapezoid, against the slope to the next node
         fixed[0] = True
         t, k1 = nodes.t, idx[0, 1]
         for c, f in enumerate(nodes.rows):
             if np.all(np.isfinite(f[0])):
-                lone = _quadratic_piece(0.0, h, t[k1], f[0], f[rows[0]], f[k1], 0.0, h)
-                E[0, c] += np.abs(0.5 * h * (f[0] + f[rows[0]]) - lone).sum()
+                lone = _poly_piece((0.0, h, t[k1]), (f[0], f[rows[0]], f[k1]), 0.0, h)
+                lead[c] = np.abs(0.5 * h * (f[0] + f[rows[0]]) - lone).sum()
             else:  # f ~ a log(1/t) + b on [0, h] leaves the error a h
                 with np.errstate(invalid="ignore"):  # inf at h too: the estimate is NaN
-                    E[0, c] += h * np.abs(f[rows[0]] - f[k1]).sum() / np.log(t[k1] / h)
+                    lead[c] = h * np.abs(f[rows[0]] - f[k1]).sum() / np.log(t[k1] / h)
     while len(idx) < _MAX_PANELS:
-        E_ok, H_ok = (np.where(np.isfinite(a), a, 0.0) for a in (E, H))
-        total, worst = E_ok.sum(axis=0), H_ok.max(axis=0)
+        E_ok, H_ok, lead_ok = (np.where(np.isfinite(a), a, 0.0) for a in (E, H, lead))
+        total, worst = E_ok.sum(axis=0) + lead_ok, H_ok.max(axis=0)
         over = np.flatnonzero(total + worst > B)
         if over.size == 0:
             break
@@ -325,11 +387,10 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
         first = (np.cumsum(reps) - reps)[pick]
         idx, E, H, fixed = (np.repeat(a, reps, axis=0) for a in (idx, E, H, fixed))
         idx[first], idx[first + 1] = left, right
-        halves = np.concatenate([first, first + 1])
-        E[halves], H[halves] = errors(idx[halves])
-    keep = np.append(idx[:, [0, 2]].ravel(), idx[-1, 4])
-    if singular:
-        keep = np.append(0, keep)
-    estimates = E.sum(axis=0) + H.max(axis=0)
-    estimates[~(np.isfinite(E).all(axis=0) & np.isfinite(H).all(axis=0))] = np.inf
-    return nodes.t[keep], estimates
+        # the halves, and the panels next to them, whose fourth node may have moved
+        near = (first[:, None] + np.arange(-1, 3)).ravel()
+        near = _sorted_distinct(near[(near >= 0) & (near < len(idx))])
+        E[near], H[near] = errors(near)
+    estimates = E.sum(axis=0) + lead + H.max(axis=0)
+    estimates[~np.isfinite(estimates)] = np.inf
+    return nodes.t[grid()], estimates

@@ -936,6 +936,53 @@ def test_run_certifies_components_of_nonzero_mask_split(tmp_path):
     assert invariants["component_mass_ok"], invariants
 
 
+TUNNEL = {
+    "schema": 1,
+    "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 200},
+    "kernel": {"type": "fractional", "s": 0.75, "mask": {"type": "punctured", "split": 0.0}},
+    "triple": "cosh",
+    "initial": {"type": "step", "left": 2.0, "right": 0.5, "split": 0.0},
+    "T": 0.5,
+}
+
+
+def tunnel_trajectory(path, kappa):
+    """trajectory.csv of TUNNEL's start evolved on its punctured coupling plus a
+    tunnel of weight kappa on the one edge across the split, (99, 100)."""
+    from jumpflow import spaces
+    from jumpflow.cli import parse_run_config
+    from jumpflow.densities import canonical_triple
+    from jumpflow.evolution import evolve, trajectory_csv_text
+
+    parsed = parse_run_config(TUNNEL)
+    coup = coupling_of(TUNNEL)
+    theta = coup.theta.copy()
+    theta[99, 100] = theta[100, 99] = kappa
+    tunnel = spaces.Coupling(theta=theta, detailed_balance_residual=0.0, pi=coup.pi,
+                             points=coup.points)
+    traj = evolve(tunnel, canonical_triple("cosh"), parsed["u0"], parsed["T"],
+                  tol_rel=parsed["tol_rel"])
+    path.write_text("".join(trajectory_csv_text(traj)))
+    return traj.times.size
+
+
+@pytest.mark.parametrize("kappa,verdict", [(0.0, "Balanced/Reflecting"), (1e-6, "Dissipative"),
+                                           (1e-5, "Neither")])
+def test_verify_reaches_every_verdict_from_a_tunnelled_trajectory(tmp_path, kappa, verdict):
+    # certified against the punctured config, a crossing of the split is seen
+    # by the component step (RCE) and by the chain rule; the Lipschitz members
+    # see it only through their O(h) jump, so kappa = 1e-6 stays within the
+    # continuity gate (Dissipative), and kappa = 1e-5 does not (Neither)
+    cfg = write_config(tmp_path, TUNNEL)
+    tpath = tmp_path / "trajectory.csv"
+    assert tunnel_trajectory(tpath, kappa) <= 40
+    vout = tmp_path / "vout"
+    assert main(["verify", "--config", cfg, "--trajectory", str(tpath), "--out", str(vout)]) == 0
+    ledger = json.loads((vout / "ledger.json").read_text())
+    assert ledger["verdict"] == verdict
+    assert ledger["invariants"]["component_mass_ok"] == (kappa == 0.0)
+
+
 def test_cli_csv_outputs_end_in_one_newline(tmp_path):
     out = tmp_path / "probe"
     assert main(["probe", "--s", "0.75", "--deltas", "0.2,0.1", "--n", "64",

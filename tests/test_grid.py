@@ -13,7 +13,7 @@ from jumpflow.evolution import (EDB_TOL_REL, GRID_EDB_FRACTION, GRID_RCE_FRACTIO
                                 continuity_rates, evolve, generator)
 from jumpflow.functionals import entropy, trajectory_L
 from jumpflow.ledger import VERDICT_BALANCED, default_tolerance, full_report, rce_battery
-from jumpflow.quadrature import (_interval_pieces, cumulative_simpson_nonuniform,
+from jumpflow.quadrature import (_interval_pieces, _poly_piece, cumulative_simpson_nonuniform,
                                  error_controlled_grid)
 from jumpflow.spaces import (Coupling, build_graph, build_grid, build_torus, coupling, cutoff,
                              fractional_kernel, matrix_kernel, punctured_mask)
@@ -79,12 +79,12 @@ def test_flux_config_meets_the_rce_gate_at_every_battery_seed():
     for seed in SEEDS:
         rep = full_report(traj, COSH, sp, coup, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
-    assert traj.times.size <= 480
+    assert traj.times.size <= 380
 
 
-def test_grid_certify_config_is_certified_on_at_most_400_checkpoints(grid_certify):
+def test_grid_certify_config_is_certified_on_at_most_300_checkpoints(grid_certify):
     sp, coup, traj, tol = grid_certify
-    assert traj.times.size <= 400
+    assert traj.times.size <= 300
     for seed in SEEDS:
         rep = full_report(traj, COSH, sp, coup, tol_rel=tol, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
@@ -97,6 +97,26 @@ def test_grid_estimates_are_within_their_targets(grid_certify):
     assert err["edb_rel"] <= GRID_EDB_FRACTION * tol
     assert err["rce_rel"] <= 0.1 * RCE_TOL
     assert traj.meta["checkpoints"] == traj.times.size and "graded_start" not in traj.meta
+
+
+@pytest.mark.parametrize("config", ["grid_certify", "torus_certify"])
+def test_estimates_bound_the_realized_errors_at_every_checkpoint(config, request):
+    # the exact continuity integral from the spectral parts, int_0^t L u =
+    # -pi ((e^(t lam) - 1) coef) @ back per component, taken in the W1 norm the
+    # grid is sized in (the sampler's series: cumulative sums times the gaps);
+    # the exact ledger is 0.  Middle checkpoints included.
+    sp, coup, traj, _ = request.getfixturevalue(config)
+    u0, ts = traj.densities[0], traj.times
+    parts = _spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
+    _, series = _grid_series(parts, coup, COSH, u0, True)(ts)
+    quadrature = np.column_stack([cumulative_simpson_nonuniform(ts, c)[0] for c in series.T])
+    exact = np.hstack([np.cumsum(-coup.pi[idx] * ((np.expm1(ts[:, None] * lam) * coef) @ back),
+                                 axis=1)[:, :-1] * np.diff(coup.points[idx])
+                       for idx, lam, coef, back in parts])
+    realized = np.abs(quadrature - exact).sum(axis=1) / float(u0 @ coup.pi)
+    assert np.all(realized <= traj.meta["grid_error"]["rce_rel"])
+    ledger = np.abs(trajectory_L(traj, COSH, coup)) / entropy(u0, sp.pi, COSH.entropy)
+    assert np.all(ledger <= traj.meta["grid_error"]["edb_rel"])
 
 
 def test_every_battery_member_meets_the_gate_on_the_torus(torus_certify):
@@ -226,12 +246,29 @@ def test_selected_panels_are_the_quadrature_panels(case):
     start = int(case == "log_singular")
     assert (times[1] == h) == bool(start)
     # the quadrature pairs exactly the selected panels: interval j >= start with
-    # j - start even opens one, so the pieces equal those of each panel alone
+    # j - start even opens one.  Each panel keeps the Simpson total of the panel
+    # alone, and its first piece is the cubic's through the fourth node that
+    # the rule names: j + 3, or else j - 1, where finite and its interval at
+    # most 3 times the panel's wider one (no fourth node: the panel alone)
     pieces, singular = _interval_pieces(times, values[:, 0])
     assert singular == bool(start)
+    cubic = 0
     for j in range(start, times.size - 1, 2):
         alone, _ = _interval_pieces(times[j:j + 3], values[j:j + 3, 0])
-        assert np.array_equal(pieces[j:j + 2], alone)
+        wide = 3.0 * np.max(np.diff(times[j:j + 3]))
+        nodes = [j, j + 1, j + 2]
+        if j + 3 < times.size and times[j + 3] - times[j + 2] <= wide:
+            nodes.append(j + 3)
+        elif j >= 1 and np.isfinite(values[j - 1, 0]) and times[j] - times[j - 1] <= wide:
+            nodes.append(j - 1)
+        if len(nodes) == 3:
+            assert np.array_equal(pieces[j:j + 2], alone)
+            continue
+        cubic += 1
+        first = _poly_piece(times[nodes][:, None], values[nodes, :1], times[j:j + 1],
+                            times[j + 1:j + 2])
+        assert pieces[j] == first[0] and pieces[j + 1] == alone.sum() - pieces[j]
+    assert cubic >= (times.size - 1 - start) // 2 - 1
     realized = np.abs(np.column_stack([cumulative_simpson_nonuniform(times, v)[0]
                                        for v in values.T]) - exact(times)).sum(axis=1)
     assert np.max(realized) <= estimate <= budget

@@ -2,6 +2,7 @@
 perfbench/tracer.py wraps by name still exists, and every value the tracer reads
 off a wrapped call's result can still be read."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -54,6 +55,21 @@ def test_tracer_targets_exist():
     missing = [f"{module}.{attr}" for module, attr in targets
                if not hasattr(importlib.import_module(f"jumpflow.{module}"), attr)]
     assert targets and missing == []
+
+
+def test_tracer_names_resolve_to_callables_in_jumpflow():
+    # read SPANS and COUNTED from the tracer's source, without running it: a
+    # renamed library call would leave its per-layer metric at 0
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and getattr(node.targets[0], "id", None) in ("SPANS", "COUNTED"):
+            tables[node.targets[0].id] = ast.literal_eval(node.value)
+    assert tables.keys() == {"SPANS", "COUNTED"} and all(tables.values())
+    unresolved = [f"{module}.{attr}" for _, module, attr in tables["SPANS"] + tables["COUNTED"]
+                  if not callable(getattr(importlib.import_module(f"jumpflow.{module}"), attr,
+                                          None))]
+    assert unresolved == []
 
 
 def test_tracer_observers_read_real_results(tmp_path):

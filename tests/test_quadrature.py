@@ -1,18 +1,23 @@
-"""Nonuniform composite Simpson: the array panel plan against the greedy scan."""
+"""Nonuniform composite Simpson: the array panel plan against the greedy scan,
+and the cubic split of each panel."""
 
 import numpy as np
 import pytest
 
 from jumpflow import quadrature
-from jumpflow.quadrature import (_interval_pieces, _quadratic_piece, _sorted_distinct,
-                                 checkpoint_grid, cumulative_simpson_nonuniform,
-                                 error_controlled_grid, simpson_nonuniform)
+from jumpflow.quadrature import (_fourth_nodes, _interval_pieces, _panel_errors, _poly_piece,
+                                 _sorted_distinct, _split, checkpoint_grid,
+                                 cumulative_simpson_nonuniform, error_controlled_grid,
+                                 simpson_nonuniform)
 
 RATIO = 3.0
 
 
 def _scan_pieces(ts, bs):
-    """The quadrature rule as a left-to-right scan, one interval at a time."""
+    """The quadrature rule as a left-to-right scan, one interval at a time.  A
+    panel's first piece is the cubic's through its nodes and t[k+3], or else
+    t[k-1], where finite and its interval at most RATIO times the panel's
+    wider one; the second piece is the rest of the panel's Simpson total."""
     K = ts.size - 1
     pieces = np.zeros(K)
     singular = False
@@ -32,15 +37,20 @@ def _scan_pieces(ts, bs):
             continue
         if k + 2 <= last and fin(k + 2) and \
                 max(w, ts[k + 2] - ts[k + 1]) <= RATIO * min(w, ts[k + 2] - ts[k + 1]):
-            nodes = (*ts[k:k + 3], *bs[k:k + 3])
-            pieces[k] = _quadratic_piece(*nodes, ts[k], ts[k + 1])
-            pieces[k + 1] = _quadratic_piece(*nodes, ts[k + 1], ts[k + 2])
+            total = sum(_poly_piece(ts[k:k + 3], bs[k:k + 3], a, b)
+                        for a, b in ((ts[k], ts[k + 1]), (ts[k + 1], ts[k + 2])))
+            wide = RATIO * max(w, ts[k + 2] - ts[k + 1])
+            fourth = [k + 3] if fin(k + 3) and ts[k + 3] - ts[k + 2] <= wide else \
+                [k - 1] if k >= 1 and fin(k - 1) and ts[k] - ts[k - 1] <= wide else []
+            nodes = [k, k + 1, k + 2] + fourth
+            pieces[k] = _poly_piece(ts[nodes], bs[nodes], ts[k], ts[k + 1])
+            pieces[k + 1] = total - pieces[k]
             k += 2
             continue
         if k >= 1 and fin(k - 1) and ts[k] - ts[k - 1] <= RATIO * w:
-            pieces[k] = _quadratic_piece(*ts[k - 1:k + 2], *bs[k - 1:k + 2], ts[k], ts[k + 1])
+            pieces[k] = _poly_piece(ts[k - 1:k + 2], bs[k - 1:k + 2], ts[k], ts[k + 1])
         elif fin(k + 2) and ts[k + 2] - ts[k + 1] <= RATIO * w:
-            pieces[k] = _quadratic_piece(*ts[k:k + 3], *bs[k:k + 3], ts[k], ts[k + 1])
+            pieces[k] = _poly_piece(ts[k:k + 3], bs[k:k + 3], ts[k], ts[k + 1])
         else:
             pieces[k] = 0.5 * (bs[k] + bs[k + 1]) * w
         k += 1
@@ -76,6 +86,22 @@ def test_panel_plan_matches_scan():
         _assert_same_pieces(got, want, ts, bs)
 
 
+def test_cumulative_integral_is_exact_for_cubics_at_every_checkpoint():
+    # panels of random widths, each halved at its midpoint (Simpson's total is
+    # exact for a cubic) with neighbours close enough to take the cubic split:
+    # the middle checkpoints are exact too
+    rng = np.random.default_rng(5)
+    for panels in (2, 3, 17):
+        half = np.repeat(rng.uniform(0.5, 1.0, panels), 2)
+        ts = 3.0 + np.concatenate([[0.0], np.cumsum(half)])
+        c = rng.normal(size=4)
+        poly = np.polynomial.Polynomial(c)
+        integral, flag = cumulative_simpson_nonuniform(ts, poly(ts))
+        exact = poly.integ()(ts) - poly.integ()(ts[0])
+        assert not flag
+        assert np.max(np.abs(integral - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
 def test_graded_grid_log_singularity():
     # int_0^T log(1/t) dt = T (1 - log T); the first sample is the rectangle
     T = 0.5
@@ -101,6 +127,25 @@ def test_sorted_distinct_is_np_unique():
               np.array([0.0, -0.0, 1.0, -0.0, 0.0]), np.array([2.5])]:
         got, want = _sorted_distinct(x), np.unique(x)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_grid_estimates_are_those_of_its_final_panels():
+    # the grid updates its estimates round by round, for the bisected halves
+    # and the panels next to them, whose fourth node may have moved; at the end
+    # they are the estimates of the final panels, with the quadrature's fourth nodes
+    def sample(ts):
+        return [np.column_stack([np.exp(-40.0 * ts), np.cos(7.0 * ts)])]
+
+    times, estimates = error_controlled_grid(sample, 1.0, [1e-10], first_step=1.0 / 40.0)
+    x0, x2, x4 = times[:-1:2], times[1::2], times[2::2]
+    X = np.column_stack([x0, _split(x0, x2), x2, _split(x2, x4), x4])
+    fourth = _fourth_nodes(np.diff(times), np.ones(times.size, dtype=bool),
+                           np.arange(0, times.size - 1, 2))
+    xn = np.where(fourth >= 0, times[fourth], X[:, 1])
+    E, H = _panel_errors(X, xn, fourth >= 0, [sample(X.ravel())[0].reshape(X.shape + (2,))],
+                         sample(xn))
+    assert np.count_nonzero(fourth >= 0) >= x0.size - 1
+    assert estimates == pytest.approx(E.sum(axis=0) + H.max(axis=0), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("T,first_step", [(1.0, 1.0 / 40.0), (0.5, 1e-3), (2.0, 3.0),
