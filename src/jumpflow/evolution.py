@@ -346,8 +346,8 @@ def continuity_spreads(traj: Trajectory, coup, phis) -> np.ndarray:
     phis = np.asarray(phis, dtype=float)
     obs = traj.densities @ (phis * coup.pi[:, None])
     rates = continuity_rates(traj, coup, phis)
-    integrals = [cumulative_simpson_nonuniform(traj.times, rate)[0] for rate in rates.T]
-    defect = (obs - obs[0]) - np.column_stack(integrals)
+    integrals, _ = cumulative_simpson_nonuniform(traj.times, rates)
+    defect = (obs - obs[0]) - integrals
     return defect.max(axis=0) - defect.min(axis=0)
 
 

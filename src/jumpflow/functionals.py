@@ -99,17 +99,31 @@ def edb_integrand(u, w, triple: DissipationTriple, theta) -> float:
 
 @dataclass(frozen=True)
 class _CheckpointPass:
-    """Per-checkpoint quantities that every certificate reads."""
+    """Per-checkpoint quantities that every certificate reads, with the
+    cumulative integrals of the integrand and the pairing."""
 
     times: np.ndarray
     entropy: np.ndarray     # E(u_k)
     integrand: np.ndarray   # R(u_k, w_k) + D(u_k); the pairing itself under the Fenchel split
     pairing: np.ndarray     # 1/2 sum_ij -(phi'(u_j) - phi'(u_i)) w_ij theta_ij, NaN if undefined
+    integral: np.ndarray          # of the integrand
+    pairing_integral: np.ndarray  # of the pairing: the same array under the Fenchel split
+    singular: bool                # the integrand's singular-endpoint flag
 
     def ledger(self):
         """(ledger series, cumulative integral of R + D, singular-endpoint flag)."""
-        integral, singular = cumulative_simpson_nonuniform(self.times, self.integrand)
-        return self.entropy - self.entropy[0] + integral, integral, singular
+        return self.entropy - self.entropy[0] + self.integral, self.integral, self.singular
+
+
+def _integrated(times, ent, integrand, pairing) -> _CheckpointPass:
+    """The pass with each distinct series integrated once, in one block call.
+    The quadrature reads an endpoint sample only through isfinite, so the
+    pairing's NaN and inf alike take the rectangle there; an interior one
+    makes the chain rule inconclusive, which then reads no integral."""
+    series = [integrand] if pairing is integrand else [integrand, pairing]
+    integrals, singular = cumulative_simpson_nonuniform(times, np.column_stack(series))
+    return _CheckpointPass(times, ent, integrand, pairing, integrals[:, 0], integrals[:, -1],
+                           bool(singular[0]))
 
 
 def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
@@ -126,7 +140,7 @@ def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
     ent = entropy_series(U, coup.pi, triple.entropy)
     if traj.linear_flux and triple.name in ("cosh", "quadratic"):
         g = _linear_pairings(U, triple.entropy, coup)
-        return _CheckpointPass(traj.times, ent, g, g)
+        return _integrated(traj.times, ent, g, g)
     g, b = np.empty(U.shape[0]), np.empty(U.shape[0])
     for k, u in enumerate(U):
         ui, uj = u[rows], u[cols]
@@ -141,7 +155,7 @@ def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
         dv = d_phi(triple, ui, uj)
         D = np.inf if np.any(np.isinf(dv)) else float(np.sum(dv * th))
         b[k] = R + D
-    return _CheckpointPass(traj.times, ent, b, g)
+    return _integrated(traj.times, ent, b, g)
 
 
 PASS_BLOCK = 64  # least rows per Laplacian GEMM (at most twice that): temporaries stay O(128 n)

@@ -20,7 +20,6 @@ import numpy as np
 from .densities import DissipationTriple
 from .evolution import EDB_TOL_REL, RCE_TOL, Trajectory, continuity_spreads
 from .functionals import _checkpoint_pass
-from .quadrature import cumulative_simpson_nonuniform
 
 __all__ = [
     "LedgerReport",
@@ -177,8 +176,7 @@ def _chain_rule(cp):
     g, ent = cp.pairing, cp.entropy
     if np.any(~np.isfinite(g[1:-1])):
         return np.full(g.size - 1, np.nan), True, float("nan")
-    # the quadrature reads an endpoint sample only through isfinite: NaN and inf alike
-    integral, _ = cumulative_simpson_nonuniform(cp.times, g)
+    integral = cp.pairing_integral
     # the pairing equals -dE/dt along the curve, so the defect is dE + integral
     defect = (ent - ent[0]) + integral
     return np.abs(np.diff(ent) + np.diff(integral)), False, float(np.max(defect) - np.min(defect))

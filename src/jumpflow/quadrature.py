@@ -75,10 +75,15 @@ _OTHERS = {m: np.array([[k for k in range(m) if k != i] for i in range(m)]) for 
 def _poly_piece(x, f, a, b):
     """Integral over [a, b] of the polynomial interpolating the samples f at
     the nodes x."""
-    w = _piece_weights(x, a, b)
-    out = f[0] * w[0]
-    for fi, wi in zip(f[1:], w[1:]):
-        out = out + fi * wi
+    return _weighted(f, _piece_weights(x, a, b))
+
+
+def _weighted(f, w):
+    """f[0] w[0] + f[1] w[1] + ..., summed in that order; f may be an iterator."""
+    f = iter(f)
+    out = next(f) * w[0]
+    for fi, wi in zip(f, w[1:]):
+        out += fi * wi
     return out
 
 
@@ -93,94 +98,132 @@ def _fourth_nodes(w, fin, j):
     return np.where(after, j + 3, np.where(before, j - 1, -1))
 
 
-def _interval_pieces(ts, bs):
-    """Per-interval integral contributions; inf at an interior sample poisons
-    its two intervals, an isolated non-finite endpoint gets the rectangle rule.
+class _Plan:
+    """The rule on the grid ts for samples finite where ``fin`` holds: which
+    samples each interval's piece weighs and with what weights.  It depends on
+    nothing else, so one plan serves every series of that finiteness pattern.
 
-    The plan is the greedy left-to-right scan: an interval opens a Simpson
+    An isolated non-finite sample at the first or last checkpoint gets the
+    rectangle on its interval; an interval with a non-finite end is infinite.
+    The rest follows the greedy left-to-right scan: an interval opens a Simpson
     panel with the next one when both are finite and of comparable width,
     otherwise it is a lone interval.  An interval is reached as a panel
     opener exactly when it lies an even number of steps into its run of
-    possible openers, so the plan is a few index arrays and every piece of
-    one kind is evaluated in one array operation.
+    possible openers, so the plan is a few index arrays.
 
     A panel's two pieces sum to its Simpson total.  The first takes the
     integral of the cubic through the panel's three nodes and a fourth
     (`_fourth_nodes`), and the second the rest of the total, so that the
     cumulative integral is of the panel's order at its middle node too; a
-    panel without a fourth node keeps its quadratic's pieces.
+    panel without a fourth node keeps its quadratic's pieces.  A lone interval
+    takes the quadratic through the better-conditioned neighbour triple, or
+    else the trapezoid.
     """
+
+    def __init__(self, ts, fin):
+        K = ts.size - 1
+        w = np.diff(ts)
+        first, last, self.singular = 0, K, False
+        rect = []  # (interval, node) of each rectangle
+        if not fin[0] and fin[1]:
+            rect.append((0, 1))
+            first, self.singular = 1, True
+        if not fin[K] and K >= 2 and fin[K - 1]:
+            rect.append((K - 1, K - 1))
+            last, self.singular = K - 1, True
+        k = np.arange(first, last)
+        bad = ~(fin[k] & fin[k + 1])
+        opener = np.zeros(k.size, dtype=bool)
+        j = k[:-1]
+        opener[:-1] = (~bad[:-1] & fin[j + 2]
+                       & (np.maximum(w[j], w[j + 1]) <= _PAIR_WIDTH_RATIO * np.minimum(w[j], w[j + 1])))
+        pos = np.arange(k.size)
+        starts = np.ones(k.size, dtype=bool)
+        starts[1:] = ~opener[:-1]
+        run_start = np.maximum.accumulate(np.where(starts, pos, 0))
+        opens = opener & ((pos - run_start) % 2 == 0)
+        closes = np.zeros(k.size, dtype=bool)
+        closes[1:] = opens[:-1]
+        lone = ~(opens | closes | bad)
+
+        self.infinite = k[bad]
+        panel, alone = k[opens], k[lone]
+        fin_next, w_next = np.append(fin, False), np.append(w, 0.0)  # alone + 2 may pass the end
+        left = (alone >= 1) & fin[alone - 1] & (w[alone - 1] <= _PAIR_WIDTH_RATIO * w[alone])
+        right = ~left & fin_next[alone + 2] & (w_next[alone + 1] <= _PAIR_WIDTH_RATIO * w[alone])
+        trap = ~(left | right)
+        # quadratic pieces: both of each panel's, then lone intervals' from the left and right
+        target = np.concatenate([panel, panel + 1, alone[left], alone[right]])
+        three = np.concatenate([panel, panel, alone[left] - 1, alone[right]]) + np.arange(3)[:, None]
+        rect, at = np.array(rect, dtype=np.intp).reshape(-1, 2).T
+        self.pieces = [(rect, at[None], w[rect][None]),
+                       (target, three, _piece_weights(ts[three], ts[target], ts[target + 1]))]
+        nb = _fourth_nodes(w, fin, panel)
+        panel = panel[nb >= 0]
+        four = np.vstack([panel + np.arange(3)[:, None], nb[nb >= 0]])
+        self.cubic = (panel, four, _piece_weights(ts[four], ts[panel], ts[panel + 1]))
+        self.trapezoids = alone[trap], w[alone[trap]]
+
+    def apply(self, bs):
+        """The pieces (K, m) of the columns of bs (K + 1, m), each finite where
+        the plan's pattern is."""
+        pieces = np.zeros((bs.shape[0] - 1, bs.shape[1]))
+        pieces[self.infinite] = np.inf
+        for target, nodes, weights in self.pieces:
+            pieces[target] = _weighted((bs[i] for i in nodes), weights[..., None])
+        j, nodes, weights = self.cubic
+        total = pieces[j] + pieces[j + 1]
+        pieces[j] = _weighted((bs[i] for i in nodes), weights[..., None])
+        pieces[j + 1] = total - pieces[j]
+        j, width = self.trapezoids
+        pieces[j] = 0.5 * (bs[j] + bs[j + 1]) * width[:, None]
+        return pieces
+
+
+def _interval_pieces(ts, bs):
+    """Per-interval integral contributions of the samples bs, (K + 1,) or
+    (K + 1, m) for m series, with the singular-endpoint flag of each series.
+
+    One `_Plan` is built per finiteness pattern of the columns and applied to
+    all columns of that pattern at once; each column's pieces are those of
+    the same series alone, bit for bit."""
     ts = np.asarray(ts, dtype=float)
     bs = np.asarray(bs, dtype=float)
-    K = ts.size - 1
-    if K < 1:
-        return np.zeros(0), False
-    fin = np.isfinite(bs)
-    w = np.diff(ts)
-    pieces = np.zeros(K)
-    first, last, endpoint_singular = 0, K, False
-    if not fin[0] and fin[1]:
-        pieces[0] = bs[1] * (ts[1] - ts[0])
-        first, endpoint_singular = 1, True
-    if not fin[K] and K >= 2 and fin[K - 1]:
-        pieces[K - 1] = bs[K - 1] * (ts[K] - ts[K - 1])
-        last, endpoint_singular = K - 1, True
-    k = np.arange(first, last)
-    bad = ~(fin[k] & fin[k + 1])
-    opener = np.zeros(k.size, dtype=bool)
-    j = k[:-1]
-    opener[:-1] = (~bad[:-1] & fin[j + 2]
-                   & (np.maximum(w[j], w[j + 1]) <= _PAIR_WIDTH_RATIO * np.minimum(w[j], w[j + 1])))
-    pos = np.arange(k.size)
-    starts = np.ones(k.size, dtype=bool)
-    starts[1:] = ~opener[:-1]
-    run_start = np.maximum.accumulate(np.where(starts, pos, 0))
-    opens = opener & ((pos - run_start) % 2 == 0)
-    closes = np.zeros(k.size, dtype=bool)
-    closes[1:] = opens[:-1]
-    lone = ~(opens | closes | bad)
-
-    pieces[k[bad]] = np.inf
-    j = k[opens]
-    three = j + np.arange(3)[:, None]
-    pieces[j] = _poly_piece(ts[three], bs[three], ts[j], ts[j + 1])
-    pieces[j + 1] = _poly_piece(ts[three], bs[three], ts[j + 1], ts[j + 2])
-    nb = _fourth_nodes(w, fin, j)
-    j, nb = j[nb >= 0], nb[nb >= 0]
-    four = np.vstack([j + np.arange(3)[:, None], nb])
-    total = pieces[j] + pieces[j + 1]
-    pieces[j] = _poly_piece(ts[four], bs[four], ts[j], ts[j + 1])
-    pieces[j + 1] = total - pieces[j]
-    # lone interval: quadratic through the better-conditioned neighbor triple
-    j = k[lone]
-    fin_next, w_next = np.append(fin, False), np.append(w, 0.0)  # j + 2 may pass the end
-    left = (j >= 1) & fin[j - 1] & (w[j - 1] <= _PAIR_WIDTH_RATIO * w[j])
-    right = ~left & fin_next[j + 2] & (w_next[j + 1] <= _PAIR_WIDTH_RATIO * w[j])
-    trap = ~(left | right)
-    for sel, i in ((left, j[left] - 1), (right, j[right])):
-        three = i + np.arange(3)[:, None]
-        pieces[j[sel]] = _poly_piece(ts[three], bs[three], ts[j[sel]], ts[j[sel] + 1])
-    j = j[trap]
-    pieces[j] = 0.5 * (bs[j] + bs[j + 1]) * (ts[j + 1] - ts[j])
-    return pieces, endpoint_singular
-
-
-def simpson_nonuniform(ts, bs):
-    """Composite Simpson integral of samples bs over the grid ts."""
-    pieces, _ = _interval_pieces(ts, bs)
-    return float(pieces.sum())
+    block = bs[:, None] if bs.ndim == 1 else bs
+    pieces = np.zeros((max(ts.size - 1, 0), block.shape[1]))
+    singular = np.zeros(block.shape[1], dtype=bool)
+    if ts.size >= 2:
+        fin = np.isfinite(block)
+        todo = np.ones(block.shape[1], dtype=bool)
+        while todo.any():
+            pattern = fin[:, np.argmax(todo)]
+            cols = todo & np.all(fin == pattern[:, None], axis=0)
+            plan = _Plan(ts, pattern)
+            pieces[:, cols], singular[cols] = plan.apply(block[:, cols]), plan.singular
+            todo &= ~cols
+    if bs.ndim == 1:
+        return pieces[:, 0], bool(singular[0])
+    return pieces, singular
 
 
 def cumulative_simpson_nonuniform(ts, bs):
     """Cumulative integral at every checkpoint plus a singular-endpoint flag.
 
     Returns ``(I, endpoint_singular)`` with I[0] = 0 and
-    I[k] = integral over [ts[0], ts[k]].  Interval additivity is exact by
-    construction.
+    I[k] = integral over [ts[0], ts[k]].  For samples bs of shape (K + 1, m),
+    m series, I is (K + 1, m) and the flag an array of m.  Interval additivity
+    is exact by construction.
     """
     pieces, flag = _interval_pieces(ts, bs)
-    out = np.concatenate([[0.0], np.cumsum(pieces)])
+    out = np.zeros((pieces.shape[0] + 1,) + pieces.shape[1:])
+    np.cumsum(pieces, axis=0, out=out[1:])
     return out, flag
+
+
+def simpson_nonuniform(ts, bs):
+    """Composite Simpson integral of samples bs over the grid ts: the last
+    entry of the cumulative integral."""
+    return float(cumulative_simpson_nonuniform(ts, bs)[0][-1])
 
 
 # ---------------------------------------------------------------------------

@@ -946,24 +946,38 @@ TUNNEL = {
 }
 
 
-def tunnel_trajectory(path, kappa):
-    """trajectory.csv of TUNNEL's start evolved on its punctured coupling plus a
-    tunnel of weight kappa on the one edge across the split, (99, 100)."""
+def tunnel_config(n=200):
+    return dict(TUNNEL, space=dict(TUNNEL["space"], n=n))
+
+
+def tunnel_trajectory(path, kappa, n=200):
+    """tunnel_config(n)'s start evolved on its punctured coupling plus a tunnel
+    of weight kappa on the one edge across the split, (n/2 - 1, n/2), written
+    to ``path`` as trajectory.csv."""
     from jumpflow import spaces
     from jumpflow.cli import parse_run_config
     from jumpflow.densities import canonical_triple
     from jumpflow.evolution import evolve, trajectory_csv_text
 
-    parsed = parse_run_config(TUNNEL)
-    coup = coupling_of(TUNNEL)
+    cfg = tunnel_config(n)
+    parsed = parse_run_config(cfg)
+    coup = coupling_of(cfg)
     theta = coup.theta.copy()
-    theta[99, 100] = theta[100, 99] = kappa
+    theta[n // 2 - 1, n // 2] = theta[n // 2, n // 2 - 1] = kappa
     tunnel = spaces.Coupling(theta=theta, detailed_balance_residual=0.0, pi=coup.pi,
                              points=coup.points)
     traj = evolve(tunnel, canonical_triple("cosh"), parsed["u0"], parsed["T"],
                   tol_rel=parsed["tol_rel"])
     path.write_text("".join(trajectory_csv_text(traj)))
-    return traj.times.size
+    return traj
+
+
+def verify_ledger(tmp_path, cfg, tpath):
+    """ledger.json of `verify` on the trajectory file ``tpath``, which must exit 0."""
+    vout = tmp_path / "vout"
+    assert main(["verify", "--config", write_config(tmp_path, cfg), "--trajectory", str(tpath),
+                 "--out", str(vout)]) == 0
+    return json.loads((vout / "ledger.json").read_text())
 
 
 @pytest.mark.parametrize("kappa,verdict", [(0.0, "Balanced/Reflecting"), (1e-6, "Dissipative"),
@@ -973,14 +987,56 @@ def test_verify_reaches_every_verdict_from_a_tunnelled_trajectory(tmp_path, kapp
     # by the component step (RCE) and by the chain rule; the Lipschitz members
     # see it only through their O(h) jump, so kappa = 1e-6 stays within the
     # continuity gate (Dissipative), and kappa = 1e-5 does not (Neither)
-    cfg = write_config(tmp_path, TUNNEL)
     tpath = tmp_path / "trajectory.csv"
-    assert tunnel_trajectory(tpath, kappa) <= 40
-    vout = tmp_path / "vout"
-    assert main(["verify", "--config", cfg, "--trajectory", str(tpath), "--out", str(vout)]) == 0
-    ledger = json.loads((vout / "ledger.json").read_text())
+    assert tunnel_trajectory(tpath, kappa).times.size <= 40
+    ledger = verify_ledger(tmp_path, TUNNEL, tpath)
     assert ledger["verdict"] == verdict
     assert ledger["invariants"]["component_mass_ok"] == (kappa == 0.0)
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_lipschitz_class_sees_a_crossing_through_its_jump_of_h(tmp_path, n):
+    # the step jumps by 1 across the tunnel, a 1-Lipschitz member by at most
+    # the spacing h = 2/n: ce/rce is h.  At kappa = 1e-5 the crossing's defect
+    # (ce about 3e-8) stands far above the grid's continuity quadrature error
+    # (budget 1e-9 of the mass); at kappa = 1e-6 and n = 200 that error is
+    # some 7 % of ce and the ratio reads 1.07 h
+    tpath = tmp_path / "trajectory.csv"
+    tunnel_trajectory(tpath, 1e-5, n)
+    ledger = verify_ledger(tmp_path, tunnel_config(n), tpath)
+    assert ledger["ce_residual"] / ledger["rce_residual"] == pytest.approx(2.0 / n, rel=0.05)
+
+
+def test_time_reversed_trajectory_fails_the_edi(tmp_path):
+    # the tunnelled n = 200, kappa = 1e-6 solution run backwards: its entropy
+    # increases, so the inequality fails (its linear flux now runs against the
+    # motion, so the continuity equation too) and the verdict is Neither, exit 0
+    from jumpflow.evolution import Trajectory, trajectory_csv_text
+
+    traj = tunnel_trajectory(tmp_path / "forward.csv", 1e-6)
+    back = Trajectory(times=traj.T - traj.times[::-1], densities=traj.densities[::-1])
+    assert back.times[0] == 0.0 and back.times[-1] == traj.T
+    tpath = tmp_path / "trajectory.csv"
+    tpath.write_text("".join(trajectory_csv_text(back)))
+    ledger = verify_ledger(tmp_path, TUNNEL, tpath)
+    assert ledger["verdict"] == "Neither"
+    assert not ledger["edi_ok"] and not ledger["invariants"]["entropy_monotone_ok"]
+
+
+@pytest.mark.parametrize("base", [DEFAULT_GRID["vacuum"], DEFAULT_GRID["uncut"]],
+                         ids=["vacuum", "uncut"])
+def test_split_path_chain_spread_is_the_edb_spread(tmp_path, base):
+    # on the linear flux of a canonical triple the chain rule integrates the
+    # ledger's own integrand: the two spreads are one number, also through
+    # verify --flux
+    cfg = write_config(tmp_path, dict(base, export_flux=True))
+    out, vout = tmp_path / "out", tmp_path / "vout"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["verify", "--config", cfg, "--trajectory", str(out / "trajectory.csv"),
+                 "--flux", str(out / "flux.csv"), "--out", str(vout)]) == 0
+    for d in (out, vout):
+        ledger = json.loads((d / "ledger.json").read_text())
+        assert ledger["flags"]["chain_spread"] == ledger["max_edb_residual"] > 0.0
 
 
 def test_cli_csv_outputs_end_in_one_newline(tmp_path):

@@ -109,7 +109,7 @@ def test_estimates_bound_the_realized_errors_at_every_checkpoint(config, request
     u0, ts = traj.densities[0], traj.times
     parts = _spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
     _, series = _grid_series(parts, coup, COSH, u0, True)(ts)
-    quadrature = np.column_stack([cumulative_simpson_nonuniform(ts, c)[0] for c in series.T])
+    quadrature, _ = cumulative_simpson_nonuniform(ts, series)
     exact = np.hstack([np.cumsum(-coup.pi[idx] * ((np.expm1(ts[:, None] * lam) * coef) @ back),
                                  axis=1)[:, :-1] * np.diff(coup.points[idx])
                        for idx, lam, coef, back in parts])
@@ -269,6 +269,5 @@ def test_selected_panels_are_the_quadrature_panels(case):
                             times[j + 1:j + 2])
         assert pieces[j] == first[0] and pieces[j + 1] == alone.sum() - pieces[j]
     assert cubic >= (times.size - 1 - start) // 2 - 1
-    realized = np.abs(np.column_stack([cumulative_simpson_nonuniform(times, v)[0]
-                                       for v in values.T]) - exact(times)).sum(axis=1)
+    realized = np.abs(cumulative_simpson_nonuniform(times, values)[0] - exact(times)).sum(axis=1)
     assert np.max(realized) <= estimate <= budget

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from jumpflow import quadrature
-from jumpflow.quadrature import (_fourth_nodes, _interval_pieces, _panel_errors, _poly_piece,
-                                 _sorted_distinct, _split, checkpoint_grid,
+from jumpflow.quadrature import (_Plan, _fourth_nodes, _interval_pieces, _panel_errors,
+                                 _poly_piece, _sorted_distinct, _split, checkpoint_grid,
                                  cumulative_simpson_nonuniform, error_controlled_grid,
                                  simpson_nonuniform)
 
@@ -112,7 +112,67 @@ def test_graded_grid_log_singularity():
     assert flag
     assert integral[0] == 0.0
     assert integral[-1] == pytest.approx(T * (1.0 - np.log(T)), rel=1e-6)
-    assert simpson_nonuniform(ts, bs) == pytest.approx(integral[-1], rel=1e-13)
+    assert simpson_nonuniform(ts, bs) == integral[-1]
+
+
+def _block_cases(rng):
+    """Grids with their (K + 1, m) sample blocks, several finiteness patterns
+    mixed in each block."""
+    # intervals 1-2, 6-7 and 10-11 are panels, only 6-7 with a fourth node
+    # (the cubic split); of the lone intervals 0 takes the quadratic from the
+    # right, 3, 5, 8 and 9 from the left and 4 the trapezoid
+    ts = np.concatenate([[0.0], np.cumsum([5.0, 0.2, 0.2, 5.0, 0.2, 5.0, 1.0, 1.0, 1.0, 9.0,
+                                           1.0, 1.0])])
+    bs = rng.normal(size=(ts.size, 7))
+    bs[0, 1] = np.inf            # the rectangle on the first interval
+    bs[-1, 2] = np.nan           # the rectangle on the last
+    bs[0, 3] = bs[-1, 3] = np.inf
+    bs[5, 4] = bs[5, 5] = -np.inf  # an interior inf, the same pattern in two columns
+    yield ts, bs
+    for K in (1, 2):             # K + 1 <= 3 samples
+        ts = np.cumsum(rng.random(K + 1) + 0.1)
+        bs = rng.normal(size=(K + 1, 4))
+        bs[0, 1] = np.inf
+        bs[-1, 2] = np.inf
+        bs[0, 3] = bs[-1, 3] = np.nan
+        yield ts, bs
+    for trial in range(400):
+        ts, _ = _random_case(rng, trial)
+        bs = rng.normal(size=(ts.size, int(rng.integers(1, 6))))
+        for _ in range(int(rng.integers(0, 4))):
+            bs[rng.integers(0, ts.size), rng.integers(0, bs.shape[1])] = rng.choice(
+                [np.inf, -np.inf, np.nan])
+        yield ts, bs
+
+
+def test_block_call_is_the_per_column_call_bit_for_bit(monkeypatch):
+    # one plan per finiteness pattern, applied to every column of that
+    # pattern: each column's integral and flag are those of the series alone
+    plans = []
+
+    class Counted(_Plan):
+        def __init__(self, ts, fin):
+            super().__init__(ts, fin)
+            plans.append(self)
+
+    rng = np.random.default_rng(7)
+    for case, (ts, bs) in enumerate(_block_cases(rng)):
+        monkeypatch.setattr(quadrature, "_Plan", Counted)
+        plans.clear()
+        integral, flags = cumulative_simpson_nonuniform(ts, bs)
+        patterns = {np.isfinite(c).tobytes() for c in bs.T}
+        assert len(plans) == len(patterns)
+        monkeypatch.setattr(quadrature, "_Plan", _Plan)
+        assert integral.shape == bs.shape and flags.shape == (bs.shape[1],)
+        for c, col in enumerate(bs.T):
+            alone, flag = cumulative_simpson_nonuniform(ts, col)
+            assert integral[:, c].tobytes() == alone.tobytes(), (case, c)
+            assert flags[c] == flag and isinstance(flag, bool)
+        if case == 0:  # every kind of piece occurs
+            finite = plans[0]
+            assert finite.trapezoids[0].tolist() == [4] and finite.cubic[0].tolist() == [6]
+            assert flags.tolist() == [False, True, True, True, False, False, False]
+            assert np.isinf(integral[-1, 4]) and np.isinf(integral[-1, 5])
 
 
 def test_single_interval_and_empty_grid():
