@@ -107,10 +107,10 @@ def build_space(cfg, path="space"):
 
 
 def build_kernel(cfg, space, path="kernel"):
-    """The configured kernel and the split of its punctured mask (None without one)."""
+    """The configured kernel.  The components a punctured mask leaves are the
+    coupling's (``Coupling.labels``), which the ledger reads for any kernel."""
     _require_keys(cfg, path, ["type"], ["s", "mask", "cutoff", "rates"])
     kind = cfg["type"]
-    split = None
     if kind == "fractional":
         _require_keys(cfg, path, ["type", "s"], ["mask", "cutoff"])
         s = _number(cfg["s"], f"{path}.s")
@@ -144,7 +144,7 @@ def build_kernel(cfg, space, path="kernel"):
         if eps <= 0:
             raise SchemaError(f"{path}.cutoff", "must be positive")
         kernel = spaces.cutoff(kernel, space, eps)
-    return kernel, split
+    return kernel
 
 
 def build_initial(cfg, space, path="initial"):
@@ -208,7 +208,7 @@ def parse_run_config(cfg):
     if cfg["schema"] != 1:
         raise SchemaError("config.schema", "unsupported schema version")
     space = build_space(cfg["space"])
-    kernel, mask_split = build_kernel(cfg["kernel"], space)
+    kernel = build_kernel(cfg["kernel"], space)
     if cfg["triple"] not in ("cosh", "quadratic"):
         raise SchemaError("config.triple", "must be 'cosh' or 'quadratic'")
     triple = densities.canonical_triple(cfg["triple"])
@@ -231,7 +231,7 @@ def parse_run_config(cfg):
     if tol_rel is None:
         tol_rel = ledger.default_tolerance((cfg["kernel"] or {}).get("cutoff"))
     return {
-        "space": space, "kernel": kernel, "mask_split": mask_split, "triple": triple,
+        "space": space, "kernel": kernel, "triple": triple,
         "u0": u0, "T": T, "integrator": config, "seed": seed, "export_flux": export_flux,
         "tol_rel": tol_rel,
     }
@@ -317,10 +317,8 @@ def _write_csv_json(out, stem, lines, obj):
 
 
 def _ledger_for(parsed, traj, coup):
-    split = parsed["mask_split"]
-    mask = None if split is None else parsed["space"].points < split
     return ledger.full_report(traj, parsed["triple"], parsed["space"], coup,
-                              tol_rel=parsed["tol_rel"], seed=parsed["seed"], mask=mask)
+                              tol_rel=parsed["tol_rel"], seed=parsed["seed"])
 
 
 def cmd_run(args):

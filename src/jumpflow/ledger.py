@@ -3,10 +3,11 @@
 The report checks, on the checkpoint lattice: the energy-dissipation balance
 on every checkpoint pair, the one-sided energy-dissipation inequality, the
 chain rule, the continuity equation against a battery of test functions
-(including the component step function when a punctured mask is present),
-and the hard trajectory invariants (mass, maximum principle, entropy
-monotonicity, component masses).  ``pointwise_edb`` checks the pointwise
-balance against a difference stencil on its own; the report does not.
+(including the steps between the coupling's components when it has more
+than one), and the hard trajectory invariants (mass, maximum principle,
+entropy monotonicity, the mass of each component).  ``pointwise_edb`` checks
+the pointwise balance against a difference stencil on its own; the report
+does not.
 """
 
 from __future__ import annotations
@@ -98,8 +99,8 @@ class LedgerReport:
         }
 
 
-def _invariant_checks(traj: Trajectory, ent, pi, mask=None) -> dict:
-    U = traj.densities
+def _invariant_checks(traj: Trajectory, ent, coup) -> dict:
+    U, pi, labels = traj.densities, coup.pi, coup.labels
     mass = U @ pi
     mass_scale = max(abs(mass[0]), 1e-300)
     mass_drift = float(np.max(np.abs(mass - mass[0])) / mass_scale)
@@ -114,18 +115,16 @@ def _invariant_checks(traj: Trajectory, ent, pi, mask=None) -> dict:
         "entropy_increase": entropy_increase,
         "entropy_monotone_ok": entropy_increase <= 1e-10,
     }
-    if mask is not None:
-        comp = np.asarray(mask, dtype=bool)
-        m1 = U[:, comp] @ pi[comp]
-        m2 = U[:, ~comp] @ pi[~comp]
-        drift = max(float(np.max(np.abs(m1 - m1[0]))), float(np.max(np.abs(m2 - m2[0]))))
+    if labels.max() > 0:
+        masses = (U[:, labels == c] @ pi[labels == c] for c in range(labels.max() + 1))
+        drift = max(float(np.max(np.abs(m - m[0]))) for m in masses)
         inv["component_mass_drift"] = drift / mass_scale
         inv["component_mass_ok"] = drift / mass_scale <= 1e-12
     return inv
 
 
 def edb_report(traj: Trajectory, triple: DissipationTriple, coup,
-               tol_rel: Optional[float] = None, mask=None) -> LedgerReport:
+               tol_rel: Optional[float] = None) -> LedgerReport:
     """Energy-dissipation report: ledger series, per-interval residuals,
     balance and inequality verdicts, and the invariant checklist.
 
@@ -133,10 +132,10 @@ def edb_report(traj: Trajectory, triple: DissipationTriple, coup,
     entropy minimum a roundoff-level floor tied to the total mass keeps the
     relative test meaningful.
     """
-    return _edb_report(traj, _checkpoint_pass(traj, triple, coup), coup, tol_rel, mask)
+    return _edb_report(traj, _checkpoint_pass(traj, triple, coup), coup, tol_rel)
 
 
-def _edb_report(traj, cp, coup, tol_rel, mask) -> LedgerReport:
+def _edb_report(traj, cp, coup, tol_rel) -> LedgerReport:
     series, _, singular = cp.ledger()
     mass = float(traj.densities[0] @ coup.pi)
     scale = max(float(cp.entropy[0]), 1e-12 * (1.0 + mass))
@@ -152,7 +151,7 @@ def _edb_report(traj, cp, coup, tol_rel, mask) -> LedgerReport:
         edb_ok=edb_ok,
         tol_abs=tol,
         energy_scale=scale,
-        invariants=_invariant_checks(traj, cp.entropy, coup.pi, mask=mask),
+        invariants=_invariant_checks(traj, cp.entropy, coup),
         flags={"initial_singular": singular},
     )
 
@@ -220,17 +219,18 @@ def _lipschitz_battery(points, dist, seed: int):
     return battery
 
 
-def rce_battery(traj: Trajectory, space, coup, seed: int = 0, mask=None) -> dict:
+def rce_battery(traj: Trajectory, space, coup, seed: int = 0) -> dict:
     """Continuity-equation residuals over the test-function battery.
 
-    With a punctured mask present the battery includes the component step
-    function, the discontinuous member of the quadratic test class that
-    separates the reflecting equation from the plain one.
+    With k >= 2 coupling components it includes the steps between them, which
+    separate the reflecting equation from the plain one: the indicator of each
+    component c < k - 1 (``component_step``, then ``component_step_{c}``).  The
+    last component's is the constant minus these, so it adds nothing.
     """
     battery = _lipschitz_battery(space.points, space.dist, seed)
-    if mask is not None:
-        step = np.where(np.asarray(mask, dtype=bool), 1.0, 0.0)
-        battery.append(("component_step", step))
+    labels = coup.labels
+    battery += [(f"component_step_{c}" if c else "component_step", np.where(labels == c, 1.0, 0.0))
+                for c in range(labels.max())]
     phis = np.column_stack([phi_vals for _, phi_vals in battery])
     spreads = continuity_spreads(traj, coup, phis)
     return {name: float(r) for (name, _), r in zip(battery, spreads)}
@@ -254,19 +254,19 @@ def upgrade_verdict(report: LedgerReport) -> str:
 
 
 def full_report(traj: Trajectory, triple: DissipationTriple, space, coup,
-                tol_rel: Optional[float] = None, seed: int = 0, mask=None) -> LedgerReport:
+                tol_rel: Optional[float] = None, seed: int = 0) -> LedgerReport:
     """Assemble the complete ledger: balance, chain rule, continuity battery
     and the final verdict."""
     cp = _checkpoint_pass(traj, triple, coup)
-    report = _edb_report(traj, cp, coup, tol_rel, mask)
+    report = _edb_report(traj, cp, coup, tol_rel)
     chain, report.chain_inconclusive, chain_spread = _chain_rule(cp)
     report.max_chain_residual = float(np.max(chain))
     if not report.chain_inconclusive:
         report.chain_ok = bool(np.isfinite(chain_spread) and chain_spread <= report.tol_abs)
         report.flags["chain_spread"] = chain_spread
-    residuals = rce_battery(traj, space, coup, seed, mask)
+    residuals = rce_battery(traj, space, coup, seed)
     mass_scale = max(float(traj.densities[0] @ coup.pi), 1e-300)
-    lipschitz = {k: v for k, v in residuals.items() if k != "component_step"}
+    lipschitz = {k: v for k, v in residuals.items() if not k.startswith("component_step")}
     report.ce_residual = max(lipschitz.values()) / mass_scale
     report.ce_ok = report.ce_residual <= RCE_TOL
     report.rce_residual = max(residuals.values()) / mass_scale

@@ -67,7 +67,7 @@ def punctured_run():
     coup = coupling(sp, fractional_kernel(sp, 0.75, mask=mask))
     u0 = 1.0 + 0.8 * np.sin(np.pi * sp.points) * (sp.points < 0) + 0.3 * (sp.points > 0)
     traj = evolve(coup, COSH, u0, 0.5)
-    rep = full_report(traj, COSH, sp, coup, mask=sp.points < 0)
+    rep = full_report(traj, COSH, sp, coup)
     return {"space": sp, "coupling": coup, "traj": traj, "report": rep}
 
 

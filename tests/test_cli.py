@@ -1007,6 +1007,111 @@ def test_lipschitz_class_sees_a_crossing_through_its_jump_of_h(tmp_path, n):
     assert ledger["ce_residual"] / ledger["rce_residual"] == pytest.approx(2.0 / n, rel=0.05)
 
 
+def matrix_twin(cfg):
+    """``cfg`` with its kernel written out as a `matrix` kernel of the same rates."""
+    from jumpflow.cli import parse_run_config
+
+    rates = parse_run_config(cfg)["kernel"].rates
+    return dict(cfg, kernel={"type": "matrix", "rates": rates.tolist()})
+
+
+@pytest.mark.parametrize("kappa,verdict", [(0.0, "Balanced/Reflecting"), (1e-7, "Dissipative"),
+                                           (1e-6, "Dissipative")])
+def test_matrix_kernel_certifies_the_components_of_its_punctured_twin(tmp_path, kappa, verdict):
+    # the step and the component masses come from the coupling, not from the
+    # kernel type: the punctured rates written as a matrix give the same ledger.
+    # At kappa = 1e-7 only the step sees the crossing (rce 3e-8, ce 3e-10), so
+    # a ledger without it would read Balanced/Reflecting
+    tpath = tmp_path / "trajectory.csv"
+    tunnel_trajectory(tpath, kappa)
+    texts = []
+    for name, cfg in [("punctured", TUNNEL), ("matrix", matrix_twin(TUNNEL))]:
+        (tmp_path / name).mkdir()
+        ledger = verify_ledger(tmp_path / name, cfg, tpath)
+        assert ledger["verdict"] == verdict, name
+        assert ledger["invariants"]["component_mass_ok"] == (kappa == 0.0), name
+        assert "component_step" in ledger["flags"]["rce_battery"], name
+        texts.append((tmp_path / name / "vout" / "ledger.json").read_bytes())
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("n,split,eps", [(200, 0.0, None), (200, 0.0, 1e-4), (40, 0.5, None)])
+def test_punctured_components_are_the_sides_of_the_split(n, split, eps):
+    # the coupling's labels keep the outputs of the punctured configs: two
+    # components, the first exactly the states left of the split
+    kernel = {"type": "fractional", "s": 0.75, "mask": {"type": "punctured", "split": split},
+              "cutoff": eps}
+    coup = coupling_of(dict(tunnel_config(n), kernel=kernel))
+    assert coup.labels.max() == 1
+    assert np.array_equal(coup.labels == 0, coup.points < split)
+
+
+def test_state_on_the_split_is_a_component_of_its_own(tmp_path):
+    # at odd n the middle state sits at x = 0: the punctured mask keeps no pair
+    # of it, so it is a third component and the battery gains its step
+    n = 41
+    coup = coupling_of(tunnel_config(n))
+    assert coup.points[n // 2] == 0.0
+    assert np.array_equal(np.flatnonzero(coup.labels == 1), [n // 2]) and coup.labels.max() == 2
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, dict(tunnel_config(n), integrator={"checkpoints": 64}))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    ledger = json.loads((out / "ledger.json").read_text())
+    assert ledger["verdict"] == "Balanced/Reflecting"
+    assert ledger["invariants"]["component_mass_ok"]
+    assert {"component_step", "component_step_1"} <= set(ledger["flags"]["rce_battery"])
+
+
+def block_rates(blocks, n):
+    rates = np.zeros((n, n))
+    for block in blocks:
+        rates[np.ix_(block, block)] = 1.0
+    np.fill_diagonal(rates, 0.0)
+    return rates
+
+
+THREE_BLOCKS = {
+    "schema": 1,
+    "space": {"type": "graph", "points": list(range(6)),
+              "dist": [[abs(i - j) for j in range(6)] for i in range(6)], "pi": [1.0 / 6] * 6},
+    "kernel": {"type": "matrix", "rates": block_rates([[0, 1], [2, 3], [4, 5]], 6).tolist()},
+    "triple": "cosh",
+    "initial": {"type": "vector", "values": [2.0, 0.5, 1.5, 0.2, 0.8, 1.0]},
+    "T": 1.0,
+}
+
+
+def test_three_components_need_two_steps(tmp_path):
+    # k = 3 components take k - 1 = 2 steps: the first alone cannot see mass
+    # moving between the second and the third block
+    from jumpflow import spaces
+    from jumpflow.densities import canonical_triple
+    from jumpflow.evolution import RCE_TOL, evolve, trajectory_csv_text
+
+    cfg = write_config(tmp_path, THREE_BLOCKS)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    ledger = json.loads((out / "ledger.json").read_text())
+    assert ledger["verdict"] == "Balanced/Reflecting"
+    assert ledger["invariants"]["component_mass_ok"]
+    steps = {k for k in ledger["flags"]["rce_battery"] if k.startswith("component_step")}
+    assert steps == {"component_step", "component_step_1"}
+
+    coup = coupling_of(THREE_BLOCKS)
+    theta = coup.theta.copy()
+    theta[3, 4] = theta[4, 3] = 0.05
+    leaky = spaces.Coupling(theta=theta, detailed_balance_residual=0.0, pi=coup.pi)
+    traj = evolve(leaky, canonical_triple("cosh"), np.array(THREE_BLOCKS["initial"]["values"]),
+                  THREE_BLOCKS["T"])
+    tpath = tmp_path / "trajectory.csv"
+    tpath.write_text("".join(trajectory_csv_text(traj)))
+    ledger = verify_ledger(tmp_path, THREE_BLOCKS, tpath)
+    battery = ledger["flags"]["rce_battery"]
+    assert battery["component_step"] <= RCE_TOL < battery["component_step_1"]
+    assert not ledger["invariants"]["component_mass_ok"]
+    assert not ledger["rce_ok"]
+
+
 def test_time_reversed_trajectory_fails_the_edi(tmp_path):
     # the tunnelled n = 200, kappa = 1e-6 solution run backwards: its entropy
     # increases, so the inequality fails (its linear flux now runs against the

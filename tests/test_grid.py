@@ -188,8 +188,7 @@ def test_component_step_rate_is_exactly_zero_on_the_punctured_grid():
     step = np.where(sp.points < 0.0, 1.0, 0.0)
     assert np.all(continuity_rates(traj, coup, step[:, None]) == 0.0)
     assert traj.meta["grid_error"]["rce_rel"] <= GRID_RCE_FRACTION * RCE_TOL
-    rep = full_report(traj, COSH, sp, coup, tol_rel=default_tolerance(1e-4),
-                      mask=sp.points < 0.0)
+    rep = full_report(traj, COSH, sp, coup, tol_rel=default_tolerance(1e-4))
     assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL
 
 

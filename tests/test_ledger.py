@@ -131,7 +131,7 @@ def test_verdict_balanced_on_punctured_exact_flow():
     coup = coupling(sp, fractional_kernel(sp, 0.75, mask=mask))
     u0 = np.where(sp.points < 0.0, 2.0, 0.0)
     traj = evolve(coup, COSH, u0, 0.5)
-    rep = full_report(traj, COSH, sp, coup, mask=sp.points < 0)
+    rep = full_report(traj, COSH, sp, coup)
     assert rep.verdict == VERDICT_BALANCED
     assert rep.invariants["component_mass_ok"]
     assert rep.rce_residual <= 1e-8
@@ -396,7 +396,7 @@ def test_rce_battery_equals_member_by_member_residuals():
     sp, coup = punctured_grid(20)
     traj = evolve(coup, COSH, 1.0 + 0.5 * np.sin(np.pi * sp.points), 0.3)
     mask = sp.points < 0.0
-    battery = rce_battery(traj, sp, coup, seed=3, mask=mask)
+    battery = rce_battery(traj, sp, coup, seed=3)
     members = _lipschitz_battery(sp.points, sp.dist, 3) + [("component_step", mask * 1.0)]
     assert list(battery) == [name for name, _ in members]
     for name, phi in members:
@@ -450,8 +450,7 @@ def test_stored_flux_copy_gives_the_same_full_report():
         assert stored.linear_flux and not off.linear_flux
         split = _checkpoint_pass(stored, triple, coup)
         assert split.integrand is split.pairing
-        mask = sp.points < 0.0 if "punctured" in name else None
         args = (triple, sp, coup)
-        a = full_report(traj, *args, mask=mask).to_dict()
-        assert full_report(stored, *args, mask=mask).to_dict() == a, name
-        assert close(full_report(off, *args, mask=mask).to_dict(), a), name
+        a = full_report(traj, *args).to_dict()
+        assert full_report(stored, *args).to_dict() == a, name
+        assert close(full_report(off, *args).to_dict(), a), name
