@@ -105,6 +105,18 @@ def phi_boltzmann(s):
     return out if out.ndim else float(out)
 
 
+def phi_and_slope_boltzmann(s):
+    """phi_boltzmann(s) and the Boltzmann dphi_ext(s) of an array s >= 0, bit
+    for bit, from one log of max(s, 1e-300): below 1e-300, and at 0,
+    s log s - s is far below the ulp of 1 whichever log it takes."""
+    log = np.log(np.maximum(s, 1e-300))
+    phi = s * log
+    phi -= s
+    phi += 1.0
+    log[s <= 0] = -math.inf
+    return phi, log
+
+
 def boltzmann_entropy() -> EntropyDensity:
     return EntropyDensity(phi=phi_boltzmann, dphi=np.log, dphi_at_zero=-math.inf, name="boltzmann")
 

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .densities import DissipationTriple, d_phi, legendre
+from .densities import DissipationTriple, d_phi, legendre, phi_and_slope_boltzmann
 from .quadrature import cumulative_simpson_nonuniform
 
 if TYPE_CHECKING:  # annotations only: run and verify never execute measures
@@ -134,13 +134,14 @@ def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
     On the linear flux (``traj.linear_flux``) of a canonical triple Fenchel-Young
     holds with equality on every edge, so R + D is the pairing (the Fenchel
     split), and the pairing of every checkpoint comes from the densities alone
-    through one Laplacian GEMM per block of rows (``_linear_pairings``).
-    Otherwise R + D is taken edge by edge, from each row of the flux store."""
+    through one Laplacian GEMM per block of rows (``_linear_pairings``, which
+    takes the entropy from the same log).  Otherwise R + D is taken edge by
+    edge, from each row of the flux store."""
     (rows, cols, th), store, U = coup.edges, traj.stored_flux(coup.edges), traj.densities
-    ent = entropy_series(U, coup.pi, triple.entropy)
     if traj.linear_flux and triple.name in ("cosh", "quadratic"):
-        g = _linear_pairings(U, triple.entropy, coup)
+        ent, g = _linear_pairings(U, triple.entropy, coup)
         return _integrated(traj.times, ent, g, g)
+    ent = entropy_series(U, coup.pi, triple.entropy)
     g, b = np.empty(U.shape[0]), np.empty(U.shape[0])
     for k, u in enumerate(U):
         ui, uj = u[rows], u[cols]
@@ -161,9 +162,13 @@ def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
 PASS_BLOCK = 64  # least rows per Laplacian GEMM (at most twice that): temporaries stay O(128 n)
 
 
-def _linear_pairings(U, entropy_density, coup) -> np.ndarray:
-    """The pairing of every row u of U with its linear flux w_ij = u_i - u_j:
-    sum over the edges of (lam_i - lam_j)(u_i - u_j) theta_ij, lam = phi'(u).
+def _linear_pairings(U, entropy_density, coup) -> tuple:
+    """The entropy of every row u of U, and its pairing with its linear flux
+    w_ij = u_i - u_j: sum over the edges of (lam_i - lam_j)(u_i - u_j) theta_ij,
+    lam = phi'(u), for the Boltzmann ``entropy_density`` of the canonical
+    triples.  phi(u) and lam come from one log of each block
+    (`densities.phi_and_slope_boltzmann`), bit for bit the values of
+    ``entropy_series`` and ``dphi_ext``.
 
     With the Laplacian L = diag(theta 1) - theta it is (lam - phi'(c)) . (L (u - c))
     for any c constant on each coupling component (L c = 0 and 1^T L = 0 there).
@@ -179,22 +184,24 @@ def _linear_pairings(U, entropy_density, coup) -> np.ndarray:
     lap[np.diag_indices(n)] = np.bincount(rows, th, n) + np.bincount(cols, th, n)
     sizes = np.bincount(labels)
     order, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
-    parts = []
+    ent, parts = [], []
     for block in np.array_split(U, max(1, U.shape[0] // PASS_BLOCK)):
         mean = np.add.reduceat(block[:, order], starts, axis=1) / sizes  # (rows, components)
         centred = mean[:, labels]
         np.subtract(block, centred, out=centred)  # in place here and below: few temporaries
-        with np.errstate(invalid="ignore"):  # lam = -inf at a vacant state
-            lam = entropy_density.dphi_ext(block)
+        phi, lam = phi_and_slope_boltzmann(block)  # lam = -inf at a vacant state
+        phi *= coup.pi
+        ent.append(phi.sum(axis=1))
+        with np.errstate(invalid="ignore"):
             lam -= entropy_density.dphi_ext(mean)[:, labels]
             flow = centred @ lap
             flow *= lam
             parts.append(flow.sum(axis=1))
-    g = np.concatenate(parts)
+    ent, g = np.concatenate(ent), np.concatenate(parts)
     for k in np.flatnonzero(~np.isfinite(g)):
         u = U[k]
         g[k] = _pairing(entropy_density.dphi_ext(u), u[rows] - u[cols], rows, cols, th)
-    return g
+    return ent, g
 
 
 def _pairing(lam, w, rows, cols, th) -> float:
@@ -210,10 +217,10 @@ def trajectory_L(traj, triple: DissipationTriple, coup, report: bool = False):
     """Energy-dissipation ledger series L_t along a trajectory.
 
     L at checkpoint t is E(u_t) - E(u_0) + integral of (R + D) over [0, t],
-    time-quadratured by composite Simpson on the checkpoint grid.  A
-    non-finite integrand at the initial or final checkpoint only (vacuum
-    start under a superlinear dissipation) is integrated by the one-sided
-    rectangle rule and flagged.
+    time-quadratured on the checkpoint grid by the sixth-order rule of
+    `quadrature`.  A non-finite integrand at the initial or final checkpoint
+    only (vacuum start under a superlinear dissipation) is integrated by the
+    one-sided rectangle rule and flagged.
     """
     cp = _checkpoint_pass(traj, triple, coup)
     series, integral, singular = cp.ledger()

@@ -1,16 +1,22 @@
-"""Checkpoint grids and composite Simpson quadrature on nonuniform grids.
+"""Checkpoint grids and sixth-order quadrature on nonuniform grids.
 
-The quadrature pairs adjacent intervals into Simpson panels but never pairs
-intervals of very different widths, splits each panel's total between its
-two intervals by the cubic through one neighbouring node, and handles an
-isolated non-finite sample at the first or last checkpoint by a one-sided
-rectangle on its interval (the integrable-singularity convention).
+Each checkpoint interval's piece of a cumulative integral is the integral of
+the quintic through the six checkpoints nearest it within its run of finite
+samples: the interval's two ends and two more on either side, the stencil
+shifted inward at the ends of the run; a run of fewer than six checkpoints
+uses all of them.  An isolated non-finite sample at the first or last
+checkpoint is integrated by a one-sided rectangle on its interval (the
+integrable-singularity convention); any other interval with a non-finite end
+is infinite.  The weights depend only on the times and on which samples are
+finite, and are formed in coordinates local to each interval and scaled by
+its width, so they stay in floating-point range whatever the times.
 
 ``error_controlled_grid`` chooses a grid for given series under a global
-error budget, estimating each panel of that rule against the same rule on
-its two halves, and each panel's split against the quartic through its five
-samples; ``checkpoint_grid`` is the explicit uniform grid, optionally with a
-geometric prefix for the log(1/t) singularity of a vacuum start.
+error budget, estimating each interval's piece against the integral of the
+sextic through its stencil and its sampled midpoint, and bisecting intervals
+at those midpoints; ``checkpoint_grid`` is the explicit uniform grid,
+optionally with a geometric prefix for the log(1/t) singularity of a vacuum
+start.
 """
 
 from __future__ import annotations
@@ -23,14 +29,17 @@ __all__ = ["checkpoint_grid", "error_controlled_grid", "simpson_nonuniform",
 GRADE_RATIO = 1.02
 GRADE_CROSSOVER_DIV = 16.0
 GRADE_TMIN_REL = 1e-12
-_PAIR_WIDTH_RATIO = 3.0
+STENCIL = 6  # checkpoints per piece: the quintic's
+_WIDTH_RATIO = 8.0  # largest ratio of neighbouring widths inside a stencil's run
 
 
 def _sorted_distinct(x) -> np.ndarray:
     """The distinct values of x, ascending: np.unique's sort and neighbour
     comparison, without the numpy.ma import np.unique brings."""
     x = np.sort(x, axis=None)
-    return x[np.append(True, x[1:] != x[:-1])]
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True) -> np.ndarray:
@@ -50,32 +59,70 @@ def checkpoint_grid(T: float, checkpoints: int, graded_start: bool = True) -> np
     return _sorted_distinct(np.concatenate([np.asarray(pre), base]))
 
 
+def _stencils(ts, fin):
+    """First node and node count of each interval's stencil on the grid ts,
+    for samples finite where ``fin`` holds; count 0 for an interval without
+    two finite ends.
+
+    Interval j's stencil is the STENCIL nodes j - 2, ..., j + 3, shifted
+    inward to lie in the interval's run, or the whole run when it is shorter.
+    A run is a stretch of finite samples, cut also at a node whose two
+    intervals differ in width by more than _WIDTH_RATIO: across such a jump
+    the polynomial through the narrow intervals' nodes swings far over the
+    wide one, and its weights multiply roundoff by powers of the ratio.  A cut
+    node ends one run and starts the next.
+    """
+    K = ts.size - 1
+    w = np.diff(ts)
+    cut = np.zeros(K + 1, dtype=bool)
+    cut[1:-1] = np.maximum(w[:-1], w[1:]) > _WIDTH_RATIO * np.minimum(w[:-1], w[1:])
+    pos = np.arange(K + 1)
+    first = np.maximum.accumulate(np.where(fin & (cut | ~np.append(False, fin[:-1])), pos, 0))
+    last = np.minimum.accumulate(np.where(fin & (cut | ~np.append(fin[1:], False)), pos, K)[::-1])
+    first, last = first[:-1], last[::-1][1:]  # of the run that holds interval j
+    size = np.where(fin[:-1] & fin[1:], np.minimum(STENCIL, last - first + 1), 0)
+    return np.clip(pos[:-1] - 2, first, last + 1 - size), size
+
+
+def _scaled(x, a, b):
+    """The nodes x in coordinates local to a and scaled by b - a.  Products of
+    node differences are then of the size of the stencil's width ratios at
+    any times; in absolute times a quintic's products leave the floating-point
+    range at extreme T, and in times not local to the interval they cancel
+    for tiny intervals far from the origin."""
+    return (np.asarray(x, dtype=float) - a) / (b - a)
+
+
 def _piece_weights(x, a, b):
     """Weights of the samples at the nodes x[0], ..., x[m-1] in the integral
-    over [a, b] of the polynomial interpolating them, for m <= 6: the
-    three-point Gauss-Legendre rule, exact to degree 5, on each Lagrange basis
-    polynomial.  The nodes may be arrays (m, ...) of panels.
-
-    Evaluated in coordinates local to a: differences of absolute times would
-    cancel catastrophically for tiny intervals far from the origin.
-    """
-    y = np.asarray(x, dtype=float) - a
-    B = b - a
+    over [a, b] of the polynomial interpolating them, for m <= 7: four-point
+    Gauss-Legendre, exact to degree 7, on each Lagrange basis polynomial.  The
+    nodes may be arrays (m, ...) of intervals."""
+    y = _scaled(x, a, b)
     others = _OTHERS[len(y)]  # (m, m - 1): the roots of each basis polynomial
-    d = np.multiply.outer(_GAUSS_AT, B)[:, None] - y  # (3, m, ...): Gauss points less nodes
-    num = np.multiply.reduce(d[:, others], axis=2)
+    num = np.multiply.reduce(_GAUSS_AT.reshape((4,) + (1,) * (y.ndim + 1)) - y[others], axis=2)
     den = np.multiply.reduce(y[:, None] - y[others], axis=1)
-    return ((num[0] + num[2]) * (5.0 / 18.0) + num[1] * (8.0 / 18.0)) * B / den
+    return _weighted(num, _GAUSS_W) * (b - a) / den
 
 
-_GAUSS_AT = 0.5 + np.array([-0.5, 0.0, 0.5]) * np.sqrt(0.6)  # on [0, 1], weights 5, 8, 5 / 18
-_OTHERS = {m: np.array([[k for k in range(m) if k != i] for i in range(m)]) for m in range(2, 7)}
+def _error_weights(x, a, b):
+    """Weights of the samples at the nodes x[0], ..., x[m] in the integral over
+    [a, b] of q - p, p the polynomial through the first m nodes and q the one
+    through all m + 1: the integral of prod_{k < m} (t - x_k) times the
+    divided difference over all m + 1 nodes, whose weight at x_k is
+    1 / prod_{l != k} (x_k - x_l).  The nodes may be arrays (m + 1, ...)."""
+    y = _scaled(x, a, b)
+    m = len(y) - 1
+    omega = _weighted(np.multiply.reduce(
+        _GAUSS_AT.reshape((4, 1) + (1,) * (y.ndim - 1)) - y[:m], axis=1), _GAUSS_W)
+    den = np.multiply.reduce(y[:, None] - y[_OTHERS[m + 1]], axis=1)
+    return omega * (b - a) / den
 
 
-def _poly_piece(x, f, a, b):
-    """Integral over [a, b] of the polynomial interpolating the samples f at
-    the nodes x."""
-    return _weighted(f, _piece_weights(x, a, b))
+_ROOTS = np.sqrt(3.0 / 7.0 + np.array([2.0, -2.0, -2.0, 2.0]) / 7.0 * np.sqrt(1.2))
+_GAUSS_AT = 0.5 + 0.5 * np.array([-1.0, -1.0, 1.0, 1.0]) * _ROOTS  # on [0, 1], ascending
+_GAUSS_W = (18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * np.sqrt(30.0)) / 72.0
+_OTHERS = {m: np.array([[k for k in range(m) if k != i] for i in range(m)]) for m in range(2, 8)}
 
 
 def _weighted(f, w):
@@ -87,97 +134,46 @@ def _weighted(f, w):
     return out
 
 
-def _fourth_nodes(w, fin, j):
-    """For the panels opened by intervals j (intervals j and j + 1 of widths
-    w), the node whose sample the cubic split adds: j + 3, or else j - 1, where
-    its sample is finite and its interval at most _PAIR_WIDTH_RATIO times the
-    panel's wider one; -1 where neither is."""
-    wide = _PAIR_WIDTH_RATIO * np.maximum(w[j], w[j + 1])
-    after = np.append(fin, False)[j + 3] & (np.append(w, np.inf)[j + 2] <= wide)
-    before = (j >= 1) & fin[j - 1] & (w[j - 1] <= wide)
-    return np.where(after, j + 3, np.where(before, j - 1, -1))
-
-
 class _Plan:
     """The rule on the grid ts for samples finite where ``fin`` holds: which
     samples each interval's piece weighs and with what weights.  It depends on
     nothing else, so one plan serves every series of that finiteness pattern.
 
     An isolated non-finite sample at the first or last checkpoint gets the
-    rectangle on its interval; an interval with a non-finite end is infinite.
-    The rest follows the greedy left-to-right scan: an interval opens a Simpson
-    panel with the next one when both are finite and of comparable width,
-    otherwise it is a lone interval.  An interval is reached as a panel
-    opener exactly when it lies an even number of steps into its run of
-    possible openers, so the plan is a few index arrays.
-
-    A panel's two pieces sum to its Simpson total.  The first takes the
-    integral of the cubic through the panel's three nodes and a fourth
-    (`_fourth_nodes`), and the second the rest of the total, so that the
-    cumulative integral is of the panel's order at its middle node too; a
-    panel without a fourth node keeps its quadratic's pieces.  A lone interval
-    takes the quadratic through the better-conditioned neighbour triple, or
-    else the trapezoid.
+    rectangle on its interval, the sample at the other end times the width;
+    any other interval with a non-finite end is infinite.  Every interval with
+    two finite ends takes the integral of the polynomial through its stencil
+    (`_stencils`) in its run of finite samples, the quintic but in a run of
+    fewer than six.  The pieces are kept by stencil size, each group a few
+    index and weight arrays.
     """
 
     def __init__(self, ts, fin):
         K = ts.size - 1
-        w = np.diff(ts)
-        first, last, self.singular = 0, K, False
         rect = []  # (interval, node) of each rectangle
         if not fin[0] and fin[1]:
             rect.append((0, 1))
-            first, self.singular = 1, True
         if not fin[K] and K >= 2 and fin[K - 1]:
             rect.append((K - 1, K - 1))
-            last, self.singular = K - 1, True
-        k = np.arange(first, last)
-        bad = ~(fin[k] & fin[k + 1])
-        opener = np.zeros(k.size, dtype=bool)
-        j = k[:-1]
-        opener[:-1] = (~bad[:-1] & fin[j + 2]
-                       & (np.maximum(w[j], w[j + 1]) <= _PAIR_WIDTH_RATIO * np.minimum(w[j], w[j + 1])))
-        pos = np.arange(k.size)
-        starts = np.ones(k.size, dtype=bool)
-        starts[1:] = ~opener[:-1]
-        run_start = np.maximum.accumulate(np.where(starts, pos, 0))
-        opens = opener & ((pos - run_start) % 2 == 0)
-        closes = np.zeros(k.size, dtype=bool)
-        closes[1:] = opens[:-1]
-        lone = ~(opens | closes | bad)
-
-        self.infinite = k[bad]
-        panel, alone = k[opens], k[lone]
-        fin_next, w_next = np.append(fin, False), np.append(w, 0.0)  # alone + 2 may pass the end
-        left = (alone >= 1) & fin[alone - 1] & (w[alone - 1] <= _PAIR_WIDTH_RATIO * w[alone])
-        right = ~left & fin_next[alone + 2] & (w_next[alone + 1] <= _PAIR_WIDTH_RATIO * w[alone])
-        trap = ~(left | right)
-        # quadratic pieces: both of each panel's, then lone intervals' from the left and right
-        target = np.concatenate([panel, panel + 1, alone[left], alone[right]])
-        three = np.concatenate([panel, panel, alone[left] - 1, alone[right]]) + np.arange(3)[:, None]
+        self.singular = bool(rect)
         rect, at = np.array(rect, dtype=np.intp).reshape(-1, 2).T
-        self.pieces = [(rect, at[None], w[rect][None]),
-                       (target, three, _piece_weights(ts[three], ts[target], ts[target + 1]))]
-        nb = _fourth_nodes(w, fin, panel)
-        panel = panel[nb >= 0]
-        four = np.vstack([panel + np.arange(3)[:, None], nb[nb >= 0]])
-        self.cubic = (panel, four, _piece_weights(ts[four], ts[panel], ts[panel + 1]))
-        self.trapezoids = alone[trap], w[alone[trap]]
+        start, size = _stencils(ts, fin)
+        infinite = size == 0
+        infinite[rect] = False
+        self.infinite = np.flatnonzero(infinite)
+        self.pieces = [(rect, at[None], np.diff(ts)[rect][None])]
+        for m in _sorted_distinct(size[size > 0]).tolist():
+            target = np.flatnonzero(size == m)
+            nodes = start[target] + np.arange(m)[:, None]
+            self.pieces.append((target, nodes, _piece_weights(ts[nodes], ts[target],
+                                                              ts[target + 1])))
 
-    def apply(self, bs):
-        """The pieces (K, m) of the columns of bs (K + 1, m), each finite where
-        the plan's pattern is."""
-        pieces = np.zeros((bs.shape[0] - 1, bs.shape[1]))
-        pieces[self.infinite] = np.inf
+    def apply(self, bs, out):
+        """Write the pieces (K, m) of the columns of bs (K + 1, m), each finite
+        where the plan's pattern is, into ``out``."""
+        out[self.infinite] = np.inf
         for target, nodes, weights in self.pieces:
-            pieces[target] = _weighted((bs[i] for i in nodes), weights[..., None])
-        j, nodes, weights = self.cubic
-        total = pieces[j] + pieces[j + 1]
-        pieces[j] = _weighted((bs[i] for i in nodes), weights[..., None])
-        pieces[j + 1] = total - pieces[j]
-        j, width = self.trapezoids
-        pieces[j] = 0.5 * (bs[j] + bs[j + 1]) * width[:, None]
-        return pieces
+            out[target] = _weighted((bs[i] for i in nodes), weights[..., None])
 
 
 def _interval_pieces(ts, bs):
@@ -185,8 +181,9 @@ def _interval_pieces(ts, bs):
     (K + 1, m) for m series, with the singular-endpoint flag of each series.
 
     One `_Plan` is built per finiteness pattern of the columns and applied to
-    all columns of that pattern at once; each column's pieces are those of
-    the same series alone, bit for bit."""
+    all columns of that pattern at once (to the block itself, with no copy,
+    when that is every column); each column's pieces are those of the same
+    series alone, bit for bit."""
     ts = np.asarray(ts, dtype=float)
     bs = np.asarray(bs, dtype=float)
     block = bs[:, None] if bs.ndim == 1 else bs
@@ -199,7 +196,13 @@ def _interval_pieces(ts, bs):
             pattern = fin[:, np.argmax(todo)]
             cols = todo & np.all(fin == pattern[:, None], axis=0)
             plan = _Plan(ts, pattern)
-            pieces[:, cols], singular[cols] = plan.apply(block[:, cols]), plan.singular
+            if cols.all():
+                plan.apply(block, pieces)
+            else:
+                part = np.empty((pieces.shape[0], np.count_nonzero(cols)))
+                plan.apply(block[:, cols], part)
+                pieces[:, cols] = part
+            singular[cols] = plan.singular
             todo &= ~cols
     if bs.ndim == 1:
         return pieces[:, 0], bool(singular[0])
@@ -221,66 +224,30 @@ def cumulative_simpson_nonuniform(ts, bs):
 
 
 def simpson_nonuniform(ts, bs):
-    """Composite Simpson integral of samples bs over the grid ts: the last
-    entry of the cumulative integral."""
+    """Integral of samples bs over the grid ts by the rule of this module: the
+    last entry of the cumulative integral."""
     return float(cumulative_simpson_nonuniform(ts, bs)[0][-1])
 
 
 # ---------------------------------------------------------------------------
 # error-controlled grid
 
-_SEED_RATIO = 8.0         # largest t-ratio of a seed panel
-_LOG_SPLIT_RATIO = 4.0    # a panel [a, b] with b >= 4a > 0 is bisected in log t
-_MAX_PANELS = 1 << 12
-_CHILD_SHARE = 0.125      # assumed error of two halves against their panel, when choosing how many to bisect
+_SEED_RATIO = 8.0         # largest t-ratio of a seed pair of intervals
+_LOG_SPLIT_RATIO = 4.0    # an interval [a, b] with b >= 4a > 0 is bisected in log t
+_MAX_INTERVALS = 1 << 13
+_HOLD = 0.75              # a round bisects the largest errors that hold this share of their sum,
+_AIM = 0.9                # or enough to bring the sum under this share of the budget,
+_CHILD_SHARE = 1.0 / 32.0  # assuming two halves keep this share of their interval's error
+_SAFETY = 2.0             # an interval's estimate over |sextic - quintic|, which is asymptotic
+_ERROR_BLOCK = 32         # intervals per estimate: the gathered samples stay O(224 d)
 
 
 def _split(a, b):
-    """Where a panel [a, b] is bisected: at sqrt(ab) when b >= 4a > 0, so that
-    panels toward a log(1/t) singularity at 0 shrink geometrically, at the
-    midpoint otherwise.  Either way the halves differ by at most the factor 3
-    below which the quadrature pairs two intervals into one panel."""
+    """Where an interval [a, b] is sampled and bisected: at sqrt(ab) when
+    b >= 4a > 0, so that intervals toward a log(1/t) singularity at 0 shrink
+    geometrically, at the midpoint otherwise."""
     geometric = (a > 0) & (b >= _LOG_SPLIT_RATIO * a)
-    return np.where(geometric, np.sqrt(a * b), 0.5 * (a + b))
-
-
-def _panel_errors(x, xn, has, fs, gs):
-    """Estimated errors of the rule on panels (x0, x2, x4), each summed over
-    the components.  Of the panel: 16/15 of its Simpson value against Simpson
-    on the halves (x0, x1, x2) and (x2, x3, x4), Richardson's estimate of the
-    Simpson error (on a uniform panel, the panel against Boole's rule).  Of the
-    panel's first interval, which ends the cumulative integral at the
-    checkpoint x2: its piece against the integral of the quartic through the
-    five samples.  As in `_interval_pieces`, the piece is the cubic's through
-    x0, x2, x4 and the fourth node xn where the panel has one (``has``) and
-    the sample there is finite, and the quadratic's otherwise.
-
-    ``x`` is (P, 5), ``xn`` and ``has`` (P,), each f in ``fs`` (P, 5, d) and
-    each g in ``gs`` (P, d), its samples at xn (any node distinct from x0, x2
-    and x4 where there is no fourth).  Returns two (P, len(fs)) arrays.  Both
-    are linear in the samples, so their weights are formed first."""
-    X = x.T[_SIMPSON.T]  # three nodes, then the interval
-    per_node = np.zeros((4, 5, x.shape[0]))
-    per_node[np.arange(4)[:, None], _SIMPSON[:, :3]] = np.swapaxes(
-        _piece_weights(X[:3], X[3], X[4]), 0, 1)
-    quartic = _piece_weights(x.T, x[:, 0], x[:, 2])
-    cubic = _piece_weights(np.vstack([x.T[::2], xn]), x[:, 0], x[:, 2])
-    weights = np.stack([16.0 / 15.0 * (per_node[0] - per_node[1] - per_node[2]),
-                        per_node[3] - quartic, -quartic]).transpose(2, 0, 1)  # (P, 3, 5)
-    weights[:, 2, ::2] += cubic[:3].T
-    E, H = [], []
-    with np.errstate(invalid="ignore"):  # a non-finite sample makes its estimates NaN
-        for f, g in zip(fs, gs):
-            r = weights @ f
-            cubic_ok = has[:, None] & np.isfinite(g)
-            first = np.where(cubic_ok, r[:, 2] + cubic[3][:, None] * g, r[:, 1])
-            E.append(np.abs(r[:, 0]).sum(axis=1))
-            H.append(np.abs(first).sum(axis=1))
-    return np.stack(E, axis=1), np.stack(H, axis=1)
-
-
-# Simpson on the panel and on its halves, and the panel's quadratic on its first interval
-_SIMPSON = np.array([[0, 2, 4, 0, 4], [0, 1, 2, 0, 2], [2, 3, 4, 2, 4], [0, 2, 4, 0, 2]])
+    return np.where(geometric, np.sqrt(a) * np.sqrt(b), 0.5 * (a + b))
 
 
 class _Nodes:
@@ -325,37 +292,44 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
     for the error of its cumulative integral at any checkpoint, summed over
     its d components.
 
-    The grid is a chain of Simpson panels (x0, x2, x4), each of two comparable
-    intervals, so the quadrature pairs exactly these.  With the quarter points
-    x1 and x3 sampled, Simpson on the two halves estimates the error of each
-    panel, and the quartic through the five samples that of its first
-    interval, at whose end x2 the cumulative integral also stops (the cubic
-    split, through the x2 of a neighbouring panel: `_panel_errors`); a series'
-    estimate is the sum over the panels plus the largest first-interval error.
-    A bisection moves the fourth node of the panels next to the halves, so
-    their estimates are taken anew too.  Seed panels run from ``first_step`` to
-    T in t-ratios of at most 8.  Each round bisects, for every series over its
-    budget, the panels whose first-interval error exceeds half the budget and
-    the fewest largest panel errors that hold half their sum, or enough of it
-    to bring the sum under half the budget: panels wherever the error is,
-    under one budget for the whole grid.
+    Every interval's midpoint (`_split`) is sampled with its ends.  The
+    difference between the interval's piece and the integral of the sextic
+    through the piece's stencil and the midpoint (`_error_weights`) is the
+    leading term of the piece's error, which it misses by a relative O(h)
+    (on one decaying exponential the error exceeds it by 0.3 % at a width of
+    twice the decay time, by 4 % where the stencil is shifted to a run's end).
+    So an interval's estimate is twice that difference, summed in absolute
+    value over the components, and a series' estimate is the sum over the
+    intervals, which bounds the error of its cumulative integral at every
+    checkpoint.  An interval's estimate is formed when it is created and
+    again only when its stencil changes, as a bisection near it moves one of
+    its nodes or cuts its run.  Seed intervals run in pairs from
+    ``first_step`` to T, each pair spanning a t-ratio of at most 8.  Each
+    round bisects, for every series over its budget, the fewest largest
+    interval errors that hold three quarters of their sum, or enough of them
+    to bring the sum under 9/10 of the budget if each pair of halves kept
+    1/32 of its interval's error: intervals wherever the error is, under one
+    budget for the whole grid.  A bisection promotes the midpoint to a
+    checkpoint and samples the midpoints of the two halves.
 
     A series whose sample at t = 0 is not finite (the log(1/t) dissipation of
     a vacuum start) is integrated by the rectangle rule on [0, h],
-    h = T*1e-12, where the graded grid starts too.  The grid then starts 0, h
-    and the panel (h, 4.5h, 8h), whose first interval is wide enough that a
-    finite series takes [0, h] alone too; that interval and panel are
-    estimated but not bisected.  A non-finite estimate does not count toward its series' budget
-    (bisection cannot mend it) and makes the series' estimate infinite.
+    h = 1e-12 min(T, first_step), and its stencils start at h.  The grid then
+    starts 0, h, 4.5h, 8h; [0, h] is estimated but not bisected, for such a
+    series by a log(1/t) fit through the samples at h and the next
+    checkpoint.  A non-finite estimate does not count toward its series'
+    budget (bisection cannot mend it) and makes the series' estimate
+    infinite.
 
     Returns the times and the estimate of every series.
     """
     B = np.asarray(budgets, dtype=float)
     nodes = _Nodes(sample)
     nodes.add([0.0])
-    singular = not all(np.all(np.isfinite(r[0])) for r in nodes.rows)
+    late = np.array([not np.all(np.isfinite(r[0])) for r in nodes.rows])
+    singular = bool(late.any())
     if singular:
-        h = T * GRADE_TMIN_REL
+        h = GRADE_TMIN_REL * min(T, first_step)
         start, head = 8.0 * h, (h, 4.5 * h, 8.0 * h)
     else:
         start = min(first_step, T)
@@ -363,77 +337,94 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
     count = int(np.ceil(np.log(T / start) / np.log(_SEED_RATIO) - 1e-9)) if start < T else 0
     bounds = start * (T / start) ** (np.arange(count + 1) / max(count, 1))
     bounds[-1] = T
-    x0, x4 = np.append(head[0], bounds[:-1]), np.append(head[2], bounds[1:])
-    x2 = np.append(head[1], _split(bounds[:-1], bounds[1:]))
-    X = np.column_stack([x0, _split(x0, x2), x2, _split(x2, x4), x4])
-    fresh = _sorted_distinct(X[:, 1:])  # x0 of the first panel is 0 or h; every x4 is an x0 or T
-    rows = nodes.add(np.append(h, fresh) if singular else fresh)
-    at = dict(zip(nodes.t[:nodes.size].tolist(), range(nodes.size)))
-    idx = np.array([[at[t] for t in panel] for panel in X.tolist()], dtype=np.intp)
+    pairs = np.column_stack([np.append(head[0], bounds[:-1]),
+                             np.append(head[1], _split(bounds[:-1], bounds[1:]))])
+    knots = np.append(pairs.ravel(), T)
+    if singular:
+        knots = np.append(0.0, knots)
+    rows = nodes.add(np.append(knots[1:], _split(knots[:-1], knots[1:])))
+    cp, mid = np.append(0, rows[:knots.size - 1]), rows[knots.size - 1:]
+    # the stencils' runs: from 0 for the series finite there, from h for the others
+    variants = [(first, np.flatnonzero(late == bool(first))) for first in (0, 1)
+                if np.any(late == bool(first))]
 
-    def grid():  # the node rows of the checkpoint grid the panels make
-        keep = np.append(idx[:, [0, 2]].ravel(), idx[-1, 4])
-        return np.append(0, keep) if singular else keep
+    def layout():  # per variant, the (K, STENCIL) checkpoints of each stencil, -1 past its size
+        out = []
+        for first, _ in variants:
+            fin = np.ones(cp.size, dtype=bool)
+            fin[0] = not first
+            s, m = _stencils(nodes.t[cp], fin)
+            at = s[:, None] + np.arange(STENCIL)
+            out.append(np.where(np.arange(STENCIL) < m[:, None], at, -1))
+        return out
 
-    def errors(pos):  # 64 panels at a time: the gathered samples stay O(384 d)
-        g = grid()  # the fourth node of each panel's cubic split; x1 stands in where there is none
-        fourth = _fourth_nodes(np.diff(nodes.t[g]), np.ones(g.size, dtype=bool),
-                               2 * pos + singular)
-        has = fourth >= 0
-        nb, parts = np.where(has, g[fourth], idx[pos, 1]), []
-        for b in np.split(np.arange(len(pos)), np.arange(64, len(pos), 64)):
-            ix, n = idx[pos[b]], nb[b]
-            parts.append(_panel_errors(nodes.t[ix], nodes.t[n], has[b], [r[ix] for r in nodes.rows],
-                                       [r[n] for r in nodes.rows]))
-        return np.concatenate([e for e, _ in parts]), np.concatenate([m for _, m in parts])
+    def keys(pos):  # the node rows each interval's estimate reads
+        return np.column_stack([np.where(p >= 0, cp[p], -1) for p in pos] + [mid])
 
-    E, H = errors(np.arange(len(idx)))
-    fixed = np.zeros(len(idx), dtype=bool)
-    lead = np.zeros(B.size)  # the error on [0, h] before the first panel
-    if singular:  # [0, h]: the rectangle, or the trapezoid, against the slope to the next node
-        fixed[0] = True
-        t, k1 = nodes.t, idx[0, 1]
-        for c, f in enumerate(nodes.rows):
-            if np.all(np.isfinite(f[0])):
-                lone = _poly_piece((0.0, h, t[k1]), (f[0], f[rows[0]], f[k1]), 0.0, h)
-                lead[c] = np.abs(0.5 * h * (f[0] + f[rows[0]]) - lone).sum()
-            else:  # f ~ a log(1/t) + b on [0, h] leaves the error a h
+    def errors(J, pos):  # the estimates (J.size, series) of the intervals J
+        out = np.empty((J.size, B.size))
+        for v, ((first, series), p) in enumerate(zip(variants, pos)):
+            p = p[J]  # the first variant's stencils serve every series where the second's agree
+            rows = np.flatnonzero(np.any(p != pos[0][J], axis=1)) if v else np.arange(J.size)
+            series = series if v else range(B.size)
+            size = np.count_nonzero(p[rows] >= 0, axis=1)
+            for m in _sorted_distinct(size[size > 0]).tolist():
+                group = rows[size == m]
+                for b in np.array_split(group, -(-group.size // _ERROR_BLOCK)):
+                    at = np.vstack([cp[p[b, :m]].T, mid[J[b]]])  # (m + 1, P) node rows
+                    w = _SAFETY * _error_weights(nodes.t[at], nodes.t[cp[J[b]]],
+                                                 nodes.t[cp[J[b] + 1]])
+                    with np.errstate(invalid="ignore"):  # a non-finite sample: NaN
+                        for c in series:
+                            e = _weighted(nodes.rows[c][at], w[..., None])
+                            out[b, c] = np.abs(e).sum(axis=1)
+            if first and J.size and J[0] == 0:  # [0, h]: f ~ a log(1/t) + b leaves the error a h
+                k1, k2 = cp[1], cp[2]
                 with np.errstate(invalid="ignore"):  # inf at h too: the estimate is NaN
-                    lead[c] = h * np.abs(f[rows[0]] - f[k1]).sum() / np.log(t[k1] / h)
-    while len(idx) < _MAX_PANELS:
-        E_ok, H_ok, lead_ok = (np.where(np.isfinite(a), a, 0.0) for a in (E, H, lead))
-        total, worst = E_ok.sum(axis=0) + lead_ok, H_ok.max(axis=0)
-        over = np.flatnonzero(total + worst > B)
+                    for c in series:
+                        f = nodes.rows[c]
+                        out[0, c] = h * np.abs(f[k1] - f[k2]).sum() / np.log(nodes.t[k2] / h)
+        return out
+
+    pos = layout()
+    key = keys(pos)
+    E = errors(np.arange(cp.size - 1), pos)
+    fixed = np.zeros(cp.size - 1, dtype=bool)
+    fixed[0] = singular
+    while cp.size - 1 < _MAX_INTERVALS:
+        E_ok = np.where(np.isfinite(E), E, 0.0)
+        total = E_ok.sum(axis=0)
+        over = np.flatnonzero(total > B)
         if over.size == 0:
             break
-        X = nodes.t[idx]
-        free = ~fixed & (X[:, 4] - X[:, 0] > 1e-9 * X[:, 4])
-        pick = np.zeros(len(idx), dtype=bool)
+        t = nodes.t[cp]
+        free = ~fixed & (np.diff(t) > 1e-9 * t[1:])
+        pick = np.zeros(cp.size - 1, dtype=bool)
         for c in over:
-            pick |= H_ok[:, c] > 0.5 * B[c]
-            if total[c] > 0.5 * B[c]:
-                e = np.where(free, E_ok[:, c], 0.0)
-                order = np.argsort(-e, kind="stable")
-                held = np.cumsum(e[order])
-                enough = min(np.searchsorted(held, 0.5 * total[c]),
-                             np.searchsorted(held * (1.0 - _CHILD_SHARE), total[c] - 0.5 * B[c]))
-                pick[order[:enough + 1]] = True
+            e = np.where(free, E_ok[:, c], 0.0)
+            order = np.argsort(-e, kind="stable")
+            held = np.cumsum(e[order])
+            enough = min(np.searchsorted(held, _HOLD * total[c]),
+                         np.searchsorted(held * (1.0 - _CHILD_SHARE), total[c] - _AIM * B[c]))
+            pick[order[:enough + 1]] = True
         pick &= free
-        pick[np.flatnonzero(pick)[_MAX_PANELS - len(idx):]] = False
+        pick[np.flatnonzero(pick)[_MAX_INTERVALS - (cp.size - 1):]] = False
         if not pick.any():
             break
-        p = idx[pick]
-        new = nodes.add(_split(nodes.t[p[:, :-1]], nodes.t[p[:, 1:]]).ravel()).reshape(-1, 4)
-        left = np.column_stack([p[:, 0], new[:, 0], p[:, 1], new[:, 1], p[:, 2]])
-        right = np.column_stack([p[:, 2], new[:, 2], p[:, 3], new[:, 3], p[:, 4]])
+        j = np.flatnonzero(pick)
+        a, m, b = nodes.t[cp[j]], nodes.t[mid[j]], nodes.t[cp[j + 1]]
+        halves = nodes.add(np.column_stack([_split(a, m), _split(m, b)]).ravel()).reshape(-1, 2)
         reps = 1 + pick
-        first = (np.cumsum(reps) - reps)[pick]
-        idx, E, H, fixed = (np.repeat(a, reps, axis=0) for a in (idx, E, H, fixed))
-        idx[first], idx[first + 1] = left, right
-        # the halves, and the panels next to them, whose fourth node may have moved
-        near = (first[:, None] + np.arange(-1, 3)).ravel()
-        near = _sorted_distinct(near[(near >= 0) & (near < len(idx))])
-        E[near], H[near] = errors(near)
-    estimates = E.sum(axis=0) + lead + H.max(axis=0)
+        left = (np.cumsum(reps) - reps)[j]
+        cp = np.insert(cp, j + 1, mid[j])
+        mid, E, fixed, key = (np.repeat(x, reps, axis=0) for x in (mid, E, fixed, key))
+        mid[left], mid[left + 1] = halves[:, 0], halves[:, 1]
+        pos = layout()
+        new_key = keys(pos)
+        moved = np.any(new_key != key, axis=1)
+        moved[0] |= singular  # the estimate on [0, h] reads the next checkpoint too
+        moved = np.flatnonzero(moved)
+        E[moved], key = errors(moved, pos), new_key
+    estimates = E.sum(axis=0)
     estimates[~np.isfinite(estimates)] = np.inf
-    return nodes.t[grid()], estimates
+    return nodes.t[cp], estimates

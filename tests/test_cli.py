@@ -1000,7 +1000,7 @@ def test_lipschitz_class_sees_a_crossing_through_its_jump_of_h(tmp_path, n):
     # the spacing h = 2/n: ce/rce is h.  At kappa = 1e-5 the crossing's defect
     # (ce about 3e-8) stands far above the grid's continuity quadrature error
     # (budget 1e-9 of the mass); at kappa = 1e-6 and n = 200 that error is
-    # some 7 % of ce and the ratio reads 1.07 h
+    # some 4 % of ce and the ratio reads 1.04 h
     tpath = tmp_path / "trajectory.csv"
     tunnel_trajectory(tpath, 1e-5, n)
     ledger = verify_ledger(tmp_path, tunnel_config(n), tpath)
@@ -1020,7 +1020,7 @@ def matrix_twin(cfg):
 def test_matrix_kernel_certifies_the_components_of_its_punctured_twin(tmp_path, kappa, verdict):
     # the step and the component masses come from the coupling, not from the
     # kernel type: the punctured rates written as a matrix give the same ledger.
-    # At kappa = 1e-7 only the step sees the crossing (rce 3e-8, ce 3e-10), so
+    # At kappa = 1e-7 only the step sees the crossing (rce 3e-8, ce 5e-10), so
     # a ledger without it would read Balanced/Reflecting
     tpath = tmp_path / "trajectory.csv"
     tunnel_trajectory(tpath, kappa)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from jumpflow import densities
 from jumpflow.densities import (DissipationTriple, boltzmann_entropy, canonical_triple,
                                 compat_check, cosh_pair, d_phi, f_map, geometric_mean_flux,
-                                lambda_phi, legendre, log_mean_flux, phi_boltzmann,
-                                quadratic_pair)
+                                lambda_phi, legendre, log_mean_flux, phi_and_slope_boltzmann,
+                                phi_boltzmann, quadratic_pair)
 
 COSH = canonical_triple("cosh")
 QUAD = canonical_triple("quadratic")
@@ -27,6 +27,16 @@ def test_phi_boltzmann_values():
     assert phi_boltzmann(math.e) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         phi_boltzmann(-0.1)
+
+
+def test_phi_and_slope_take_one_log_bit_for_bit():
+    # below 1e-300, and at 0, s log s - s + 1 rounds to 1 whichever log it
+    # takes, so one log of max(s, 1e-300) gives phi and phi' both
+    s = np.array([[0.0, 5e-324, 1e-310, 1e-300, 2e-300, 1e-17],
+                  [0.3, 1.0, math.e, 2.0, 1e100, 1e300]])
+    phi, slope = phi_and_slope_boltzmann(s)
+    assert phi.tobytes() == phi_boltzmann(s).tobytes()
+    assert slope.tobytes() == boltzmann_entropy().dphi_ext(s).tobytes()
 
 
 def test_psi_star_values():

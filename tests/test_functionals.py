@@ -10,8 +10,8 @@ import pytest
 from jumpflow.cli import json_text
 from jumpflow.densities import canonical_triple, legendre
 from jumpflow.evolution import IntegratorConfig, Trajectory, concatenate, evolve
-from jumpflow.functionals import (Upsilon, _checkpoint_pass, action_R, entropy, f_upsilon,
-                                  fisher_D, trajectory_L)
+from jumpflow.functionals import (Upsilon, _checkpoint_pass, action_R, entropy,
+                                  entropy_series, f_upsilon, fisher_D, trajectory_L)
 from jumpflow.measures import PosMeasure, jordan_from_setfunction
 from jumpflow.spaces import build_grid, coupling, fractional_kernel, matrix_kernel
 
@@ -170,6 +170,20 @@ def test_trajectory_ledger_additive_under_concatenation():
     s2 = trajectory_L(second, COSH, coup)
     sj = trajectory_L(joined, COSH, coup)
     assert sj[-1] == pytest.approx(s1[-1] + s2[-1], abs=1e-12)
+
+
+@pytest.mark.parametrize("checkpoints", [1, 63, 300])
+def test_split_path_entropy_is_entropy_series_bit_for_bit(checkpoints):
+    # the split path takes the entropy from the log of its pairing's blocks,
+    # 64 to 127 rows; entropy_series takes phi in blocks of 256: with vacant
+    # states (a vacuum start) and any block layout the values are the same
+    sp = build_grid(-1.0, 1.0, 30)
+    coup = coupling(sp, fractional_kernel(sp, 0.6))
+    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.0), 0.2,
+                  IntegratorConfig(checkpoints=checkpoints, graded_start=False))
+    assert traj.linear_flux and np.any(traj.densities == 0.0)
+    ent = _checkpoint_pass(traj, COSH, coup).entropy
+    assert ent.tobytes() == entropy_series(traj.densities, coup.pi, COSH.entropy).tobytes()
 
 
 def test_f_upsilon_quadratic():

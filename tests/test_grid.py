@@ -1,5 +1,5 @@
 """The error-controlled default grid: its estimate against the realized
-quadrature error, the certificates it is chosen for, and its panel layout."""
+quadrature error, the certificates it is chosen for, and its intervals."""
 
 import warnings
 
@@ -13,8 +13,8 @@ from jumpflow.evolution import (EDB_TOL_REL, GRID_EDB_FRACTION, GRID_RCE_FRACTIO
                                 continuity_rates, evolve, generator)
 from jumpflow.functionals import entropy, trajectory_L
 from jumpflow.ledger import VERDICT_BALANCED, default_tolerance, full_report, rce_battery
-from jumpflow.quadrature import (_interval_pieces, _poly_piece, cumulative_simpson_nonuniform,
-                                 error_controlled_grid)
+from jumpflow.quadrature import (_interval_pieces, _piece_weights, _stencils, _weighted,
+                                 cumulative_simpson_nonuniform, error_controlled_grid)
 from jumpflow.spaces import (Coupling, build_graph, build_grid, build_torus, coupling, cutoff,
                              fractional_kernel, matrix_kernel, punctured_mask)
 
@@ -79,12 +79,12 @@ def test_flux_config_meets_the_rce_gate_at_every_battery_seed():
     for seed in SEEDS:
         rep = full_report(traj, COSH, sp, coup, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
-    assert traj.times.size <= 380
+    assert traj.times.size <= 240
 
 
-def test_grid_certify_config_is_certified_on_at_most_300_checkpoints(grid_certify):
+def test_grid_certify_config_is_certified_on_at_most_268_checkpoints(grid_certify):
     sp, coup, traj, tol = grid_certify
-    assert traj.times.size <= 300
+    assert traj.times.size <= 268
     for seed in SEEDS:
         rep = full_report(traj, COSH, sp, coup, tol_rel=tol, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
@@ -229,7 +229,7 @@ def sampler(fns):
 @pytest.mark.parametrize("case", ["smooth", "log_singular"])
 def test_selected_panels_are_the_quadrature_panels(case):
     # e^(-40t) and e^(-3t) from 0, or log(1/t) with its rectangle on [0, h]
-    T, h = 1.0, 1e-12  # the singular step T*1e-12
+    T, h = 1.0, 1e-12 / 40.0  # the singular step 1e-12 min(T, first_step)
     if case == "smooth":
         fns = [lambda t: np.exp(-40.0 * t), lambda t: np.exp(-3.0 * t)]
         exact = lambda t: np.stack([(1 - np.exp(-40.0 * t)) / 40.0, (1 - np.exp(-3.0 * t)) / 3.0], 1)
@@ -244,29 +244,24 @@ def test_selected_panels_are_the_quadrature_panels(case):
     assert times[0] == 0.0 and times[-1] == T and np.all(np.diff(times) > 0)
     start = int(case == "log_singular")
     assert (times[1] == h) == bool(start)
-    # the quadrature pairs exactly the selected panels: interval j >= start with
-    # j - start even opens one.  Each panel keeps the Simpson total of the panel
-    # alone, and its first piece is the cubic's through the fourth node that
-    # the rule names: j + 3, or else j - 1, where finite and its interval at
-    # most 3 times the panel's wider one (no fourth node: the panel alone)
+    # the grid's intervals are the quadrature's: no neighbouring widths 8x
+    # apart cut a run, so interval j >= start takes the quintic through the
+    # nodes j - 2, ..., j + 3, shifted inward to lie in start, ..., K; the
+    # rectangle on [0, h] for the singular series
+    fin = np.arange(times.size) >= start
+    first, size = _stencils(times, fin)
+    K = times.size - 1
+    j = np.arange(start, K)
+    assert np.all(size[start:] == 6)
+    assert np.array_equal(first[start:], np.clip(j - 2, start, K - 5))
     pieces, singular = _interval_pieces(times, values[:, 0])
     assert singular == bool(start)
-    cubic = 0
-    for j in range(start, times.size - 1, 2):
-        alone, _ = _interval_pieces(times[j:j + 3], values[j:j + 3, 0])
-        wide = 3.0 * np.max(np.diff(times[j:j + 3]))
-        nodes = [j, j + 1, j + 2]
-        if j + 3 < times.size and times[j + 3] - times[j + 2] <= wide:
-            nodes.append(j + 3)
-        elif j >= 1 and np.isfinite(values[j - 1, 0]) and times[j] - times[j - 1] <= wide:
-            nodes.append(j - 1)
-        if len(nodes) == 3:
-            assert np.array_equal(pieces[j:j + 2], alone)
-            continue
-        cubic += 1
-        first = _poly_piece(times[nodes][:, None], values[nodes, :1], times[j:j + 1],
-                            times[j + 1:j + 2])
-        assert pieces[j] == first[0] and pieces[j + 1] == alone.sum() - pieces[j]
-    assert cubic >= (times.size - 1 - start) // 2 - 1
+    if start:
+        assert pieces[0] == values[1, 0] * h
+    for k in j:
+        nodes = first[k] + np.arange(6)
+        piece = _weighted(values[nodes, :1], _piece_weights(times[nodes][:, None], times[k:k + 1],
+                                                            times[k + 1:k + 2]))
+        assert pieces[k] == piece[0]
     realized = np.abs(cumulative_simpson_nonuniform(times, values)[0] - exact(times)).sum(axis=1)
     assert np.max(realized) <= estimate <= budget
