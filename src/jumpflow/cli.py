@@ -316,6 +316,18 @@ def _write_csv_json(out, stem, lines, obj):
 # commands
 
 
+def _warn_infinite_grid_error(grid_error, config, where=""):
+    """One line on stderr per series whose default-grid error (``evolve``'s
+    meta['grid_error']) is infinite: a sample bisection cannot make finite,
+    so the grid bounds nothing for that series.  The output files stay as
+    they are."""
+    series = {"edb_rel": "dissipation (EDB)", "rce_rel": "continuity"}
+    for key, value in grid_error.items():
+        if not math.isfinite(value):
+            print(f"warning: {config}{where}: the default grid's {series[key]} error "
+                  f"grid_error.{key} is infinite", file=sys.stderr)
+
+
 def _ledger_for(parsed, traj, coup):
     return ledger.full_report(traj, parsed["triple"], parsed["space"], coup,
                               tol_rel=parsed["tol_rel"], seed=parsed["seed"])
@@ -335,6 +347,7 @@ def cmd_run(args):
     coup = spaces.coupling(parsed["space"], parsed["kernel"])
     traj = evolution.evolve(coup, parsed["triple"], parsed["u0"], parsed["T"],
                             parsed["integrator"], tol_rel=parsed["tol_rel"])
+    _warn_infinite_grid_error(traj.meta.get("grid_error", {}), args.config)
     report = _ledger_for(parsed, traj, coup)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -393,6 +406,8 @@ def cmd_sweep(args):
     result = experiments.robustness_sweep(parsed["space"], parsed["kernel"], parsed["triple"],
                                           eps_list, parsed["u0"], parsed["T"],
                                           parsed["integrator"])
+    for eps, grid_error in zip(result.eps_list, result.grid_errors):
+        _warn_infinite_grid_error(grid_error, args.config, f" at eps = {eps:.17g}")
     stem = f"sweep_n{parsed['space'].n}"
     lines = ["eps,l1_gap_to_next,edb_residual_rel"]
     gaps = list(result.gaps) + [float("nan")]

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .densities import DissipationTriple, compat_check
+from .densities import DissipationTriple, compat_check, phi_boltzmann
 from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform, error_controlled_grid
 
 __all__ = [
@@ -36,10 +36,11 @@ COMPAT_TOL = 1e-9    # largest compatibility residual `generator` accepts
 CFL_SAFETY = 0.9     # Euler steps stay within this fraction of the stability bound
 EULER_MAX_STEPS = 10**7  # most Euler steps one `evolve` takes, over all checkpoint intervals
 # The default grid's error targets, as fractions of those gates.  On grid and
-# torus spaces the continuity estimate is the W1 norm, per coupling component,
-# of the error of the rate vector L u: it bounds the defect of every test
-# function that is 1-Lipschitz, or constant, on each component, the whole
-# battery.  Elsewhere it is the l1 norm, which bounds every |phi| <= 1.
+# torus spaces the continuity error it measures is the W1 norm, per coupling
+# component, of the error of the integrated rate vector L u: it bounds the
+# defect of every test function that is 1-Lipschitz, or constant, on each
+# component, the whole battery.  Elsewhere it is the l1 norm, which bounds
+# every |phi| <= 1.
 GRID_EDB_FRACTION = 1e-2
 GRID_RCE_FRACTION = 1e-1
 
@@ -196,48 +197,68 @@ def _propagate_spectral(parts, times, U) -> None:
 
 
 def _grid_series(parts, coup, triple, u0, rates: bool):
-    """The sampler of the default grid: at times ts, the dissipation
-    phi'(u) . (L u) (the chain-rule pairing, which the EDB integrates) and,
-    with ``rates``, the continuity series, whose quadrature error the grid
-    sums in absolute value.  Each test function's rate is -phi . (L u), and
-    L u sums to 0 on each coupling component.  With the coupling's ``points``
-    (grid and torus spaces) the series is, per component, the cumulative sums
-    C of L u in metric order times the gaps dx to the next state: sum |C| dx
-    is the W1 norm, the most any function 1-Lipschitz in the path distance
-    pairs with, and a function constant on the component pairs with 0.
-    Elsewhere it is L u itself, whose l1 norm bounds every |phi| <= 1.
-    At t = 0 it takes u0 itself, so a vacant state next to mass gives the
-    dissipation its +inf there."""
+    """The sampler of the default grid: at times ts, one pair per series of
+    the series and a primitive of its negative, both from the same rows u(t).
+    The dissipation phi'(u) . (L u) (the chain-rule pairing, which the EDB
+    integrates) comes with the entropy E(u) = pi . phi(u), since
+    dE/dt = -phi'(u) . (L u).  With ``rates`` the continuity series, whose
+    quadrature error the grid sums in absolute value, comes with the same
+    sums of pi u, since d(pi u)/dt = -L u.  Each test function's rate is
+    -phi . (L u), and L u sums to 0 on each coupling component.  With the
+    coupling's ``points`` (grid and torus spaces) the series is, per
+    component, the cumulative sums C of L u in metric order times the gaps dx
+    to the next state: sum |C| dx is the W1 norm, the most any function
+    1-Lipschitz in the path distance pairs with, and a function constant on
+    the component pairs with 0.  Elsewhere it is L u itself, whose l1 norm
+    bounds every |phi| <= 1.  At t = 0 it takes u0 itself, so a vacant state
+    next to mass gives the dissipation its +inf there."""
     lu0 = coup.theta.sum(axis=1) * u0 - coup.theta @ u0
+    boltzmann = triple.entropy.phi is phi_boltzmann
     gaps = [None if coup.points is None else np.diff(coup.points[idx]) for idx, *_ in parts]
-    w1 = rates and coup.points is not None
+
+    def w1_sums(X):  # the last sum is the component's net total, 0 for L u: dropped
+        out, col = np.empty((X.shape[0], X.shape[1] - len(parts))), 0
+        for (idx, *_), dx in zip(parts, gaps):
+            sums = out[:, col:col + dx.size]
+            np.cumsum(X[:, idx[:-1]], axis=1, out=sums)
+            sums *= dx
+            col += dx.size
+        return out
 
     def sample(ts):
         U, LU = np.empty((ts.size, u0.size)), np.empty((ts.size, u0.size))
-        W = np.empty((ts.size, u0.size - len(parts))) if w1 else LU
-        at0, col = ts == 0.0, 0
-        for (idx, lam, coef, back), dx in zip(parts, gaps):
+        for idx, lam, coef, back in parts:
             e = np.exp(ts[:, None] * lam) * coef
             U[:, idx] = e @ back
             e *= lam  # in place, here and below: the block holds few temporaries
             e = e @ back
             e *= -coup.pi[idx]  # L u on the component
-            e[at0] = lu0[idx]
             LU[:, idx] = e
-            if w1:  # the last sum is the component's net rate, 0 up to roundoff: dropped
-                sums = W[:, col:col + dx.size]
-                np.cumsum(e[:, :-1], axis=1, out=sums)
-                sums *= dx
-                col += dx.size
         del e
-        U[at0] = u0
-        lam = triple.entropy.dphi_ext(U)  # phi'(0) at a roundoff negative, as after the clip
+        at0 = ts == 0.0
+        U[at0], LU[at0] = u0, lu0
+        np.maximum(U, 0.0, out=U)  # the clip
+        lam = triple.entropy.dphi_ext(U)
         with np.errstate(invalid="ignore"):  # +inf and -inf slopes can meet: NaN
             terms = lam * LU
             if not np.all(np.isfinite(lam)):  # an infinite slope against no flux pairs to 0
                 terms[LU == 0.0] = 0.0
             dissipation = terms.sum(axis=1)[:, None]
-        return [dissipation, W] if rates else [dissipation]
+        if boltzmann:  # u log u - (u - 1): the digits near u = 1 that (u log u - u) + 1 rounds off
+            with np.errstate(invalid="ignore"):  # 0 log 0 = 0 (-inf): NaN, set to 0
+                phi = np.multiply(U, lam, out=terms)
+            phi[U == 0.0] = 0.0
+            phi -= U - 1.0
+        else:
+            phi = triple.entropy.phi(U)
+        del lam
+        energy = (phi @ coup.pi)[:, None]
+        if not rates:
+            return [(dissipation, energy)]
+        U *= coup.pi
+        if coup.points is None:
+            return [(dissipation, energy), (LU, U)]
+        return [(dissipation, energy), (w1_sums(LU), w1_sums(U))]
 
     return sample
 
@@ -265,8 +286,10 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
     and raises StepLimitError, before any step, when that takes more than
     EULER_MAX_STEPS steps in all.
     Roundoff negatives are clipped in place; meta['clip_min'] keeps the least.
-    meta['checkpoints'] is K+1; on the default grid meta['grid_error'] holds
-    the final estimates, relative like the gates: 'edb_rel' and, with
+    meta['checkpoints'] is K+1; on the default grid meta['grid_error'] holds,
+    relative like the gates, the realized quadrature errors of the sampled
+    rows summed over the intervals in absolute value, which bound the
+    certificate's quadrature error at every checkpoint: 'edb_rel' and, with
     ``continuity_grid``, 'rce_rel'.
     """
     u0 = np.asarray(u0, dtype=float)
@@ -284,11 +307,11 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
         if continuity_grid:
             budgets.append(GRID_RCE_FRACTION * mass * RCE_TOL)
         rate = max(-float(lam[0]) for _, lam, _, _ in parts)
-        times, estimates = error_controlled_grid(
+        times, errors = error_controlled_grid(
             _grid_series(parts, coup, triple, u0, continuity_grid), T, budgets,
             first_step=1.0 / rate if rate > 0 else T)
         meta["grid_error"] = {key: float(e / scale) for key, e, scale
-                              in zip(("edb_rel", "rce_rel"), estimates, (energy, mass))}
+                              in zip(("edb_rel", "rce_rel"), errors, (energy, mass))}
     else:
         times = checkpoint_grid(T, config.checkpoints, config.graded_start)
         meta["graded_start"] = config.graded_start

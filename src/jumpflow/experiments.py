@@ -43,6 +43,7 @@ class SweepResult:
     eps_list: list
     gaps: np.ndarray                # successive L1(pi) gaps, len(eps) - 1
     edb_residuals: list             # relative max EDB residual per eps
+    grid_errors: list = field(default_factory=list)  # each default grid's errors, not written out
 
     def gap_ratios(self) -> np.ndarray:
         g = self.gaps
@@ -67,7 +68,8 @@ def robustness_sweep(space: StateSpace, base_kernel: Kernel, triple: Dissipation
     ``eps_list`` must be decreasing; the gap k is the L1(pi) distance between
     the terminal densities for eps_k and eps_{k+1}.  ``config`` defaults to
     ``IntegratorConfig()``.  The sweep computes no continuity certificate, so
-    a default grid is sized for the EDB residual it reports alone.
+    a default grid is sized for the EDB residual it reports alone; its
+    ``grid_error`` (`evolution.evolve`) is kept in ``grid_errors``.
     """
     if config is None:
         config = evolution.IntegratorConfig()
@@ -75,19 +77,21 @@ def robustness_sweep(space: StateSpace, base_kernel: Kernel, triple: Dissipation
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     u0 = np.asarray(u0, dtype=float)
-    terminal, residuals = [], []
+    terminal, residuals, grid_errors = [], [], []
     for eps in eps_list:
         coup = coupling(space, cutoff(base_kernel, space, eps))
         tol_rel = ledger.default_tolerance(eps)
         traj = evolution.evolve(coup, triple, u0, T, config, tol_rel=tol_rel,
                                 continuity_grid=False)
         terminal.append(traj.densities[-1])
+        grid_errors.append(traj.meta.get("grid_error", {}))
         rep = ledger.edb_report(traj, triple, coup, tol_rel=tol_rel)
         residuals.append(rep.max_edb_residual() / rep.energy_scale)
     terminal = np.asarray(terminal)
     gaps = np.array([np.sum(np.abs(terminal[k] - terminal[k + 1]) * space.pi)
                      for k in range(len(eps_list) - 1)])
-    return SweepResult(eps_list=eps_list, gaps=gaps, edb_residuals=residuals)
+    return SweepResult(eps_list=eps_list, gaps=gaps, edb_residuals=residuals,
+                       grid_errors=grid_errors)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ finite, and are formed in coordinates local to each interval and scaled by
 its width, so they stay in floating-point range whatever the times.
 
 ``error_controlled_grid`` chooses a grid for given series under a global
-error budget, estimating each interval's piece against the integral of the
-sextic through its stencil and its sampled midpoint, and bisecting intervals
-at those midpoints; ``checkpoint_grid`` is the explicit uniform grid,
-optionally with a geometric prefix for the log(1/t) singularity of a vacuum
-start.
+error budget: each series comes with a primitive, so every interval's piece
+is measured against the primitive's difference over the interval, its
+realized error, and the intervals with the largest errors are bisected; every
+sampled time is a checkpoint.  ``checkpoint_grid`` is the explicit uniform
+grid, optionally with a geometric prefix for the log(1/t) singularity of a
+vacuum start.
 """
 
 from __future__ import annotations
@@ -103,20 +104,6 @@ def _piece_weights(x, a, b):
     num = np.multiply.reduce(_GAUSS_AT.reshape((4,) + (1,) * (y.ndim + 1)) - y[others], axis=2)
     den = np.multiply.reduce(y[:, None] - y[others], axis=1)
     return _weighted(num, _GAUSS_W) * (b - a) / den
-
-
-def _error_weights(x, a, b):
-    """Weights of the samples at the nodes x[0], ..., x[m] in the integral over
-    [a, b] of q - p, p the polynomial through the first m nodes and q the one
-    through all m + 1: the integral of prod_{k < m} (t - x_k) times the
-    divided difference over all m + 1 nodes, whose weight at x_k is
-    1 / prod_{l != k} (x_k - x_l).  The nodes may be arrays (m + 1, ...)."""
-    y = _scaled(x, a, b)
-    m = len(y) - 1
-    omega = _weighted(np.multiply.reduce(
-        _GAUSS_AT.reshape((4, 1) + (1,) * (y.ndim - 1)) - y[:m], axis=1), _GAUSS_W)
-    den = np.multiply.reduce(y[:, None] - y[_OTHERS[m + 1]], axis=1)
-    return omega * (b - a) / den
 
 
 _ROOTS = np.sqrt(3.0 / 7.0 + np.array([2.0, -2.0, -2.0, 2.0]) / 7.0 * np.sqrt(1.2))
@@ -238,40 +225,44 @@ _MAX_INTERVALS = 1 << 13
 _HOLD = 0.75              # a round bisects the largest errors that hold this share of their sum,
 _AIM = 0.9                # or enough to bring the sum under this share of the budget,
 _CHILD_SHARE = 1.0 / 32.0  # assuming two halves keep this share of their interval's error
-_SAFETY = 2.0             # an interval's estimate over |sextic - quintic|, which is asymptotic
-_ERROR_BLOCK = 32         # intervals per estimate: the gathered samples stay O(224 d)
+_ERROR_BLOCK = 32         # intervals per error: the gathered samples stay O(192 d)
 
 
 def _split(a, b):
-    """Where an interval [a, b] is sampled and bisected: at sqrt(ab) when
-    b >= 4a > 0, so that intervals toward a log(1/t) singularity at 0 shrink
-    geometrically, at the midpoint otherwise."""
+    """Where an interval [a, b] is bisected: at sqrt(ab) when b >= 4a > 0, so
+    that intervals toward a log(1/t) singularity at 0 shrink geometrically, at
+    the midpoint otherwise."""
     geometric = (a > 0) & (b >= _LOG_SPLIT_RATIO * a)
     return np.where(geometric, np.sqrt(a) * np.sqrt(b), 0.5 * (a + b))
 
 
 class _Nodes:
-    """Every time sampled so far with its samples, one row table per series.
+    """Every checkpoint so far, in the order sampled, with its samples: per
+    series, a row table of the series and one of its primitive.
 
-    The tables grow by doubling from 4096 rows (rows never written take no
-    memory): appending each round by concatenation would copy the whole
-    table every round and hold it twice at the peak of `evolve`."""
+    The tables grow by doubling from 256 rows, which hold a typical grid
+    (K+1 about 150): appending each round by concatenation would copy the
+    whole table every round and hold it twice at the peak of `evolve`."""
 
     BLOCK = 128  # times per call of the sampler: its temporaries stay O(BLOCK d)
 
     def __init__(self, sample):
         self.sample, self.size, self.t = sample, 0, np.empty(0)
-        self.rows = [np.empty((0,) + v.shape[1:]) for v in sample(self.t)]
+        self.rows = [tuple(np.empty((0,) + v.shape[1:]) for v in pair)
+                     for pair in sample(self.t)]
 
     def add(self, ts) -> np.ndarray:
         """Sample the times ``ts``, append them to the table and return their rows."""
         first, end = self.size, self.size + len(ts)
         if end > self.t.size:
-            self.t, *self.rows = (_grown(a, max(2 * end, 4096), first) for a in [self.t, *self.rows])
+            size = max(2 * end, 256)
+            self.t = _grown(self.t, size, first)
+            self.rows = [tuple(_grown(a, size, first) for a in pair) for pair in self.rows]
         self.t[first:end] = ts
         for k in range(first, end, self.BLOCK):
-            for r, v in zip(self.rows, self.sample(self.t[k:min(k + self.BLOCK, end)])):
-                r[k:k + v.shape[0]] = v
+            for pair, got in zip(self.rows, self.sample(self.t[k:min(k + self.BLOCK, end)])):
+                for r, v in zip(pair, got):
+                    r[k:k + v.shape[0]] = v
         self.size = end
         return np.arange(first, end)
 
@@ -287,46 +278,45 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
     """A checkpoint grid on [0, T] on which the quadrature of this module
     integrates every series that ``sample`` returns within its error budget.
 
-    ``sample(ts)`` returns, for the times ``ts``, a list of (ts.size, d)
-    arrays, one per series; ``budgets`` holds one absolute budget per series
-    for the error of its cumulative integral at any checkpoint, summed over
-    its d components.
+    ``sample(ts)`` returns, for the times ``ts``, one pair (f, F) of
+    (ts.size, d) arrays per series: the series f and a primitive F of -f (for
+    a dissipation, the entropy it dissipates); ``budgets`` holds one absolute
+    budget per series for the error of its cumulative integral at any
+    checkpoint, summed over its d components.
 
-    Every interval's midpoint (`_split`) is sampled with its ends.  The
-    difference between the interval's piece and the integral of the sextic
-    through the piece's stencil and the midpoint (`_error_weights`) is the
-    leading term of the piece's error, which it misses by a relative O(h)
-    (on one decaying exponential the error exceeds it by 0.3 % at a width of
-    twice the decay time, by 4 % where the stencil is shifted to a run's end).
-    So an interval's estimate is twice that difference, summed in absolute
-    value over the components, and a series' estimate is the sum over the
+    Every sampled time is a checkpoint, and each interval's error is the one
+    its piece realizes: the sum over the components of
+    |F(t_{j+1}) - F(t_j) + piece_j(f)|.  A series' error is the sum over the
     intervals, which bounds the error of its cumulative integral at every
-    checkpoint.  An interval's estimate is formed when it is created and
-    again only when its stencil changes, as a bisection near it moves one of
-    its nodes or cuts its run.  Seed intervals run in pairs from
+    checkpoint.  An error that cancels inside an interval is no defect: the
+    quadrature is read only at checkpoints.  The errors carry F's rounding,
+    which bisection cannot lower and the sum over intervals accumulates, so
+    F must keep its digits where its differences are small (an entropy near
+    its minimum, for one).  An interval's error is formed when it is created
+    and again only when its stencil changes, as a bisection near it moves one
+    of its nodes or cuts its run.  Seed intervals run in pairs from
     ``first_step`` to T, each pair spanning a t-ratio of at most 8.  Each
     round bisects, for every series over its budget, the fewest largest
     interval errors that hold three quarters of their sum, or enough of them
     to bring the sum under 9/10 of the budget if each pair of halves kept
     1/32 of its interval's error: intervals wherever the error is, under one
-    budget for the whole grid.  A bisection promotes the midpoint to a
-    checkpoint and samples the midpoints of the two halves.
+    budget for the whole grid.  A bisection samples the interval at `_split`
+    and makes that time a checkpoint.
 
     A series whose sample at t = 0 is not finite (the log(1/t) dissipation of
     a vacuum start) is integrated by the rectangle rule on [0, h],
     h = 1e-12 min(T, first_step), and its stencils start at h.  The grid then
-    starts 0, h, 4.5h, 8h; [0, h] is estimated but not bisected, for such a
-    series by a log(1/t) fit through the samples at h and the next
-    checkpoint.  A non-finite estimate does not count toward its series'
-    budget (bisection cannot mend it) and makes the series' estimate
-    infinite.
+    starts 0, h, 4.5h, 8h; [0, h] is not bisected, and its error, for such a
+    series F(h) - F(0) + h f(h), counts like any other.  A non-finite error
+    does not count toward its series' budget (bisection cannot mend it) and
+    makes the series' error infinite.
 
-    Returns the times and the estimate of every series.
+    Returns the times and the error of every series.
     """
     B = np.asarray(budgets, dtype=float)
     nodes = _Nodes(sample)
     nodes.add([0.0])
-    late = np.array([not np.all(np.isfinite(r[0])) for r in nodes.rows])
+    late = np.array([not np.all(np.isfinite(f[0])) for f, _ in nodes.rows])
     singular = bool(late.any())
     if singular:
         h = GRADE_TMIN_REL * min(T, first_step)
@@ -342,8 +332,7 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
     knots = np.append(pairs.ravel(), T)
     if singular:
         knots = np.append(0.0, knots)
-    rows = nodes.add(np.append(knots[1:], _split(knots[:-1], knots[1:])))
-    cp, mid = np.append(0, rows[:knots.size - 1]), rows[knots.size - 1:]
+    cp = np.append(0, nodes.add(knots[1:]))
     # the stencils' runs: from 0 for the series finite there, from h for the others
     variants = [(first, np.flatnonzero(late == bool(first))) for first in (0, 1)
                 if np.any(late == bool(first))]
@@ -358,11 +347,12 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
             out.append(np.where(np.arange(STENCIL) < m[:, None], at, -1))
         return out
 
-    def keys(pos):  # the node rows each interval's estimate reads
-        return np.column_stack([np.where(p >= 0, cp[p], -1) for p in pos] + [mid])
+    def keys(pos):  # the node rows each interval's error reads: its stencils hold its ends
+        return np.column_stack([np.where(p >= 0, cp[p], -1) for p in pos])
 
-    def errors(J, pos):  # the estimates (J.size, series) of the intervals J
+    def errors(J, pos):  # the realized errors (J.size, series) of the intervals J
         out = np.empty((J.size, B.size))
+        a, b = cp[J], cp[J + 1]
         for v, ((first, series), p) in enumerate(zip(variants, pos)):
             p = p[J]  # the first variant's stencils serve every series where the second's agree
             rows = np.flatnonzero(np.any(p != pos[0][J], axis=1)) if v else np.arange(J.size)
@@ -370,20 +360,19 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
             size = np.count_nonzero(p[rows] >= 0, axis=1)
             for m in _sorted_distinct(size[size > 0]).tolist():
                 group = rows[size == m]
-                for b in np.array_split(group, -(-group.size // _ERROR_BLOCK)):
-                    at = np.vstack([cp[p[b, :m]].T, mid[J[b]]])  # (m + 1, P) node rows
-                    w = _SAFETY * _error_weights(nodes.t[at], nodes.t[cp[J[b]]],
-                                                 nodes.t[cp[J[b] + 1]])
+                for g in np.array_split(group, -(-group.size // _ERROR_BLOCK)):
+                    at = cp[p[g, :m]].T  # (m, P) node rows
+                    w = _piece_weights(nodes.t[at], nodes.t[a[g]], nodes.t[b[g]])
                     with np.errstate(invalid="ignore"):  # a non-finite sample: NaN
                         for c in series:
-                            e = _weighted(nodes.rows[c][at], w[..., None])
-                            out[b, c] = np.abs(e).sum(axis=1)
-            if first and J.size and J[0] == 0:  # [0, h]: f ~ a log(1/t) + b leaves the error a h
-                k1, k2 = cp[1], cp[2]
-                with np.errstate(invalid="ignore"):  # inf at h too: the estimate is NaN
-                    for c in series:
-                        f = nodes.rows[c]
-                        out[0, c] = h * np.abs(f[k1] - f[k2]).sum() / np.log(nodes.t[k2] / h)
+                            f, F = nodes.rows[c]
+                            e = F[b[g]] - F[a[g]]
+                            e += _weighted(f[at], w[..., None])
+                            out[g, c] = np.abs(e).sum(axis=1)
+            if first and J.size and J[0] == 0:  # the rectangle on [0, h]
+                for c in series:
+                    f, F = nodes.rows[c]
+                    out[0, c] = np.abs(F[b[0]] - F[a[0]] + f[b[0]] * h).sum()
         return out
 
     pos = layout()
@@ -406,25 +395,18 @@ def error_controlled_grid(sample, T: float, budgets, first_step: float):
             held = np.cumsum(e[order])
             enough = min(np.searchsorted(held, _HOLD * total[c]),
                          np.searchsorted(held * (1.0 - _CHILD_SHARE), total[c] - _AIM * B[c]))
-            pick[order[:enough + 1]] = True
-        pick &= free
+            chosen = order[:enough + 1]
+            pick[chosen[e[chosen] > 0.0]] = True  # an interval without error gains nothing
         pick[np.flatnonzero(pick)[_MAX_INTERVALS - (cp.size - 1):]] = False
         if not pick.any():
             break
         j = np.flatnonzero(pick)
-        a, m, b = nodes.t[cp[j]], nodes.t[mid[j]], nodes.t[cp[j + 1]]
-        halves = nodes.add(np.column_stack([_split(a, m), _split(m, b)]).ravel()).reshape(-1, 2)
-        reps = 1 + pick
-        left = (np.cumsum(reps) - reps)[j]
-        cp = np.insert(cp, j + 1, mid[j])
-        mid, E, fixed, key = (np.repeat(x, reps, axis=0) for x in (mid, E, fixed, key))
-        mid[left], mid[left + 1] = halves[:, 0], halves[:, 1]
+        cp = np.insert(cp, j + 1, nodes.add(_split(t[j], t[j + 1])))
+        E, fixed, key = (np.repeat(x, 1 + pick, axis=0) for x in (E, fixed, key))
         pos = layout()
         new_key = keys(pos)
-        moved = np.any(new_key != key, axis=1)
-        moved[0] |= singular  # the estimate on [0, h] reads the next checkpoint too
-        moved = np.flatnonzero(moved)
+        moved = np.flatnonzero(np.any(new_key != key, axis=1))
         E[moved], key = errors(moved, pos), new_key
-    estimates = E.sum(axis=0)
-    estimates[~np.isfinite(estimates)] = np.inf
-    return nodes.t[cp], estimates
+    realized = E.sum(axis=0)
+    realized[~np.isfinite(realized)] = np.inf
+    return nodes.t[cp], realized

@@ -132,6 +132,31 @@ def test_default_grid_run_is_deterministic_and_verified_byte_for_byte(tmp_path, 
     assert ledger["verdict"] == "Balanced/Reflecting" and ledger["n_checkpoints"] < 1000
 
 
+GRID_CERTIFY = {"schema": 1, "space": {"type": "grid", "a": -1.0, "b": 1.0, "n": 200},
+                "kernel": {"type": "fractional", "s": 0.6, "cutoff": 1e-3}, "triple": "cosh",
+                "initial": {"type": "step", "left": 2.0, "right": 0.0, "split": 0.0},
+                "T": 0.5, "seed": 7}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_an_infinite_grid_error_is_named_on_stderr(tmp_path, capsys, command):
+    # the two-point vacuum start at T = 1e-5: its dissipation is infinite at
+    # the first checkpoint after 0 too (ROADMAP defect 9), so the grid bounds
+    # nothing for it; one line per series and run names it and the config
+    vacuum = dict(TWO_POINT, integrator=None, T=1e-5)
+    if command == "sweep":
+        vacuum["sweep"] = {"eps_list": [0.5, 0.25]}
+    cfg = write_config(tmp_path, vacuum)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == (2 if command == "sweep" else 1)
+    for line in lines:
+        assert cfg in line and "dissipation" in line and "grid_error.edb_rel" in line
+    cfg = write_config(tmp_path, GRID_CERTIFY, "certify.json")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "certify")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("base", [TWO_POINT, PUNCTURED_GRID], ids=["two_point", "punctured"])
 def test_verify_flux_round_trip_byte_identical(tmp_path, base):
     cfg = write_config(tmp_path, dict(base, export_flux=True))

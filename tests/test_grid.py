@@ -1,5 +1,6 @@
-"""The error-controlled default grid: its estimate against the realized
-quadrature error, the certificates it is chosen for, and its intervals."""
+"""The error-controlled default grid: the realized quadrature errors it
+reports against the certificates' own, the certificates it is chosen for,
+and its intervals."""
 
 import warnings
 
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
+from jumpflow import evolution
 from jumpflow.densities import canonical_triple
 from jumpflow.evolution import (EDB_TOL_REL, GRID_EDB_FRACTION, GRID_RCE_FRACTION,
                                 IntegratorConfig, RCE_TOL, _grid_series, _spectral_parts,
                                 continuity_rates, evolve, generator)
 from jumpflow.functionals import entropy, trajectory_L
 from jumpflow.ledger import VERDICT_BALANCED, default_tolerance, full_report, rce_battery
-from jumpflow.quadrature import (_interval_pieces, _piece_weights, _stencils, _weighted,
-                                 cumulative_simpson_nonuniform, error_controlled_grid)
+from jumpflow.quadrature import (_MAX_INTERVALS, _interval_pieces, _piece_weights, _stencils,
+                                 _weighted, cumulative_simpson_nonuniform, error_controlled_grid)
 from jumpflow.spaces import (Coupling, build_graph, build_grid, build_torus, coupling, cutoff,
                              fractional_kernel, matrix_kernel, punctured_mask)
 
@@ -28,14 +30,24 @@ def two_point():
     return sp, coupling(sp, matrix_kernel([[0.0, 1.0], [1.0, 0.0]]))
 
 
-@pytest.fixture(scope="module")
-def grid_certify():
+def flux_config():
+    # the flux-roundtrip config: n=32, s=0.75, no cutoff, step 1.8/0.3 at -0.5
+    sp = build_grid(-1.0, 1.0, 32)
+    u0 = np.where(sp.points < -0.5, 1.8, 0.3)
+    return sp, coupling(sp, fractional_kernel(sp, 0.75)), u0, None
+
+
+def grid_certify_config():
     # n=200, cutoff 1e-3, vacuum start: the canonical run at the CLI's tolerance
     sp = build_grid(-1.0, 1.0, 200)
     coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-3))
-    tol = default_tolerance(1e-3)
-    traj = evolve(coup, COSH, np.where(sp.points < 0.0, 2.0, 0.0), 0.5, tol_rel=tol)
-    return sp, coup, traj, tol
+    return sp, coup, np.where(sp.points < 0.0, 2.0, 0.0), default_tolerance(1e-3)
+
+
+@pytest.fixture(scope="module")
+def grid_certify():
+    sp, coup, u0, tol = grid_certify_config()
+    return sp, coup, evolve(coup, COSH, u0, 0.5, tol_rel=tol), tol
 
 
 @pytest.fixture(scope="module")
@@ -73,9 +85,8 @@ def test_two_point_estimate_bounds_the_realized_ledger():
 def test_flux_config_meets_the_rce_gate_at_every_battery_seed():
     # defect 1: n=32, s=0.75, no cutoff, step 1.8/0.3 at -0.5, T=0.5, default settings;
     # on the fixed graded grid seeds 2, 18, 20, 21, 25, 27, 28, 30, 35 and 39 read Neither
-    sp = build_grid(-1.0, 1.0, 32)
-    coup = coupling(sp, fractional_kernel(sp, 0.75))
-    traj = evolve(coup, COSH, np.where(sp.points < -0.5, 1.8, 0.3), 0.5)
+    sp, coup, u0, _ = flux_config()
+    traj = evolve(coup, COSH, u0, 0.5)
     for seed in SEEDS:
         rep = full_report(traj, COSH, sp, coup, seed=seed)
         assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL, seed
@@ -108,7 +119,7 @@ def test_estimates_bound_the_realized_errors_at_every_checkpoint(config, request
     sp, coup, traj, _ = request.getfixturevalue(config)
     u0, ts = traj.densities[0], traj.times
     parts = _spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
-    _, series = _grid_series(parts, coup, COSH, u0, True)(ts)
+    _, (series, _) = _grid_series(parts, coup, COSH, u0, True)(ts)
     quadrature, _ = cumulative_simpson_nonuniform(ts, series)
     exact = np.hstack([np.cumsum(-coup.pi[idx] * ((np.expm1(ts[:, None] * lam) * coef) @ back),
                                  axis=1)[:, :-1] * np.diff(coup.points[idx])
@@ -121,7 +132,7 @@ def test_estimates_bound_the_realized_errors_at_every_checkpoint(config, request
 
 def test_every_battery_member_meets_the_gate_on_the_torus(torus_certify):
     # each member is 1-Lipschitz in the path distance of the circle cut at 0,
-    # so the W1 estimate bounds its defect; seeds 0-39 draw the random members
+    # so the W1 error bounds its defect; seeds 0-39 draw the random members
     # (grid-certify: the two tests above)
     sp, coup, traj, _ = torus_certify
     assert coup.points is not None
@@ -166,8 +177,8 @@ def test_grid_sampler_series_is_the_w1_norm_of_the_rates(space):
     for _ in range(5):
         u0 = rng.uniform(0.0, 2.0, sp.n)
         parts = _spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
-        _, sums = _grid_series(parts, coup, COSH, u0, True)(ts)
-        _, rates = _grid_series(parts, plain, COSH, u0, True)(ts)
+        _, (sums, _) = _grid_series(parts, coup, COSH, u0, True)(ts)
+        _, (rates, _) = _grid_series(parts, plain, COSH, u0, True)(ts)
         assert sums.shape == (ts.size, sp.n - labels.max() - 1)
         for f, row in zip(rates, sums):
             col = 0
@@ -198,13 +209,79 @@ def test_graph_spaces_keep_the_l1_estimate():
     assert coup.points is None
     u0 = np.array([2.0, 0.5])
     parts = _spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
-    _, lu = _grid_series(parts, coup, COSH, u0, True)(np.array([0.0]))
+    _, (lu, _) = _grid_series(parts, coup, COSH, u0, True)(np.array([0.0]))
     np.testing.assert_array_equal(lu[0], [0.75, -0.75])
 
 
+@pytest.mark.parametrize("config", [grid_certify_config, flux_config])
+def test_grid_samples_each_checkpoint_once(config, monkeypatch):
+    # every sampled time is a checkpoint: the sampler sees the K+1 times, once each
+    seen, real = [], evolution._grid_series
+
+    def counted(*args):
+        sample = real(*args)
+
+        def wrapped(ts):
+            seen.append(np.array(ts, dtype=float))
+            return sample(ts)
+        return wrapped
+
+    monkeypatch.setattr(evolution, "_grid_series", counted)
+    _, coup, u0, tol = config()
+    traj = evolve(coup, COSH, u0, 0.5, tol_rel=tol)
+    sampled = np.concatenate(seen)
+    assert sampled.size == traj.times.size
+    assert np.array_equal(np.sort(sampled), traj.times)
+
+
+def n12_config():
+    # n = 12, s = 0.6, cutoff 1e-2, step 2/0.5 at 0
+    sp = build_grid(-1.0, 1.0, 12)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-2))
+    return sp, coup, np.where(sp.points < 0.0, 2.0, 0.5), default_tolerance(1e-2)
+
+
+@pytest.mark.parametrize("config,T,verdict", [
+    (n12_config, 1e6, VERDICT_BALANCED), (n12_config, 1e12, "Neither"),
+    (n12_config, 1e100, "Neither"), (two_point, 1e100, "Neither")])
+def test_long_horizons_stay_far_from_the_interval_cap(config, T, verdict):
+    # far past relaxation the realized errors must not carry roundoff that
+    # bisection cannot lower: the settled rows' rates are exactly 0 (the null
+    # eigenvalue is pinned to 0), so their intervals realize no error.  The
+    # Neither verdicts are the settled tails' continuity defect (ROADMAP
+    # defect 17), which the grid does not see
+    if config is two_point:
+        sp, coup = two_point()
+        u0, tol = np.array([2.0, 0.0]), None
+    else:
+        sp, coup, u0, tol = config()
+    traj = evolve(coup, COSH, u0, T, tol_rel=tol)
+    assert traj.times.size <= _MAX_INTERVALS // 8
+    assert np.all(np.isfinite(list(traj.meta["grid_error"].values())))
+    rep = full_report(traj, COSH, sp, coup, tol_rel=tol)
+    assert rep.verdict == verdict
+    parts = _spectral_parts(coup, np.diag(generator(coup, COSH)), u0)
+    (dissipation, _), (rates, _) = _grid_series(parts, coup, COSH, u0, True)(traj.times[-1:])
+    assert np.all(rates == 0.0) and np.all(dissipation == 0.0)
+
+
+@pytest.mark.parametrize("amplitude", [1e-3, 1e-6, 1e-9, 0.0])
+def test_near_equilibrium_starts_keep_small_grids(amplitude):
+    # the entropy's own rounding near u = 1 (an ulp of 1 per state in
+    # (u log u - u) + 1) would add up over the intervals far over a budget
+    # relative to an entropy of amplitude^2: the sampler forms
+    # u log u - (u - 1), whose error falls with the amplitude
+    sp = build_grid(-1.0, 1.0, 200)
+    coup = coupling(sp, cutoff(fractional_kernel(sp, 0.6), sp, 1e-2))
+    traj = evolve(coup, COSH, 1.0 + amplitude * np.cos(np.pi * sp.points), 0.5)
+    assert traj.times.size <= 80
+    assert traj.meta["grid_error"]["edb_rel"] <= GRID_EDB_FRACTION * EDB_TOL_REL
+
+
 def test_vacuum_start_on_a_short_horizon_warns_nothing():
-    # the [0, h] estimate of a dissipation infinite at h too is inf - inf: it
-    # stays non-finite, and no RuntimeWarning escapes (the verdict is not pinned)
+    # the [0, h] rectangle of a dissipation infinite at h too is infinite: its
+    # error stays non-finite, and no RuntimeWarning escapes (the verdict is not
+    # pinned)
     sp, coup = two_point()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -222,8 +299,9 @@ def test_euler_runs_on_the_expm_grid():
     assert np.max(np.abs(a.densities - b.densities)) <= 1e-4
 
 
-def sampler(fns):
-    return lambda ts: [np.column_stack([f(ts) for f in fns])]
+def sampler(fns, exact):
+    """Each series with a primitive of its negative: minus its exact integral."""
+    return lambda ts: [(np.column_stack([f(ts) for f in fns]), -exact(ts))]
 
 
 @pytest.mark.parametrize("case", ["smooth", "log_singular"])
@@ -239,8 +317,8 @@ def test_selected_panels_are_the_quadrature_panels(case):
     budget = 1e-9
     with np.errstate(divide="ignore"):
         times, (estimate,) = error_controlled_grid(
-            sampler(fns), T, [budget], first_step=1.0 / 40.0)
-        values = sampler(fns)(times)[0]
+            sampler(fns, exact), T, [budget], first_step=1.0 / 40.0)
+        values = sampler(fns, exact)(times)[0][0]
     assert times[0] == 0.0 and times[-1] == T and np.all(np.diff(times) > 0)
     start = int(case == "log_singular")
     assert (times[1] == h) == bool(start)

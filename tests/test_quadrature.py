@@ -1,6 +1,6 @@
 """The sixth-order interval rule on nonuniform grids: the array plan against a
 scan one interval at a time, its exactness and order, its weights at the
-ends of the accepted T range, and the error-controlled grid's estimates."""
+ends of the accepted T range, and the error-controlled grid's realized errors."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,9 @@ from jumpflow import quadrature
 from jumpflow.densities import canonical_triple
 from jumpflow.evolution import Trajectory, evolve
 from jumpflow.ledger import VERDICT_BALANCED, full_report
-from jumpflow.quadrature import (_Plan, _error_weights, _interval_pieces, _piece_weights,
-                                 _sorted_distinct, _split, _stencils, _weighted, checkpoint_grid,
-                                 cumulative_simpson_nonuniform, error_controlled_grid,
-                                 simpson_nonuniform)
+from jumpflow.quadrature import (_Plan, _interval_pieces, _piece_weights, _sorted_distinct,
+                                 _weighted, checkpoint_grid, cumulative_simpson_nonuniform,
+                                 error_controlled_grid, simpson_nonuniform)
 from jumpflow.spaces import build_graph, coupling, matrix_kernel
 
 RATIO = 8.0
@@ -222,37 +221,30 @@ def test_sorted_distinct_is_np_unique():
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _smooth(ts):
+    return [(np.column_stack([np.exp(-40.0 * ts), np.cos(7.0 * ts)]),
+             np.column_stack([np.exp(-40.0 * ts) / 40.0, -np.sin(7.0 * ts) / 7.0]))]
+
+
+def _log_singular(ts):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return [(-np.log(ts)[:, None], np.where(ts > 0, ts * np.log(ts) - ts, 0.0)[:, None])]
+
+
 def test_grid_estimates_are_those_of_its_final_panels():
-    # the grid forms an interval's estimate when the interval is made and
-    # again when a bisection moves a node of its stencil; at the end they are
-    # the estimates of the final intervals: twice each piece against the
-    # sextic through its stencil and its midpoint
-    def sample(ts):
-        return [np.column_stack([np.exp(-40.0 * ts), np.cos(7.0 * ts)])]
-
-    times, estimates = error_controlled_grid(sample, 1.0, [1e-10], first_step=1.0 / 40.0)
-    start, size = _stencils(times, np.ones(times.size, dtype=bool))
-    assert np.all(size == 6)
-    x = np.vstack([times[start + np.arange(6)[:, None]], _split(times[:-1], times[1:])])
-    w = _error_weights(x, times[:-1], times[1:])
-    E = 2.0 * np.abs(_weighted(sample(x.ravel())[0].reshape(x.shape + (2,)), w[..., None]))
-    assert estimates == pytest.approx([E.sum()], rel=1e-12, abs=0.0)
-
-
-def test_error_weights_are_the_sextic_against_the_quintic():
-    # the divided-difference form of the estimate against the two pieces it
-    # stands for, on stencils of random widths within 8x, the extra node
-    # anywhere inside the interval
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        ts = np.concatenate([[0.0], np.cumsum(np.exp(rng.uniform(-1.0, 1.0, 5)))])
-        j = int(rng.integers(0, 5))
-        extra = ts[j] + rng.uniform(0.1, 0.9) * (ts[j + 1] - ts[j])
-        x = np.append(ts, extra)
-        f = np.cos(rng.normal(size=7) * 3.0)
-        want = poly_piece(x, f, ts[j], ts[j + 1]) - poly_piece(ts, f[:6], ts[j], ts[j + 1])
-        got = _error_weights(x, ts[j], ts[j + 1]) @ f
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-13 * (ts[j + 1] - ts[j]))
+    # the grid forms an interval's realized error when the interval is made
+    # and again when a bisection moves a node of its stencil; at the end they
+    # are, bit for bit, those of the final intervals recomputed from scratch:
+    # |F(t_j+1) - F(t_j) + piece_j| summed over the components, F a primitive
+    # of -f, with the rectangle on [0, h] for log(1/t)
+    for sample in (_smooth, _log_singular):
+        times, estimates = error_controlled_grid(sample, 1.0, [1e-10], first_step=1.0 / 40.0)
+        assert (times[1] == 1e-12 / 40.0) == (sample is _log_singular)
+        (f, F), = sample(times)
+        pieces, _ = _interval_pieces(times, f)
+        E = np.abs(F[1:] - F[:-1] + pieces).sum(axis=1)[:, None]
+        assert E.sum(axis=0).tobytes() == np.asarray(estimates).tobytes(), sample
+        assert estimates[0] <= 1e-10
 
 
 @pytest.mark.parametrize("T", [1e-100, 1e100])
@@ -285,8 +277,9 @@ def test_grids_equal_the_np_unique_grids(monkeypatch, T, first_step):
     # both grids drop repeated nodes with _sorted_distinct; with np.unique in
     # its place they must come out bit for bit the same
     def sample(ts):
-        return [np.column_stack([np.exp(-40.0 * ts), np.exp(-3.0 * ts)]),
-                np.sqrt(ts)[:, None]]
+        return [(np.column_stack([np.exp(-40.0 * ts), np.exp(-3.0 * ts)]),
+                 np.column_stack([np.exp(-40.0 * ts) / 40.0, np.exp(-3.0 * ts) / 3.0])),
+                (np.sqrt(ts)[:, None], -2.0 / 3.0 * ts[:, None] ** 1.5)]
 
     def grids():
         return (checkpoint_grid(T, 64), error_controlled_grid(sample, T, [1e-9, 1e-6],
