@@ -219,7 +219,7 @@ def parse_run_config(cfg):
     config = build_integrator(cfg.get("integrator"))
     if config.checkpoints is not None:
         _addressable(config.checkpoints + 1, space.n, "integrator.checkpoints")
-    seed = _integer(cfg.get("seed", 0), "config.seed", lo=0)
+    _integer(cfg.get("seed", 0), "config.seed", lo=0)  # accepted and checked; it drives nothing
     tol_rel = None
     if "tol_rel" in cfg and cfg["tol_rel"] is not None:
         tol_rel = _number(cfg["tol_rel"], "config.tol_rel")
@@ -232,7 +232,7 @@ def parse_run_config(cfg):
         tol_rel = ledger.default_tolerance((cfg["kernel"] or {}).get("cutoff"))
     return {
         "space": space, "kernel": kernel, "triple": triple,
-        "u0": u0, "T": T, "integrator": config, "seed": seed, "export_flux": export_flux,
+        "u0": u0, "T": T, "integrator": config, "export_flux": export_flux,
         "tol_rel": tol_rel,
     }
 
@@ -329,8 +329,7 @@ def _warn_infinite_grid_error(grid_error, config, where=""):
 
 
 def _ledger_for(parsed, traj, coup):
-    return ledger.full_report(traj, parsed["triple"], parsed["space"], coup,
-                              tol_rel=parsed["tol_rel"], seed=parsed["seed"])
+    return ledger.full_report(traj, parsed["triple"], coup, tol_rel=parsed["tol_rel"])
 
 
 def cmd_run(args):
@@ -342,8 +341,8 @@ def cmd_run(args):
         _addressable(args.checkpoints + 1, parsed["space"].n, "checkpoints")
     if overrides:
         parsed["integrator"] = dataclasses.replace(parsed["integrator"], **overrides)
-    if args.seed is not None:
-        parsed["seed"] = _integer(args.seed, "seed", lo=0)
+    if args.seed is not None:  # like config.seed
+        _integer(args.seed, "seed", lo=0)
     coup = spaces.coupling(parsed["space"], parsed["kernel"])
     traj = evolution.evolve(coup, parsed["triple"], parsed["u0"], parsed["T"],
                             parsed["integrator"], tol_rel=parsed["tol_rel"])

@@ -96,23 +96,24 @@ class DissipationTriple:
 
 
 def phi_boltzmann(s):
-    """Boltzmann entropy density s log s - s + 1, with value 1 at s = 0."""
+    """Boltzmann entropy density s log s - (s - 1), with value 1 at s = 0.  Near
+    s = 1 both terms are of the size of s - 1, so none of its digits cancel
+    against the ulp of 1 that (s log s - s) + 1 rounds to."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0):
         raise ValueError("entropy density argument must be nonnegative")
     safe = np.where(s > 0, s, 1.0)
-    out = np.where(s > 0, safe * np.log(safe) - safe + 1.0, 1.0)
+    out = np.where(s > 0, safe * np.log(safe) - (safe - 1.0), 1.0)
     return out if out.ndim else float(out)
 
 
 def phi_and_slope_boltzmann(s):
     """phi_boltzmann(s) and the Boltzmann dphi_ext(s) of an array s >= 0, bit
     for bit, from one log of max(s, 1e-300): below 1e-300, and at 0,
-    s log s - s is far below the ulp of 1 whichever log it takes."""
+    s log s is far below the ulp of 1 whichever log it takes."""
     log = np.log(np.maximum(s, 1e-300))
     phi = s * log
-    phi -= s
-    phi += 1.0
+    phi -= s - 1.0
     log[s <= 0] = -math.inf
     return phi, log
 

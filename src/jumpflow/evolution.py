@@ -17,14 +17,13 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .densities import DissipationTriple, compat_check, phi_boltzmann
+from .densities import DissipationTriple, compat_check, phi_and_slope_boltzmann, phi_boltzmann
 from .quadrature import checkpoint_grid, cumulative_simpson_nonuniform, error_controlled_grid
 
 __all__ = [
     "IncompatibleTripleError", "NumericalError", "StepLimitError", "IntegratorConfig",
     "Trajectory",
-    "generator", "evolve", "continuity_rates",
-    "continuity_spreads", "continuity_residual", "concatenate",
+    "generator", "evolve", "continuity_rates", "continuity_residual", "concatenate",
     "trajectory_csv_text", "trajectory_from_csv",
     "flux_csv_text", "flux_csv_is_linear", "flux_from_csv",
 ]
@@ -35,12 +34,10 @@ RCE_TOL = 1e-8       # continuity-equation gate, relative to the mass
 COMPAT_TOL = 1e-9    # largest compatibility residual `generator` accepts
 CFL_SAFETY = 0.9     # Euler steps stay within this fraction of the stability bound
 EULER_MAX_STEPS = 10**7  # most Euler steps one `evolve` takes, over all checkpoint intervals
-# The default grid's error targets, as fractions of those gates.  On grid and
-# torus spaces the continuity error it measures is the W1 norm, per coupling
-# component, of the error of the integrated rate vector L u: it bounds the
-# defect of every test function that is 1-Lipschitz, or constant, on each
-# component, the whole battery.  Elsewhere it is the l1 norm, which bounds
-# every |phi| <= 1.
+# The default grid's error targets, as fractions of those gates.  The continuity
+# error it measures is the W1 norm (`_w1_sums`) along each component's metric path
+# of the error of the integrated rate vector L u: it bounds the defect of every test
+# function 1-Lipschitz, or constant, on each component, the ledger's whole class.
 GRID_EDB_FRACTION = 1e-2
 GRID_RCE_FRACTION = 1e-1
 
@@ -168,12 +165,9 @@ def _spectral_parts(coup, q_diag, u0) -> list:
     (states, eigenvalues, coefficients, back) per component: there
     u(t) = (e^(t lam) coef) @ back and, with the coupling Laplacian
     L = diag(theta 1) - theta = -Pi Q, L u(t) = -pi (lam e^(t lam) coef) @ back."""
-    root, labels = np.sqrt(coup.pi), coup.labels
+    root = np.sqrt(coup.pi)
     parts = []
-    for c in range(labels.max() + 1):
-        idx = np.flatnonzero(labels == c)
-        if coup.points is not None:  # the states in metric order, for the grid's W1 sums
-            idx = idx[np.argsort(coup.points[idx], kind="stable")]
+    for idx, _ in coup.paths[1]:  # the states in path order, for the grid's W1 sums
         r = root[idx]
         S = coup.theta[np.ix_(idx, idx)] / np.outer(r, r)
         S[np.diag_indices_from(S)] = q_diag[idx]
@@ -196,6 +190,20 @@ def _propagate_spectral(parts, times, U) -> None:
             U[k:k + rows, idx] = ((np.exp(ts[:, None] * lam) * coef) @ back)[:rows]
 
 
+def _w1_sums(X, paths) -> np.ndarray:
+    """The cumulative sums of the rows of X along each path (states, gaps) of
+    `Coupling.paths` times the gap to the next state, side by side, the last
+    (the net) dropped.  Their absolute sum is the path's W1 norm of a row with
+    no net mass: the most any function 1-Lipschitz along the path pairs with."""
+    out, col = np.empty((X.shape[0], sum(gaps.size for _, gaps in paths))), 0
+    for states, gaps in paths:
+        sums = out[:, col:col + gaps.size]
+        np.cumsum(X[:, states[:-1]], axis=1, out=sums)
+        sums *= gaps
+        col += gaps.size
+    return out
+
+
 def _grid_series(parts, coup, triple, u0, rates: bool):
     """The sampler of the default grid: at times ts, one pair per series of
     the series and a primitive of its negative, both from the same rows u(t).
@@ -204,26 +212,12 @@ def _grid_series(parts, coup, triple, u0, rates: bool):
     dE/dt = -phi'(u) . (L u).  With ``rates`` the continuity series, whose
     quadrature error the grid sums in absolute value, comes with the same
     sums of pi u, since d(pi u)/dt = -L u.  Each test function's rate is
-    -phi . (L u), and L u sums to 0 on each coupling component.  With the
-    coupling's ``points`` (grid and torus spaces) the series is, per
-    component, the cumulative sums C of L u in metric order times the gaps dx
-    to the next state: sum |C| dx is the W1 norm, the most any function
-    1-Lipschitz in the path distance pairs with, and a function constant on
-    the component pairs with 0.  Elsewhere it is L u itself, whose l1 norm
-    bounds every |phi| <= 1.  At t = 0 it takes u0 itself, so a vacant state
-    next to mass gives the dissipation its +inf there."""
+    -phi . (L u), and L u sums to 0 on each coupling component.  The series
+    is `_w1_sums` of L u along each component's path: a function constant on
+    the component pairs with 0.  At t = 0 it takes u0 itself, so a vacant
+    state next to mass gives the dissipation its +inf there."""
     lu0 = coup.theta.sum(axis=1) * u0 - coup.theta @ u0
     boltzmann = triple.entropy.phi is phi_boltzmann
-    gaps = [None if coup.points is None else np.diff(coup.points[idx]) for idx, *_ in parts]
-
-    def w1_sums(X):  # the last sum is the component's net total, 0 for L u: dropped
-        out, col = np.empty((X.shape[0], X.shape[1] - len(parts))), 0
-        for (idx, *_), dx in zip(parts, gaps):
-            sums = out[:, col:col + dx.size]
-            np.cumsum(X[:, idx[:-1]], axis=1, out=sums)
-            sums *= dx
-            col += dx.size
-        return out
 
     def sample(ts):
         U, LU = np.empty((ts.size, u0.size)), np.empty((ts.size, u0.size))
@@ -238,27 +232,23 @@ def _grid_series(parts, coup, triple, u0, rates: bool):
         at0 = ts == 0.0
         U[at0], LU[at0] = u0, lu0
         np.maximum(U, 0.0, out=U)  # the clip
-        lam = triple.entropy.dphi_ext(U)
-        with np.errstate(invalid="ignore"):  # +inf and -inf slopes can meet: NaN
-            terms = lam * LU
-            if not np.all(np.isfinite(lam)):  # an infinite slope against no flux pairs to 0
-                terms[LU == 0.0] = 0.0
-            dissipation = terms.sum(axis=1)[:, None]
-        if boltzmann:  # u log u - (u - 1): the digits near u = 1 that (u log u - u) + 1 rounds off
-            with np.errstate(invalid="ignore"):  # 0 log 0 = 0 (-inf): NaN, set to 0
-                phi = np.multiply(U, lam, out=terms)
-            phi[U == 0.0] = 0.0
-            phi -= U - 1.0
+        if boltzmann:
+            phi, lam = phi_and_slope_boltzmann(U)
         else:
-            phi = triple.entropy.phi(U)
+            phi, lam = triple.entropy.phi(U), triple.entropy.dphi_ext(U)
+        finite = np.all(np.isfinite(lam))
+        with np.errstate(invalid="ignore"):  # +inf and -inf slopes can meet: NaN
+            lam *= LU
+            if not finite:  # an infinite slope against no flux pairs to 0
+                lam[LU == 0.0] = 0.0
+            dissipation = lam.sum(axis=1)[:, None]
         del lam
         energy = (phi @ coup.pi)[:, None]
         if not rates:
             return [(dissipation, energy)]
         U *= coup.pi
-        if coup.points is None:
-            return [(dissipation, energy), (LU, U)]
-        return [(dissipation, energy), (w1_sums(LU), w1_sums(U))]
+        paths = coup.paths[1]
+        return [(dissipation, energy), (_w1_sums(LU, paths), _w1_sums(U, paths))]
 
     return sample
 
@@ -273,9 +263,8 @@ def evolve(coup, triple: DissipationTriple, u0, T: float,
     ledger's quadrature error stays within ``GRID_EDB_FRACTION`` of the EDB
     tolerance ``tol_rel`` (relative to the initial entropy; ``EDB_TOL_REL``,
     the ledger's default, when None) and, with ``continuity_grid``, within
-    ``GRID_RCE_FRACTION`` of the continuity gate ``RCE_TOL``: in the W1 norm
-    per component when the coupling has ``points`` (grid and torus spaces),
-    in the l1 norm otherwise (see `_grid_series`).  Without it the
+    ``GRID_RCE_FRACTION`` of the continuity gate ``RCE_TOL``, in the W1 norm
+    along each component's metric path (see `_grid_series`).  Without it the
     grid is sized for the EDB alone: for a caller that computes no continuity
     certificate, such as the cutoff sweep.  The Euler cross-check runs on the
     same grid.  With ``config.checkpoints``, the grid is `checkpoint_grid`
@@ -362,22 +351,15 @@ def continuity_rates(traj: Trajectory, coup, phis) -> np.ndarray:
     return -(traj.densities @ lap)
 
 
-def continuity_spreads(traj: Trajectory, coup, phis) -> np.ndarray:
-    """Continuity-equation defect spread for each column of ``phis`` (n, m): the
+def continuity_residual(traj: Trajectory, phi_vals, coup) -> float:
+    """Continuity-equation defect spread of one test function phi: the
     increment of sum_i phi_i u_i pi_i minus its time-quadratured rate
     (``continuity_rates``) on [s, t], spread over all checkpoint pairs."""
-    phis = np.asarray(phis, dtype=float)
+    phis = np.asarray(phi_vals, dtype=float)[:, None]
     obs = traj.densities @ (phis * coup.pi[:, None])
-    rates = continuity_rates(traj, coup, phis)
-    integrals, _ = cumulative_simpson_nonuniform(traj.times, rates)
+    integrals, _ = cumulative_simpson_nonuniform(traj.times, continuity_rates(traj, coup, phis))
     defect = (obs - obs[0]) - integrals
-    return defect.max(axis=0) - defect.min(axis=0)
-
-
-def continuity_residual(traj: Trajectory, phi_vals, coup) -> float:
-    """Largest continuity-equation defect over all checkpoint pairs [s, t]
-    (see ``continuity_spreads``) for one test function."""
-    return float(continuity_spreads(traj, coup, np.asarray(phi_vals, dtype=float)[:, None])[0])
+    return float(defect.max() - defect.min())
 
 
 def concatenate(t1: Trajectory, t2: Trajectory) -> Trajectory:

@@ -99,8 +99,8 @@ def edb_integrand(u, w, triple: DissipationTriple, theta) -> float:
 
 @dataclass(frozen=True)
 class _CheckpointPass:
-    """Per-checkpoint quantities that every certificate reads, with the
-    cumulative integrals of the integrand and the pairing."""
+    """Per-checkpoint quantities that every certificate reads, with the cumulative
+    integrals of the integrand, the pairing and each state's flux divergence."""
 
     times: np.ndarray
     entropy: np.ndarray     # E(u_k)
@@ -109,21 +109,23 @@ class _CheckpointPass:
     integral: np.ndarray          # of the integrand
     pairing_integral: np.ndarray  # of the pairing: the same array under the Fenchel split
     singular: bool                # the integrand's singular-endpoint flag
+    divergence_integral: np.ndarray  # (K+1, n) of sum_j w_ij theta_ij (L u on the linear flux)
 
     def ledger(self):
         """(ledger series, cumulative integral of R + D, singular-endpoint flag)."""
         return self.entropy - self.entropy[0] + self.integral, self.integral, self.singular
 
 
-def _integrated(times, ent, integrand, pairing) -> _CheckpointPass:
+def _integrated(times, ent, integrand, pairing, div) -> _CheckpointPass:
     """The pass with each distinct series integrated once, in one block call.
     The quadrature reads an endpoint sample only through isfinite, so the
     pairing's NaN and inf alike take the rectangle there; an interior one
     makes the chain rule inconclusive, which then reads no integral."""
     series = [integrand] if pairing is integrand else [integrand, pairing]
-    integrals, singular = cumulative_simpson_nonuniform(times, np.column_stack(series))
-    return _CheckpointPass(times, ent, integrand, pairing, integrals[:, 0], integrals[:, -1],
-                           bool(singular[0]))
+    integrals, singular = cumulative_simpson_nonuniform(times, np.column_stack(series + [div]))
+    m = len(series)
+    return _CheckpointPass(times, ent, integrand, pairing, integrals[:, 0], integrals[:, m - 1],
+                           bool(singular[0]), integrals[:, m:])
 
 
 def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
@@ -135,17 +137,19 @@ def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
     holds with equality on every edge, so R + D is the pairing (the Fenchel
     split), and the pairing of every checkpoint comes from the densities alone
     through one Laplacian GEMM per block of rows (``_linear_pairings``, which
-    takes the entropy from the same log).  Otherwise R + D is taken edge by
-    edge, from each row of the flux store."""
+    takes the entropy and the divergence from the same log and GEMM).
+    Otherwise R + D and the divergence are taken edge by edge, from each row
+    of the flux store."""
     (rows, cols, th), store, U = coup.edges, traj.stored_flux(coup.edges), traj.densities
     if traj.linear_flux and triple.name in ("cosh", "quadratic"):
-        ent, g = _linear_pairings(U, triple.entropy, coup)
-        return _integrated(traj.times, ent, g, g)
+        ent, g, div = _linear_pairings(U, triple.entropy, coup)
+        return _integrated(traj.times, ent, g, g, div)
     ent = entropy_series(U, coup.pi, triple.entropy)
-    g, b = np.empty(U.shape[0]), np.empty(U.shape[0])
+    g, b, div = np.empty(U.shape[0]), np.empty(U.shape[0]), np.empty_like(U)
     for k, u in enumerate(U):
         ui, uj = u[rows], u[cols]
         w = ui - uj if store is None else store[k]
+        div[k] = np.bincount(rows, w * th, traj.n) - np.bincount(cols, w * th, traj.n)
         g[k] = _pairing(triple.entropy.dphi_ext(u), w, rows, cols, th)
         a = triple.flux.alpha(ui, uj)
         if np.any((a == 0) & (w != 0)):
@@ -156,22 +160,23 @@ def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
         dv = d_phi(triple, ui, uj)
         D = np.inf if np.any(np.isinf(dv)) else float(np.sum(dv * th))
         b[k] = R + D
-    return _integrated(traj.times, ent, b, g)
+    return _integrated(traj.times, ent, b, g, div)
 
 
 PASS_BLOCK = 64  # least rows per Laplacian GEMM (at most twice that): temporaries stay O(128 n)
 
 
 def _linear_pairings(U, entropy_density, coup) -> tuple:
-    """The entropy of every row u of U, and its pairing with its linear flux
-    w_ij = u_i - u_j: sum over the edges of (lam_i - lam_j)(u_i - u_j) theta_ij,
-    lam = phi'(u), for the Boltzmann ``entropy_density`` of the canonical
-    triples.  phi(u) and lam come from one log of each block
+    """The entropy of every row u of U, its pairing with its linear flux
+    w_ij = u_i - u_j, sum over the edges of (lam_i - lam_j)(u_i - u_j) theta_ij,
+    lam = phi'(u), and its divergence L u, for the Boltzmann ``entropy_density``
+    of the canonical triples.  phi(u) and lam come from one log of each block
     (`densities.phi_and_slope_boltzmann`), bit for bit the values of
     ``entropy_series`` and ``dphi_ext``.
 
     With the Laplacian L = diag(theta 1) - theta it is (lam - phi'(c)) . (L (u - c))
-    for any c constant on each coupling component (L c = 0 and 1^T L = 0 there).
+    for any c constant on each coupling component (L c = 0 and 1^T L = 0 there),
+    and L (u - c) is the divergence.
     Uncentred, lam . (L u) cancels all its digits near equilibrium; c is the
     mean of u over each component, so both factors are of the size of the
     differences.  A row with a vacant state (non-finite lam) comes out
@@ -184,8 +189,9 @@ def _linear_pairings(U, entropy_density, coup) -> tuple:
     lap[np.diag_indices(n)] = np.bincount(rows, th, n) + np.bincount(cols, th, n)
     sizes = np.bincount(labels)
     order, starts = np.argsort(labels, kind="stable"), np.cumsum(sizes) - sizes
-    ent, parts = [], []
-    for block in np.array_split(U, max(1, U.shape[0] // PASS_BLOCK)):
+    ent, parts, div = [], [], np.empty_like(U)
+    blocks = max(1, U.shape[0] // PASS_BLOCK)
+    for block, flow in zip(np.array_split(U, blocks), np.array_split(div, blocks)):
         mean = np.add.reduceat(block[:, order], starts, axis=1) / sizes  # (rows, components)
         centred = mean[:, labels]
         np.subtract(block, centred, out=centred)  # in place here and below: few temporaries
@@ -194,14 +200,14 @@ def _linear_pairings(U, entropy_density, coup) -> tuple:
         ent.append(phi.sum(axis=1))
         with np.errstate(invalid="ignore"):
             lam -= entropy_density.dphi_ext(mean)[:, labels]
-            flow = centred @ lap
-            flow *= lam
-            parts.append(flow.sum(axis=1))
+            np.matmul(centred, lap, out=flow)
+            lam *= flow
+            parts.append(lam.sum(axis=1))
     ent, g = np.concatenate(ent), np.concatenate(parts)
     for k in np.flatnonzero(~np.isfinite(g)):
         u = U[k]
         g[k] = _pairing(entropy_density.dphi_ext(u), u[rows] - u[cols], rows, cols, th)
-    return ent, g
+    return ent, g, div
 
 
 def _pairing(lam, w, rows, cols, th) -> float:

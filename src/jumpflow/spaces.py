@@ -99,16 +99,16 @@ class Coupling:
     """Symmetrized edge coupling theta_ij = pi_i kappa_ij.
 
     Its graph {theta > 0} is built on first use and kept: ``edges`` for the
-    flux and the certificates, ``labels`` for the component-wise ones.
-    ``points`` are the coordinates of a line or a circle cut at 0 (grid and
-    torus spaces), whose path distance |x_i - x_j| is at least the metric:
-    the default grid sizes its continuity budget in the W1 norm of that
-    line.  None (graph and lift spaces) leaves it the l1 norm."""
+    flux and the certificates, ``labels`` for the component-wise ones, and
+    ``paths`` for the continuity norms.  ``metric`` is the space's
+    (points, dist); a coupling built from theta alone has none and takes
+    its states in index order with unit gaps, the path of the metric that is
+    1 between any two states."""
 
     theta: np.ndarray
     detailed_balance_residual: float
     pi: np.ndarray
-    points: Optional[np.ndarray] = None
+    metric: Optional[tuple] = None
 
     def __post_init__(self):
         if not np.array_equal(self.theta, self.theta.T):
@@ -145,6 +145,22 @@ class Coupling:
             c += 1
         labels.setflags(write=False)
         return labels
+
+    @cached_property
+    def paths(self) -> tuple:
+        """The metric path, (states, gaps) over the whole space and a list of
+        them per component: the states in ``points`` order (stable sort), each
+        gap the metric between neighbours.  The path distance is at least the
+        metric (triangle inequality), and on a line it is the metric."""
+        points, dist = self.metric if self.metric is not None else (np.arange(self.n), None)
+        order = np.argsort(points, kind="stable")
+
+        def along(states):
+            gaps = np.ones(states.size - 1) if dist is None else dist[states[:-1], states[1:]]
+            return states, gaps
+
+        return along(order), [along(order[self.labels[order] == c])
+                              for c in range(self.labels.max() + 1)]
 
 
 def build_grid(a: float, b: float, n: int) -> StateSpace:
@@ -215,17 +231,15 @@ def cutoff(kernel: Kernel, space: StateSpace, eps: float) -> Kernel:
 def coupling(space: StateSpace, kernel: Kernel) -> Coupling:
     """Edge coupling theta = pi_i kappa_ij, symmetrized to enforce detailed balance.
 
-    The residual max |theta - theta^T| is reported before symmetrization.
-    Grid and torus spaces pass their points on (see ``Coupling``); graph and
-    lift spaces do not, since their metric is no path distance of a line.
+    The residual max |theta - theta^T| is reported before symmetrization;
+    the space's metric goes with it (see ``Coupling.paths``).
     """
     theta = space.pi[:, None] * kernel.rates
     residual = float(np.max(np.abs(theta - theta.T)))
     theta = 0.5 * (theta + theta.T)
     np.fill_diagonal(theta, 0.0)
-    points = space.points if space.kind in ("grid", "torus") else None
     return Coupling(theta=theta, detailed_balance_residual=residual, pi=space.pi.copy(),
-                    points=points)
+                    metric=(space.points, space.dist))
 
 
 def taming_bound(space: StateSpace, kernel: Kernel) -> float:

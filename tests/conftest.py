@@ -1,8 +1,29 @@
 """Fixtures shared by the test modules."""
 
+import numpy as np
 import pytest
 
 from jumpflow import evolution
+
+
+def lipschitz_members(space, seed, count=4):
+    """The test side's continuity battery on a space: the constant and
+    ``count`` random functions 1-Lipschitz in its metric, each the minimum of
+    shifted distance cones d(., a) + c over up to three anchors a, clipped to
+    [-1, 1].  ``seed`` draws the anchors and the shifts; the library certifies
+    the whole class these lie in and draws nothing."""
+    rng = np.random.default_rng(seed)
+    members = [np.ones(space.n)]
+    for _ in range(count):
+        anchors = rng.choice(space.n, min(3, space.n), replace=False)
+        cones = space.dist[:, anchors] + rng.uniform(-1.0, 1.0, anchors.size)
+        members.append(np.clip(cones.min(axis=1), -1.0, 1.0))
+    return members
+
+
+@pytest.fixture
+def battery():
+    return lipschitz_members
 
 
 @pytest.fixture

@@ -69,7 +69,7 @@ def punctured_run():
     coup = coupling(sp, fractional_kernel(sp, 0.75, mask=mask))
     u0 = 1.0 + 0.8 * np.sin(np.pi * sp.points) * (sp.points < 0) + 0.3 * (sp.points > 0)
     traj = evolve(coup, COSH, u0, 0.5)
-    rep = full_report(traj, COSH, sp, coup)
+    rep = full_report(traj, COSH, coup)
     return {"space": sp, "coupling": coup, "traj": traj, "report": rep}
 
 
@@ -338,10 +338,10 @@ def test_criterion_13_characterization_rce(punctured_run):
     rep = punctured_run["report"]
     assert rep.rce_residual <= 1e-8
     assert rep.verdict == "Balanced/Reflecting"
-    battery = rep.flags["rce_battery"]
-    assert "component_step" in battery
+    continuity = rep.flags["continuity"]
+    assert "component_step" in continuity
     report(13, f"RCE residual {rep.rce_residual:.2e} incl. component step "
-               f"({battery['component_step']:.2e}); verdict {rep.verdict}")
+               f"({continuity['component_step']:.2e}); verdict {rep.verdict}")
 
 
 def test_criterion_14_uniqueness_probe():

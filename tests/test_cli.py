@@ -86,6 +86,19 @@ PUNCTURED_GRID = {
 }
 
 
+def test_seed_drives_nothing(tmp_path):
+    # the config's seed and run --seed are accepted and checked, but the ledger
+    # certifies the whole continuity class and draws nothing
+    ledgers = []
+    for k, (seed, argv) in enumerate([(0, []), (5, []), (0, ["--seed", "3"])]):
+        cfg = write_config(tmp_path, dict(PUNCTURED_GRID, seed=seed), name=f"config{k}.json")
+        out = tmp_path / f"out{k}"
+        assert main(["run", "--config", cfg, "--out", str(out), *argv]) == 0
+        ledgers.append((out / "ledger.json").read_bytes())
+    assert ledgers[0] == ledgers[1] == ledgers[2]
+    assert b"component_step" in ledgers[0]
+
+
 # trajectory.csv of TWO_POINT on the explicit graded grid of 256 uniform intervals,
 # as the fixed default grid of earlier versions wrote it
 TWO_POINT_GRADED_SHA256 = "fae7a44fd74eee2459b01241ad97603e3b808bdf3a8dca93f502f3d72ca9dc51"
@@ -706,11 +719,11 @@ OVERFLOW = {
 
 
 def assert_neither_with_string_battery(path):
-    # JSON has no NaN or infinity: a non-finite battery entry, nested two deep,
-    # is written as a string like the top-level values
+    # JSON has no NaN or infinity: a non-finite continuity entry, nested two
+    # deep, is written as a string like the top-level values
     doc = json.loads(path.read_text())
     assert doc["verdict"] == "Neither"
-    battery = doc["flags"]["rce_battery"]
+    battery = doc["flags"]["continuity"]
     strings = [v for v in battery.values() if isinstance(v, str)]
     assert strings and set(strings) <= {"nan", "inf", "-inf"}
     assert all(isinstance(v, (str, float)) for v in battery.values())
@@ -990,7 +1003,7 @@ def tunnel_trajectory(path, kappa, n=200):
     theta = coup.theta.copy()
     theta[n // 2 - 1, n // 2] = theta[n // 2, n // 2 - 1] = kappa
     tunnel = spaces.Coupling(theta=theta, detailed_balance_residual=0.0, pi=coup.pi,
-                             points=coup.points)
+                             metric=coup.metric)
     traj = evolve(tunnel, canonical_triple("cosh"), parsed["u0"], parsed["T"],
                   tol_rel=parsed["tol_rel"])
     path.write_text("".join(trajectory_csv_text(traj)))
@@ -1009,8 +1022,8 @@ def verify_ledger(tmp_path, cfg, tpath):
                                            (1e-5, "Neither")])
 def test_verify_reaches_every_verdict_from_a_tunnelled_trajectory(tmp_path, kappa, verdict):
     # certified against the punctured config, a crossing of the split is seen
-    # by the component step (RCE) and by the chain rule; the Lipschitz members
-    # see it only through their O(h) jump, so kappa = 1e-6 stays within the
+    # by the component class (RCE) and by the chain rule; the Lipschitz class
+    # sees it only through its O(h) jump, so kappa = 1e-6 stays within the
     # continuity gate (Dissipative), and kappa = 1e-5 does not (Neither)
     tpath = tmp_path / "trajectory.csv"
     assert tunnel_trajectory(tpath, kappa).times.size <= 40
@@ -1021,15 +1034,17 @@ def test_verify_reaches_every_verdict_from_a_tunnelled_trajectory(tmp_path, kapp
 
 @pytest.mark.parametrize("n", [100, 200, 400])
 def test_lipschitz_class_sees_a_crossing_through_its_jump_of_h(tmp_path, n):
-    # the step jumps by 1 across the tunnel, a 1-Lipschitz member by at most
-    # the spacing h = 2/n: ce/rce is h.  At kappa = 1e-5 the crossing's defect
-    # (ce about 3e-8) stands far above the grid's continuity quadrature error
-    # (budget 1e-9 of the mass); at kappa = 1e-6 and n = 200 that error is
-    # some 4 % of ce and the ratio reads 1.04 h
+    # the step jumps by 1 across the tunnel, a 1-Lipschitz function by at most
+    # the spacing h = 2/n: the crossing moves a net mass m across the gap h
+    # between the components' paths, which the class value charges 2 h m (2
+    # max_t), against the step's spread m, so ce / component_step is 2h.  At
+    # kappa = 1e-5 the crossing's defect (ce about 6e-8) stands far above the
+    # grid's continuity quadrature error (budget 1e-9 of the mass)
     tpath = tmp_path / "trajectory.csv"
     tunnel_trajectory(tpath, 1e-5, n)
     ledger = verify_ledger(tmp_path, tunnel_config(n), tpath)
-    assert ledger["ce_residual"] / ledger["rce_residual"] == pytest.approx(2.0 / n, rel=0.05)
+    step = ledger["flags"]["continuity"]["component_step"]
+    assert ledger["ce_residual"] / step == pytest.approx(2.0 * 2.0 / n, rel=0.05)
 
 
 def matrix_twin(cfg):
@@ -1045,8 +1060,8 @@ def matrix_twin(cfg):
 def test_matrix_kernel_certifies_the_components_of_its_punctured_twin(tmp_path, kappa, verdict):
     # the step and the component masses come from the coupling, not from the
     # kernel type: the punctured rates written as a matrix give the same ledger.
-    # At kappa = 1e-7 only the step sees the crossing (rce 3e-8, ce 5e-10), so
-    # a ledger without it would read Balanced/Reflecting
+    # At kappa = 1e-7 only the component class sees the crossing (rce 1.8e-7,
+    # ce 1.1e-9), so a ledger without it would read Balanced/Reflecting
     tpath = tmp_path / "trajectory.csv"
     tunnel_trajectory(tpath, kappa)
     texts = []
@@ -1055,7 +1070,7 @@ def test_matrix_kernel_certifies_the_components_of_its_punctured_twin(tmp_path, 
         ledger = verify_ledger(tmp_path / name, cfg, tpath)
         assert ledger["verdict"] == verdict, name
         assert ledger["invariants"]["component_mass_ok"] == (kappa == 0.0), name
-        assert "component_step" in ledger["flags"]["rce_battery"], name
+        assert "component_step" in ledger["flags"]["continuity"], name
         texts.append((tmp_path / name / "vout" / "ledger.json").read_bytes())
     assert texts[0] == texts[1]
 
@@ -1068,15 +1083,15 @@ def test_punctured_components_are_the_sides_of_the_split(n, split, eps):
               "cutoff": eps}
     coup = coupling_of(dict(tunnel_config(n), kernel=kernel))
     assert coup.labels.max() == 1
-    assert np.array_equal(coup.labels == 0, coup.points < split)
+    assert np.array_equal(coup.labels == 0, coup.metric[0] < split)
 
 
 def test_state_on_the_split_is_a_component_of_its_own(tmp_path):
     # at odd n the middle state sits at x = 0: the punctured mask keeps no pair
-    # of it, so it is a third component and the battery gains its step
+    # of it, so it is a third component and the ledger reports its step
     n = 41
     coup = coupling_of(tunnel_config(n))
-    assert coup.points[n // 2] == 0.0
+    assert coup.metric[0][n // 2] == 0.0
     assert np.array_equal(np.flatnonzero(coup.labels == 1), [n // 2]) and coup.labels.max() == 2
     out = tmp_path / "out"
     cfg = write_config(tmp_path, dict(tunnel_config(n), integrator={"checkpoints": 64}))
@@ -1084,7 +1099,7 @@ def test_state_on_the_split_is_a_component_of_its_own(tmp_path):
     ledger = json.loads((out / "ledger.json").read_text())
     assert ledger["verdict"] == "Balanced/Reflecting"
     assert ledger["invariants"]["component_mass_ok"]
-    assert {"component_step", "component_step_1"} <= set(ledger["flags"]["rce_battery"])
+    assert {"component_step", "component_step_1"} <= set(ledger["flags"]["continuity"])
 
 
 def block_rates(blocks, n):
@@ -1119,7 +1134,7 @@ def test_three_components_need_two_steps(tmp_path):
     ledger = json.loads((out / "ledger.json").read_text())
     assert ledger["verdict"] == "Balanced/Reflecting"
     assert ledger["invariants"]["component_mass_ok"]
-    steps = {k for k in ledger["flags"]["rce_battery"] if k.startswith("component_step")}
+    steps = {k for k in ledger["flags"]["continuity"] if k.startswith("component_step")}
     assert steps == {"component_step", "component_step_1"}
 
     coup = coupling_of(THREE_BLOCKS)
@@ -1131,8 +1146,8 @@ def test_three_components_need_two_steps(tmp_path):
     tpath = tmp_path / "trajectory.csv"
     tpath.write_text("".join(trajectory_csv_text(traj)))
     ledger = verify_ledger(tmp_path, THREE_BLOCKS, tpath)
-    battery = ledger["flags"]["rce_battery"]
-    assert battery["component_step"] <= RCE_TOL < battery["component_step_1"]
+    continuity = ledger["flags"]["continuity"]
+    assert continuity["component_step"] <= RCE_TOL < continuity["component_step_1"]
     assert not ledger["invariants"]["component_mass_ok"]
     assert not ledger["rce_ok"]
 

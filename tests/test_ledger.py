@@ -12,10 +12,10 @@ from jumpflow.densities import canonical_triple
 from jumpflow.evolution import (IntegratorConfig, Trajectory, continuity_rates,
                                 continuity_residual, evolve)
 from jumpflow.functionals import _checkpoint_pass, _pairing, edb_integrand, entropy
-from jumpflow.ledger import (RANDOM_LIPSCHITZ, VERDICT_BALANCED, VERDICT_DISSIPATIVE,
-                             VERDICT_NEITHER, _lipschitz_battery, chain_rule_residual, edb_report,
-                             full_report, pointwise_edb, rce_battery, render_table,
-                             upgrade_verdict)
+from jumpflow.ledger import (VERDICT_BALANCED, VERDICT_DISSIPATIVE, VERDICT_NEITHER,
+                             chain_rule_residual, edb_report, full_report, pointwise_edb,
+                             rce_battery, render_table, upgrade_verdict)
+from jumpflow.quadrature import cumulative_simpson_nonuniform
 from jumpflow.spaces import (Coupling, build_graph, build_grid, build_torus, coupling, cutoff,
                              fractional_kernel, matrix_kernel, punctured_mask)
 
@@ -131,7 +131,7 @@ def test_verdict_balanced_on_punctured_exact_flow():
     coup = coupling(sp, fractional_kernel(sp, 0.75, mask=mask))
     u0 = np.where(sp.points < 0.0, 2.0, 0.0)
     traj = evolve(coup, COSH, u0, 0.5)
-    rep = full_report(traj, COSH, sp, coup)
+    rep = full_report(traj, COSH, coup)
     assert rep.verdict == VERDICT_BALANCED
     assert rep.invariants["component_mass_ok"]
     assert rep.rce_residual <= 1e-8
@@ -142,21 +142,21 @@ def test_verdict_neither_for_zeroed_flux():
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, IntegratorConfig(checkpoints=256))
     fabricated = Trajectory(times=traj.times, densities=traj.densities,
                             flux_store=np.zeros((traj.times.size, 1)), flux_edges=([0], [1]))
-    rep = full_report(fabricated, COSH, sp, coup)
+    rep = full_report(fabricated, COSH, coup)
     assert rep.verdict == VERDICT_NEITHER
 
 
 def test_verdict_stationary():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.full(2, 2.2), 1.0, IntegratorConfig(checkpoints=64))
-    rep = full_report(traj, COSH, sp, coup)
+    rep = full_report(traj, COSH, coup)
     assert rep.verdict == VERDICT_BALANCED
 
 
 def test_verdict_dissipative_when_rce_fails():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 1.0, IntegratorConfig(checkpoints=256))
-    rep = full_report(traj, COSH, sp, coup)
+    rep = full_report(traj, COSH, coup)
     assert rep.verdict == VERDICT_BALANCED
     rep.rce_ok = False
     assert upgrade_verdict(rep) == VERDICT_DISSIPATIVE
@@ -165,16 +165,16 @@ def test_verdict_dissipative_when_rce_fails():
 def test_report_json_and_table():
     sp, coup = two_point()
     traj = evolve(coup, COSH, np.array([2.0, 0.0]), 0.5, IntegratorConfig(checkpoints=64))
-    rep = full_report(traj, COSH, sp, coup)
+    rep = full_report(traj, COSH, coup)
     payload = json_text(rep.to_dict())
     assert '"schema": 1' in payload
     table = render_table(rep)
     assert "verdict" in table and "mass" in table
-    # the plain continuity residual (Lipschitz members), on which the
+    # the plain continuity residual (the Lipschitz class), on which the
     # Dissipative verdict rests, next to the reflecting one; the JSON is unchanged
     rows = dict(line.split("  ", 1) for line in table.splitlines())
-    assert rows["CE residual (Lipschitz)"].strip() == f"{rep.ce_residual:.3e}"
-    assert rows["RCE residual"].strip() == f"{rep.rce_residual:.3e}"
+    assert rows["CE residual (Lipschitz class)"].strip() == f"{rep.ce_residual:.3e}"
+    assert rows["RCE residual (component class)"].strip() == f"{rep.rce_residual:.3e}"
     assert payload.count("ce_residual") == 2  # ce_residual and rce_residual, as before
 
 
@@ -248,7 +248,7 @@ def dense_flux(traj, k):
 
 
 @pytest.mark.parametrize("name", PASS_CASES)
-def test_checkpoint_pass_matches_single_snapshot_oracles(name):
+def test_checkpoint_pass_matches_single_snapshot_oracles(name, battery):
     sp, coup, triple, u0 = pass_case(name)
     traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
     off = one_ulp_off(traj, coup)
@@ -256,11 +256,14 @@ def test_checkpoint_pass_matches_single_snapshot_oracles(name):
     cp = _checkpoint_pass(traj, triple, coup)  # Fenchel split
     edge = _checkpoint_pass(off, triple, coup)  # per-edge R + D
     assert cp.integrand is cp.pairing and edge.integrand is not edge.pairing
-    # minus the net flux is the rate of the indicator of each state
-    phis = np.column_stack([np.eye(sp.n)] + [phi for _, phi in
-                                            _lipschitz_battery(sp.points, sp.dist, 0)])
+    # minus the net flux is the rate of the indicator of each state: the
+    # pass integrates it as the divergence
+    phis = np.column_stack([np.eye(sp.n)] + battery(sp, 0))
     runs = [(t, p, continuity_rates(t, coup, phis))
             for t, p in ((traj, cp.pairing), (off, edge.pairing))]
+    for (t, _, rates), c in zip(runs, (cp, edge)):
+        integral, _ = cumulative_simpson_nonuniform(t.times, -rates[:, :sp.n])
+        np.testing.assert_allclose(c.divergence_integral, integral, rtol=1e-12, atol=1e-14)
     for k, u in enumerate(traj.densities):
         exact = exact_log_pairing(u, coup)
         np.testing.assert_allclose(cp.integrand[k], exact, rtol=1e-12)
@@ -392,16 +395,22 @@ def test_split_pass_takes_the_per_edge_pairing_only_on_vacant_rows(monkeypatch):
     assert np.isinf(cp.pairing[0]) and np.all(np.isfinite(cp.pairing[1:]))
 
 
-def test_rce_battery_equals_member_by_member_residuals():
+def test_rce_battery_equals_member_by_member_residuals(battery):
+    # the ledger's one entry per member, the step's, is that member's own
+    # defect spread; the class values bound the spread of each member of the
+    # test battery, at every seed
     sp, coup = punctured_grid(20)
     traj = evolve(coup, COSH, 1.0 + 0.5 * np.sin(np.pi * sp.points), 0.3)
-    mask = sp.points < 0.0
-    battery = rce_battery(traj, sp, coup, seed=3)
-    members = _lipschitz_battery(sp.points, sp.dist, 3) + [("component_step", mask * 1.0)]
-    assert list(battery) == [name for name, _ in members]
-    for name, phi in members:
-        single = continuity_residual(traj, phi, coup)
-        assert battery[name] == pytest.approx(single, rel=1e-12, abs=1e-14), name
+    mass = float(traj.densities[0] @ coup.pi)
+    values = rce_battery(traj, COSH, coup)
+    assert list(values) == ["lipschitz_class", "component_class", "component_step"]
+    assert values == full_report(traj, COSH, coup).flags["continuity"]
+    step = continuity_residual(traj, (sp.points < 0.0) * 1.0, coup) / mass
+    assert values["component_step"] == pytest.approx(step, rel=1e-12, abs=1e-14)
+    assert step <= values["component_class"]
+    for seed in range(5):
+        for phi in battery(sp, seed):
+            assert continuity_residual(traj, phi, coup) / mass <= values["lipschitz_class"], seed
 
 
 def path_graph(n):
@@ -411,18 +420,17 @@ def path_graph(n):
 
 @pytest.mark.parametrize("sp", [build_grid(-1.0, 1.0, 40), build_torus(30), path_graph(2)],
                          ids=["grid", "torus", "two_point_graph"])
-def test_lipschitz_battery_members_are_seeded_bounded_and_1_lipschitz(sp):
+def test_lipschitz_battery_members_are_seeded_bounded_and_1_lipschitz(sp, battery):
     def randoms(seed):
-        members = _lipschitz_battery(sp.points, sp.dist, seed)
-        assert [name for name, _ in members] == ["constant", "coordinate"] + [
-            f"random_lipschitz_{k}" for k in range(RANDOM_LIPSCHITZ)]
-        return np.column_stack([phi for name, phi in members if name.startswith("random")])
+        members = battery(sp, seed)
+        assert len(members) == 5 and np.array_equal(members[0], np.ones(sp.n))
+        return np.column_stack(members[1:])
 
     assert np.array_equal(randoms(0), randoms(0))
     assert not np.array_equal(randoms(0), randoms(1))
     for seed in range(20):
         for phi in randoms(seed).T:
-            assert np.all(np.abs(phi) <= 2.0)
+            assert np.all(np.abs(phi) <= 1.0)
             assert np.all(np.abs(phi[:, None] - phi[None, :]) <= sp.dist + 1e-15), seed
 
 
@@ -450,7 +458,7 @@ def test_stored_flux_copy_gives_the_same_full_report():
         assert stored.linear_flux and not off.linear_flux
         split = _checkpoint_pass(stored, triple, coup)
         assert split.integrand is split.pairing
-        args = (triple, sp, coup)
+        args = (triple, coup)
         a = full_report(traj, *args).to_dict()
         assert full_report(stored, *args).to_dict() == a, name
         assert close(full_report(off, *args).to_dict(), a), name

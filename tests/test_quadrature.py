@@ -266,7 +266,7 @@ def test_two_point_vacuum_start_at_the_ends_of_the_T_range(T):
         assert all(np.all(np.isfinite(w)) for _, _, w in plan.pieces)
     g = -np.expm1(-2.0 * times)
     traj = Trajectory(times=times, densities=np.column_stack([2.0 - g, g]))
-    rep = full_report(traj, COSH, sp, coup)
+    rep = full_report(traj, COSH, coup)
     assert rep.verdict == VERDICT_BALANCED
     assert rep.flags["initial_singular"]
 
