@@ -100,7 +100,8 @@ def edb_integrand(u, w, triple: DissipationTriple, theta) -> float:
 @dataclass(frozen=True)
 class _CheckpointPass:
     """Per-checkpoint quantities that every certificate reads, with the cumulative
-    integrals of the integrand, the pairing and each state's flux divergence."""
+    integrals of the integrand and the pairing; each state's flux divergence is
+    integrated only for the continuity certificate that reads it."""
 
     times: np.ndarray
     entropy: np.ndarray     # E(u_k)
@@ -109,7 +110,12 @@ class _CheckpointPass:
     integral: np.ndarray          # of the integrand
     pairing_integral: np.ndarray  # of the pairing: the same array under the Fenchel split
     singular: bool                # the integrand's singular-endpoint flag
-    divergence_integral: np.ndarray  # (K+1, n) of sum_j w_ij theta_ij (L u on the linear flux)
+    divergence: np.ndarray        # (K+1, n): sum_j w_ij theta_ij (L u on the linear flux)
+
+    def divergence_integral(self) -> np.ndarray:
+        """(K+1, n) cumulative integral of the divergence, each state's column
+        bit for bit that of a block call with the other series."""
+        return cumulative_simpson_nonuniform(self.times, self.divergence)[0]
 
     def ledger(self):
         """(ledger series, cumulative integral of R + D, singular-endpoint flag)."""
@@ -117,15 +123,14 @@ class _CheckpointPass:
 
 
 def _integrated(times, ent, integrand, pairing, div) -> _CheckpointPass:
-    """The pass with each distinct series integrated once, in one block call.
+    """The pass with each distinct ledger series integrated once, in one block call.
     The quadrature reads an endpoint sample only through isfinite, so the
     pairing's NaN and inf alike take the rectangle there; an interior one
     makes the chain rule inconclusive, which then reads no integral."""
     series = [integrand] if pairing is integrand else [integrand, pairing]
-    integrals, singular = cumulative_simpson_nonuniform(times, np.column_stack(series + [div]))
-    m = len(series)
-    return _CheckpointPass(times, ent, integrand, pairing, integrals[:, 0], integrals[:, m - 1],
-                           bool(singular[0]), integrals[:, m:])
+    integrals, singular = cumulative_simpson_nonuniform(times, np.column_stack(series))
+    return _CheckpointPass(times, ent, integrand, pairing, integrals[:, 0], integrals[:, -1],
+                           bool(singular[0]), div)
 
 
 def _checkpoint_pass(traj, triple: DissipationTriple, coup) -> _CheckpointPass:
@@ -223,7 +228,7 @@ def trajectory_L(traj, triple: DissipationTriple, coup, report: bool = False):
     """Energy-dissipation ledger series L_t along a trajectory.
 
     L at checkpoint t is E(u_t) - E(u_0) + integral of (R + D) over [0, t],
-    time-quadratured on the checkpoint grid by the sixth-order rule of
+    time-quadratured on the checkpoint grid by the eighth-order rule of
     `quadrature`.  A non-finite integrand at the initial or final checkpoint
     only (vacuum start under a superlinear dissipation) is integrated by the
     one-sided rectangle rule and flagged.

@@ -219,7 +219,7 @@ def rce_battery(traj: Trajectory, triple: DissipationTriple, coup, cp=None) -> d
     if cp is None:
         cp = _checkpoint_pass(traj, triple, coup)
     mass = max(float(traj.densities[0] @ coup.pi), 1e-300)
-    D = (traj.densities - traj.densities[0]) * coup.pi + cp.divergence_integral
+    D = (traj.densities - traj.densities[0]) * coup.pi + cp.divergence_integral()
     whole, components = coup.paths
 
     def value(paths):

@@ -1,11 +1,11 @@
-"""Checkpoint grids and sixth-order quadrature on nonuniform grids.
+"""Checkpoint grids and eighth-order quadrature on nonuniform grids.
 
 Each checkpoint interval's piece of a cumulative integral is the integral of
-the quintic through the six checkpoints nearest it within its run of finite
-samples: the interval's two ends and two more on either side, the stencil
-shifted inward at the ends of the run; a run of fewer than six checkpoints
-uses all of them.  An isolated non-finite sample at the first or last
-checkpoint is integrated by a one-sided rectangle on its interval (the
+the septic through the eight checkpoints nearest it within its run of finite
+samples: the interval's two ends, three more before it and three after, the
+stencil shifted inward at the ends of the run; a run of fewer than eight
+checkpoints uses all of them.  An isolated non-finite sample at the first or
+last checkpoint is integrated by a one-sided rectangle on its interval (the
 integrable-singularity convention); any other interval with a non-finite end
 is infinite.  The weights depend only on the times and on which samples are
 finite, and are formed in coordinates local to each interval and scaled by
@@ -30,7 +30,7 @@ __all__ = ["checkpoint_grid", "error_controlled_grid", "simpson_nonuniform",
 GRADE_RATIO = 1.02
 GRADE_CROSSOVER_DIV = 16.0
 GRADE_TMIN_REL = 1e-12
-STENCIL = 6  # checkpoints per piece: the quintic's
+STENCIL = 8  # checkpoints per piece: the septic's
 _WIDTH_RATIO = 8.0  # largest ratio of neighbouring widths inside a stencil's run
 
 
@@ -65,7 +65,7 @@ def _stencils(ts, fin):
     for samples finite where ``fin`` holds; count 0 for an interval without
     two finite ends.
 
-    Interval j's stencil is the STENCIL nodes j - 2, ..., j + 3, shifted
+    Interval j's stencil is the STENCIL nodes j - 3, ..., j + 4, shifted
     inward to lie in the interval's run, or the whole run when it is shorter.
     A run is a stretch of finite samples, cut also at a node whose two
     intervals differ in width by more than _WIDTH_RATIO: across such a jump
@@ -82,13 +82,13 @@ def _stencils(ts, fin):
     last = np.minimum.accumulate(np.where(fin & (cut | ~np.append(fin[1:], False)), pos, K)[::-1])
     first, last = first[:-1], last[::-1][1:]  # of the run that holds interval j
     size = np.where(fin[:-1] & fin[1:], np.minimum(STENCIL, last - first + 1), 0)
-    return np.clip(pos[:-1] - 2, first, last + 1 - size), size
+    return np.clip(pos[:-1] - (STENCIL - 1) // 2, first, last + 1 - size), size
 
 
 def _scaled(x, a, b):
     """The nodes x in coordinates local to a and scaled by b - a.  Products of
     node differences are then of the size of the stencil's width ratios at
-    any times; in absolute times a quintic's products leave the floating-point
+    any times; in absolute times a septic's products leave the floating-point
     range at extreme T, and in times not local to the interval they cancel
     for tiny intervals far from the origin."""
     return (np.asarray(x, dtype=float) - a) / (b - a)
@@ -96,9 +96,9 @@ def _scaled(x, a, b):
 
 def _piece_weights(x, a, b):
     """Weights of the samples at the nodes x[0], ..., x[m-1] in the integral
-    over [a, b] of the polynomial interpolating them, for m <= 7: four-point
-    Gauss-Legendre, exact to degree 7, on each Lagrange basis polynomial.  The
-    nodes may be arrays (m, ...) of intervals."""
+    over [a, b] of the polynomial interpolating them, for 2 <= m <= 8:
+    four-point Gauss-Legendre, exact to degree 7, on each Lagrange basis
+    polynomial.  The nodes may be arrays (m, ...) of intervals."""
     y = _scaled(x, a, b)
     others = _OTHERS[len(y)]  # (m, m - 1): the roots of each basis polynomial
     num = np.multiply.reduce(_GAUSS_AT.reshape((4,) + (1,) * (y.ndim + 1)) - y[others], axis=2)
@@ -109,7 +109,7 @@ def _piece_weights(x, a, b):
 _ROOTS = np.sqrt(3.0 / 7.0 + np.array([2.0, -2.0, -2.0, 2.0]) / 7.0 * np.sqrt(1.2))
 _GAUSS_AT = 0.5 + 0.5 * np.array([-1.0, -1.0, 1.0, 1.0]) * _ROOTS  # on [0, 1], ascending
 _GAUSS_W = (18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * np.sqrt(30.0)) / 72.0
-_OTHERS = {m: np.array([[k for k in range(m) if k != i] for i in range(m)]) for m in range(2, 8)}
+_OTHERS = {m: np.array([[k for k in range(m) if k != i] for i in range(m)]) for m in range(2, 9)}
 
 
 def _weighted(f, w):
@@ -130,8 +130,8 @@ class _Plan:
     rectangle on its interval, the sample at the other end times the width;
     any other interval with a non-finite end is infinite.  Every interval with
     two finite ends takes the integral of the polynomial through its stencil
-    (`_stencils`) in its run of finite samples, the quintic but in a run of
-    fewer than six.  The pieces are kept by stencil size, each group a few
+    (`_stencils`) in its run of finite samples, the septic but in a run of
+    fewer than eight.  The pieces are kept by stencil size, each group a few
     index and weight arrays.
     """
 
@@ -225,7 +225,7 @@ _MAX_INTERVALS = 1 << 13
 _HOLD = 0.75              # a round bisects the largest errors that hold this share of their sum,
 _AIM = 0.9                # or enough to bring the sum under this share of the budget,
 _CHILD_SHARE = 1.0 / 32.0  # assuming two halves keep this share of their interval's error
-_ERROR_BLOCK = 32         # intervals per error: the gathered samples stay O(192 d)
+_ERROR_BLOCK = 32         # intervals per error: the gathered samples stay O(256 d)
 
 
 def _split(a, b):
@@ -241,7 +241,7 @@ class _Nodes:
     series, a row table of the series and one of its primitive.
 
     The tables grow by doubling from 256 rows, which hold a typical grid
-    (K+1 about 150): appending each round by concatenation would copy the
+    (K+1 about 120): appending each round by concatenation would copy the
     whole table every round and hold it twice at the peak of `evolve`."""
 
     BLOCK = 128  # times per call of the sampler: its temporaries stay O(BLOCK d)

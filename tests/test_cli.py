@@ -1388,8 +1388,10 @@ def test_each_command_executes_only_the_modules_it_uses(tmp_path, command):
 
 
 def test_cli_commands_do_not_import_scipy(tmp_path):
-    # scipy is only for the transport LP on non-line lift bases; the tests
-    # themselves import it, so the commands run in a fresh interpreter
+    # scipy is only for the transport LP on non-line lift bases, and run,
+    # verify and sweep load neither numpy.polynomial nor numpy.random either
+    # (the quadrature's Gauss nodes are constants); the tests themselves
+    # import them, so the commands run in a fresh interpreter
     import subprocess
     import sys
 
@@ -1411,18 +1413,23 @@ def test_cli_commands_do_not_import_scipy(tmp_path):
         ["run", "--config", cfg, "--out", out],
         ["verify", "--config", cfg, "--trajectory", os.path.join(out, "trajectory.csv"),
          "--out", str(tmp_path / "verify")],
-        ["probe", "--s", "0.75", "--deltas", "0.2,0.1", "--n", "64", "--out", out],
         ["sweep", "--config", sweep, "--out", out],
+        ["probe", "--s", "0.75", "--deltas", "0.2,0.1", "--n", "64", "--out", out],
         ["lift", "--m", "3", "--N", "2", "--out", out],
     ]
     script = (
         "import contextlib, io, sys\n"
         "from jumpflow.cli import main\n"
-        f"for argv in {commands!r}:\n"
+        "def loaded(*roots):\n"
+        "    prefixes = tuple(r + '.' for r in roots)\n"
+        "    return sorted(m for m in sys.modules if m in roots or m.startswith(prefixes))\n"
+        f"for k, argv in enumerate({commands!r}):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "    if k == 2:  # after run, verify and sweep\n"
+        "        print(loaded('numpy.polynomial', 'numpy.random'))\n"
+        "print(loaded('scipy'))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jumpflow.__file__)))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["[]", "[]"], done.stdout

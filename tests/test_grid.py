@@ -113,12 +113,12 @@ def test_flux_config_meets_the_rce_gate_at_every_battery_seed(battery):
     rep = full_report(traj, COSH, coup)
     assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL
     assert_battery_within_the_class(sp, coup, traj, battery)
-    assert traj.times.size <= 240
+    assert traj.times.size <= 89
 
 
-def test_grid_certify_config_is_certified_on_at_most_268_checkpoints(grid_certify):
+def test_grid_certify_config_is_certified_on_at_most_124_checkpoints(grid_certify):
     sp, coup, traj, tol = grid_certify
-    assert traj.times.size <= 268
+    assert traj.times.size <= 124
     rep = full_report(traj, COSH, coup, tol_rel=tol)
     assert rep.verdict == VERDICT_BALANCED and rep.rce_residual <= RCE_TOL
     assert all(v for k, v in rep.invariants.items() if k.endswith("_ok"))
@@ -452,21 +452,21 @@ def test_selected_panels_are_the_quadrature_panels(case):
     start = int(case == "log_singular")
     assert (times[1] == h) == bool(start)
     # the grid's intervals are the quadrature's: no neighbouring widths 8x
-    # apart cut a run, so interval j >= start takes the quintic through the
-    # nodes j - 2, ..., j + 3, shifted inward to lie in start, ..., K; the
+    # apart cut a run, so interval j >= start takes the septic through the
+    # nodes j - 3, ..., j + 4, shifted inward to lie in start, ..., K; the
     # rectangle on [0, h] for the singular series
     fin = np.arange(times.size) >= start
     first, size = _stencils(times, fin)
     K = times.size - 1
     j = np.arange(start, K)
-    assert np.all(size[start:] == 6)
-    assert np.array_equal(first[start:], np.clip(j - 2, start, K - 5))
+    assert np.all(size[start:] == 8)
+    assert np.array_equal(first[start:], np.clip(j - 3, start, K - 7))
     pieces, singular = _interval_pieces(times, values[:, 0])
     assert singular == bool(start)
     if start:
         assert pieces[0] == values[1, 0] * h
     for k in j:
-        nodes = first[k] + np.arange(6)
+        nodes = first[k] + np.arange(8)
         piece = _weighted(values[nodes, :1], _piece_weights(times[nodes][:, None], times[k:k + 1],
                                                             times[k + 1:k + 2]))
         assert pieces[k] == piece[0]

@@ -263,7 +263,7 @@ def test_checkpoint_pass_matches_single_snapshot_oracles(name, battery):
             for t, p in ((traj, cp.pairing), (off, edge.pairing))]
     for (t, _, rates), c in zip(runs, (cp, edge)):
         integral, _ = cumulative_simpson_nonuniform(t.times, -rates[:, :sp.n])
-        np.testing.assert_allclose(c.divergence_integral, integral, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(c.divergence_integral(), integral, rtol=1e-12, atol=1e-14)
     for k, u in enumerate(traj.densities):
         exact = exact_log_pairing(u, coup)
         np.testing.assert_allclose(cp.integrand[k], exact, rtol=1e-12)
@@ -285,6 +285,31 @@ def test_checkpoint_pass_matches_single_snapshot_oracles(name, battery):
             pairing = np.nan if np.any(np.isnan(vals)) else 0.5 * np.sum(vals)
             np.testing.assert_allclose(p[k], pairing, rtol=1e-12, atol=1e-14)
     assert np.isinf(cp.integrand[0]) == np.isinf(edge.integrand[0]) == ("vacuum" in name)
+
+
+@pytest.mark.parametrize("name", PASS_CASES)
+def test_only_the_continuity_classes_integrate_the_divergence(name, monkeypatch):
+    # the balance, the chain rule, the pointwise form and the ledger series
+    # integrate the integrand and the pairing, at most two columns; the
+    # (K + 1, n) divergence is integrated for the continuity classes alone
+    sp, coup, triple, u0 = pass_case(name)
+    traj = evolve(coup, triple, u0, 0.2, IntegratorConfig(checkpoints=32))
+    columns = []
+
+    def counted(ts, bs):
+        columns.append(1 if np.ndim(bs) == 1 else np.shape(bs)[1])
+        return cumulative_simpson_nonuniform(ts, bs)
+
+    monkeypatch.setattr(functionals, "cumulative_simpson_nonuniform", counted)
+    for t in (traj, one_ulp_off(traj, coup)):
+        for certificate in (edb_report, chain_rule_residual, pointwise_edb,
+                            functionals.trajectory_L):
+            columns.clear()
+            certificate(t, triple, coup)
+            assert columns and max(columns) <= 2, (certificate.__name__, columns)
+        columns.clear()
+        full_report(t, triple, coup)
+        assert sorted(columns)[-1] == sp.n and max(sorted(columns)[:-1]) <= 2, columns
 
 
 def per_edge_pairings(traj, triple, coup):

@@ -1,4 +1,4 @@
-"""The sixth-order interval rule on nonuniform grids: the array plan against a
+"""The eighth-order interval rule on nonuniform grids: the array plan against a
 scan one interval at a time, its exactness and order, its weights at the
 ends of the accepted T range, and the error-controlled grid's realized errors."""
 
@@ -27,7 +27,7 @@ def _scan_pieces(ts, bs):
     """The quadrature rule one interval at a time.  An isolated non-finite
     sample at the first or last checkpoint takes the rectangle on its
     interval, any other interval with a non-finite end is infinite, and every
-    other interval the polynomial through the six nodes j - 2, ..., j + 3,
+    other interval the polynomial through the eight nodes j - 3, ..., j + 4,
     shifted inward to stay in its run, or through the whole run when that is
     shorter.  The run is the stretch of finite samples around the interval,
     ending at a node whose two intervals differ in width by more than RATIO."""
@@ -49,8 +49,8 @@ def _scan_pieces(ts, bs):
             lo -= 1
         while hi < K and fin[hi + 1] and not cut(hi):
             hi += 1
-        m = min(6, hi - lo + 1)
-        start = min(max(j - 2, lo), hi + 1 - m)
+        m = min(8, hi - lo + 1)
+        start = min(max(j - 3, lo), hi + 1 - m)
         nodes = np.arange(start, start + m)
         pieces[j] = poly_piece(ts[nodes], bs[nodes], ts[j], ts[j + 1])
     if not fin[0] and fin[1]:
@@ -94,25 +94,45 @@ def test_panel_plan_matches_scan():
         _assert_same_pieces(got, want, ts, bs)
 
 
-def test_cumulative_integral_is_exact_for_quintics_at_every_checkpoint():
-    # widths within a factor 2, so no run is cut: with six checkpoints or more
-    # every stencil holds six nodes and the quintic through them is the
+def test_cumulative_integral_is_exact_for_septics_at_every_checkpoint():
+    # widths within a factor 2, so no run is cut: with eight checkpoints or
+    # more every stencil holds eight nodes and the septic through them is the
     # polynomial itself; a shorter grid takes all of its K + 1 nodes and is
     # exact to degree K
     rng = np.random.default_rng(5)
-    for K in (1, 2, 3, 4, 5, 6, 7, 17, 40):
+    for K in (1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 40):
         ts = 3.0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.0, K))])
-        poly = np.polynomial.Polynomial(rng.normal(size=min(K, 5) + 1))
+        poly = np.polynomial.Polynomial(rng.normal(size=min(K, 7) + 1))
         integral, flag = cumulative_simpson_nonuniform(ts, poly(ts))
         exact = poly.integ()(ts) - poly.integ()(ts[0])
         assert not flag
         assert np.max(np.abs(integral - exact)) <= 1e-13 * np.max(np.abs(exact)), K
 
 
+def test_piece_weights_are_exact_below_their_node_count():
+    # the Gauss rule integrates each Lagrange basis polynomial, of degree
+    # m - 1, exactly only while m <= twice its points: a wider stencil needs a
+    # wider Gauss rule.  On graded nodes, for the interval between any two
+    # neighbouring nodes (stencils shifted inward at the ends of a run), the
+    # weights of m nodes integrate t^k for every k < m to roundoff, relative
+    # to the interval's width times the largest sample
+    assert quadrature.STENCIL <= 2 * quadrature._GAUSS_W.size
+    for m in range(2, quadrature.STENCIL + 1):
+        i = np.arange(m)
+        for x in (3.0 + (i / (m - 1)) ** 2, quadrature.GRADE_RATIO ** i - 1.0,
+                  3.0 + np.append(0.0, np.cumsum(1.25 ** i[:-1])),
+                  3.0 + np.append(0.0, np.cumsum(0.8 ** i[:-1]))):
+            a, b = x[:-1], x[1:]  # every interval of the stencil at once
+            for k in range(m):
+                exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+                got = poly_piece(x[:, None], x[:, None] ** k, a, b)
+                assert np.all(np.abs(got - exact) <= 1e-13 * np.max(x ** k) * (b - a)), (m, k)
+
+
 @pytest.mark.parametrize("kind", ["uniform", "graded"])
-def test_rule_is_sixth_order(kind):
-    # halving every width cuts the largest cumulative error by 2^6 in the
-    # limit; on a smooth sum of exponentials and sines, by at least 2^5.5 here
+def test_rule_is_eighth_order(kind):
+    # halving every width cuts the largest cumulative error by 2^8 in the
+    # limit; on a smooth sum of exponentials and sines, by at least 2^7.5 here
     def f(t):
         return (np.exp(-3.0 * t) + 2.0 * np.exp(0.5 * t) + np.sin(7.0 * t)
                 + 0.5 * np.sin(2.0 * t + 1.0))
@@ -130,7 +150,7 @@ def test_rule_is_sixth_order(kind):
         errors.append(np.max(np.abs(integral - (F(ts) - F(ts[0])))))
         ts = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])]))
     assert errors[1] > 1e-13
-    assert errors[0] >= 2.0 ** 5.5 * errors[1], errors
+    assert errors[0] >= 2.0 ** 7.5 * errors[1], errors
 
 
 def test_graded_grid_log_singularity():
@@ -149,9 +169,9 @@ def test_graded_grid_log_singularity():
 def _block_cases(rng):
     """Grids with their (K + 1, m) sample blocks, several finiteness patterns
     mixed in each block."""
-    # widths 20 between 1s cut the runs at nodes 7 and 9: stencils of six,
-    # three and four nodes; the interior inf at node 5 leaves runs of five and
-    # two nodes before it
+    # widths 20 between 1s cut the runs at nodes 7 and 9: stencils of eight,
+    # three and four nodes, and of seven after a first inf; the interior inf
+    # at node 5 leaves runs of five and two nodes before it
     ts = np.concatenate([[0.0], np.cumsum([1.0, 1.5, 1.0, 1.2, 1.0, 1.0, 1.0, 20.0, 20.0, 1.0,
                                            1.0, 1.0])])
     bs = rng.normal(size=(ts.size, 7))
@@ -202,7 +222,7 @@ def test_block_call_is_the_per_column_call_bit_for_bit(monkeypatch):
         if case == 0:  # every kind of piece occurs
             sizes = [{len(nodes) for target, nodes, _ in plan.pieces if target.size}
                      for plan in plans]
-            assert sizes == [{3, 4, 6}, {1, 3, 4, 6}, {1, 3, 6}, {1, 3, 6}, {2, 3, 4, 5}]
+            assert sizes == [{3, 4, 8}, {1, 3, 4, 7}, {1, 3, 8}, {1, 3, 7}, {2, 3, 4, 5}]
             assert flags.tolist() == [False, True, True, True, False, False, False]
             assert np.isinf(integral[-1, 4]) and np.isinf(integral[-1, 5])
 
@@ -251,7 +271,7 @@ def test_grid_estimates_are_those_of_its_final_panels():
 def test_two_point_vacuum_start_at_the_ends_of_the_T_range(T):
     # criterion 2's closed form u = 1 +- e^(-2t) on the default grid at the
     # ends of the accepted T.  The weights are formed in coordinates scaled
-    # by each interval's width, so the quintic's products stay in range.  The
+    # by each interval's width, so the septic's products stay in range.  The
     # trajectory is the closed form, 1 - e^(-2t) taken by expm1: the
     # propagator rounds that density to 0 at T = 1e-100 (ROADMAP defect 9)
     # and leaves the equilibrium an ulp off at T = 1e100, whose rate the
